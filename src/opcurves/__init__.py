@@ -23,16 +23,15 @@ from .cost import (CostLine, CostParams, LossDecomposition, baseline_cost_lines,
                    loss_decomposition, lower_envelope, lower_envelope_support,
                    per_class_components, refinement_loss)
 from .dataset import (NEGATIVE, POSITIVE, Dataset, DatasetError, DegenerateClassError,
-                      EmptyInputError, LabeledSample, ParseError, Priors,
-                      SimulationSpec, SimulationSpecError, from_csv, parse_dataset,
-                      read_csv, serialize_dataset, simulate_gaussian, to_csv,
-                      write_csv)
+                      EmptyInputError, ParseError, Priors, SimulationSpec,
+                      SimulationSpecError, from_csv, parse_dataset, read_csv,
+                      serialize_dataset, simulate_gaussian, to_csv, write_csv)
 from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
                        decision_curve, net_benefit, standardized_net_benefit,
                        upper_envelope_decision_curve, upper_envelope_support)
 from .isometrics import METRICS, RocLine, isometric_gradient, isometric_line
 from .relations import (ComparisonReport, PriorMismatchError, compare_models,
-                        envelope_oracle, nb_from_brier_loss)
+                        nb_from_brier_loss)
 from .render import (PALETTE, PlotSeries, PlotSpec, RenderError, SeriesStyle,
                      render_svg, write_svg)
 from .roc import (ConfusionCounts, OperatingPoint, RocCurve, convex_hull, dominance,
@@ -42,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NEGATIVE", "POSITIVE", "Dataset", "DatasetError", "DegenerateClassError",
-    "EmptyInputError", "LabeledSample", "ParseError", "Priors", "SimulationSpec",
+    "EmptyInputError", "ParseError", "Priors", "SimulationSpec",
     "SimulationSpecError", "from_csv", "parse_dataset", "read_csv",
     "serialize_dataset", "simulate_gaussian", "to_csv", "write_csv",
     "ConfusionCounts", "OperatingPoint", "RocCurve", "convex_hull", "dominance",
@@ -55,8 +54,7 @@ __all__ = [
     "loss_decomposition", "lower_envelope", "lower_envelope_support",
     "per_class_components", "refinement_loss",
     "METRICS", "RocLine", "isometric_gradient", "isometric_line",
-    "ComparisonReport", "PriorMismatchError", "compare_models", "envelope_oracle",
-    "nb_from_brier_loss",
+    "ComparisonReport", "PriorMismatchError", "compare_models", "nb_from_brier_loss",
     "PALETTE", "PlotSeries", "PlotSpec", "RenderError", "SeriesStyle",
     "render_svg", "write_svg",
     "__version__",

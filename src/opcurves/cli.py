@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cost import (baseline_cost_lines, brier_curve, cost_line, loss_decomposition,
-                   lower_envelope)
+from .cost import baseline_cost_lines, cost_line, loss_decomposition, lower_envelope
 from .dataset import (Dataset, DatasetError, Priors, SimulationSpec,
                       SimulationSpecError, read_csv, write_csv, simulate_gaussian)
 from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
@@ -288,14 +287,11 @@ def _run_cost(cfg: RunConfig) -> int:
 def _run_brier(cfg: RunConfig) -> int:
     data = read_csv(cfg.input)
     priors = data.priors
-    hull = convex_hull(operating_points(data))
-    bc = brier_curve(data, cfg.grid)
-    env = lower_envelope(hull, priors, cfg.grid)
+    dec = loss_decomposition(data, cfg.grid)
     all_pos, all_neg = baseline_cost_lines(priors)
-    curves = [bc, env,
+    curves = [dec.brier_curve, dec.lower_envelope,
               _line_curve(all_pos, cfg.grid, "all_positive", priors),
               _line_curve(all_neg, cfg.grid, "all_negative", priors)]
-    dec = loss_decomposition(data, cfg.grid)
     print(f"brier_score={dec.brier_score:.6f} refinement={dec.refinement:.6f} "
           f"calibration={dec.calibration:.6f}")
     if cfg.csv_path:
@@ -324,8 +320,9 @@ def _run_roc(cfg: RunConfig) -> int:
           f"hull area {hull.auc():.6f}")
     if cfg.csv_path:
         lines = ["x,y,series"]
-        lines.extend(f"{float(p.fpr)!r},{float(p.tpr)!r},points" for p in curve.points)
-        lines.extend(f"{float(p.fpr)!r},{float(p.tpr)!r},hull" for p in hull.points)
+        for c, series in ((curve, "points"), (hull, "hull")):
+            lines.extend(f"{x!r},{y!r},{series}"
+                         for x, y in zip(c.fprs.tolist(), c.tprs.tolist()))
         _write_text(cfg.csv_path, "\n".join(lines) + "\n")
     if cfg.svg_path:
         priors = data.priors
@@ -343,15 +340,13 @@ def _run_roc(cfg: RunConfig) -> int:
 
 def _staircase(curve, series: str, priors) -> Curve:
     # nudge duplicate fpr values apart so the Curve container accepts them;
-    # visually identical at plot resolution
-    xs, ys = [], []
-    for p in curve.points:
-        x = p.fpr
-        while xs and x <= xs[-1]:
-            x = np.nextafter(xs[-1], 2.0)
-        xs.append(x)
-        ys.append(p.tpr)
-    return Curve(xs=np.array(xs), ys=np.array(ys), series=series, priors=priors)
+    # visually identical at plot resolution. Each x becomes
+    # max(fpr, nextafter(previous x)); the bit patterns of non-negative
+    # floats are ordered like the floats and nextafter adds 1 to them.
+    bits = curve.fprs.view(np.int64)
+    steps = np.arange(bits.size)
+    xs = (np.maximum.accumulate(bits - steps) + steps).view(np.float64)
+    return Curve(xs=xs, ys=curve.tprs, series=series, priors=priors)
 
 
 def _run_score(cfg: RunConfig) -> int:

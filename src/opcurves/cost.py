@@ -20,7 +20,8 @@ import numpy as np
 
 from .dataset import Dataset, Priors
 from .decision import ArrayLike, Curve, ThresholdGrid, _unwrap
-from .roc import OperatingPoint, RocCurve, convex_hull, operating_points, threshold_rates
+from .roc import (OperatingPoint, RocCurve, _require_hull, convex_hull, operating_points,
+                  threshold_rates)
 
 _SUPPORT_TOL = 1e-12
 _CLAMP_TOL = 1e-12
@@ -108,11 +109,6 @@ def baseline_cost_lines(priors: Priors) -> tuple[CostLine, CostLine]:
             cost_line(OperatingPoint(fpr=0.0, tpr=0.0), priors))
 
 
-def _require_hull(hull: RocCurve) -> None:
-    if not hull.is_hull:
-        raise ValueError("expected a convex hull; pass convex_hull(operating_points(data))")
-
-
 def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve:
     """Pointwise minimum of the hull vertices' cost lines (series
     "lower_envelope"): the best loss any attainable classifier reaches at
@@ -131,7 +127,7 @@ def lower_envelope_support(hull: RocCurve, priors: Priors,
     slopes, intercepts = _hull_lines(hull, priors)
     vals = intercepts + float(c) * slopes
     best = float(np.min(vals))
-    return tuple(p for p, v in zip(hull.points, vals) if v <= best + _SUPPORT_TOL)
+    return tuple(hull.points[i] for i in np.flatnonzero(vals <= best + _SUPPORT_TOL))
 
 
 def _hull_lines(hull: RocCurve, priors: Priors) -> tuple[np.ndarray, np.ndarray]:
@@ -226,13 +222,16 @@ class LossDecomposition:
 
     refinement is the loss an optimally recalibrated version of the scorer
     would still pay (area under the lower envelope); calibration is the
-    surplus the actual scores pay on top. gap_curve samples the pointwise
-    gap between the Brier curve and the envelope.
+    surplus the actual scores pay on top. brier_curve and lower_envelope
+    are the two curves sampled on the grid, and gap_curve is their
+    pointwise gap.
     """
 
     brier_score: float
     refinement: float
     calibration: float
+    brier_curve: Curve
+    lower_envelope: Curve
     gap_curve: Curve
 
 
@@ -251,9 +250,11 @@ def loss_decomposition(data: Dataset, grid: ThresholdGrid) -> LossDecomposition:
     calibration = bs - refinement
     if -_CLAMP_TOL < calibration < 0.0:
         calibration = 0.0
-    gap = brier_curve(data, grid).ys - lower_envelope(hull, priors, grid).ys
+    bc = brier_curve(data, grid)
+    env = lower_envelope(hull, priors, grid)
+    gap = bc.ys - env.ys
     gap = np.where((gap < 0.0) & (gap > -_CLAMP_TOL), 0.0, gap)
     return LossDecomposition(
         brier_score=bs, refinement=refinement, calibration=calibration,
-        gap_curve=Curve(xs=grid.values, ys=gap, series="calibration_gap",
-                        priors=priors))
+        brier_curve=bc, lower_envelope=env,
+        gap_curve=Curve(xs=grid.values, ys=gap, series="calibration_gap", priors=priors))

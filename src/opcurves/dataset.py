@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,11 +43,6 @@ class DegenerateClassError(DatasetError):
 
 class SimulationSpecError(DatasetError):
     """A simulation spec violates its own constraints."""
-
-
-class LabeledSample(NamedTuple):
-    score: float
-    label: int
 
 
 @dataclass(frozen=True)
@@ -107,13 +102,6 @@ class Dataset:
         for arr in (self._scores, self._labels, self._pos_sorted, self._neg_sorted):
             arr.flags.writeable = False
 
-    @classmethod
-    def from_samples(cls, samples: Iterable[tuple[float, int]]) -> Dataset:
-        pairs = list(samples)
-        if not pairs:
-            raise EmptyInputError("dataset has no samples")
-        return cls([s for s, _ in pairs], [l for _, l in pairs])
-
     @property
     def scores(self) -> np.ndarray:
         return self._scores
@@ -156,16 +144,8 @@ class Dataset:
     def priors(self) -> Priors:
         return Priors.from_counts(self.n_p, self.n_n)
 
-    @property
-    def samples(self) -> tuple[LabeledSample, ...]:
-        return tuple(LabeledSample(float(s), int(l))
-                     for s, l in zip(self._scores, self._labels))
-
     def __len__(self) -> int:
         return self.n
-
-    def __iter__(self) -> Iterator[LabeledSample]:
-        return iter(self.samples)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -216,8 +196,12 @@ def serialize_dataset(data: Dataset) -> tuple[tuple[str, str], ...]:
 
 
 def from_csv(text: str) -> Dataset:
-    """Parse `score,label` CSV text into a Dataset."""
-    rows = [row for row in csv.reader(io.StringIO(text))
+    """Parse `score,label` CSV text into a Dataset.
+
+    A leading byte order mark, which spreadsheet exports write, is skipped.
+    """
+    # not the utf-8-sig codec in read_csv: it copies the whole file's bytes
+    rows = [row for row in csv.reader(io.StringIO(text.removeprefix("\ufeff")))
             if row and any(cell.strip() for cell in row)]
     if not rows:
         raise EmptyInputError("csv input is empty")

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import Dataset, Priors
-from .roc import OperatingPoint, RocCurve, threshold_rates
+from .roc import OperatingPoint, RocCurve, _require_hull, threshold_rates
 
 _SUPPORT_TOL = 1e-12
 
@@ -206,11 +206,6 @@ def baseline_decision_curves(priors: Priors, grid: ThresholdGrid,
             Curve(xs=ts, ys=none_ys, series="treat_none", priors=priors))
 
 
-def _require_hull(hull: RocCurve) -> None:
-    if not hull.is_hull:
-        raise ValueError("expected a convex hull; pass convex_hull(operating_points(data))")
-
-
 def _require_threshold_scheme(scheme: UtilityScheme) -> None:
     if scheme.kind not in ("dca", "brier_scaled"):
         raise ValueError("threshold envelopes are defined for the dca and "
@@ -243,7 +238,7 @@ def upper_envelope_support(hull: RocCurve, priors: Priors, t: float,
     _require_threshold_scheme(scheme)
     vals = net_benefit(hull.tprs, hull.fprs, priors, float(t), scheme)
     best = float(np.max(vals))
-    return tuple(p for p, v in zip(hull.points, vals) if v >= best - _SUPPORT_TOL)
+    return tuple(hull.points[i] for i in np.flatnonzero(vals >= best - _SUPPORT_TOL))
 
 
 def standardized_net_benefit(curve_or_value: Curve | ArrayLike,

@@ -16,18 +16,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
-from .cost import brier_curve, loss_cp
+from .cost import brier_curve
 from .dataset import Dataset, Priors
-from .decision import (ArrayLike, Curve, ThresholdGrid, UtilityScheme, _unwrap,
-                       decision_curve, net_benefit)
-from .roc import OperatingPoint, RocCurve
+from .decision import ArrayLike, ThresholdGrid, _unwrap, decision_curve
 
 _SIGN_TOL = 1e-12
-_CHUNK = 8192
 
 
 class PriorMismatchError(ValueError):
@@ -116,34 +113,3 @@ def compare_models(data_a: Dataset, data_b: Dataset,
     return ComparisonReport(grid=grid, priors=priors, nb_a=nb_a, nb_b=nb_b,
                             bc_a=bc_a, bc_b=bc_b, delta_nb=delta_nb,
                             delta_bc=delta_bc, agree=agree)
-
-
-def envelope_oracle(points: RocCurve | Sequence[OperatingPoint], priors: Priors,
-                    grid: ThresholdGrid, which: str,
-                    scheme: UtilityScheme | None = None) -> Curve:
-    """Brute-force envelope over EVERY operating point, not just the hull.
-
-    which is "upper_decision" (max net benefit per grid t) or "lower_cost"
-    (min normalized loss per grid c). This exists as an independent check
-    of the hull-based envelopes; it never looks at convexity.
-    """
-    pts = list(points.points) if isinstance(points, RocCurve) else list(points)
-    if not pts:
-        raise ValueError("oracle needs at least one operating point")
-    if which not in ("upper_decision", "lower_cost"):
-        raise ValueError(f"unknown envelope kind {which!r}")
-    tprs = np.array([p.tpr for p in pts])
-    fprs = np.array([p.fpr for p in pts])
-    xs = grid.values
-    best = np.full(xs.size, np.inf if which == "lower_cost" else -np.inf)
-    for start in range(0, tprs.size, _CHUNK):
-        tp = tprs[start:start + _CHUNK, None]
-        fp = fprs[start:start + _CHUNK, None]
-        if which == "upper_decision":
-            vals = net_benefit(tp, fp, priors, xs, scheme)
-            best = np.maximum(best, np.max(vals, axis=0))
-        else:
-            vals = loss_cp(tp, fp, priors, xs)
-            best = np.minimum(best, np.min(vals, axis=0))
-    series = "upper_envelope" if which == "upper_decision" else "lower_envelope"
-    return Curve(xs=xs, ys=best, series=series, priors=priors)

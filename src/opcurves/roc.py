@@ -4,13 +4,17 @@ Classification rule throughout: a sample is called positive when its score
 is greater than or equal to the threshold. Each distinct score therefore
 induces one operating point, and a synthetic (0, 0) point stands for any
 threshold above the top score.
+
+Curves are held as arrays of thresholds and integer counts; OperatingPoint
+objects are built only when a caller reads RocCurve.points.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -74,63 +78,152 @@ class OperatingPoint:
         counts = ConfusionCounts(tp=tp, fp=fp, tn=n_n - fp, fn=n_p - tp)
         return cls(fpr=fp / n_n, tpr=tp / n_p, threshold=threshold, counts=counts)
 
-    def rate_key(self) -> tuple[float, float] | tuple[int, int]:
-        """(x, y) key for hull geometry: exact integer counts when known."""
-        if self.counts is not None:
-            return (self.counts.fp, self.counts.tp)
-        return (self.fpr, self.tpr)
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class RocCurve:
     """Operating points ordered by increasing (fpr, tpr), anchored at
-    (0, 0) and (1, 1). is_hull marks curves in strictly convex position."""
+    (0, 0) and (1, 1). is_hull marks curves in strictly convex position.
 
-    points: tuple[OperatingPoint, ...]
-    is_hull: bool = False
+    Every field is a read-only array over the points, or a scalar.
+    thresholds is NaN where a point has none (the (0, 0) anchor). Curves
+    from data carry integer tp and fp counts over the class totals n_p and
+    n_n, and their rates are fprs = fp / n_n and tprs = tp / n_p. Curves
+    built from rate-only points have tp, fp, n_p and n_n set to None.
+    `points` builds an OperatingPoint only for the entries a caller reads.
+    """
 
-    def __post_init__(self) -> None:
-        pts = self.points
-        if len(pts) < 2:
-            raise ValueError("a curve needs at least the (0,0) and (1,1) anchors")
-        if (pts[0].fpr, pts[0].tpr) != (0.0, 0.0):
-            raise ValueError("curve must start at (0, 0)")
-        if (pts[-1].fpr, pts[-1].tpr) != (1.0, 1.0):
-            raise ValueError("curve must end at (1, 1)")
-        for a, b in zip(pts, pts[1:]):
-            if (b.fpr, b.tpr) <= (a.fpr, a.tpr):
-                raise ValueError("points must strictly increase in (fpr, tpr) order")
-        totals = {(p.counts.n_p, p.counts.n_n) for p in pts if p.counts is not None}
+    thresholds: np.ndarray
+    fprs: np.ndarray
+    tprs: np.ndarray
+    tp: np.ndarray | None
+    fp: np.ndarray | None
+    n_p: int | None
+    n_n: int | None
+    is_hull: bool
+
+    def __init__(self, points: Sequence[OperatingPoint], is_hull: bool = False) -> None:
+        pts = tuple(points)
+        thresholds = [np.nan if p.threshold is None else p.threshold for p in pts]
+        counts = [p.counts for p in pts if p.counts is not None]
+        if not counts:
+            self._assign(thresholds, None, None, None, None, is_hull,
+                         [p.fpr for p in pts], [p.tpr for p in pts])
+            return
+        if len(counts) != len(pts):
+            raise ValueError("points must all carry counts or none")
+        totals = {(c.n_p, c.n_n) for c in counts}
         if len(totals) > 1:
             raise ValueError("points carry inconsistent class totals")
+        (n_p, n_n), = totals
+        self._assign(thresholds, [c.tp for c in counts], [c.fp for c in counts],
+                     n_p, n_n, is_hull)
+
+    @classmethod
+    def _of_counts(cls, thresholds, tp, fp, n_p: int, n_n: int,
+                   is_hull: bool = False) -> RocCurve:
+        curve = cls.__new__(cls)
+        curve._assign(thresholds, tp, fp, n_p, n_n, is_hull)
+        return curve
+
+    def _take(self, idx: np.ndarray, is_hull: bool) -> RocCurve:
+        """The curve through the points at the given indices."""
+        curve = RocCurve.__new__(RocCurve)
+        tp, fp = (None, None) if self.tp is None else (self.tp[idx], self.fp[idx])
+        curve._assign(self.thresholds[idx], tp, fp, self.n_p, self.n_n, is_hull,
+                      self.fprs[idx], self.tprs[idx])
+        return curve
+
+    def _assign(self, thresholds, tp, fp, n_p, n_n, is_hull, fprs=None, tprs=None) -> None:
+        """Set every field, rates from the counts when there are counts."""
+        if tp is not None:
+            tp, fp = _frozen(tp, np.int64), _frozen(fp, np.int64)
+            fprs, tprs = fp / n_n, tp / n_p
+        fields = {"thresholds": _frozen(thresholds, np.float64),
+                  "fprs": _frozen(fprs, np.float64), "tprs": _frozen(tprs, np.float64),
+                  "tp": tp, "fp": fp, "n_p": n_p, "n_n": n_n, "is_hull": bool(is_hull)}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        self._validate()
+
+    def _validate(self) -> None:
+        x, y = self.fprs, self.tprs
+        if x.size < 2:
+            raise ValueError("a curve needs at least the (0,0) and (1,1) anchors")
+        if (x[0], y[0]) != (0.0, 0.0):
+            raise ValueError("curve must start at (0, 0)")
+        if (x[-1], y[-1]) != (1.0, 1.0):
+            raise ValueError("curve must end at (1, 1)")
+        dx, dy = np.diff(x), np.diff(y)
+        if not np.all((dx > 0.0) | ((dx == 0.0) & (dy > 0.0))):
+            raise ValueError("points must strictly increase in (fpr, tpr) order")
         if self.is_hull:
-            keys = [p.rate_key() for p in pts]
-            for o, a, b in zip(keys, keys[1:], keys[2:]):
-                if _cross(o, a, b) >= 0:
-                    raise ValueError("hull points must be in strictly convex position")
+            kx, ky = self._keys()
+            ox, oy, ax, ay, bx, by = kx[:-2], ky[:-2], kx[1:-1], ky[1:-1], kx[2:], ky[2:]
+            if np.any((ax - ox) * (by - oy) - (ay - oy) * (bx - ox) >= 0):
+                raise ValueError("hull points must be in strictly convex position")
 
-    @cached_property
-    def fprs(self) -> np.ndarray:
-        arr = np.array([p.fpr for p in self.points])
-        arr.flags.writeable = False
-        return arr
+    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """(x, y) arrays for hull geometry: exact integer counts when known."""
+        if self.tp is not None:
+            return self.fp, self.tp
+        return self.fprs, self.tprs
 
-    @cached_property
-    def tprs(self) -> np.ndarray:
-        arr = np.array([p.tpr for p in self.points])
-        arr.flags.writeable = False
-        return arr
+    def _point(self, i: int) -> OperatingPoint:
+        t = float(self.thresholds[i])
+        threshold = None if math.isnan(t) else t
+        if self.tp is None:
+            return OperatingPoint(fpr=float(self.fprs[i]), tpr=float(self.tprs[i]),
+                                  threshold=threshold)
+        return OperatingPoint.from_counts(threshold, int(self.tp[i]), int(self.fp[i]),
+                                          self.n_p, self.n_n)
+
+    @property
+    def points(self) -> Sequence[OperatingPoint]:
+        """The points as OperatingPoint objects, built as they are read;
+        len() is O(1) and builds none."""
+        return _Points(self)
 
     @property
     def class_totals(self) -> tuple[int, int] | None:
         """(n_p, n_n) when the points carry counts, else None."""
-        for p in self.points:
-            if p.counts is not None:
-                return (p.counts.n_p, p.counts.n_n)
-        return None
+        return None if self.n_p is None else (self.n_p, self.n_n)
 
     def auc(self) -> float:
         return float(np.trapezoid(self.tprs, self.fprs))
+
+    def __repr__(self) -> str:
+        return f"RocCurve({self.thresholds.size} points, is_hull={self.is_hull})"
+
+
+class _Points(Sequence):
+    """Read-only sequence view of a curve's points."""
+
+    __slots__ = ("_curve",)
+
+    def __init__(self, curve: RocCurve) -> None:
+        self._curve = curve
+
+    def __len__(self) -> int:
+        return self._curve.thresholds.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self._curve._point, range(len(self))[index]))
+        return self._curve._point(range(len(self))[index])
+
+    def __iter__(self):
+        return map(self._curve._point, range(len(self)))
+
+
+def _require_hull(hull: RocCurve) -> None:
+    if not hull.is_hull:
+        raise ValueError("expected a convex hull; pass convex_hull(operating_points(data))")
 
 
 def threshold_rates(data: Dataset, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,16 +245,9 @@ def operating_points(data: Dataset) -> RocCurve:
     distinct = np.unique(data.scores)[::-1]
     tp = data.n_p - np.searchsorted(data.positive_scores, distinct, side="left")
     fp = data.n_n - np.searchsorted(data.negative_scores, distinct, side="left")
-    pts = [OperatingPoint.from_counts(None, 0, 0, data.n_p, data.n_n)]
-    pts.extend(
-        OperatingPoint.from_counts(float(t), int(tpk), int(fpk), data.n_p, data.n_n)
-        for t, tpk, fpk in zip(distinct, tp, fp))
-    return RocCurve(points=tuple(pts))
-
-
-def _cross(o, a, b) -> float:
-    """Cross product of o->a with o->b; exact when keys are integer counts."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    return RocCurve._of_counts(np.concatenate(([np.nan], distinct)),
+                               np.concatenate(([0], tp)), np.concatenate(([0], fp)),
+                               data.n_p, data.n_n)
 
 
 def convex_hull(curve: RocCurve) -> RocCurve:
@@ -172,31 +258,42 @@ def convex_hull(curve: RocCurve) -> RocCurve:
     hull membership is exact rational arithmetic rather than float luck.
     Collinear interior points are dropped; among points tied in fpr only
     the one with maximal tpr can survive.
+
+    With counts, the chain sees only the staircase's top-left corners:
+    interior points that lie strictly above their predecessor and strictly
+    left of their successor. No other point can be a hull vertex, because
+    the curve ends at (1, 1) and so every supporting line of a vertex has
+    non-negative slope (the ROC convex hull of Provost & Fawcett 2001).
     """
-    keyed: dict[tuple, OperatingPoint] = {}
-    for p in sorted(curve.points, key=lambda q: (q.fpr, q.tpr)):
-        keyed.setdefault(p.rate_key(), p)
-    items = sorted(keyed.items(), key=lambda kv: kv[0])
-    hull: list[tuple[tuple, OperatingPoint]] = []
-    for key, p in items:
-        while len(hull) >= 2 and _cross(hull[-2][0], hull[-1][0], key) >= 0:
+    x, y = curve._keys()
+    if curve.tp is None:
+        idx = np.arange(x.size)
+    else:
+        corner = np.ones(x.size, dtype=bool)
+        corner[1:-1] = (y[1:-1] > y[:-2]) & (x[2:] > x[1:-1])
+        idx = np.flatnonzero(corner)
+    # Python ints (or floats) from tolist(), so integer turn tests cannot overflow
+    xs, ys = x[idx].tolist(), y[idx].tolist()
+    hull: list[int] = []
+    for j, (bx, by) in enumerate(zip(xs, ys)):
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            ox, oy = xs[o], ys[o]
+            # keep a while o -> a -> b turns clockwise (cross product < 0)
+            if (xs[a] - ox) * (by - oy) < (ys[a] - oy) * (bx - ox):
+                break
             hull.pop()
-        hull.append((key, p))
-    return RocCurve(points=tuple(p for _, p in hull), is_hull=True)
+        hull.append(j)
+    return curve._take(idx[hull], is_hull=True)
 
 
 def _upper_boundary(curve: RocCurve, at: np.ndarray) -> np.ndarray:
     """Piecewise-linear height of the curve at the given fpr values,
     taking the top of any vertical segment."""
-    xs: list[float] = []
-    ys: list[float] = []
-    for p in curve.points:  # points sorted by (fpr, tpr); keep max tpr per fpr
-        if xs and p.fpr == xs[-1]:
-            ys[-1] = p.tpr
-        else:
-            xs.append(p.fpr)
-            ys.append(p.tpr)
-    return np.interp(at, np.array(xs), np.array(ys))
+    x = curve.fprs
+    # points are sorted by (fpr, tpr), so the last of each fpr run is its top
+    top = np.append(x[1:] != x[:-1], True)
+    return np.interp(at, x[top], curve.tprs[top])
 
 
 def dominance(a: RocCurve, b: RocCurve) -> Dominance:

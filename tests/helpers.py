@@ -1,8 +1,9 @@
-"""Dataset builders shared by the test modules."""
+"""Dataset builders and reference implementations shared by the test modules."""
 
 import numpy as np
 
-from opcurves import Dataset
+from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
+                      UtilityScheme, loss_cp, net_benefit)
 
 # Nine samples with a tie at 0.70 and a miscalibrated top score; small
 # enough that every curve value has a hand-checkable closed form.
@@ -32,3 +33,75 @@ def make_random(seed: int, n: int = 200, pi_p: float = 0.5,
         assert len(np.unique(scores)) == n
     labels = np.concatenate([np.ones(n_p, dtype=int), np.zeros(n - n_p, dtype=int)])
     return Dataset(scores, labels)
+
+
+# Reference implementations. The library's array-backed versions are
+# checked against these object-at-a-time originals.
+
+def operating_points_oracle(data: Dataset) -> tuple[OperatingPoint, ...]:
+    """One OperatingPoint per distinct score, after the (0, 0) anchor."""
+    distinct = np.unique(data.scores)[::-1]
+    tp = data.n_p - np.searchsorted(data.positive_scores, distinct, side="left")
+    fp = data.n_n - np.searchsorted(data.negative_scores, distinct, side="left")
+    pts = [OperatingPoint.from_counts(None, 0, 0, data.n_p, data.n_n)]
+    pts.extend(
+        OperatingPoint.from_counts(float(t), int(tpk), int(fpk), data.n_p, data.n_n)
+        for t, tpk, fpk in zip(distinct, tp, fp))
+    return tuple(pts)
+
+
+def _rate_key(p: OperatingPoint):
+    if p.counts is not None:
+        return (p.counts.fp, p.counts.tp)
+    return (p.fpr, p.tpr)
+
+
+def _cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def convex_hull_oracle(points) -> tuple[OperatingPoint, ...]:
+    """Monotone chain over every point, on integer counts when known."""
+    keyed: dict[tuple, OperatingPoint] = {}
+    for p in sorted(points, key=lambda q: (q.fpr, q.tpr)):
+        keyed.setdefault(_rate_key(p), p)
+    items = sorted(keyed.items(), key=lambda kv: kv[0])
+    hull: list[tuple[tuple, OperatingPoint]] = []
+    for key, p in items:
+        while len(hull) >= 2 and _cross(hull[-2][0], hull[-1][0], key) >= 0:
+            hull.pop()
+        hull.append((key, p))
+    return tuple(p for _, p in hull)
+
+
+_CHUNK = 8192
+
+
+def envelope_oracle(points, priors: Priors, grid: ThresholdGrid, which: str,
+                    scheme: UtilityScheme | None = None) -> Curve:
+    """Brute-force envelope over EVERY operating point, not just the hull.
+
+    which is "upper_decision" (max net benefit per grid t) or "lower_cost"
+    (min normalized loss per grid c). This is an independent check of the
+    hull-based envelopes; it never looks at convexity.
+    """
+    pts = list(points.points) if isinstance(points, RocCurve) else list(points)
+    if not pts:
+        raise ValueError("oracle needs at least one operating point")
+    if which not in ("upper_decision", "lower_cost"):
+        raise ValueError(f"unknown envelope kind {which!r}")
+    tprs = np.array([p.tpr for p in pts])
+    fprs = np.array([p.fpr for p in pts])
+    xs = grid.values
+    best = np.full(xs.size, np.inf if which == "lower_cost" else -np.inf)
+    for start in range(0, tprs.size, _CHUNK):
+        tp = tprs[start:start + _CHUNK, None]
+        fp = fprs[start:start + _CHUNK, None]
+        if which == "upper_decision":
+            vals = net_benefit(tp, fp, priors, xs, scheme)
+            best = np.maximum(best, np.max(vals, axis=0))
+        else:
+            vals = loss_cp(tp, fp, priors, xs)
+            best = np.minimum(best, np.min(vals, axis=0))
+    series = "upper_envelope" if which == "upper_decision" else "lower_envelope"
+    return Curve(xs=xs, ys=best, series=series, priors=priors)

@@ -13,11 +13,10 @@ import numpy as np
 from opcurves import (Dataset, Priors, SimulationSpec, ThresholdGrid, UtilityScheme,
                       baseline_cost_lines, baseline_decision_curves, brier_curve,
                       brier_score, compare_models, convex_hull, decision_curve,
-                      envelope_oracle, loss_cp, loss_decomposition, lower_envelope,
-                      lower_envelope_support, net_benefit, nb_from_brier_loss,
-                      operating_points, simulate_gaussian,
-                      upper_envelope_decision_curve)
-from helpers import make_calibrated, make_random, make_toy
+                      loss_cp, loss_decomposition, lower_envelope, lower_envelope_support,
+                      net_benefit, nb_from_brier_loss, operating_points,
+                      simulate_gaussian, upper_envelope_decision_curve)
+from helpers import envelope_oracle, make_calibrated, make_random, make_toy
 
 THIRD = 1 / 3
 PI_CYCLE = (0.1, 0.33, 0.5)

@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from opcurves import to_csv
-from opcurves.cli import main
-from helpers import make_toy
+from opcurves import Dataset, operating_points, to_csv
+from opcurves.cli import _staircase, main
+from helpers import make_random, make_toy
 
 
 @pytest.fixture
@@ -146,6 +146,16 @@ class TestRoc:
         assert main(["roc", "--input", toy_csv, "--svg", str(out)]) == 0
         assert "<svg" in out.read_text(encoding="utf-8")
 
+    def test_staircase_nudges_tied_fprs_like_the_loop(self):
+        data = make_random(4, n=300, pi_p=0.4)
+        curve = operating_points(Dataset(np.round(data.scores, 2), data.labels))
+        want = []
+        for x in curve.fprs.tolist():
+            while want and x <= want[-1]:
+                x = float(np.nextafter(want[-1], 2.0))
+            want.append(x)
+        assert _staircase(curve, "points", data.priors).xs.tolist() == want
+
 
 class TestScore:
     def test_json_to_stdout(self, toy_csv, capsys):
@@ -162,6 +172,12 @@ class TestScore:
         stdout_obj = json.loads(capsys.readouterr().out.split("wrote")[0])
         file_obj = json.loads(out.read_text(encoding="utf-8"))
         assert stdout_obj == file_obj
+
+    def test_header_after_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + to_csv(make_toy()), encoding="utf-8")
+        assert main(["score", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 9
 
 
 class TestCompare:

@@ -204,6 +204,13 @@ class TestDecomposition:
         env = lower_envelope(hull, data.priors, grid)
         np.testing.assert_allclose(bc.ys, env.ys, rtol=0, atol=1e-12)
 
+    def test_carries_the_curves_it_compares(self, toy):
+        grid = ThresholdGrid.cost_default()
+        dec = loss_decomposition(toy, grid)
+        env = lower_envelope(convex_hull(operating_points(toy)), toy.priors, grid)
+        assert np.array_equal(dec.brier_curve.ys, brier_curve(toy, grid).ys)
+        assert np.array_equal(dec.lower_envelope.ys, env.ys)
+
     def test_nonnegative_on_random_data(self):
         grid = ThresholdGrid.cost_default()
         for seed in range(10):

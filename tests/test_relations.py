@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from opcurves import (PriorMismatchError, ThresholdGrid, brier_curve, compare_models,
-                      convex_hull, decision_curve, envelope_oracle, lower_envelope,
-                      nb_from_brier_loss, net_benefit, operating_points,
-                      upper_envelope_decision_curve)
-from helpers import make_random
+                      convex_hull, decision_curve, lower_envelope, nb_from_brier_loss,
+                      net_benefit, operating_points, upper_envelope_decision_curve)
+from helpers import envelope_oracle, make_random
 
 
 class TestPointIdentity:

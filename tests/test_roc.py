@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from opcurves import (ConfusionCounts, Dataset, OperatingPoint, RocCurve,
                       convex_hull, dominance, operating_points, threshold_rates)
-from helpers import make_random
+from helpers import convex_hull_oracle, make_random, operating_points_oracle
 
 TOY_POINTS = [(0.0, 0.0), (0.0, 1 / 3), (1 / 6, 2 / 3), (1 / 2, 2 / 3),
               (1 / 2, 1.0), (2 / 3, 1.0), (5 / 6, 1.0), (1.0, 1.0)]
@@ -127,3 +129,144 @@ def test_rate_arrays_read_only(toy):
     curve = operating_points(toy)
     with pytest.raises(ValueError):
         curve.fprs[0] = 0.5
+
+
+# Differential and property tests: the array-backed points and hull must
+# equal the object-at-a-time oracles in thresholds and integer counts.
+
+THOUSANDTHS = st.integers(0, 1000).map(lambda k: k / 1000)  # ties, 0 and 1
+UNIT_FLOATS = st.floats(0.0, 1.0)
+
+
+@st.composite
+def datasets(draw, values=st.one_of(THOUSANDTHS, UNIT_FLOATS), max_size=40):
+    pos = draw(st.lists(values, min_size=1, max_size=max_size))
+    neg = draw(st.lists(values, min_size=1, max_size=max_size))
+    return Dataset(np.array(pos + neg), np.array([1] * len(pos) + [0] * len(neg)))
+
+
+def _oracle_arrays(points):
+    return ([p.threshold for p in points], [p.counts.tp for p in points],
+            [p.counts.fp for p in points])
+
+
+def _arrays(curve):
+    return ([None if np.isnan(t) else float(t) for t in curve.thresholds],
+            curve.tp.tolist(), curve.fp.tolist())
+
+
+def assert_matches_oracle(data):
+    curve = operating_points(data)
+    points = operating_points_oracle(data)
+    assert _arrays(curve) == _oracle_arrays(points)
+    assert _arrays(convex_hull(curve)) == _oracle_arrays(convex_hull_oracle(points))
+
+
+@given(datasets())
+def test_points_and_hull_match_oracle(data):
+    assert_matches_oracle(data)
+
+
+@given(datasets(st.sampled_from([0.2, 0.4, 0.6])))
+def test_tied_scores_match_oracle(data):
+    assert_matches_oracle(data)
+
+
+@given(UNIT_FLOATS, UNIT_FLOATS)
+def test_two_samples_match_oracle(pos, neg):
+    assert_matches_oracle(Dataset(np.array([pos, neg]), np.array([1, 0])))
+
+
+@given(UNIT_FLOATS, st.integers(1, 30), st.integers(1, 30))
+def test_one_distinct_score(score, n_p, n_n):
+    data = Dataset(np.full(n_p + n_n, score), np.array([1] * n_p + [0] * n_n))
+    assert_matches_oracle(data)
+    hull = convex_hull(operating_points(data))
+    assert (hull.fp.tolist(), hull.tp.tolist()) == ([0, n_n], [0, n_p])
+
+
+@given(datasets(st.sampled_from([0.0, 1.0])))
+def test_scores_at_zero_and_one_match_oracle(data):
+    assert_matches_oracle(data)
+
+
+# no shrinking: each example runs the oracle over 2·10^4 points
+@settings(max_examples=5, phases=(Phase.explicit, Phase.generate))
+@given(st.integers(0, 2**32 - 1), st.integers(0, 19_999), st.booleans())
+def test_one_positive_in_twenty_thousand(seed, pos_index, tied):
+    scores = np.random.default_rng(seed).random(20_000)
+    if tied:
+        scores = np.round(scores, 3)
+    labels = np.zeros(20_000, dtype=int)
+    labels[pos_index] = 1
+    assert_matches_oracle(Dataset(scores, labels))
+
+
+@given(datasets(THOUSANDTHS))
+def test_class_swap_reflects_points_and_hull(data):
+    # swapping classes and scores s -> 1 - s maps the count (fp, tp) to
+    # (n_p - tp, n_n - fp), a reflection that keeps the hull a hull
+    swapped = Dataset(1.0 - data.scores, 1 - data.labels)
+    for build in (operating_points, lambda d: convex_hull(operating_points(d))):
+        a, b = build(data), build(swapped)
+        assert b.fp.tolist() == (data.n_p - a.tp[::-1]).tolist()
+        assert b.tp.tolist() == (data.n_n - a.fp[::-1]).tolist()
+
+
+@given(st.lists(st.tuples(THOUSANDTHS, THOUSANDTHS, st.booleans()), min_size=2, max_size=40)
+       .filter(lambda rows: 0 < sum(r[2] for r in rows) < len(rows)))
+def test_hull_of_two_models_matches_oracle(rows):
+    # the pooled points of two scorers do not form a staircase: tpr can
+    # fall from one point to the next
+    labels = np.array([int(r[2]) for r in rows])
+    a = Dataset(np.array([r[0] for r in rows]), labels)
+    b = Dataset(np.array([r[1] for r in rows]), labels)
+    pooled = {(p.counts.fp, p.counts.tp): p
+              for p in operating_points_oracle(a) + operating_points_oracle(b)}
+    points = [pooled[k] for k in sorted(pooled)]
+    want = convex_hull_oracle(points)
+    got = convex_hull(RocCurve(points=points))
+    assert [(p.counts.fp, p.counts.tp) for p in got.points] == [
+        (p.counts.fp, p.counts.tp) for p in want]
+
+
+@given(datasets())
+def test_rate_only_hull_matches_oracle(data):
+    points = [OperatingPoint(fpr=p.fpr, tpr=p.tpr) for p in operating_points_oracle(data)]
+    hull = convex_hull(RocCurve(points=points))
+    assert hull.tp is None and hull.class_totals is None
+    assert [(p.fpr, p.tpr) for p in hull.points] == [
+        (p.fpr, p.tpr) for p in convex_hull_oracle(points)]
+
+
+def test_point_count_builds_no_points(monkeypatch):
+    curve = operating_points(make_random(0, n=500))
+
+    def refuse(self, i):
+        raise AssertionError("built a point")
+
+    monkeypatch.setattr(RocCurve, "_point", refuse)
+    assert len(curve.points) == 501
+
+
+def test_points_view_indexes_like_a_tuple(toy):
+    curve = operating_points(toy)
+    as_tuple = operating_points_oracle(toy)
+    assert tuple(curve.points) == as_tuple
+    assert curve.points[-1] == as_tuple[-1]
+    assert curve.points[2:5] == as_tuple[2:5]
+    with pytest.raises(IndexError):
+        curve.points[len(as_tuple)]
+
+
+def test_points_need_counts_on_all_or_none(toy):
+    counted = operating_points_oracle(toy)
+    with pytest.raises(ValueError, match="counts"):
+        RocCurve(points=(OperatingPoint(0.0, 0.0),) + counted[1:])
+
+
+def test_count_arrays_read_only(toy):
+    curve = operating_points(toy)
+    for arr in (curve.tp, curve.fp, curve.thresholds):
+        with pytest.raises(ValueError):
+            arr[0] = 1
