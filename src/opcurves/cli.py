@@ -434,28 +434,25 @@ def run(cfg: RunConfig) -> int:
     return handler(cfg)
 
 
+# first match wins: SimulationSpecError subclasses DatasetError and every
+# DatasetError and PriorMismatchError is a ValueError
+_EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    (SimulationSpecError, EXIT_USAGE),
+    (DatasetError, EXIT_DATA),
+    (PriorMismatchError, EXIT_DATA),
+    (OSError, EXIT_DATA),
+    (ValueError, EXIT_USAGE),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse argv and run; returns the exit code instead of exiting."""
     try:
         return run(parse_config(argv))
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SimulationSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except PriorMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 def entry() -> None:

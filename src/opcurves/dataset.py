@@ -160,11 +160,13 @@ class Dataset:
         return f"Dataset(n={self.n}, n_p={self.n_p}, n_n={self.n_n})"
 
 
-def parse_dataset(records: Iterable[tuple[str, str]]) -> Dataset:
+def parse_dataset(records: Iterable[tuple[str, str]], *,
+                  lines: Sequence[int] | None = None) -> Dataset:
     """Build a Dataset from (score_text, label_text) records.
 
     Raises ParseError naming the offending 1-based row on any malformed
-    score or unknown label token.
+    score or unknown label token, and its file line when `lines` gives the
+    line of each record.
     """
     scores: list[float] = []
     labels: list[int] = []
@@ -172,17 +174,23 @@ def parse_dataset(records: Iterable[tuple[str, str]]) -> Dataset:
         try:
             score = float(score_text)
         except (TypeError, ValueError):
-            raise ParseError(f"row {row}: score {score_text!r} is not a decimal number") from None
+            raise ParseError(f"{_where(row, lines)}: score {score_text!r} "
+                             "is not a decimal number") from None
         if not math.isfinite(score) or not 0.0 <= score <= 1.0:
-            raise ParseError(f"row {row}: score {score_text!r} is outside [0, 1]")
+            raise ParseError(f"{_where(row, lines)}: score {score_text!r} is outside [0, 1]")
         label = _LABEL_TOKENS.get(str(label_text).strip().casefold())
         if label is None:
-            raise ParseError(f"row {row}: unknown label {label_text!r} (expected 0/1 or N/P)")
+            raise ParseError(f"{_where(row, lines)}: unknown label {label_text!r} "
+                             "(expected 0/1 or N/P)")
         scores.append(score)
         labels.append(label)
     if not scores:
         raise EmptyInputError("no sample rows in input")
     return Dataset(scores, labels)
+
+
+def _where(row: int, lines: Sequence[int] | None) -> str:
+    return f"row {row}" if lines is None else f"row {row} (line {lines[row - 1]})"
 
 
 def serialize_dataset(data: Dataset) -> tuple[tuple[str, str], ...]:
@@ -199,27 +207,86 @@ def from_csv(text: str) -> Dataset:
     """Parse `score,label` CSV text into a Dataset.
 
     A leading byte order mark, which spreadsheet exports write, is skipped.
+    Plain files (header `score,label`, then one `score,0` or `score,1` per
+    line) are read in one vectorized pass; anything else, and any input
+    that pass or Dataset rejects, goes through the row-by-row parser, which
+    defines the accepted language and the error messages.
     """
+    data = _from_csv_fast(text)
+    return data if data is not None else _from_csv_rows(text)
+
+
+# numpy's loadtxt skips these ASCII separators around a number like spaces,
+# but float() rejects them, so a body holding one goes to the row parser
+_LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _from_csv_fast(text: str) -> Dataset | None:
+    """The Dataset of a plain `score,0|1` file, or None for any other text.
+
+    The header must be exactly `score,label` up to case and padding, and
+    the body must have no quote, no carriage return and no line other than
+    `<score>,0` or `<score>,1`; the scores are parsed by one np.loadtxt
+    call. _from_csv_rows reads every text this accepts to the same
+    Dataset, bit for bit, except a score cell longer than csv's field size
+    limit, which it refuses.
+    """
+    header, _, body = text.partition("\n")
+    header = header.removeprefix("\ufeff").split(",")
+    if tuple(cell.strip().casefold() for cell in header) != CSV_HEADER:
+        return None
+    if not body.endswith("\n"):
+        body += "\n"
+    lines = body.count("\n")
+    # a line ending in ",0" or ",1" holds a comma, so equal counts mean
+    # every line holds exactly one comma and ends in a 0/1 label
+    if not body.count(",") == lines == body.count(",0\n") + body.count(",1\n"):
+        return None
+    if '"' in body or "\r" in body or any(ch in body for ch in _LOADTXT_ONLY_SPACES):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+                           quotechar=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape != (lines, 2):
+        return None
+    try:
+        return Dataset(table[:, 0], table[:, 1])
+    except DatasetError:
+        return None
+
+
+def _from_csv_rows(text: str) -> Dataset:
+    """Row-by-row parse through csv.reader. It defines the accepted CSV
+    language (quoted cells, blank lines and N/P labels included) and every
+    error message; errors name the data row (counted from 1 after the
+    header, blank lines skipped) and the file line it ends on."""
     # not the utf-8-sig codec in read_csv: it copies the whole file's bytes
-    rows = [row for row in csv.reader(io.StringIO(text.removeprefix("\ufeff")))
-            if row and any(cell.strip() for cell in row)]
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    try:
+        rows = [(reader.line_num, row) for row in reader
+                if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyInputError("csv input is empty")
-    header = tuple(cell.strip().casefold() for cell in rows[0])
-    if header != CSV_HEADER:
-        raise ParseError(f"expected header 'score,label', got {','.join(rows[0])!r}")
+    header = rows[0][1]
+    if tuple(cell.strip().casefold() for cell in header) != CSV_HEADER:
+        raise ParseError(f"expected header 'score,label', got {','.join(header)!r}")
+    lines = []
     records = []
-    for idx, row in enumerate(rows[1:], start=1):
+    for idx, (line, row) in enumerate(rows[1:], start=1):
         if len(row) != 2:
-            raise ParseError(f"row {idx}: expected 2 fields, got {len(row)}")
+            raise ParseError(f"row {idx} (line {line}): expected 2 fields, got {len(row)}")
+        lines.append(line)
         records.append((row[0], row[1]))
-    return parse_dataset(records)
+    return parse_dataset(records, lines=lines)
 
 
 def to_csv(data: Dataset) -> str:
-    lines = [",".join(CSV_HEADER)]
-    lines.extend(f"{s},{l}" for s, l in serialize_dataset(data))
-    return "\n".join(lines) + "\n"
+    body = "".join(f"{s!r},{l}\n" for s, l in zip(data.scores.tolist(), data.labels.tolist()))
+    return ",".join(CSV_HEADER) + "\n" + body
 
 
 def read_csv(path: str) -> Dataset:

@@ -24,6 +24,10 @@ from .roc import OperatingPoint, RocCurve, _require_hull, threshold_rates
 
 _SUPPORT_TOL = 1e-12
 
+# ThresholdGrid.regular refuses to build more points than this, so a tiny
+# step fails at once instead of exhausting memory
+MAX_GRID_POINTS = 10**6
+
 ArrayLike = Union[float, np.ndarray]
 
 
@@ -116,12 +120,16 @@ class ThresholdGrid:
     def regular(cls, start: float, stop: float, step: float) -> ThresholdGrid:
         """Arithmetic grid from start by step; stop is included when it is
         within 1e-12 of a whole number of steps, else the grid ends at the
-        last value below it."""
+        last value below it. A grid of more than MAX_GRID_POINTS points is
+        refused with ValueError before anything is allocated."""
         if step <= 0.0:
             raise ValueError("step must be positive")
         if stop <= start:
             raise ValueError("stop must exceed start")
         ratio = (stop - start) / step
+        if not ratio < MAX_GRID_POINTS - 0.5:  # nan and inf fail too
+            raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points; "
+                             "use a larger step")
         count = int(round(ratio))
         values = start + step * np.arange(count + 1)
         if count >= 1 and abs(values[-1] - stop) <= 1e-12:

@@ -1,6 +1,7 @@
 """Dataset builders and reference implementations shared by the test modules."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
                       UtilityScheme, loss_cp, net_benefit)
@@ -33,6 +34,19 @@ def make_random(seed: int, n: int = 200, pi_p: float = 0.5,
         assert len(np.unique(scores)) == n
     labels = np.concatenate([np.ones(n_p, dtype=int), np.zeros(n - n_p, dtype=int)])
     return Dataset(scores, labels)
+
+
+# Hypothesis strategies for the property tests.
+
+THOUSANDTHS = st.integers(0, 1000).map(lambda k: k / 1000)  # ties, 0 and 1
+UNIT_FLOATS = st.floats(0.0, 1.0)
+
+
+@st.composite
+def datasets(draw, values=st.one_of(THOUSANDTHS, UNIT_FLOATS), max_size=40):
+    pos = draw(st.lists(values, min_size=1, max_size=max_size))
+    neg = draw(st.lists(values, min_size=1, max_size=max_size))
+    return Dataset(np.array(pos + neg), np.array([1] * len(pos) + [0] * len(neg)))
 
 
 # Reference implementations. The library's array-backed versions are

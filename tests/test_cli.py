@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from opcurves import Dataset, operating_points, to_csv
-from opcurves.cli import _staircase, main
+from opcurves import (Dataset, DatasetError, ParseError, PriorMismatchError,
+                      SimulationSpecError, operating_points, to_csv)
+from opcurves import cli
+from opcurves.cli import UsageError, _staircase, main
 from helpers import make_random, make_toy
 
 
@@ -75,6 +77,16 @@ class TestDca:
     def test_malformed_grid_is_usage_error(self, toy_csv, capsys):
         assert main(["dca", "--input", toy_csv, "--grid", "0-1-2"]) == 1
         assert main(["dca", "--input", toy_csv, "--grid", "0:0.9:oops"]) == 1
+
+    def test_oversized_grid_is_usage_error(self, toy_csv, capsys):
+        assert main(["dca", "--input", toy_csv, "--grid", "0:0.99:1e-15"]) == 1
+        assert "more than 1000000 points" in capsys.readouterr().err
+
+    def test_parse_error_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("score,label\n\n0.5,1\n0.2,x\n", encoding="utf-8")
+        assert main(["dca", "--input", str(path)]) == 2
+        assert "row 2 (line 4): unknown label 'x'" in capsys.readouterr().err
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = main(["dca", "--input", str(tmp_path / "nope.csv")])
@@ -220,6 +232,11 @@ class TestIsometrics:
         assert main(["isometrics", "--metric", "accuracy",
                      "--levels", "0.8"]) == 1
 
+    def test_oversized_level_range_is_usage_error(self, capsys):
+        assert main(["isometrics", "--metric", "accuracy", "--levels", "0:1:1e-15",
+                     "--pi-p", "0.25"]) == 1
+        assert "more than 1000000 points" in capsys.readouterr().err
+
     def test_threshold_metric_needs_t(self, capsys):
         assert main(["isometrics", "--metric", "brier_loss", "--levels", "0.1",
                      "--pi-p", "0.3"]) == 1
@@ -244,3 +261,21 @@ class TestUsage:
         assert main(["dca", "--input", toy_csv, "--csv", str(a)]) == 0
         assert main(["dca", "--input", toy_csv, "--csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("exc, code", [
+    (UsageError("boom"), 1),
+    (SimulationSpecError("boom"), 1),  # a DatasetError, but a usage problem
+    (DatasetError("boom"), 2),
+    (ParseError("boom"), 2),
+    (PriorMismatchError("boom"), 2),
+    (OSError("boom"), 2),
+    (ValueError("boom"), 1),
+])
+def test_exit_code_table(monkeypatch, capsys, exc, code):
+    def fail(cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["score", "--input", "unused.csv"]) == code
+    assert capsys.readouterr().err == "error: boom\n"

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
-from opcurves import (CostLine, CostParams, OperatingPoint, ThresholdGrid,
-                      baseline_cost_lines, brier_curve, brier_score, convex_hull,
-                      cost_line, expected_loss, loss_cp, loss_decomposition,
-                      lower_envelope, lower_envelope_support, operating_points,
-                      per_class_components, refinement_loss)
-from helpers import make_calibrated, make_random
+from opcurves import (CostLine, CostParams, Dataset, OperatingPoint, ThresholdGrid,
+                      UtilityScheme, baseline_cost_lines, brier_curve, brier_score,
+                      convex_hull, cost_line, decision_curve, expected_loss, loss_cp,
+                      loss_decomposition, lower_envelope, lower_envelope_support,
+                      operating_points, per_class_components, refinement_loss,
+                      upper_envelope_decision_curve)
+from helpers import THOUSANDTHS, UNIT_FLOATS, datasets, make_calibrated, make_random
 
 THIRD = 1 / 3
 
@@ -220,3 +223,83 @@ class TestDecomposition:
             assert dec.refinement >= 0.0
             assert dec.brier_score == pytest.approx(
                 dec.refinement + dec.calibration, abs=1e-12)
+
+
+# Property tests of the Brier score, its split and the envelopes, on the
+# edge cases of the ROC property tests; 1e-12 is the package's tolerance.
+
+def assert_brier_properties(data):
+    s, y = data.scores, data.labels
+    bs = brier_score(data)
+    assert bs == pytest.approx(float(np.mean((s - y) ** 2)), abs=1e-12)
+    dec = loss_decomposition(data, ThresholdGrid.cost_default())
+    assert dec.brier_score == bs
+    assert dec.refinement + dec.calibration == pytest.approx(bs, abs=1e-12)
+    assert dec.calibration >= 0.0
+    assert np.all(dec.lower_envelope.ys <= dec.brier_curve.ys + 1e-12)
+    hull = convex_hull(operating_points(data))
+    grid = ThresholdGrid.decision_default()
+    for scheme in (UtilityScheme.dca(), UtilityScheme.brier_scaled()):
+        upper = upper_envelope_decision_curve(hull, data.priors, grid, scheme)
+        assert np.all(upper.ys >= decision_curve(data, grid, scheme).ys - 1e-12)
+
+
+def assert_class_swap_invariance(data):
+    # s -> 1 - s, y -> 1 - y leaves every squared error, and so the Brier
+    # score and the refinement loss, unchanged; the strategies that call
+    # this keep 1 - s exact enough that no two scores merge
+    swapped = Dataset(1.0 - data.scores, 1 - data.labels)
+    assert brier_score(swapped) == pytest.approx(brier_score(data), abs=1e-12)
+    grid = ThresholdGrid.cost_default()
+    assert loss_decomposition(swapped, grid).refinement == pytest.approx(
+        loss_decomposition(data, grid).refinement, abs=1e-12)
+
+
+@given(datasets())
+def test_brier_properties(data):
+    assert_brier_properties(data)
+
+
+@given(datasets(st.sampled_from([0.2, 0.4, 0.6])))
+def test_brier_properties_tied_scores(data):
+    assert_brier_properties(data)
+    assert_class_swap_invariance(data)
+
+
+@given(UNIT_FLOATS, UNIT_FLOATS)
+def test_brier_properties_two_samples(pos, neg):
+    assert_brier_properties(Dataset(np.array([pos, neg]), np.array([1, 0])))
+
+
+@given(UNIT_FLOATS, st.integers(1, 30), st.integers(1, 30))
+def test_brier_properties_one_distinct_score(score, n_p, n_n):
+    data = Dataset(np.full(n_p + n_n, score), np.array([1] * n_p + [0] * n_n))
+    assert_brier_properties(data)
+    # one score leaves nothing to recalibrate but the level
+    assert loss_decomposition(data, ThresholdGrid.cost_default()).refinement == pytest.approx(
+        data.pi_p * data.pi_n, abs=1e-12)
+
+
+@given(datasets(st.sampled_from([0.0, 1.0])))
+def test_brier_properties_scores_at_zero_and_one(data):
+    assert_brier_properties(data)
+    assert_class_swap_invariance(data)
+
+
+@given(datasets(THOUSANDTHS))
+def test_brier_class_swap(data):
+    assert_brier_properties(data)
+    assert_class_swap_invariance(data)
+
+
+@settings(max_examples=5, phases=(Phase.explicit, Phase.generate))
+@given(st.integers(0, 2**32 - 1), st.integers(0, 19_999), st.booleans())
+def test_brier_properties_one_positive_in_twenty_thousand(seed, pos_index, tied):
+    scores = np.random.default_rng(seed).random(20_000)
+    if tied:
+        scores = np.round(scores, 3)
+    labels = np.zeros(20_000, dtype=int)
+    labels[pos_index] = 1
+    data = Dataset(scores, labels)  # no two of these scores merge under s -> 1 - s
+    assert_brier_properties(data)
+    assert_class_swap_invariance(data)

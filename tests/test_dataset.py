@@ -1,9 +1,14 @@
+import csv
+import random
+
 import numpy as np
 import pytest
 
 from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError,
                       Priors, SimulationSpec, SimulationSpecError, from_csv,
                       parse_dataset, serialize_dataset, simulate_gaussian, to_csv)
+from opcurves.dataset import _from_csv_fast, _from_csv_rows
+from helpers import make_random
 
 
 def test_basic_properties(toy):
@@ -87,6 +92,136 @@ def test_csv_rejects_ragged_rows():
         from_csv("score,label\n0.5,1,9\n")
     with pytest.raises(ParseError, match="row 2"):
         from_csv("score,label\n0.5,1\n0.2,0,7\n")
+
+
+def test_parse_errors_name_the_file_line():
+    # blank lines are skipped when data rows are counted, not when lines are
+    with pytest.raises(ParseError, match=r"^row 2 \(line 5\): score 'x' is not a decimal number$"):
+        from_csv("score,label\n\n\n0.5,1\nx,0\n")
+    with pytest.raises(ParseError, match=r"^row 2 \(line 4\): expected 2 fields, got 3$"):
+        from_csv("score,label\n0.5,1\n  \n0.2,0,7\n")
+    with pytest.raises(ParseError, match=r"^row 1 \(line 3\): unknown label 'maybe'"):
+        from_csv("\nscore,label\n0.5,maybe\n0.2,0\n")
+    with pytest.raises(ParseError, match=r"^row 2 \(line 4\): score '1.5' is outside"):
+        from_csv("score,label\r\n0.5,1\r\n\r\n1.5,0\r\n")
+
+
+def test_csv_reader_errors_are_parse_errors():
+    with pytest.raises(ParseError, match="^line 2: new-line character"):
+        from_csv("score,label\n0.5,1\r0.2,0\n")
+
+
+def test_score_cell_longer_than_the_csv_field_limit():
+    # csv.reader refuses a field this long; the vectorized path has no limit
+    cell = "0." + "1" * csv.field_size_limit()
+    text = f"score,label\n{cell},1\n0.2,0\n"
+    assert from_csv(text).scores.tolist() == [float(cell), 0.2]
+    with pytest.raises(ParseError, match="^line 2: field larger than field limit"):
+        _from_csv_rows(text)
+
+
+def test_letter_labels_parse_through_the_row_parser():
+    text = "score,label\n0.2,n\n0.8, P \n0.6,1\n"
+    assert _from_csv_fast(text) is None
+    assert from_csv(text).labels.tolist() == [0, 1, 1]
+
+
+def test_plain_files_take_the_vectorized_path(toy):
+    for text in (to_csv(toy), to_csv(toy).rstrip("\n"), "\ufeff" + to_csv(toy),
+                 " Score , LABEL \n0.25,0\n1e-1,1\n"):
+        assert _from_csv_fast(text) is not None
+    assert _from_csv_fast(to_csv(toy)) == toy
+
+
+# Differential ingest test: from_csv, and its vectorized path alone, must
+# agree with the row-by-row parser on every text, bit for bit, or raise
+# what it raises.
+
+SCORE_CELLS = ["0.5", "1.0", "0", "1", " 1", "+1", "1e0", ".5", "5.", "-0.0", "0.",
+               "1e-400", "0.2_5", "0x1p-1", "nan", "inf", "-inf", "1.5", "-0.1", "",
+               " ", "\u0660.\u0665", "\u0661", "\xa00.25\xa0", "\t0.75\t", "0.3\x85",
+               "\u20280.3", "0.3\x1c", "\x1f0.3", "\x1d0.3\x1e", "0.5#", "#0.5",
+               "0.3\x00", "\ufeff0.3", "0.30000000000000004", "5e-324", "P"]
+LABEL_CELLS = ["0", "1", "1.0", " 1", "+1", "1e0", "P", "n", " p ", "N", "0 ", "2", "",
+               "true", "\xa01", "\u0661"]
+JUNK_LINES = ["", "   ", "\t", "# comment", "0.5,1,1", "0.5", '"0.5",1', '0.5,"1"',
+              '"0.5,1"', ",", "0.5;1"]
+HEADERS = ["score,label", " Score , LABEL ", '"score",label', "score,label,x", "label,score",
+           "score", "\ufeffscore,label", "score\x1c,label"]
+
+
+def _assert_matches_row_parser(text):
+    try:
+        want = _from_csv_rows(text)
+    except Exception as exc:
+        assert _from_csv_fast(text) is None
+        with pytest.raises(type(exc)) as got:
+            from_csv(text)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    fast = _from_csv_fast(text)
+    for got in (from_csv(text),) if fast is None else (from_csv(text), fast):
+        assert got == want
+        assert got.scores.tobytes() == want.scores.tobytes()
+
+
+def _fuzzed_csv(rng):
+    body = ["0.2,0", "0.8,1"] if rng.random() < 0.5 else []  # both classes: often valid
+    for _ in range(rng.randint(0, 4)):
+        if rng.random() < 0.15:
+            body.append(rng.choice(JUNK_LINES))
+        else:
+            label = rng.choice(LABEL_CELLS) if rng.random() < 0.4 else rng.choice("01")
+            body.append(f"{rng.choice(SCORE_CELLS)},{label}")
+    rng.shuffle(body)
+    header = rng.choice(HEADERS) if rng.random() < 0.3 else "score,label"
+    text = rng.choice(["\n", "\n", "\r\n"]).join([header] + body)
+    return text + ("\n" if rng.random() < 0.8 else "")
+
+
+@pytest.mark.parametrize("cell", SCORE_CELLS)
+def test_each_score_cell_matches_row_parser(cell):
+    for label in ("0", "1"):
+        _assert_matches_row_parser(f"score,label\n0.2,0\n0.8,1\n{cell},{label}\n")
+
+
+@pytest.mark.parametrize("cell", LABEL_CELLS)
+def test_each_label_cell_matches_row_parser(cell):
+    _assert_matches_row_parser(f"score,label\n0.2,0\n0.8,1\n0.5,{cell}\n")
+
+
+@pytest.mark.parametrize("text", [
+    "score,label\n0.2,0\n0.8,1",  # no final newline
+    "score,label\r\n0.2,0\r\n0.8,1\r\n",
+    "\ufeffscore,label\n0.2,0\n0.8,1\n",
+    "\n\nscore,label\n0.2,0\n\n0.8,1\n\n",
+    "score,label\n0.2,0\n   \n0.8,1\n",
+    "score,label\n# note\n0.2,0\n0.8,1\n",
+    'score,label\n"0.2",0\n0.8,"1"\n',
+    'score,label\n"0.2\n",0\n0.8,1\n',
+    "score,label\n0.2,0,0\n0.8,1\n",
+    "score,label\n",
+    "score,label",
+    "",
+    "score,label\n0.2,0\n0.8,0\n",
+])
+def test_csv_structure_matches_row_parser(text):
+    _assert_matches_row_parser(text)
+
+
+def test_fuzzed_csv_matches_row_parser():
+    rng = random.Random(20251018)
+    for _ in range(2000):
+        _assert_matches_row_parser(_fuzzed_csv(rng))
+
+
+def test_to_csv_matches_elementwise_formatting(toy):
+    for data in (toy, make_random(3, n=500), Dataset(np.array([-0.0, 1.0]), np.array([0, 1]))):
+        # repr of each numpy scalar, the reference for to_csv's tolist() pass
+        rows = [f"{float(s)!r},{int(l)}" for s, l in zip(data.scores, data.labels)]
+        assert to_csv(data) == "\n".join(["score,label"] + rows) + "\n"
+        assert serialize_dataset(data) == tuple(tuple(r.split(",")) for r in rows)
 
 
 def test_priors_validation():

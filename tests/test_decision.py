@@ -5,6 +5,7 @@ from opcurves import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_cur
                       convex_hull, decision_curve, net_benefit, operating_points,
                       standardized_net_benefit, upper_envelope_decision_curve,
                       upper_envelope_support)
+from opcurves.decision import MAX_GRID_POINTS
 from helpers import make_random
 
 THIRD = 1 / 3
@@ -72,6 +73,15 @@ class TestThresholdGrid:
             ThresholdGrid.regular(0.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             ThresholdGrid.regular(0.5, 0.5, 0.1)
+
+    def test_regular_caps_the_point_count_before_allocating(self):
+        # a regression allocates 10^15 points and fails with MemoryError at once
+        for step in (1e-15, 1e-6):
+            with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
+                ThresholdGrid.regular(0.0, 1.0, step)
+        with pytest.raises(ValueError, match="more than"):
+            ThresholdGrid.regular(0.0, float("inf"), 0.1)
+        assert len(ThresholdGrid.regular(0.0, 1.0, 1.0 / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
 
     def test_values_read_only(self):
         g = ThresholdGrid.decision_default()

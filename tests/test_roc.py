@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from opcurves import (ConfusionCounts, Dataset, OperatingPoint, RocCurve,
                       convex_hull, dominance, operating_points, threshold_rates)
-from helpers import convex_hull_oracle, make_random, operating_points_oracle
+from helpers import (THOUSANDTHS, UNIT_FLOATS, convex_hull_oracle, datasets, make_random,
+                     operating_points_oracle)
 
 TOY_POINTS = [(0.0, 0.0), (0.0, 1 / 3), (1 / 6, 2 / 3), (1 / 2, 2 / 3),
               (1 / 2, 1.0), (2 / 3, 1.0), (5 / 6, 1.0), (1.0, 1.0)]
@@ -133,16 +134,6 @@ def test_rate_arrays_read_only(toy):
 
 # Differential and property tests: the array-backed points and hull must
 # equal the object-at-a-time oracles in thresholds and integer counts.
-
-THOUSANDTHS = st.integers(0, 1000).map(lambda k: k / 1000)  # ties, 0 and 1
-UNIT_FLOATS = st.floats(0.0, 1.0)
-
-
-@st.composite
-def datasets(draw, values=st.one_of(THOUSANDTHS, UNIT_FLOATS), max_size=40):
-    pos = draw(st.lists(values, min_size=1, max_size=max_size))
-    neg = draw(st.lists(values, min_size=1, max_size=max_size))
-    return Dataset(np.array(pos + neg), np.array([1] * len(pos) + [0] * len(neg)))
 
 
 def _oracle_arrays(points):
