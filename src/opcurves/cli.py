@@ -10,7 +10,7 @@ self-describing. Identical invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -20,8 +20,9 @@ from .cost import baseline_cost_lines, cost_line, loss_decomposition, lower_enve
 from .dataset import (Dataset, DatasetError, Priors, SimulationSpec,
                       SimulationSpecError, read_csv, write_csv, simulate_gaussian)
 from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
-                       decision_curve, upper_envelope_decision_curve)
+                       decision_curve, regular_values, upper_envelope_decision_curve)
 from .isometrics import METRICS, isometric_line
+from .output import csv_rows, json_text, replaces, write_text
 from .relations import PriorMismatchError, compare_models
 from .render import PlotSeries, PlotSpec, SeriesStyle, write_svg
 from .roc import convex_hull, operating_points
@@ -69,18 +70,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_grid(text: str) -> ThresholdGrid:
+def _parse_range(text: str, what: str, build):
     parts = text.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid must look like start:stop:step, got {text!r}")
+        raise UsageError(f"{what} must look like start:stop:step, got {text!r}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        raise UsageError(f"grid fields must be numbers, got {text!r}") from None
+        raise UsageError(f"{what} fields must be numbers, got {text!r}") from None
     try:
-        return ThresholdGrid.regular(start, stop, step)
+        return build(start, stop, step)
     except ValueError as exc:
-        raise UsageError(f"bad grid {text!r}: {exc}") from None
+        raise UsageError(f"bad {what} {text!r}: {exc}") from None
+
+
+def _parse_grid(text: str) -> ThresholdGrid:
+    return _parse_range(text, "grid", ThresholdGrid.regular)
 
 
 def _threshold_grid(text: str) -> ThresholdGrid:
@@ -91,8 +96,10 @@ def _threshold_grid(text: str) -> ThresholdGrid:
 
 
 def _parse_levels(text: str) -> tuple[float, ...]:
+    # a level range is not a grid: brier_loss levels exceed 1, net benefit
+    # levels go below 0, and the metric checks each level itself
     if ":" in text:
-        return tuple(float(v) for v in _parse_grid(text).values)
+        return tuple(_parse_range(text, "level range", regular_values).tolist())
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
@@ -186,24 +193,47 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
     return cfg
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _check_outputs(cfg: RunConfig) -> None:
+    """Refuse output paths that cannot be written before computing anything.
+
+    A path write_text replaces needs a writable directory; an existing path
+    it writes through (a device, a FIFO, a symlink) needs to be writable.
+    """
+    for path in (cfg.csv_path, cfg.svg_path, cfg.json_path, cfg.out_path):
+        if not path:
+            continue
+        if os.path.isdir(path):
+            raise OSError(f"cannot write {path}: it is a directory")
+        if os.path.exists(path) and not replaces(path):
+            if not os.access(path, os.W_OK):
+                raise OSError(f"cannot write {path}: it is not writable")
+            continue
+        target = os.path.realpath(path) if os.path.islink(path) else path
+        folder = os.path.dirname(target) or "."
+        if not os.path.isdir(folder):
+            raise OSError(f"cannot write {path}: no directory {folder}")
+        if not os.access(folder, os.W_OK | os.X_OK):
+            raise OSError(f"cannot write {path}: directory {folder} is not writable")
+
+
+def _write_text(path: str, text) -> None:
+    write_text(path, text)
     print(f"wrote {path}")
 
 
-def _curves_csv(curves: list[Curve]) -> str:
-    lines = ["x,y,series"]
-    for c in curves:
-        lines.extend(f"{float(x)!r},{float(y)!r},{c.series}"
-                     for x, y in zip(c.xs, c.ys))
-    return "\n".join(lines) + "\n"
+def _xy_csv(series):
+    """x,y,series CSV text in chunks, from (xs, ys, tag) triples."""
+    yield "x,y,series\n"
+    for xs, ys, tag in series:
+        yield from csv_rows(xs, ys, tag)
+
+
+def _curves_csv(curves: list[Curve]):
+    return _xy_csv((c.xs, c.ys, c.series) for c in curves)
 
 
 def _series_json(curves: list[Curve]) -> list[dict]:
-    return [{"series": c.series,
-             "x": [float(v) for v in c.xs],
-             "y": [float(v) for v in c.ys]} for c in curves]
+    return [{"series": c.series, "x": c.xs, "y": c.ys} for c in curves]
 
 
 def _report_scaffold(cfg: RunConfig, data: Dataset) -> dict:
@@ -211,7 +241,7 @@ def _report_scaffold(cfg: RunConfig, data: Dataset) -> dict:
            "input": cfg.input,
            "priors": {"pi_p": data.pi_p, "pi_n": data.pi_n}}
     if cfg.grid is not None:
-        out["grid"] = [float(v) for v in cfg.grid.values]
+        out["grid"] = cfg.grid.values
     return out
 
 
@@ -253,7 +283,7 @@ def _run_dca(cfg: RunConfig) -> int:
         report = _report_scaffold(cfg, data)
         report["scheme"] = cfg.scheme.kind
         report["series"] = _series_json(curves)
-        _write_text(cfg.json_path, json.dumps(report, indent=2) + "\n")
+        _write_text(cfg.json_path, json_text(report) + "\n")
     return EXIT_OK
 
 
@@ -308,7 +338,7 @@ def _run_brier(cfg: RunConfig) -> int:
         report = _report_scaffold(cfg, data)
         report.update({"brier_score": dec.brier_score, "refinement_loss": dec.refinement,
                        "calibration_loss": dec.calibration, "series": _series_json(curves)})
-        _write_text(cfg.json_path, json.dumps(report, indent=2) + "\n")
+        _write_text(cfg.json_path, json_text(report) + "\n")
     return EXIT_OK
 
 
@@ -319,11 +349,8 @@ def _run_roc(cfg: RunConfig) -> int:
     print(f"{len(curve.points)} operating points, {len(hull.points)} on the hull, "
           f"hull area {hull.auc():.6f}")
     if cfg.csv_path:
-        lines = ["x,y,series"]
-        for c, series in ((curve, "points"), (hull, "hull")):
-            lines.extend(f"{x!r},{y!r},{series}"
-                         for x, y in zip(c.fprs.tolist(), c.tprs.tolist()))
-        _write_text(cfg.csv_path, "\n".join(lines) + "\n")
+        _write_text(cfg.csv_path, _xy_csv([(curve.fprs, curve.tprs, "points"),
+                                           (hull.fprs, hull.tprs, "hull")]))
     if cfg.svg_path:
         priors = data.priors
         pts = Curve(xs=np.linspace(0, 1, 2), ys=np.linspace(0, 1, 2),
@@ -357,7 +384,7 @@ def _run_score(cfg: RunConfig) -> int:
               "brier_score": dec.brier_score,
               "refinement_loss": dec.refinement,
               "calibration_loss": dec.calibration}
-    text = json.dumps(report, indent=2)
+    text = json_text(report)
     print(text)
     if cfg.json_path:
         _write_text(cfg.json_path, text + "\n")
@@ -431,6 +458,7 @@ def run(cfg: RunConfig) -> int:
     handler = _HANDLERS.get(cfg.command)
     if handler is None:
         raise UsageError(f"unknown command {cfg.command!r}")
+    _check_outputs(cfg)
     return handler(cfg)
 
 

@@ -20,11 +20,8 @@ import numpy as np
 
 from .dataset import Dataset, Priors
 from .decision import ArrayLike, Curve, ThresholdGrid, _unwrap
-from .roc import (OperatingPoint, RocCurve, _require_hull, convex_hull, operating_points,
-                  threshold_rates)
-
-_SUPPORT_TOL = 1e-12
-_CLAMP_TOL = 1e-12
+from .roc import (_TOL, OperatingPoint, RocCurve, _require_hull, convex_hull,
+                  operating_points, threshold_rates)
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def lower_envelope_support(hull: RocCurve, priors: Priors,
     slopes, intercepts = _hull_lines(hull, priors)
     vals = intercepts + float(c) * slopes
     best = float(np.min(vals))
-    return tuple(hull.points[i] for i in np.flatnonzero(vals <= best + _SUPPORT_TOL))
+    return tuple(hull.points[i] for i in np.flatnonzero(vals <= best + _TOL))
 
 
 def _hull_lines(hull: RocCurve, priors: Priors) -> tuple[np.ndarray, np.ndarray]:
@@ -248,12 +245,12 @@ def loss_decomposition(data: Dataset, grid: ThresholdGrid) -> LossDecomposition:
     bs = brier_score(data)
     refinement = refinement_loss(hull, priors)
     calibration = bs - refinement
-    if -_CLAMP_TOL < calibration < 0.0:
+    if -_TOL < calibration < 0.0:
         calibration = 0.0
     bc = brier_curve(data, grid)
     env = lower_envelope(hull, priors, grid)
     gap = bc.ys - env.ys
-    gap = np.where((gap < 0.0) & (gap > -_CLAMP_TOL), 0.0, gap)
+    gap = np.where((gap < 0.0) & (gap > -_TOL), 0.0, gap)
     return LossDecomposition(
         brier_score=bs, refinement=refinement, calibration=calibration,
         brier_curve=bc, lower_envelope=env,

@@ -16,6 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .output import write_text
+
 NEGATIVE = 0
 POSITIVE = 1
 
@@ -295,8 +297,7 @@ def read_csv(path: str) -> Dataset:
 
 
 def write_csv(data: Dataset, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(to_csv(data))
+    write_text(path, to_csv(data))
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,10 @@ from typing import Union
 import numpy as np
 
 from .dataset import Dataset, Priors
-from .roc import OperatingPoint, RocCurve, _require_hull, threshold_rates
+from .roc import _TOL, OperatingPoint, RocCurve, _require_hull, threshold_rates
 
-_SUPPORT_TOL = 1e-12
-
-# ThresholdGrid.regular refuses to build more points than this, so a tiny
-# step fails at once instead of exhausting memory
+# regular_values refuses to build more points than this, so a tiny step
+# fails at once instead of exhausting memory
 MAX_GRID_POINTS = 10**6
 
 ArrayLike = Union[float, np.ndarray]
@@ -94,6 +92,30 @@ class UtilityScheme:
         return _unwrap(np.full_like(arr, self.u_n_const))
 
 
+def regular_values(start: float, stop: float, step: float) -> np.ndarray:
+    """Arithmetic sequence from start by step; stop is included when it is
+    within 1e-12 of a whole number of steps, else the sequence ends at the
+    last value below it. More than MAX_GRID_POINTS values are refused with
+    ValueError before anything is allocated."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    if stop <= start:
+        raise ValueError("stop must exceed start")
+    ratio = (stop - start) / step
+    if not ratio < MAX_GRID_POINTS - 0.5:  # nan and inf fail too
+        raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points; "
+                         "use a larger step")
+    count = int(round(ratio))
+    values = start + step * np.arange(count + 1)
+    if count >= 1 and abs(values[-1] - stop) <= _TOL:
+        values[-1] = stop
+    else:
+        count = int(np.floor(ratio + _TOL))
+        values = start + step * np.arange(count + 1)
+        values = values[values <= stop + _TOL]
+    return values
+
+
 @dataclass(frozen=True)
 class ThresholdGrid:
     """Strictly increasing evaluation grid inside [0, 1].
@@ -118,27 +140,8 @@ class ThresholdGrid:
 
     @classmethod
     def regular(cls, start: float, stop: float, step: float) -> ThresholdGrid:
-        """Arithmetic grid from start by step; stop is included when it is
-        within 1e-12 of a whole number of steps, else the grid ends at the
-        last value below it. A grid of more than MAX_GRID_POINTS points is
-        refused with ValueError before anything is allocated."""
-        if step <= 0.0:
-            raise ValueError("step must be positive")
-        if stop <= start:
-            raise ValueError("stop must exceed start")
-        ratio = (stop - start) / step
-        if not ratio < MAX_GRID_POINTS - 0.5:  # nan and inf fail too
-            raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points; "
-                             "use a larger step")
-        count = int(round(ratio))
-        values = start + step * np.arange(count + 1)
-        if count >= 1 and abs(values[-1] - stop) <= 1e-12:
-            values[-1] = stop
-        else:
-            count = int(np.floor(ratio + 1e-12))
-            values = start + step * np.arange(count + 1)
-            values = values[values <= stop + 1e-12]
-        return cls(values=values)
+        """The grid of regular_values(start, stop, step)."""
+        return cls(values=regular_values(start, stop, step))
 
     @classmethod
     def decision_default(cls) -> ThresholdGrid:
@@ -246,7 +249,7 @@ def upper_envelope_support(hull: RocCurve, priors: Priors, t: float,
     _require_threshold_scheme(scheme)
     vals = net_benefit(hull.tprs, hull.fprs, priors, float(t), scheme)
     best = float(np.max(vals))
-    return tuple(hull.points[i] for i in np.flatnonzero(vals >= best - _SUPPORT_TOL))
+    return tuple(hull.points[i] for i in np.flatnonzero(vals >= best - _TOL))
 
 
 def standardized_net_benefit(curve_or_value: Curve | ArrayLike,

@@ -1,0 +1,170 @@
+"""Output writers: JSON and CSV text built from whole arrays, and files
+replaced atomically.
+
+Reports and curve exports carry up to a few hundred thousand numbers.
+Formatting them one Python object at a time cost more than computing them
+(json.dumps with an indent runs the pure-Python encoder), so these writers
+format each numpy array with one map over its tolist(). The text is the
+one json.dumps(obj, indent=2) and repr-formatted CSV rows give.
+
+write_text puts a new or plain file under a temporary name in the target
+directory and moves it into place with os.replace, so a reader never sees
+a half-written file and a failed write leaves nothing behind. Any other
+path (a symlink, a device, a FIFO, a hard-linked file or another user's
+file) is opened and written through, as open(path, "w") does.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import stat
+from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _json_str
+
+import numpy as np
+
+_INDENT = "  "
+_INF = float("inf")
+_CSV_CHUNK = 1 << 14
+
+
+class Records:
+    """A JSON array of objects that all have the same keys, held as one
+    1-d numpy column per key; json_text writes it like the list of dicts."""
+
+    def __init__(self, columns: dict[str, np.ndarray]) -> None:
+        sizes = {np.shape(c) for c in columns.values()}
+        if len(sizes) != 1 or len(next(iter(sizes))) != 1:
+            raise ValueError("records need at least one column, all 1-d and of one length")
+        self.columns = columns
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == _INF or v == -_INF:
+        return "Infinity" if v > 0 else "-Infinity"
+    return float.__repr__(v)
+
+
+def _scalar_texts(arr: np.ndarray) -> list[str]:
+    """JSON text of each element of a 1-d float or bool array."""
+    values = arr.tolist()
+    if arr.dtype.kind == "f":
+        return list(map(float.__repr__ if np.all(np.isfinite(arr)) else _float_text, values))
+    if arr.dtype.kind == "b":
+        return ["true" if v else "false" for v in values]
+    raise TypeError(f"arrays of dtype {arr.dtype} are not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"keys must be str, not {type(key).__name__}")
+    return _json_str(key)
+
+
+def _block(open_: str, items: list[str], close: str, level: int) -> str:
+    if not items:
+        return open_ + close
+    inner = "\n" + _INDENT * (level + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + _INDENT * level + close
+
+
+def _records_text(rec: Records, level: int) -> str:
+    inner = "\n" + _INDENT * (level + 2)
+    fields = ("," + inner).join(_key_text(k).replace("%", "%%") + ": %s" for k in rec.columns)
+    template = "{" + inner + fields + "\n" + _INDENT * (level + 1) + "}"
+    rows = zip(*(_scalar_texts(np.asarray(c)) for c in rec.columns.values()))
+    return _block("[", list(map(template.__mod__, rows)), "]", level)
+
+
+def _encode(o, level: int) -> str:
+    if isinstance(o, str):
+        return _json_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple)):
+        return _block("[", [_encode(v, level + 1) for v in o], "]", level)
+    if isinstance(o, dict):
+        items = [f"{_key_text(k)}: {_encode(v, level + 1)}" for k, v in o.items()]
+        return _block("{", items, "}", level)
+    if isinstance(o, np.ndarray) and o.ndim == 1:
+        return _block("[", _scalar_texts(o), "]", level)
+    if isinstance(o, Records):
+        return _records_text(o, level)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def json_text(obj) -> str:
+    """Exactly json.dumps(obj, indent=2), NaN, Infinity and -0.0 included,
+    for objects whose dict keys are all strings.
+
+    A 1-d float or bool numpy array is written as the list of its elements
+    and a Records as its list of objects, each in one pass.
+    """
+    return _encode(obj, 0)
+
+
+def csv_rows(xs: np.ndarray, ys: np.ndarray, tag: str) -> Iterator[str]:
+    """Rows "x,y,tag" with x and y in repr form, as chunks of text."""
+    row = "%r,%r," + tag.replace("%", "%%") + "\n"
+    for lo in range(0, len(xs), _CSV_CHUNK):
+        yield "".join(map(row.__mod__, zip(xs[lo:lo + _CSV_CHUNK].tolist(),
+                                           ys[lo:lo + _CSV_CHUNK].tolist())))
+
+
+def replaces(path: str) -> bool:
+    """Whether write_text replaces path through a temporary file: path is
+    missing, or a writable regular file with one link that this process
+    owns."""
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        return True
+    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and st.st_uid == os.geteuid()
+            and os.access(path, os.W_OK))
+
+
+def write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of text chunks, to path as UTF-8.
+
+    Where replaces(path), the chunks go to a temporary file next to path
+    that takes over the mode and group of any old file and then replaces
+    path in one os.replace; on any failure the temporary file is removed
+    and path is left as it was. Any other path is written in place.
+    """
+    chunks = [text] if isinstance(text, str) else text
+    if not replaces(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        return
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as fh:
+            if old is not None:
+                os.chmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+                with contextlib.suppress(OSError):
+                    os.chown(fh.fileno(), -1, old.st_gid)
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            exc.filename = path  # name the file the caller asked for
+        raise

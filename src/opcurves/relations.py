@@ -14,7 +14,6 @@ visible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,8 +22,8 @@ import numpy as np
 from .cost import brier_curve
 from .dataset import Dataset, Priors
 from .decision import ArrayLike, ThresholdGrid, _unwrap, decision_curve
-
-_SIGN_TOL = 1e-12
+from .output import Records, json_text
+from .roc import _TOL
 
 
 class PriorMismatchError(ValueError):
@@ -62,33 +61,34 @@ class ComparisonReport:
     def agree_at_all_t(self) -> bool:
         return bool(np.all(self.agree))
 
-    def records(self) -> Iterator[dict]:
-        for i, t in enumerate(self.grid.values):
-            yield {
-                "t": float(t),
-                "nb_a": float(self.nb_a[i]),
-                "nb_b": float(self.nb_b[i]),
-                "bc_a": float(self.bc_a[i]),
-                "bc_b": float(self.bc_b[i]),
-                "delta_nb": float(self.delta_nb[i]),
-                "delta_bc": float(self.delta_bc[i]),
-                "agree": bool(self.agree[i]),
-            }
+    def _columns(self) -> dict[str, np.ndarray]:
+        return {"t": self.grid.values, "nb_a": self.nb_a, "nb_b": self.nb_b,
+                "bc_a": self.bc_a, "bc_b": self.bc_b, "delta_nb": self.delta_nb,
+                "delta_bc": self.delta_bc, "agree": self.agree}
 
-    def to_dict(self) -> dict:
+    def records(self) -> Iterator[dict]:
+        cols = self._columns()
+        for row in zip(*(c.tolist() for c in cols.values())):
+            yield dict(zip(cols, row))
+
+    def _document(self, grid, per_t) -> dict:
         return {
             "priors": {"pi_p": self.priors.pi_p, "pi_n": self.priors.pi_n},
-            "grid": [float(t) for t in self.grid.values],
-            "per_t": list(self.records()),
+            "grid": grid,
+            "per_t": per_t,
             "agree_at_all_t": self.agree_at_all_t,
         }
 
+    def to_dict(self) -> dict:
+        return self._document(self.grid.values.tolist(), list(self.records()))
+
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """json.dumps(self.to_dict(), indent=2), written from the columns."""
+        return json_text(self._document(self.grid.values, Records(self._columns())))
 
 
 def _soft_sign(x: np.ndarray) -> np.ndarray:
-    return (x > _SIGN_TOL).astype(np.int8) - (x < -_SIGN_TOL).astype(np.int8)
+    return (x > _TOL).astype(np.int8) - (x < -_TOL).astype(np.int8)
 
 
 def compare_models(data_a: Dataset, data_b: Dataset,

@@ -18,6 +18,7 @@ import numpy as np
 from .cost import CostLine
 from .decision import Curve
 from .isometrics import RocLine
+from .output import write_text
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
@@ -104,26 +105,60 @@ def _series_vertices(entry: PlotSeries, label: str,
     return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
 
 
-def _clip_segment(x1: float, y1: float, x2: float, y2: float,
-                  box: tuple[float, float, float, float]):
-    """Liang-Barsky clip of one segment to the box; None when fully outside."""
+_CHUNK = 1 << 14  # segments clipped and formatted per pass; bounds the temporaries
+
+
+def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
+               box: tuple[float, float, float, float], px, py) -> list[str]:
+    """The d attribute of each polyline (xs, ys), clipped to the box.
+
+    Each segment is Liang-Barsky clipped on its own; a segment that starts
+    where the previous kept one ended continues the subpath ("L"), any other
+    kept segment opens a new one ("M"). All polylines go through one pass
+    over their concatenated vertices, in chunks of up to _CHUNK segments; the
+    segments that join one polyline to the next are dropped. The clip does
+    the float operations of the one-segment-at-a-time version in the same
+    order, so the coordinates and the text are the same.
+    """
     xmin, xmax, ymin, ymax = box
-    dx, dy = x2 - x1, y2 - y1
-    t0, t1 = 0.0, 1.0
-    for p, q in ((-dx, x1 - xmin), (dx, xmax - x1),
-                 (-dy, y1 - ymin), (dy, ymax - y1)):
-        if p == 0.0:
-            if q < 0.0:
-                return None
-        else:
-            r = q / p
-            if p < 0.0:
-                t0 = max(t0, r)
-            else:
-                t1 = min(t1, r)
-    if t0 > t1:
-        return None
-    return (x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy)
+    xs = np.concatenate([x for x, _ in polylines])
+    ys = np.concatenate([y for _, y in polylines])
+    ids = np.repeat(np.arange(len(polylines)), [x.size for x, _ in polylines])
+    owner, drawn = ids[:-1], ids[:-1] == ids[1:]  # a segment's polyline; not a bridge
+    pieces: list[list[str]] = [[] for _ in polylines]
+    prev_ok, prev_bx, prev_by = False, 0.0, 0.0
+    for lo in range(0, xs.size - 1, _CHUNK):
+        hi = min(lo + _CHUNK, xs.size - 1)
+        x1, y1, x2, y2 = xs[lo:hi], ys[lo:hi], xs[lo + 1:hi + 1], ys[lo + 1:hi + 1]
+        dx, dy = x2 - x1, y2 - y1
+        t0, t1 = np.zeros(hi - lo), np.ones(hi - lo)
+        ok = drawn[lo:hi].copy()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for p, q in ((-dx, x1 - xmin), (dx, xmax - x1), (-dy, y1 - ymin), (dy, ymax - y1)):
+                flat, enters = p == 0.0, p < 0.0
+                ok &= ~(flat & (q < 0.0))
+                r = q / p
+                # max(t0, r) and min(t1, r) keep t0 and t1 unless r is strictly beyond
+                t0 = np.where(enters & (r > t0), r, t0)
+                t1 = np.where(~flat & ~enters & (r < t1), r, t1)
+        ok &= ~(t0 > t1)
+        ax, ay, bx, by = x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy
+        after_ok = np.concatenate(([prev_ok], ok[:-1]))
+        joins = (after_ok & (ax == np.concatenate(([prev_bx], bx[:-1])))
+                 & (ay == np.concatenate(([prev_by], by[:-1]))))
+        prev_ok, prev_bx, prev_by = bool(ok[-1]), bx[-1], by[-1]
+        opens = ok & ~joins
+        parts = list(map("L {:.2f} {:.2f}".format, px(bx[ok]).tolist(), py(by[ok]).tolist()))
+        heads = map("M {:.2f} {:.2f} ".format, px(ax[opens]).tolist(), py(ay[opens]).tolist())
+        for k, head in zip(np.flatnonzero(opens[ok]).tolist(), heads):
+            parts[k] = head + parts[k]
+        # the kept segments in order, split where their polyline changes
+        owners = owner[lo:hi][ok]
+        cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(parts)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if b > a:
+                pieces[owners[a]].append(" ".join(parts[a:b]))
+    return [" ".join(p) for p in pieces]
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -194,31 +229,17 @@ def render_svg(spec: PlotSpec) -> str:
                  f'font-family="sans-serif" font-size="13" fill="#222222" '
                  f'transform="rotate(-90 {ylab_x} {_fmt(ylab_y)})">{_escape(spec.y_label)}</text>')
 
-    box = (x0, x1, y0, y1)
     legend: list[tuple[str, str, SeriesStyle]] = []
+    polylines = []
     for idx, entry in enumerate(spec.series):
         label = entry.label or _default_label(entry.data)
-        color = entry.style.color or PALETTE[idx % len(PALETTE)]
-        xs, ys = _series_vertices(entry, label, spec.x_range)
-        parts: list[str] = []
-        prev_end: tuple[float, float] | None = None
-        for i in range(xs.size - 1):
-            seg = _clip_segment(float(xs[i]), float(ys[i]),
-                                float(xs[i + 1]), float(ys[i + 1]), box)
-            if seg is None:
-                prev_end = None
-                continue
-            ax, ay, bx, by = seg
-            if prev_end == (ax, ay):
-                parts.append(f"L {_fmt(px(bx))} {_fmt(py(by))}")
-            else:
-                parts.append(f"M {_fmt(px(ax))} {_fmt(py(ay))} L {_fmt(px(bx))} {_fmt(py(by))}")
-            prev_end = (bx, by)
-        if parts:
-            dash = f' stroke-dasharray="{entry.style.dash}"' if entry.style.dash else ""
-            lines.append(f'<path d="{" ".join(parts)}" fill="none" stroke="{color}" '
-                         f'stroke-width="{entry.style.width:g}"{dash}/>')
-        legend.append((label, color, entry.style))
+        legend.append((label, entry.style.color or PALETTE[idx % len(PALETTE)], entry.style))
+        polylines.append(_series_vertices(entry, label, spec.x_range))
+    for d, (_, color, style) in zip(_path_data(polylines, (x0, x1, y0, y1), px, py), legend):
+        if d:
+            dash = f' stroke-dasharray="{style.dash}"' if style.dash else ""
+            lines.append(f'<path d="{d}" fill="none" stroke="{color}" '
+                         f'stroke-width="{style.width:g}"{dash}/>')
 
     lx = _MARGIN_LEFT + pw + 16
     for row, (label, color, style) in enumerate(legend):
@@ -234,5 +255,4 @@ def render_svg(spec: PlotSpec) -> str:
 
 
 def write_svg(spec: PlotSpec, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_svg(spec))
+    write_text(path, render_svg(spec))

@@ -22,6 +22,7 @@ from .dataset import Dataset
 
 Dominance = Literal["first", "second", "equal", "neither"]
 
+# the one tolerance for float comparisons across the package
 _TOL = 1e-12
 
 

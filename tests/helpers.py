@@ -119,3 +119,44 @@ def envelope_oracle(points, priors: Priors, grid: ThresholdGrid, which: str,
             best = np.minimum(best, np.min(vals, axis=0))
     series = "upper_envelope" if which == "upper_decision" else "lower_envelope"
     return Curve(xs=xs, ys=best, series=series, priors=priors)
+
+
+def _clip_segment(x1: float, y1: float, x2: float, y2: float,
+                  box: tuple[float, float, float, float]):
+    """Liang-Barsky clip of one segment to the box; None when fully outside."""
+    xmin, xmax, ymin, ymax = box
+    dx, dy = x2 - x1, y2 - y1
+    t0, t1 = 0.0, 1.0
+    for p, q in ((-dx, x1 - xmin), (dx, xmax - x1),
+                 (-dy, y1 - ymin), (dy, ymax - y1)):
+        if p == 0.0:
+            if q < 0.0:
+                return None
+        else:
+            r = q / p
+            if p < 0.0:
+                t0 = max(t0, r)
+            else:
+                t1 = min(t1, r)
+    if t0 > t1:
+        return None
+    return (x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy)
+
+
+def path_data_oracle(xs, ys, box, px, py) -> str:
+    """The SVG path data of the polyline, one segment at a time."""
+    parts: list[str] = []
+    prev_end = None
+    for i in range(xs.size - 1):
+        seg = _clip_segment(float(xs[i]), float(ys[i]),
+                            float(xs[i + 1]), float(ys[i + 1]), box)
+        if seg is None:
+            prev_end = None
+            continue
+        ax, ay, bx, by = seg
+        if prev_end == (ax, ay):
+            parts.append(f"L {px(bx):.2f} {py(by):.2f}")
+        else:
+            parts.append(f"M {px(ax):.2f} {py(ay):.2f} L {px(bx):.2f} {py(by):.2f}")
+        prev_end = (bx, by)
+    return " ".join(parts)

@@ -1,10 +1,12 @@
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
 
 from opcurves import (Dataset, DatasetError, ParseError, PriorMismatchError,
-                      SimulationSpecError, operating_points, to_csv)
+                      SimulationSpecError, ThresholdGrid, operating_points, to_csv)
 from opcurves import cli
 from opcurves.cli import UsageError, _staircase, main
 from helpers import make_random, make_toy
@@ -237,6 +239,30 @@ class TestIsometrics:
                      "--pi-p", "0.25"]) == 1
         assert "more than 1000000 points" in capsys.readouterr().err
 
+    def test_brier_loss_level_range_above_one(self, capsys):
+        assert main(["isometrics", "--metric", "brier_loss", "--t", "0.9", "--pi-p", "0.2",
+                     "--levels", "0:1.4:0.7"]) == 0
+        range_rows = capsys.readouterr().out
+        assert main(["isometrics", "--metric", "brier_loss", "--t", "0.9", "--pi-p", "0.2",
+                     "--levels", "0,0.7,1.4"]) == 0
+        assert range_rows == capsys.readouterr().out
+        assert len(range_rows.splitlines()) == 4
+
+    def test_negative_net_benefit_level_range(self, capsys):
+        assert main(["isometrics", "--metric", "net_benefit", "--t", "0.3", "--pi-p", "0.25",
+                     "--levels=-0.1:0.1:0.1"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(r.split(",")[1]) for r in rows] == pytest.approx([-0.1, 0.0, 0.1])
+
+    def test_level_range_is_the_grid_arithmetic(self):
+        levels = cli._parse_levels("0:1:0.0001")
+        assert levels == tuple(ThresholdGrid.regular(0.0, 1.0, 0.0001).values.tolist())
+
+    def test_level_out_of_the_metric_range_is_usage_error(self, capsys):
+        assert main(["isometrics", "--metric", "brier_loss", "--t", "0.9", "--pi-p", "0.2",
+                     "--levels", "0:2:0.5"]) == 1
+        assert "brier loss level outside its range" in capsys.readouterr().err
+
     def test_threshold_metric_needs_t(self, capsys):
         assert main(["isometrics", "--metric", "brier_loss", "--levels", "0.1",
                      "--pi-p", "0.3"]) == 1
@@ -246,6 +272,58 @@ class TestIsometrics:
                      "--input", toy_csv]) == 0
         row = capsys.readouterr().out.splitlines()[1].split(",")
         assert float(row[3]) == pytest.approx(2.0, abs=1e-12)  # pi_n / pi_p
+
+
+class TestOutputs:
+    def test_bad_output_directory_writes_nothing(self, toy_csv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        code = main(["dca", "--input", toy_csv, "--csv", "part.csv",
+                     "--svg", str(tmp_path / "nonexistent" / "x.svg")])
+        assert code == 2
+        assert "nonexistent" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_output_path_that_is_a_directory(self, toy_csv, tmp_path, capsys):
+        assert main(["roc", "--input", toy_csv, "--csv", str(tmp_path)]) == 2
+        assert "is a directory" in capsys.readouterr().err
+
+    def test_outputs_replace_old_files_and_leave_no_temp(self, toy_csv, tmp_path):
+        out = tmp_path / "dca.json"
+        out.write_text("stale", encoding="utf-8")
+        assert main(["dca", "--input", toy_csv, "--json", str(out)]) == 0
+        assert json.loads(out.read_text(encoding="utf-8"))["command"] == "dca"
+        assert sorted(os.listdir(tmp_path)) == ["dca.json", "toy.csv"]
+
+
+    def test_failed_simulate_write_leaves_nothing(self, tmp_path, monkeypatch, capsys):
+        def fail(src, dst):
+            raise OSError(28, "No space left on device", src)
+
+        monkeypatch.setattr(os, "replace", fail)
+        code = main(["simulate", "--n", "300", "--out", str(tmp_path / "sim.csv")])
+        assert code == 2
+        assert "sim.csv" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_symlinked_output_is_written_through(self, toy_csv, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        link.symlink_to(target)
+        assert main(["score", "--input", toy_csv, "--json", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text(encoding="utf-8"))["command"] == "score"
+
+    def test_fifo_output_is_written_through(self, toy_csv, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text(encoding="utf-8")),
+                                  daemon=True)
+        reader.start()
+        assert main(["roc", "--input", toy_csv, "--csv", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert got and got[0].startswith("x,y,series\n")
+        assert sorted(os.listdir(tmp_path)) == ["pipe", "toy.csv"]
 
 
 class TestUsage:

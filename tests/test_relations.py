@@ -98,6 +98,12 @@ class TestCompareModels:
         assert set(row) >= {"t", "nb_a", "nb_b", "bc_a", "bc_b",
                             "delta_nb", "delta_bc", "agree"}
 
+    def test_json_is_json_dumps_of_the_dict(self):
+        grid = ThresholdGrid.regular(0.0, 0.98, 0.0007)
+        report = compare_models(make_random(3, n=400, pi_p=0.25),
+                                make_random(4, n=400, pi_p=0.25), grid)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
     def test_records_align_with_arrays(self, toy):
         grid = ThresholdGrid.regular(0.0, 0.9, 0.1)
         other = make_random(9, n=9, pi_p=1 / 3)

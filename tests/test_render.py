@@ -1,11 +1,16 @@
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from opcurves import (Curve, PlotSeries, PlotSpec, Priors, RenderError, SeriesStyle,
                       cost_line, isometric_line, render_svg, write_svg)
+from opcurves import render
 from opcurves.roc import OperatingPoint
+from helpers import path_data_oracle
 
 PRIORS = Priors(pi_p=0.25, pi_n=0.75)
 
@@ -114,3 +119,103 @@ def test_write_svg(tmp_path):
     path = tmp_path / "plot.svg"
     write_svg(_spec(), str(path))
     assert path.read_text(encoding="utf-8").startswith("<svg")
+
+
+# The vectorised path builder against the one-segment-at-a-time oracle.
+
+BOX = (-0.02, 1.02, -0.02, 1.02)
+
+
+def _px(x):
+    return 58 + (x - BOX[0]) / (BOX[1] - BOX[0]) * 494
+
+
+def _py(y):
+    return 42 + (BOX[3] - y) / (BOX[3] - BOX[2]) * 386
+
+
+def _same_paths(polylines, box=BOX):
+    polylines = [(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+                 for xs, ys in polylines]
+    got = render._path_data(polylines, box, _px, _py)
+    assert len(got) == len(polylines)
+    for k, ((xs, ys), path) in enumerate(zip(polylines, got)):
+        want = path_data_oracle(xs, ys, box, _px, _py)
+        if path != want:  # report the first difference, not a diff of megabytes
+            i = next((j for j, (a, b) in enumerate(zip(path, want)) if a != b),
+                     min(len(path), len(want)))
+            pytest.fail(f"polyline {k} differs at {i}: "
+                        f"{path[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
+    return got
+
+
+def _same_path(xs, ys, box=BOX):
+    return _same_paths([(xs, ys)], box)[0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_path_matches_oracle_on_walks_longer_than_a_chunk(seed):
+    rng = np.random.default_rng(seed)
+    n = 2 * render._CHUNK + 1000 * seed + 7
+    # a random walk that leaves and re-enters the box many times
+    xs = np.cumsum(rng.normal(0.0, 0.05, n)) % 1.6 - 0.3
+    ys = np.cumsum(rng.normal(0.0, 0.05, n)) % 1.6 - 0.3
+    assert _same_path(xs, ys).count("M ") > 10
+
+
+def test_path_matches_oracle_on_a_staircase():
+    rng = np.random.default_rng(9)
+    fpr = np.repeat(np.sort(rng.random(render._CHUNK)), 2)[1:]
+    tpr = np.repeat(np.sort(rng.random(render._CHUNK)), 2)[:-1]
+    assert _same_path(fpr, tpr).count("M ") == 1
+
+
+def test_path_with_spans_clipped_out():
+    xs = np.linspace(0.0, 1.0, 3 * render._CHUNK)
+    ys = np.where((xs > 0.3) & (xs < 0.6), 5.0, 0.5)
+    ys[-render._CHUNK - 2:-render._CHUNK + 2] = -3.0  # out around a chunk boundary
+    path = _same_path(xs, ys)
+    assert path.count("M ") == 3
+    assert _same_path(xs, np.full(xs.size, 7.0)) == ""
+
+
+def test_path_with_vertical_and_horizontal_segments():
+    # dx == 0 and dy == 0 take the p == 0 branch, inside and outside the box
+    xs = [0.5, 0.5, 0.5, -0.5, -0.5, 1.5, 1.5, 0.2, 0.2, 0.8, 0.8, 2.0]
+    ys = [0.1, 0.9, 0.9, 0.9, -0.7, -0.7, 0.4, 0.4, 3.0, 3.0, 0.3, 0.3]
+    path = _same_path(xs, ys)
+    assert path.startswith("M ")
+    assert _same_path([0.3, 0.3], [0.3, 0.3]) != ""  # a point segment is kept
+
+
+def test_path_with_vertices_on_the_box_edges():
+    x0, x1, y0, y1 = BOX
+    xs = [x0, x0, x1, x1, x0, 0.5, x1, x1 + 1e-17, x0 - 1e-300]
+    ys = [y0, y1, y1, y0, y0, y1, 0.5, y0, y1]
+    _same_path(xs, ys)
+    _same_path([x0, x1], [y1, y1])
+    _same_path([x0, x0], [y0, y1])
+
+
+def test_many_short_polylines_in_one_pass():
+    # cost lines: hundreds of two-vertex series, some clipped out, plus
+    # one-vertex series that have no segment at all
+    rng = np.random.default_rng(5)
+    lines = [([-0.02, 1.02], rng.normal(0.5, 0.6, 2)) for _ in range(300)]
+    lines[7:7] = [([0.5], [0.5]), ([0.2], [0.9])]
+    lines.append(([0.1], [0.1]))
+    paths = _same_paths(lines)
+    assert paths[7] == paths[8] == paths[-1] == ""
+    assert 0 < sum(p == "" for p in paths) < len(paths)
+
+
+VERTEX = st.tuples(st.sampled_from([-0.5, -0.02, 0.0, 0.3, 0.3, 1.0, 1.02, 1.7]),
+                   st.sampled_from([-0.5, -0.02, 0.0, 0.6, 1.0, 1.02, 2.0]))
+
+
+@given(st.lists(st.lists(VERTEX, min_size=1, max_size=12), min_size=1, max_size=4),
+       st.integers(1, 4))
+def test_path_matches_oracle_across_small_chunks(polylines, chunk):
+    polylines = [tuple(np.array(v, dtype=np.float64) for v in zip(*vs)) for vs in polylines]
+    with mock.patch.object(render, "_CHUNK", chunk):
+        _same_paths(polylines)
