@@ -10,9 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (Dataset, PlotSeries, PlotSpec, SeriesStyle, convex_hull,
+from opcurves import (Dataset, PlotSeries, PlotSpec, Polyline, SeriesStyle, convex_hull,
                       dominance, operating_points, write_svg)
-from opcurves.decision import Curve
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -40,26 +39,14 @@ rival = Dataset(np.array([0.5, 0.5, 0.5, 0.95, 0.5, 0.5, 0.95, 0.5, 0.05]),
 verdict = dominance(curve, operating_points(rival))
 print(f"model vs rival: {verdict}")
 
-
-def staircase(points, series):
-    xs, ys = [], []
-    for p in points:
-        x = p.fpr
-        while xs and x <= xs[-1]:
-            x = np.nextafter(xs[-1], 2.0)
-        xs.append(x)
-        ys.append(p.tpr)
-    return Curve(xs=np.array(xs), ys=np.array(ys), series=series,
-                 priors=data.priors)
-
-
 spec = PlotSpec(
     title="Operating points and convex hull",
     x_label="false positive rate",
     y_label="true positive rate",
     series=(
-        PlotSeries(data=staircase(curve.points, "points")),
-        PlotSeries(data=staircase(hull.points, "hull"),
+        # the raw polylines: tied false positive rates draw vertical steps
+        PlotSeries(data=Polyline(xs=curve.fprs, ys=curve.tprs, series="points")),
+        PlotSeries(data=Polyline(xs=hull.fprs, ys=hull.tprs, series="hull"),
                    style=SeriesStyle(width=2.4)),
     ),
     x_range=(-0.02, 1.02),

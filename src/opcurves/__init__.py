@@ -32,7 +32,7 @@ from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_cu
 from .isometrics import METRICS, RocLine, isometric_gradient, isometric_line
 from .relations import (ComparisonReport, PriorMismatchError, compare_models,
                         nb_from_brier_loss)
-from .render import (PALETTE, PlotSeries, PlotSpec, RenderError, SeriesStyle,
+from .render import (PALETTE, PlotSeries, PlotSpec, Polyline, RenderError, SeriesStyle,
                      render_svg, write_svg)
 from .roc import (ConfusionCounts, OperatingPoint, RocCurve, convex_hull, dominance,
                   operating_points, threshold_rates)
@@ -55,7 +55,7 @@ __all__ = [
     "per_class_components", "refinement_loss",
     "METRICS", "RocLine", "isometric_gradient", "isometric_line",
     "ComparisonReport", "PriorMismatchError", "compare_models", "nb_from_brier_loss",
-    "PALETTE", "PlotSeries", "PlotSpec", "RenderError", "SeriesStyle",
+    "PALETTE", "PlotSeries", "PlotSpec", "Polyline", "RenderError", "SeriesStyle",
     "render_svg", "write_svg",
     "__version__",
 ]

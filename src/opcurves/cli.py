@@ -22,9 +22,9 @@ from .dataset import (Dataset, DatasetError, Priors, SimulationSpec,
 from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
                        decision_curve, regular_values, upper_envelope_decision_curve)
 from .isometrics import METRICS, isometric_line
-from .output import csv_rows, json_text, replaces, write_text
+from .output import json_text, replaces, write_text, xy_csv
 from .relations import PriorMismatchError, compare_models
-from .render import PlotSeries, PlotSpec, SeriesStyle, write_svg
+from .render import PlotSeries, PlotSpec, Polyline, SeriesStyle, write_svg
 from .roc import convex_hull, operating_points
 
 EXIT_OK = 0
@@ -221,15 +221,8 @@ def _write_text(path: str, text) -> None:
     print(f"wrote {path}")
 
 
-def _xy_csv(series):
-    """x,y,series CSV text in chunks, from (xs, ys, tag) triples."""
-    yield "x,y,series\n"
-    for xs, ys, tag in series:
-        yield from csv_rows(xs, ys, tag)
-
-
 def _curves_csv(curves: list[Curve]):
-    return _xy_csv((c.xs, c.ys, c.series) for c in curves)
+    return xy_csv([(c.xs, c.ys, c.series) for c in curves])
 
 
 def _series_json(curves: list[Curve]) -> list[dict]:
@@ -349,31 +342,17 @@ def _run_roc(cfg: RunConfig) -> int:
     print(f"{len(curve.points)} operating points, {len(hull.points)} on the hull, "
           f"hull area {hull.auc():.6f}")
     if cfg.csv_path:
-        _write_text(cfg.csv_path, _xy_csv([(curve.fprs, curve.tprs, "points"),
-                                           (hull.fprs, hull.tprs, "hull")]))
+        _write_text(cfg.csv_path, xy_csv([(curve.fprs, curve.tprs, "points"),
+                                          (hull.fprs, hull.tprs, "hull")]))
     if cfg.svg_path:
-        priors = data.priors
-        pts = Curve(xs=np.linspace(0, 1, 2), ys=np.linspace(0, 1, 2),
-                    series="chance", priors=priors)
-        ops = _staircase(curve, "points", priors)
-        hull_c = _staircase(hull, "hull", priors)
-        entries = [PlotSeries(data=ops),
-                   PlotSeries(data=hull_c, style=SeriesStyle(width=2.2)),
-                   PlotSeries(data=pts, style=SeriesStyle(color="#999999", dash="4,4"))]
+        chance = Polyline(xs=[0.0, 1.0], ys=[0.0, 1.0], series="chance")
+        entries = [PlotSeries(data=Polyline(xs=curve.fprs, ys=curve.tprs, series="points")),
+                   PlotSeries(data=Polyline(xs=hull.fprs, ys=hull.tprs, series="hull"),
+                              style=SeriesStyle(width=2.2)),
+                   PlotSeries(data=chance, style=SeriesStyle(color="#999999", dash="4,4"))]
         _plot(cfg.svg_path, "ROC", "false positive rate", "true positive rate",
               entries, (-0.02, 1.02), (-0.02, 1.02))
     return EXIT_OK
-
-
-def _staircase(curve, series: str, priors) -> Curve:
-    # nudge duplicate fpr values apart so the Curve container accepts them;
-    # visually identical at plot resolution. Each x becomes
-    # max(fpr, nextafter(previous x)); the bit patterns of non-negative
-    # floats are ordered like the floats and nextafter adds 1 to them.
-    bits = curve.fprs.view(np.int64)
-    steps = np.arange(bits.size)
-    xs = (np.maximum.accumulate(bits - steps) + steps).view(np.float64)
-    return Curve(xs=xs, ys=curve.tprs, series=series, priors=priors)
 
 
 def _run_score(cfg: RunConfig) -> int:

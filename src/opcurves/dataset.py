@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -223,6 +224,18 @@ def from_csv(text: str) -> Dataset:
 _LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
+_PIECE = 1 << 16  # characters of the body in one StringIO for loadtxt
+
+
+def _pieces(text: str) -> Iterator[str]:
+    """text cut after the first newline past every _PIECE characters."""
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + _PIECE) + 1 or len(text)
+        yield text[lo:hi]
+        lo = hi
+
+
 def _from_csv_fast(text: str) -> Dataset | None:
     """The Dataset of a plain `score,0|1` file, or None for any other text.
 
@@ -246,8 +259,11 @@ def _from_csv_fast(text: str) -> Dataset | None:
         return None
     if '"' in body or "\r" in body or any(ch in body for ch in _LOADTXT_ONLY_SPACES):
         return None
+    # loadtxt takes the lines from a StringIO of one piece of the body at a
+    # time: a StringIO of the whole body holds it at 4 bytes a character
+    text_lines = itertools.chain.from_iterable(map(io.StringIO, _pieces(body)))
     try:
-        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None,
+        table = np.loadtxt(text_lines, delimiter=",", comments=None,
                            quotechar=None, dtype=np.float64, ndmin=2)
     except ValueError:
         return None
@@ -286,9 +302,21 @@ def _from_csv_rows(text: str) -> Dataset:
     return parse_dataset(records, lines=lines)
 
 
+# rows per chunk of CSV text; write_csv streams the chunks, so the text of
+# a large dataset is never held whole
+_CSV_ROWS = 1 << 14
+
+
+def _csv_chunks(data: Dataset) -> Iterator[str]:
+    yield ",".join(CSV_HEADER) + "\n"
+    for lo in range(0, data.n, _CSV_ROWS):
+        hi = lo + _CSV_ROWS
+        yield "".join(f"{s!r},{l}\n" for s, l in zip(data.scores[lo:hi].tolist(),
+                                                     data.labels[lo:hi].tolist()))
+
+
 def to_csv(data: Dataset) -> str:
-    body = "".join(f"{s!r},{l}\n" for s, l in zip(data.scores.tolist(), data.labels.tolist()))
-    return ",".join(CSV_HEADER) + "\n" + body
+    return "".join(_csv_chunks(data))
 
 
 def read_csv(path: str) -> Dataset:
@@ -297,7 +325,7 @@ def read_csv(path: str) -> Dataset:
 
 
 def write_csv(data: Dataset, path: str) -> None:
-    write_text(path, to_csv(data))
+    write_text(path, _csv_chunks(data))
 
 
 @dataclass(frozen=True)

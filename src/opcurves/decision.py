@@ -155,6 +155,18 @@ class ThresholdGrid:
         return int(self.values.size)
 
 
+def _read_only(values) -> np.ndarray:
+    """values as a read-only float64 array. One that already is such an
+    array and owns its data is taken as it is, so the curves on a grid
+    share its values (and the writers format them once)."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and values.base is None and not values.flags.writeable):
+        return values
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Curve:
     """A sampled curve: ys over xs, with a series label and the priors it
@@ -168,16 +180,13 @@ class Curve:
     priors: Priors
 
     def __post_init__(self) -> None:
-        xs = np.array(self.xs, dtype=np.float64)
-        ys = np.array(self.ys, dtype=np.float64)
+        xs, ys = _read_only(self.xs), _read_only(self.ys)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
             raise ValueError("xs and ys must be equal-length non-empty 1-d arrays")
         if np.any(np.diff(xs) <= 0.0):
             raise ValueError("xs must be strictly increasing")
         if not self.series:
             raise ValueError("series label must be non-empty")
-        xs.flags.writeable = False
-        ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 

@@ -5,7 +5,10 @@ Reports and curve exports carry up to a few hundred thousand numbers.
 Formatting them one Python object at a time cost more than computing them
 (json.dumps with an indent runs the pure-Python encoder), so these writers
 format each numpy array with one map over its tolist(). The text is the
-one json.dumps(obj, indent=2) and repr-formatted CSV rows give.
+one json.dumps(obj, indent=2) and repr-formatted CSV rows give. Within one
+output an array is formatted once, however often it occurs (the curves on
+one grid share its values array), and a CSV column calls float.__repr__
+once per run of equal values (an ROC staircase moves FP or TP, not both).
 
 write_text puts a new or plain file under a temporary name in the target
 directory and moves it into place with os.replace, so a reader never sees
@@ -19,7 +22,8 @@ from __future__ import annotations
 import contextlib
 import os
 import stat
-from collections.abc import Iterable, Iterator
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
@@ -58,6 +62,37 @@ def _scalar_texts(arr: np.ndarray) -> list[str]:
     raise TypeError(f"arrays of dtype {arr.dtype} are not JSON serializable")
 
 
+class _Memo:
+    """The texts of the arrays that one output uses more than once (the
+    same object), each formatted once and held until its last use."""
+
+    def __init__(self, arrays: Iterable[np.ndarray],
+                 fmt: Callable[[np.ndarray], list[str]]) -> None:
+        self._left = Counter(map(id, arrays))
+        self._held: dict[int, list[str]] = {}
+        self._fmt = fmt
+
+    def __call__(self, arr: np.ndarray) -> list[str] | None:
+        """arr's texts, or None when this is its only use."""
+        key = id(arr)
+        self._left[key] -= 1
+        texts = self._held.pop(key, None)
+        if self._left[key] > 0:
+            texts = self._held[key] = texts if texts is not None else self._fmt(arr)
+        return texts
+
+
+def _arrays(o) -> Iterator[np.ndarray]:
+    """The numpy arrays in a JSON tree, in the order _encode writes them."""
+    if isinstance(o, np.ndarray):
+        yield o
+    elif isinstance(o, Records):
+        yield from o.columns.values()
+    elif isinstance(o, (list, tuple, dict)):
+        for v in o.values() if isinstance(o, dict) else o:
+            yield from _arrays(v)
+
+
 def _key_text(key) -> str:
     if not isinstance(key, str):
         raise TypeError(f"keys must be str, not {type(key).__name__}")
@@ -71,15 +106,20 @@ def _block(open_: str, items: list[str], close: str, level: int) -> str:
     return open_ + inner + ("," + inner).join(items) + "\n" + _INDENT * level + close
 
 
-def _records_text(rec: Records, level: int) -> str:
+def _array_text(arr: np.ndarray, memo: _Memo) -> list[str]:
+    texts = memo(arr)
+    return texts if texts is not None else _scalar_texts(arr)
+
+
+def _records_text(rec: Records, level: int, memo: _Memo) -> str:
     inner = "\n" + _INDENT * (level + 2)
     fields = ("," + inner).join(_key_text(k).replace("%", "%%") + ": %s" for k in rec.columns)
     template = "{" + inner + fields + "\n" + _INDENT * (level + 1) + "}"
-    rows = zip(*(_scalar_texts(np.asarray(c)) for c in rec.columns.values()))
+    rows = zip(*(_array_text(np.asarray(c), memo) for c in rec.columns.values()))
     return _block("[", list(map(template.__mod__, rows)), "]", level)
 
 
-def _encode(o, level: int) -> str:
+def _encode(o, level: int, memo: _Memo) -> str:
     if isinstance(o, str):
         return _json_str(o)
     if o is None:
@@ -93,14 +133,14 @@ def _encode(o, level: int) -> str:
     if isinstance(o, float):
         return _float_text(o)
     if isinstance(o, (list, tuple)):
-        return _block("[", [_encode(v, level + 1) for v in o], "]", level)
+        return _block("[", [_encode(v, level + 1, memo) for v in o], "]", level)
     if isinstance(o, dict):
-        items = [f"{_key_text(k)}: {_encode(v, level + 1)}" for k, v in o.items()]
+        items = [f"{_key_text(k)}: {_encode(v, level + 1, memo)}" for k, v in o.items()]
         return _block("{", items, "}", level)
     if isinstance(o, np.ndarray) and o.ndim == 1:
-        return _block("[", _scalar_texts(o), "]", level)
+        return _block("[", _array_text(o, memo), "]", level)
     if isinstance(o, Records):
-        return _records_text(o, level)
+        return _records_text(o, level, memo)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -111,15 +151,57 @@ def json_text(obj) -> str:
     A 1-d float or bool numpy array is written as the list of its elements
     and a Records as its list of objects, each in one pass.
     """
-    return _encode(obj, 0)
+    return _encode(obj, 0, _Memo(_arrays(obj), _scalar_texts))
 
 
-def csv_rows(xs: np.ndarray, ys: np.ndarray, tag: str) -> Iterator[str]:
-    """Rows "x,y,tag" with x and y in repr form, as chunks of text."""
-    row = "%r,%r," + tag.replace("%", "%%") + "\n"
-    for lo in range(0, len(xs), _CSV_CHUNK):
-        yield "".join(map(row.__mod__, zip(xs[lo:lo + _CSV_CHUNK].tolist(),
-                                           ys[lo:lo + _CSV_CHUNK].tolist())))
+def _repr_chunks(values: np.ndarray) -> Iterator[list[str]]:
+    """repr of each element of a float array, in chunks of _CSV_CHUNK.
+
+    float.__repr__ runs once per run of equal bit patterns, chunk
+    boundaries included; equal bits are equal floats and so equal texts,
+    and 0.0 and -0.0 (or NaNs with different payloads) never share a run.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    last_bits, last_text = None, ""
+    for lo in range(0, values.size, _CSV_CHUNK):
+        chunk = values[lo:lo + _CSV_CHUNK]
+        bits = chunk.view(np.int64)
+        new = np.empty(chunk.size, dtype=bool)
+        new[0] = bits[0] != last_bits
+        np.not_equal(bits[1:], bits[:-1], out=new[1:])
+        texts = list(map(float.__repr__, chunk[new].tolist()))
+        if not new[0]:
+            texts.insert(0, last_text)
+            new[0] = True
+        if len(texts) < chunk.size:
+            texts = np.array(texts, dtype=object)[np.cumsum(new) - 1].tolist()
+        last_bits, last_text = bits[-1], texts[-1]
+        yield texts
+
+
+def _repr_texts(values: np.ndarray) -> list[str]:
+    return [text for chunk in _repr_chunks(values) for text in chunk]
+
+
+def csv_rows(xs: np.ndarray, ys: np.ndarray, tag: str,
+             x_texts: list[str] | None = None) -> Iterator[str]:
+    """Rows "x,y,tag" with x and y in repr form, as chunks of text.
+    x_texts, when given, are the texts of xs, formatted once for several
+    series."""
+    x_chunks = (_repr_chunks(xs) if x_texts is None else
+                (x_texts[lo:lo + _CSV_CHUNK] for lo in range(0, len(x_texts), _CSV_CHUNK)))
+    end = "," + tag + "\n"
+    for x_part, y_part in zip(x_chunks, _repr_chunks(ys)):
+        yield end.join(map(",".join, zip(x_part, y_part))) + end
+
+
+def xy_csv(series: list[tuple[np.ndarray, np.ndarray, str]]) -> Iterator[str]:
+    """The x,y,series CSV of (xs, ys, tag) triples, in chunks of text; an
+    xs array that several triples share is formatted once."""
+    memo = _Memo((xs for xs, _, _ in series), _repr_texts)
+    yield "x,y,series\n"
+    for xs, ys, tag in series:
+        yield from csv_rows(xs, ys, tag, memo(xs))
 
 
 def replaces(path: str) -> bool:

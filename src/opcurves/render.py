@@ -2,9 +2,11 @@
 
 No plotting dependency: the writer emits plain SVG 1.1 text and the same
 PlotSpec always produces byte-identical output, so rendered files can be
-diffed and cached. Series data may be a sampled Curve, a CostLine or a
-RocLine; lines are drawn across the x range and everything is clipped to
-the axes box.
+diffed and cached. Series data may be a sampled Curve, a Polyline (an ROC
+staircase, say, whose x repeats), a CostLine or a RocLine; lines are drawn
+across the x range and everything is clipped to the axes box. A path
+vertex that the 0.01 px output resolution cannot tell apart from the path
+without it is left out.
 """
 
 from __future__ import annotations
@@ -28,11 +30,32 @@ _MARGIN_RIGHT = 168
 _MARGIN_TOP = 42
 _MARGIN_BOTTOM = 52
 
-PlotData = Union[Curve, CostLine, RocLine]
-
 
 class RenderError(ValueError):
     """The plot spec cannot be rendered faithfully."""
+
+
+@dataclass(frozen=True, eq=False)
+class Polyline:
+    """Vertices (xs[i], ys[i]) drawn in order. Unlike a Curve's, xs may
+    repeat or go back, so an ROC staircase is drawn as it is."""
+
+    xs: np.ndarray
+    ys: np.ndarray
+    series: str
+
+    def __post_init__(self) -> None:
+        xs = np.asarray(self.xs, dtype=np.float64)
+        ys = np.asarray(self.ys, dtype=np.float64)
+        if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
+            raise ValueError("xs and ys must be equal-length non-empty 1-d arrays")
+        if not self.series:
+            raise ValueError("series label must be non-empty")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+
+
+PlotData = Union[Curve, Polyline, CostLine, RocLine]
 
 
 @dataclass(frozen=True)
@@ -74,7 +97,7 @@ def _fmt(v: float) -> str:
 
 
 def _default_label(data: PlotData) -> str:
-    if isinstance(data, Curve):
+    if isinstance(data, (Curve, Polyline)):
         return data.series
     if isinstance(data, CostLine):
         src = data.source
@@ -88,7 +111,7 @@ def _default_label(data: PlotData) -> str:
 def _series_vertices(entry: PlotSeries, label: str,
                      x_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     data = entry.data
-    if isinstance(data, Curve):
+    if isinstance(data, (Curve, Polyline)):
         xs, ys = data.xs, data.ys
     elif isinstance(data, CostLine):
         xs = np.array(x_range, dtype=np.float64)
@@ -98,14 +121,14 @@ def _series_vertices(entry: PlotSeries, label: str,
         ys = data.tpr_at(xs)
     else:
         raise RenderError(f"cannot plot object of type {type(data).__name__}")
-    bad = ~np.isfinite(np.asarray(ys))
+    bad = ~(np.isfinite(np.asarray(xs)) & np.isfinite(np.asarray(ys)))
     if np.any(bad):
         x_bad = float(np.asarray(xs)[bad][0])
         raise RenderError(f"series {label!r} has a non-finite value at x={x_bad!r}")
     return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
 
 
-_CHUNK = 1 << 14  # segments clipped and formatted per pass; bounds the temporaries
+_CHUNK = 1 << 14  # segments clipped per pass; bounds the clip's temporaries
 
 
 def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
@@ -118,14 +141,15 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
     over their concatenated vertices, in chunks of up to _CHUNK segments; the
     segments that join one polyline to the next are dropped. The clip does
     the float operations of the one-segment-at-a-time version in the same
-    order, so the coordinates and the text are the same.
+    order, so every vertex drawn has the same text. Vertices that change
+    nothing at the 0.01 px resolution of that text are left out (_kept).
     """
     xmin, xmax, ymin, ymax = box
     xs = np.concatenate([x for x, _ in polylines])
     ys = np.concatenate([y for _, y in polylines])
     ids = np.repeat(np.arange(len(polylines)), [x.size for x, _ in polylines])
     owner, drawn = ids[:-1], ids[:-1] == ids[1:]  # a segment's polyline; not a bridge
-    pieces: list[list[str]] = [[] for _ in polylines]
+    kept = []  # per chunk: (px, py, heads, polyline) of the vertices _kept keeps
     prev_ok, prev_bx, prev_by = False, 0.0, 0.0
     for lo in range(0, xs.size - 1, _CHUNK):
         hi = min(lo + _CHUNK, xs.size - 1)
@@ -147,18 +171,67 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
         joins = (after_ok & (ax == np.concatenate(([prev_bx], bx[:-1])))
                  & (ay == np.concatenate(([prev_by], by[:-1]))))
         prev_ok, prev_bx, prev_by = bool(ok[-1]), bx[-1], by[-1]
-        opens = ok & ~joins
-        parts = list(map("L {:.2f} {:.2f}".format, px(bx[ok]).tolist(), py(by[ok]).tolist()))
-        heads = map("M {:.2f} {:.2f} ".format, px(ax[opens]).tolist(), py(ay[opens]).tolist())
-        for k, head in zip(np.flatnonzero(opens[ok]).tolist(), heads):
-            parts[k] = head + parts[k]
-        # the kept segments in order, split where their polyline changes
-        owners = owner[lo:hi][ok]
-        cuts = [0, *(np.flatnonzero(owners[1:] != owners[:-1]) + 1).tolist(), len(parts)]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b > a:
-                pieces[owners[a]].append(" ".join(parts[a:b]))
-    return [" ".join(p) for p in pieces]
+        # the vertices in drawing order: a segment's start when it opens a
+        # subpath, then its end when it is kept
+        pick = np.column_stack((ok & ~joins, ok)).ravel()
+        if not pick.any():
+            continue
+        vertices = (px(np.column_stack((ax, bx)).ravel()[pick]),
+                    py(np.column_stack((ay, by)).ravel()[pick]),
+                    np.tile((True, False), hi - lo)[pick], np.repeat(owner[lo:hi], 2)[pick])
+        # here the chunk's last vertex passes for the end of its subpath;
+        # the _kept over what every chunk kept settles it
+        keep = _kept(*vertices[:3])
+        kept.append([v[keep] for v in vertices])
+    if not kept:
+        return [""] * len(polylines)
+    vx, vy, heads, owners = map(np.concatenate, zip(*kept))
+    keep = _kept(vx, vy, heads)
+    parts = list(map("L {:.2f} {:.2f}".format, vx[keep].tolist(), vy[keep].tolist()))
+    for k in np.flatnonzero(heads[keep]).tolist():
+        parts[k] = "M" + parts[k][1:]
+    bounds = np.searchsorted(owners[keep], np.arange(len(polylines) + 1)).tolist()
+    return [" ".join(parts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _centipixels(v: np.ndarray) -> np.ndarray:
+    """The integer that f"{x:.2f}" writes for each finite x in v, without
+    its decimal point. rint(100 x) is that integer unless 100 x lies within
+    its rounding error of a half (1e-6 covers coordinates below 10^7 px);
+    there the text itself decides."""
+    h = v * 100.0
+    unsure = np.flatnonzero(~(np.abs(h - np.floor(h) - 0.5) > 1e-6))
+    k = np.rint(h).astype(np.int64)
+    k[unsure] = [int(f"{x:.2f}".replace(".", "")) for x in v[unsure].tolist()]
+    return k
+
+
+def _kept(vx: np.ndarray, vy: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Indices of the path vertices (pixel coordinates vx, vy; heads marks
+    each subpath's first vertex) that change the drawing at the output's
+    0.01 px resolution.
+
+    On the integer grid of the printed coordinates, a vertex goes when it
+    repeats the point of the vertex before it, or when it lies on the
+    closed segment between its neighbours: the edges into and out of it are
+    parallel and not opposed. Each subpath keeps its first and last vertex.
+    """
+    tails = np.append(heads[1:], True)
+    # a coordinate is NaN only where a segment's dx or dy overflows, and
+    # the clip then makes that segment a subpath of its own, so its two
+    # vertices stay whatever grid point stands in for them
+    gx, gy = (_centipixels(np.where(np.isfinite(v), v, 0.0)) for v in (vx, vy))
+    repeat = (gx[1:] == gx[:-1]) & (gy[1:] == gy[:-1])
+    idx = np.flatnonzero(np.concatenate(([True], ~repeat | heads[1:] | tails[1:])))
+    if idx.size < 3:
+        return idx
+    ex, ey = np.diff(gx[idx]), np.diff(gy[idx])
+    # no edge into an inner vertex is empty; the edge out of one is empty
+    # only where it repeats its subpath's last point, which it then leaves out
+    inner = ~heads[idx][1:-1] & ~tails[idx][1:-1]
+    on = ((ex[:-1] * ey[1:] == ey[:-1] * ex[1:])
+          & (ex[:-1] * ex[1:] + ey[:-1] * ey[1:] >= 0))
+    return idx[np.concatenate(([True], ~(inner & on), [True]))]
 
 
 def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:

@@ -160,3 +160,44 @@ def path_data_oracle(xs, ys, box, px, py) -> str:
             parts.append(f"M {px(ax):.2f} {py(ay):.2f} L {px(bx):.2f} {py(by):.2f}")
         prev_end = (bx, by)
     return " ".join(parts)
+
+
+def _centi(text: str) -> int:
+    return int(text.replace(".", ""))
+
+
+def assert_decimated(got: str, full: str) -> None:
+    """got is the path data full with vertices left out at the 0.01 px grid.
+
+    got keeps a subsequence of full's vertices with the same text, every
+    "M" among them and each subpath's last point. Each vertex it leaves
+    out lies on the printed segment that got draws over it, exactly on the
+    integer grid of the printed coordinates (so within 0.01 px of the kept
+    path). No vertex got keeps inside a subpath repeats the one before it
+    or lies on the segment between its neighbours.
+    """
+    tokens, kept_tokens = full.split(), got.split()
+    verts = [tuple(tokens[i:i + 3]) for i in range(0, len(tokens), 3)]
+    kept = [tuple(kept_tokens[i:i + 3]) for i in range(0, len(kept_tokens), 3)]
+    grid = [(_centi(x), _centi(y)) for _, x, y in kept]
+    j = 0
+    for k, v in enumerate(verts):
+        if j < len(kept) and kept[j] == v:
+            j += 1
+            continue
+        assert v[0] == "L" and j > 0, f"vertex {k} {v} opens a subpath and was left out"
+        if v[1:] == kept[j - 1][1:]:
+            continue  # it repeats the point drawn before it
+        assert j < len(kept) and kept[j][0] == "L", f"vertex {k} {v} ends a subpath"
+        assert _on_segment(grid[j - 1], (_centi(v[1]), _centi(v[2])), grid[j]), \
+            f"vertex {k} {v} is off the kept segment {kept[j - 1]} {kept[j]}"
+    assert j == len(kept), "got holds vertices that full does not"
+    for j in range(1, len(kept) - 1):
+        if kept[j][0] == "L" and kept[j + 1][0] == "L":
+            assert not _on_segment(grid[j - 1], grid[j], grid[j + 1]), f"kept {j} adds nothing"
+
+
+def _on_segment(a, b, c) -> bool:
+    """b lies on the closed segment from a to c (integer points)."""
+    ab, bc = (b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1])
+    return ab[0] * bc[1] == ab[1] * bc[0] and ab[0] * bc[0] + ab[1] * bc[1] >= 0

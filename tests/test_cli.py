@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import threading
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from opcurves import (Dataset, DatasetError, ParseError, PriorMismatchError,
                       SimulationSpecError, ThresholdGrid, operating_points, to_csv)
 from opcurves import cli
-from opcurves.cli import UsageError, _staircase, main
-from helpers import make_random, make_toy
+from opcurves.cli import UsageError, main
+from helpers import assert_decimated, make_random, make_toy, path_data_oracle
 
 
 @pytest.fixture
@@ -160,15 +161,28 @@ class TestRoc:
         assert main(["roc", "--input", toy_csv, "--svg", str(out)]) == 0
         assert "<svg" in out.read_text(encoding="utf-8")
 
-    def test_staircase_nudges_tied_fprs_like_the_loop(self):
+    def test_svg_draws_tied_fprs_as_the_raw_staircase(self, tmp_path):
+        # scores rounded to 0.01 tie, so one fpr carries several tprs: the
+        # points series is the raw polyline, with vertical steps, decimated
         data = make_random(4, n=300, pi_p=0.4)
-        curve = operating_points(Dataset(np.round(data.scores, 2), data.labels))
-        want = []
-        for x in curve.fprs.tolist():
-            while want and x <= want[-1]:
-                x = float(np.nextafter(want[-1], 2.0))
-            want.append(x)
-        assert _staircase(curve, "points", data.priors).xs.tolist() == want
+        data = Dataset(np.round(data.scores, 2), data.labels)
+        curve = operating_points(data)
+        assert np.any(np.diff(curve.fprs) == 0.0)
+        (tmp_path / "tied.csv").write_text(to_csv(data), encoding="utf-8")
+        out = tmp_path / "roc.svg"
+        assert main(["roc", "--input", str(tmp_path / "tied.csv"), "--svg", str(out)]) == 0
+        points = re.search(r'<path d="([^"]*)"', out.read_text(encoding="utf-8")).group(1)
+
+        def px(x):
+            return 58 + (x + 0.02) / 1.04 * 494
+
+        def py(y):
+            return 42 + (1.02 - y) / 1.04 * 386
+
+        full = path_data_oracle(curve.fprs, curve.tprs, (-0.02, 1.02, -0.02, 1.02), px, py)
+        assert_decimated(points, full)
+        xs = points.split()[1::3]
+        assert any(a == b for a, b in zip(xs, xs[1:]))  # a vertical step
 
 
 class TestScore:

@@ -6,8 +6,9 @@ import pytest
 
 from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError,
                       Priors, SimulationSpec, SimulationSpecError, from_csv,
-                      parse_dataset, serialize_dataset, simulate_gaussian, to_csv)
-from opcurves.dataset import _from_csv_fast, _from_csv_rows
+                      parse_dataset, serialize_dataset, simulate_gaussian, to_csv,
+                      write_csv)
+from opcurves.dataset import _PIECE, _from_csv_fast, _from_csv_rows
 from helpers import make_random
 
 
@@ -216,12 +217,29 @@ def test_fuzzed_csv_matches_row_parser():
         _assert_matches_row_parser(_fuzzed_csv(rng))
 
 
-def test_to_csv_matches_elementwise_formatting(toy):
-    for data in (toy, make_random(3, n=500), Dataset(np.array([-0.0, 1.0]), np.array([0, 1]))):
+def test_bodies_longer_than_one_piece_match_the_row_parser():
+    # loadtxt reads the body through StringIOs of _PIECE-character pieces
+    rng = random.Random(7)
+    cells = ["0.5", "1", "\xa00.25", "0.3\u2003", ".75", " 1e-1", "0.30000000000000004"]
+    body = [f"{rng.choice(cells)},{rng.choice('01')}" for _ in range(40_000)]
+    text = "score,label\n" + "\n".join(["0.2,0", "0.8,1"] + body) + "\n"
+    assert len(text) > 4 * _PIECE
+    assert _from_csv_fast(text) is not None
+    _assert_matches_row_parser(text)
+    for cell in ("\u0661", "é", "0.5#"):  # refused by the fast path late in the body
+        _assert_matches_row_parser(text + f"{cell},1\n")
+
+
+def test_to_csv_matches_elementwise_formatting(toy, tmp_path):
+    # 2 * 2^14 + 5 rows: chunk boundaries in the streamed text
+    for data in (toy, make_random(3, n=500), Dataset(np.array([-0.0, 1.0]), np.array([0, 1])),
+                 make_random(5, n=2 * (1 << 14) + 5)):
         # repr of each numpy scalar, the reference for to_csv's tolist() pass
         rows = [f"{float(s)!r},{int(l)}" for s, l in zip(data.scores, data.labels)]
         assert to_csv(data) == "\n".join(["score,label"] + rows) + "\n"
         assert serialize_dataset(data) == tuple(tuple(r.split(",")) for r in rows)
+        write_csv(data, str(tmp_path / "d.csv"))
+        assert (tmp_path / "d.csv").read_text(encoding="utf-8") == to_csv(data)
 
 
 def test_priors_validation():

@@ -222,3 +222,16 @@ def test_envelope_on_random_data_majorizes_every_point():
         for p in operating_points(data).points:
             nb = net_benefit(p.tpr, p.fpr, data.priors, grid.values)
             assert np.all(env.ys - nb >= -1e-12)
+
+
+def test_curves_on_a_grid_share_its_values():
+    # so the writers format the grid once for every curve on it
+    grid = ThresholdGrid.regular(0.0, 0.9, 0.1)
+    data = make_random(1)
+    assert decision_curve(data, grid).xs is grid.values
+    assert all(c.xs is grid.values for c in baseline_decision_curves(data.priors, grid))
+    xs = np.linspace(0.0, 1.0, 5)
+    curve = Curve(xs=xs, ys=xs, series="model", priors=data.priors)
+    xs[0] = -1.0  # a writable array is copied
+    assert curve.xs[0] == 0.0
+    assert not curve.xs.flags.writeable and not curve.ys.flags.writeable

@@ -1,8 +1,10 @@
 """Every CLI command with every output, pinned by SHA-256.
 
-The output writers build their text from whole arrays; these hashes were
-taken from the element-at-a-time writers they replace, so any changed byte
-in a CSV, JSON or SVG file fails here.
+The output writers build their text from whole arrays; the CSV and JSON
+hashes were taken from the element-at-a-time writers they replace, so any
+changed byte in those files fails here. The SVG hashes were taken when the
+renderer began to leave out the path vertices the 0.01 px grid cannot show;
+tests/test_render.py checks such paths against the full ones.
 """
 
 import hashlib
@@ -37,7 +39,7 @@ GOLDEN = {
         'brier.json':
             'fb25c315104e0dd0dae338edfcd816073036872842265c8c0f8093e8de17bc41',
         'brier.svg':
-            '85bcbd8737ed0f8ade2abb2f95fc1e195f1efabb219c50866726f05a836c014c',
+            '667504bcc87eb0484be70f007dfe470cf217b8016fdd0e4d7976c3840666aa99',
     },
     ('toy', 'compare'): {
         'compare.json':
@@ -47,7 +49,7 @@ GOLDEN = {
         'cost.csv':
             '608c5866fd92d2110d953f24fb076a706b912bea63cf27048c9249bbf8390b32',
         'cost.svg':
-            '214f2730497a13f3158e27c1e2a7c0a10feb7e647a6d115a787020a25dddc596',
+            'aa49bc386c3cc9f6f22d3ae6f242335c8deca7bbde9eaf509d91a59593efebe9',
     },
     ('toy', 'dca'): {
         'dca.csv':
@@ -55,13 +57,13 @@ GOLDEN = {
         'dca.json':
             'fda0df04bcbb9cb24db83799f8f3a18b681f736c533a6e6d68ba1754c8309fc5',
         'dca.svg':
-            '8600c6a8c77bc705897f88cc9df1ad96cdb7d71a2bb185f1c3a16849b0339112',
+            'bf97bf78e838aa90d47a731016aa54da292e921694ecd13539b48035d01295f2',
     },
     ('toy', 'dca_brier_scaled'): {
         'dca.csv':
             '6f0c0b4a10600efb0d2f55217e8444e7aef288cb79f1da2fde586b96848ab0e5',
         'dca.svg':
-            '140ea1bcdeb00a90f32e68ed79cab331263de51a4bf774d819006a083aa7964d',
+            'a5cdad53bc4a20859ad87a18cd7deb9cd9ea4043969fef42d09f580634220937',
     },
     ('toy', 'isometrics'): {
         'isometrics.csv':
@@ -75,7 +77,7 @@ GOLDEN = {
         'roc.csv':
             'd48efbcf51cea1a03e68e19a2cf703a419a8766df1b2dcaccd50d45b91ec8330',
         'roc.svg':
-            '8b0c7c5dac755c891933957b177407fea4e27c9e9c8eff7851fd452c2a360202',
+            '7d2e44f9abe18238193042f51bc02f508e32693eb73dafe5ed6038ef723c50ca',
     },
     ('toy', 'score'): {
         'score.json':
@@ -87,7 +89,7 @@ GOLDEN = {
         'brier.json':
             '2520c9b186460107aae231c177e935dfaea66a597ca42f3265312f19b1a0879f',
         'brier.svg':
-            'd8d124387120cdc8535fea1f2f007250442f5b355c44b1c2f885ac600652da55',
+            '38e9fd3d2bf8d0bbd4e3a101cffcecbc8ad3066d4d1c178e7f108dcf2d4cbc78',
     },
     ('sim', 'compare'): {
         'compare.json':
@@ -97,7 +99,7 @@ GOLDEN = {
         'cost.csv':
             '568f63a0a7717fa58fc8118688d195b118d35a129a413255740bc66b0784b1e3',
         'cost.svg':
-            'b41e155105cf164b71170bf5d4b47a3fc0b215d5ec348176de146b30f7477bc9',
+            '192c2b47d6e3b43feabd62338165e0fb4c563e3433a4213b0fee09a599cde909',
     },
     ('sim', 'dca'): {
         'dca.csv':
@@ -105,7 +107,7 @@ GOLDEN = {
         'dca.json':
             '9da7205b477e2f9b6b288949079e90cc18b45f48748e9bb6c02a4a826a247403',
         'dca.svg':
-            'edb69e184f6a31747a40192626b93ce6bb328266bc80270c1a0411a4835e946e',
+            '69915c744ec8868176521808577fb7d800279a32cd20164ce977273afa931b3a',
         'a.csv':
             '61d3fb2bf22de8b8db1fb8e1233473a575bbce25436dd2406ad0bc1e61d2bcef',
     },
@@ -113,7 +115,7 @@ GOLDEN = {
         'dca.csv':
             '94c75dfd7f00bc3cdd4ee5c4bfe8e1ff9fcbbd5e9919fd8ba5edc20af9625201',
         'dca.svg':
-            'cfcd50d9bf71dfe1577a8df118d769117079a218ebe38a7dba681eef4c8f8c26',
+            '3bd2160f37b3f9cb9a662497114c8a59d62a5e4ba07788bd392bc72e4ae63220',
     },
     ('sim', 'isometrics'): {
         'isometrics.csv':
@@ -127,7 +129,7 @@ GOLDEN = {
         'roc.csv':
             '99e5ba2925ef634a6f023f65395469b1ac8167a186a17d954f3de59453e15c2f',
         'roc.svg':
-            'b4c0f3373730a60d2ce2846ca0778c884297713536fa5566fe522e45ee3bab07',
+            '486e08eade9df609bf7d42f21d2b6a845ceb6656f67f440c0afa846dde7d2c78',
     },
     ('sim', 'score'): {
         'score.json':

@@ -2,13 +2,15 @@ import json
 import os
 import stat
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opcurves.output import Records, csv_rows, json_text, replaces, write_text
+from opcurves import output
+from opcurves.output import Records, csv_rows, json_text, replaces, write_text, xy_csv
 
 FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, float("nan"),
                                                  float("inf"), float("-inf")]))
@@ -79,6 +81,59 @@ def test_csv_rows_match_repr_rows(n):
     xs, ys = rng.random(n), rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, n)
     want = "".join(f"{float(x)!r},{float(y)!r},a{{b}}%s\n" for x, y in zip(xs, ys))
     assert "".join(csv_rows(xs, ys, "a{b}%s")) == want
+
+
+class _CountingFloat:
+    """Stands in for float in opcurves.output, counting float.__repr__ calls."""
+    calls = 0
+
+    @staticmethod
+    def __repr__(x):
+        _CountingFloat.calls += 1
+        return float.__repr__(x)
+
+
+def _runs(values):
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    return int(bits.size and 1 + np.count_nonzero(bits[1:] != bits[:-1]))
+
+
+def test_csv_rows_format_each_run_once():
+    c = output._CSV_CHUNK
+    other_nan = (np.array([np.nan]).view(np.int64) ^ 1).view(np.float64)[0]
+    # runs across both chunk boundaries, 0.0 next to -0.0, two NaN payloads
+    xs = np.repeat([0.1, -0.0, 0.0, np.nan, other_nan, np.inf, -np.inf, 0.3],
+                   [c - 3, 2, 2, 3, 2, 1, 1, c + 5])
+    ys = np.arange(xs.size) // 7 / 3
+    want = "".join(f"{x!r},{y!r},t\n" for x, y in zip(xs.tolist(), ys.tolist()))
+    _CountingFloat.calls = 0
+    with mock.patch.object(output, "float", _CountingFloat, create=True):
+        assert "".join(csv_rows(xs, ys, "t")) == want
+    assert _CountingFloat.calls == _runs(xs) + _runs(ys) == 8 + -(-xs.size // 7)
+
+
+def test_xy_csv_formats_a_shared_x_array_once():
+    grid = np.linspace(0.0, 1.0, 3 * output._CSV_CHUNK)
+    series = [(grid, grid * k, f"s{k}") for k in range(3)] + [(grid * 2, grid + 1, "own")]
+    want = "x,y,series\n" + "".join(
+        f"{x!r},{y!r},{tag}\n" for xs, ys, tag in series for x, y in zip(xs.tolist(), ys.tolist()))
+    with mock.patch.object(output, "_repr_chunks", wraps=output._repr_chunks) as fmt:
+        assert "".join(xy_csv(series)) == want
+    assert [a.args[0] is grid for a in fmt.call_args_list].count(True) == 1
+    assert fmt.call_count == 6
+
+
+def test_json_text_formats_a_shared_array_once():
+    grid = np.linspace(0.0, 1.0, 41)
+    obj = {"grid": grid, "series": [{"x": grid, "y": grid * k} for k in range(3)],
+           "per_t": Records({"t": grid, "v": -grid}), "other": np.arange(3.0)}
+    ref = {"grid": grid.tolist(),
+           "series": [{"x": grid.tolist(), "y": (grid * k).tolist()} for k in range(3)],
+           "per_t": [{"t": t, "v": -t} for t in grid.tolist()], "other": [0.0, 1.0, 2.0]}
+    with mock.patch.object(output, "_scalar_texts", wraps=output._scalar_texts) as fmt:
+        assert json_text(obj) == json.dumps(ref, indent=2)
+    assert [a.args[0] is grid for a in fmt.call_args_list].count(True) == 1
+    assert fmt.call_count == 6
 
 
 class TestWriteText:

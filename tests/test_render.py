@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opcurves import (Curve, PlotSeries, PlotSpec, Priors, RenderError, SeriesStyle,
-                      cost_line, isometric_line, render_svg, write_svg)
+from opcurves import (Curve, PlotSeries, PlotSpec, Polyline, Priors, RenderError,
+                      SeriesStyle, cost_line, isometric_line, render_svg, write_svg)
 from opcurves import render
 from opcurves.roc import OperatingPoint
-from helpers import path_data_oracle
+from helpers import assert_decimated, path_data_oracle
 
 PRIORS = Priors(pi_p=0.25, pi_n=0.75)
 
@@ -115,13 +115,38 @@ def test_rejects_non_finite_curve():
         render_svg(_spec(series=(PlotSeries(data=bad),)))
 
 
+def test_polyline_x_may_repeat_and_go_back():
+    stairs = Polyline(xs=[0.0, 0.0, 0.5, 0.5, 0.2], ys=[0.0, 0.4, 0.4, 0.9, 0.9], series="stairs")
+    text = render_svg(_spec(series=(PlotSeries(data=stairs),)))
+    ET.fromstring(text)
+    assert "stairs" in text
+    assert text.count("<path") == 1
+
+
+def test_polyline_validation():
+    with pytest.raises(ValueError):
+        Polyline(xs=[0.0, 1.0], ys=[0.0], series="a")
+    with pytest.raises(ValueError):
+        Polyline(xs=[], ys=[], series="a")
+    with pytest.raises(ValueError):
+        Polyline(xs=[0.0], ys=[0.0], series="")
+
+
+def test_rejects_non_finite_x():
+    bad = Polyline(xs=[0.0, np.inf], ys=[0.0, 1.0], series="stairs")
+    with pytest.raises(RenderError, match="non-finite value at x=inf"):
+        render_svg(_spec(series=(PlotSeries(data=bad),)))
+
+
 def test_write_svg(tmp_path):
     path = tmp_path / "plot.svg"
     write_svg(_spec(), str(path))
     assert path.read_text(encoding="utf-8").startswith("<svg")
 
 
-# The vectorised path builder against the one-segment-at-a-time oracle.
+# The vectorised path builder against the one-segment-at-a-time oracle:
+# the same vertices with the same text, less those that the 0.01 px grid
+# of the text cannot tell apart from the path without them.
 
 BOX = (-0.02, 1.02, -0.02, 1.02)
 
@@ -139,13 +164,8 @@ def _same_paths(polylines, box=BOX):
                  for xs, ys in polylines]
     got = render._path_data(polylines, box, _px, _py)
     assert len(got) == len(polylines)
-    for k, ((xs, ys), path) in enumerate(zip(polylines, got)):
-        want = path_data_oracle(xs, ys, box, _px, _py)
-        if path != want:  # report the first difference, not a diff of megabytes
-            i = next((j for j, (a, b) in enumerate(zip(path, want)) if a != b),
-                     min(len(path), len(want)))
-            pytest.fail(f"polyline {k} differs at {i}: "
-                        f"{path[i - 40:i + 40]!r} != {want[i - 40:i + 40]!r}")
+    for (xs, ys), path in zip(polylines, got):
+        assert_decimated(path, path_data_oracle(xs, ys, box, _px, _py))
     return got
 
 
@@ -217,5 +237,41 @@ VERTEX = st.tuples(st.sampled_from([-0.5, -0.02, 0.0, 0.3, 0.3, 1.0, 1.02, 1.7])
        st.integers(1, 4))
 def test_path_matches_oracle_across_small_chunks(polylines, chunk):
     polylines = [tuple(np.array(v, dtype=np.float64) for v in zip(*vs)) for vs in polylines]
+    whole = render._path_data(polylines, BOX, _px, _py)
     with mock.patch.object(render, "_CHUNK", chunk):
-        _same_paths(polylines)
+        # each chunk is thinned on its own first; the pass over what every
+        # chunk kept must leave the path that one pass over all of it leaves
+        assert _same_paths(polylines) == whole
+
+
+def test_dense_staircase_collapses_on_the_grid():
+    # an ROC staircase of 6*10^4 rows: each step moves fpr or tpr, by
+    # 0.003 px or 0.03 px; vertical runs and repeated points go
+    rng = np.random.default_rng(11)
+    pos = rng.random(60_000) < 0.1
+    fpr = np.concatenate(([0.0], np.cumsum(~pos) / np.count_nonzero(~pos)))
+    tpr = np.concatenate(([0.0], np.cumsum(pos) / np.count_nonzero(pos)))
+    path = _same_path(fpr, tpr)
+    assert path.count(" L ") < fpr.size // 4
+    assert path.startswith("M 67.50 420.58 ") and path.endswith(" L 542.50 49.42")
+
+
+def test_non_finite_vertices_are_kept():
+    # a finite span so wide that dx overflows clips to NaN coordinates, in a
+    # subpath of its own
+    xs = np.array([-1e308, 1e308, 0.5, 0.5, 0.5])
+    ys = np.array([0.5, 0.5, 0.2, 0.3, 0.4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        full = path_data_oracle(xs, ys, BOX, _px, _py)
+        got = render._path_data([(xs, ys)], BOX, _px, _py)[0]
+    assert full.startswith("M nan 235.00 L nan 235.00 M 67.50 346.35 L 67.50 346.35 ")
+    assert got == full.replace(" L 305.00 309.23", "")
+
+
+@given(st.lists(st.one_of(st.floats(0.0, 1e5), st.integers(0, 8 * 10**7).map(lambda k: k / 800),
+                          st.integers(0, 10**7).map(lambda k: k / 200 + 1e-12)), min_size=1))
+def test_centipixels_are_the_printed_digits(values):
+    # k / 800 and k / 200 hit the halves of a centipixel exactly or nearly
+    v = np.array(values)
+    want = [int(f"{x:.2f}".replace(".", "")) for x in values]
+    assert render._centipixels(v).tolist() == want
