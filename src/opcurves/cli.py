@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,32 +36,6 @@ _COST_GRID = "0:1:0.005"
 
 class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 1."""
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs; produced by the arg parser."""
-
-    command: str
-    input: str | None = None
-    input_b: str | None = None
-    grid: ThresholdGrid | None = None
-    scheme: UtilityScheme | None = None
-    upper_envelope: bool = False
-    csv_path: str | None = None
-    svg_path: str | None = None
-    json_path: str | None = None
-    out_path: str | None = None
-    n: int = 10000
-    pi_p: float | None = None
-    mu_n: float = 0.4
-    sd_n: float = 0.12
-    mu_p: float = 0.6
-    sd_p: float = 0.12
-    seed: int = 0
-    metric: str | None = None
-    levels: tuple[float, ...] = field(default_factory=tuple)
-    t: float | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -175,31 +148,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_config(argv: list[str] | None = None) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for name in vars(cfg):
-        if hasattr(ns, name) and getattr(ns, name) is not None:
-            setattr(cfg, name, getattr(ns, name))
-    if cfg.command in ("dca", "compare"):
-        cfg.grid = _threshold_grid(ns.grid)
-    elif cfg.command in ("cost", "brier"):
-        cfg.grid = _parse_grid(ns.grid)
-    if cfg.command == "dca":
-        cfg.scheme = (UtilityScheme.brier_scaled() if ns.scheme == "brier_scaled"
-                      else UtilityScheme.dca())
-    if cfg.command == "isometrics":
-        cfg.levels = _parse_levels(ns.levels)
-    return cfg
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """The argparse namespace, with the grid, scheme and levels parsed."""
+    args = _build_parser().parse_args(argv)
+    if args.command in ("dca", "compare"):
+        args.grid = _threshold_grid(args.grid)
+    elif args.command in ("cost", "brier"):
+        args.grid = _parse_grid(args.grid)
+    if args.command == "dca":
+        args.scheme = (UtilityScheme.brier_scaled() if args.scheme == "brier_scaled"
+                       else UtilityScheme.dca())
+    if args.command == "isometrics":
+        args.levels = _parse_levels(args.levels)
+    return args
 
 
-def _check_outputs(cfg: RunConfig) -> None:
+def _check_outputs(args: argparse.Namespace) -> None:
     """Refuse output paths that cannot be written before computing anything.
 
     A path write_text replaces needs a writable directory; an existing path
     it writes through (a device, a FIFO, a symlink) needs to be writable.
     """
-    for path in (cfg.csv_path, cfg.svg_path, cfg.json_path, cfg.out_path):
+    for name in ("csv_path", "svg_path", "json_path", "out_path"):
+        path = getattr(args, name, None)
         if not path:
             continue
         if os.path.isdir(path):
@@ -229,13 +200,11 @@ def _series_json(curves: list[Curve]) -> list[dict]:
     return [{"series": c.series, "x": c.xs, "y": c.ys} for c in curves]
 
 
-def _report_scaffold(cfg: RunConfig, data: Dataset) -> dict:
-    out = {"command": cfg.command,
-           "input": cfg.input,
-           "priors": {"pi_p": data.pi_p, "pi_n": data.pi_n}}
-    if cfg.grid is not None:
-        out["grid"] = cfg.grid.values
-    return out
+def _report_scaffold(args: argparse.Namespace, data: Dataset) -> dict:
+    return {"command": args.command,
+            "input": args.input,
+            "priors": {"pi_p": data.pi_p, "pi_n": data.pi_n},
+            "grid": args.grid.values}
 
 
 def _line_curve(line, grid: ThresholdGrid, series: str, priors) -> Curve:
@@ -250,174 +219,173 @@ def _plot(path: str, title: str, x_label: str, y_label: str,
     print(f"wrote {path}")
 
 
-def _run_dca(cfg: RunConfig) -> int:
-    data = read_csv(cfg.input)
-    curves = [decision_curve(data, cfg.grid, cfg.scheme)]
-    curves.extend(baseline_decision_curves(data.priors, cfg.grid, cfg.scheme))
-    if cfg.upper_envelope:
+def _run_dca(args: argparse.Namespace) -> int:
+    data = read_csv(args.input)
+    curves = [decision_curve(data, args.grid, args.scheme)]
+    curves.extend(baseline_decision_curves(data.priors, args.grid, args.scheme))
+    if args.upper_envelope:
         hull = convex_hull(operating_points(data))
-        curves.append(upper_envelope_decision_curve(hull, data.priors, cfg.grid, cfg.scheme))
+        curves.append(upper_envelope_decision_curve(hull, data.priors, args.grid, args.scheme))
     model = curves[0]
     peak = int(np.argmax(model.ys))
     print(f"model net benefit peaks at t={float(model.xs[peak]):.6g} "
           f"with value {float(model.ys[peak]):.6g}")
-    if cfg.csv_path:
-        _write_text(cfg.csv_path, _curves_csv(curves))
-    if cfg.svg_path:
+    if args.csv_path:
+        _write_text(args.csv_path, _curves_csv(curves))
+    if args.svg_path:
         ymax = max(float(np.max(c.ys)) for c in curves)
         y_range = (-0.15 * max(ymax, 1e-9), 1.08 * max(ymax, 1e-9))
         styles = {"model": SeriesStyle(), "treat_all": SeriesStyle(dash="6,3"),
                   "treat_none": SeriesStyle(dash="2,3"), "upper_envelope": SeriesStyle(width=2.2)}
         entries = [PlotSeries(data=c, style=styles.get(c.series, SeriesStyle()))
                    for c in curves]
-        _plot(cfg.svg_path, "Decision curves", "threshold t", "net benefit",
-              entries, (float(cfg.grid.values[0]), float(cfg.grid.values[-1])), y_range)
-    if cfg.json_path:
-        report = _report_scaffold(cfg, data)
-        report["scheme"] = cfg.scheme.kind
+        _plot(args.svg_path, "Decision curves", "threshold t", "net benefit",
+              entries, (float(args.grid.values[0]), float(args.grid.values[-1])), y_range)
+    if args.json_path:
+        report = _report_scaffold(args, data)
+        report["scheme"] = args.scheme.kind
         report["series"] = _series_json(curves)
-        _write_text(cfg.json_path, json_text(report) + "\n")
+        _write_text(args.json_path, json_text(report) + "\n")
     return EXIT_OK
 
 
-def _run_cost(cfg: RunConfig) -> int:
-    data = read_csv(cfg.input)
+def _run_cost(args: argparse.Namespace) -> int:
+    data = read_csv(args.input)
     hull = convex_hull(operating_points(data))
     priors = data.priors
-    env = lower_envelope(hull, priors, cfg.grid)
+    env = lower_envelope(hull, priors, args.grid)
     all_pos, all_neg = baseline_cost_lines(priors)
     curves = [env,
-              _line_curve(all_pos, cfg.grid, "all_positive", priors),
-              _line_curve(all_neg, cfg.grid, "all_negative", priors)]
+              _line_curve(all_pos, args.grid, "all_positive", priors),
+              _line_curve(all_neg, args.grid, "all_negative", priors)]
     print(f"lower envelope peaks at {float(np.max(env.ys)):.6g} "
           f"over {len(hull.points)} hull points")
-    if cfg.csv_path:
-        _write_text(cfg.csv_path, _curves_csv(curves))
-    if cfg.svg_path:
+    if args.csv_path:
+        _write_text(args.csv_path, _curves_csv(curves))
+    if args.svg_path:
         entries = [PlotSeries(data=env, style=SeriesStyle(width=2.4))]
         entries.append(PlotSeries(data=curves[1], style=SeriesStyle(dash="6,3")))
         entries.append(PlotSeries(data=curves[2], style=SeriesStyle(dash="2,3")))
         grey = SeriesStyle(color="#b0b0b0", width=1.0)
-        entries.extend(PlotSeries(data=cost_line(p, priors), style=grey)
-                       for p in hull.points)
+        lines = [cost_line(p, priors) for p in hull.points]
+        entries.extend(PlotSeries(data=line, style=grey) for line in lines)
         ymax = max(max(float(np.max(c.ys)) for c in curves),
-                   max(cost_line(p, priors).value_at(1.0) for p in hull.points))
-        _plot(cfg.svg_path, "Cost curves", "cost proportion c", "normalized expected loss",
+                   max(line.value_at(1.0) for line in lines))
+        _plot(args.svg_path, "Cost curves", "cost proportion c", "normalized expected loss",
               entries, (0.0, 1.0), (0.0, 1.06 * max(ymax, 1e-9)))
     return EXIT_OK
 
 
-def _run_brier(cfg: RunConfig) -> int:
-    data = read_csv(cfg.input)
+def _run_brier(args: argparse.Namespace) -> int:
+    data = read_csv(args.input)
     priors = data.priors
-    dec = loss_decomposition(data, cfg.grid)
+    dec = loss_decomposition(data, args.grid)
     all_pos, all_neg = baseline_cost_lines(priors)
     curves = [dec.brier_curve, dec.lower_envelope,
-              _line_curve(all_pos, cfg.grid, "all_positive", priors),
-              _line_curve(all_neg, cfg.grid, "all_negative", priors)]
+              _line_curve(all_pos, args.grid, "all_positive", priors),
+              _line_curve(all_neg, args.grid, "all_negative", priors)]
     print(f"brier_score={dec.brier_score:.6f} refinement={dec.refinement:.6f} "
           f"calibration={dec.calibration:.6f}")
-    if cfg.csv_path:
-        _write_text(cfg.csv_path, _curves_csv(curves))
-    if cfg.svg_path:
+    if args.csv_path:
+        _write_text(args.csv_path, _curves_csv(curves))
+    if args.svg_path:
         styles = {"brier": SeriesStyle(width=2.0), "lower_envelope": SeriesStyle(width=2.0),
                   "all_positive": SeriesStyle(dash="6,3"), "all_negative": SeriesStyle(dash="2,3")}
         entries = [PlotSeries(data=c, style=styles[c.series]) for c in curves]
         ymax = max(float(np.max(c.ys)) for c in curves)
-        _plot(cfg.svg_path, "Brier curve", "cost proportion c = t", "normalized expected loss",
-              entries, (float(cfg.grid.values[0]), float(cfg.grid.values[-1])),
+        _plot(args.svg_path, "Brier curve", "cost proportion c = t", "normalized expected loss",
+              entries, (float(args.grid.values[0]), float(args.grid.values[-1])),
               (0.0, 1.06 * max(ymax, 1e-9)))
-    if cfg.json_path:
-        report = _report_scaffold(cfg, data)
+    if args.json_path:
+        report = _report_scaffold(args, data)
         report.update({"brier_score": dec.brier_score, "refinement_loss": dec.refinement,
                        "calibration_loss": dec.calibration, "series": _series_json(curves)})
-        _write_text(cfg.json_path, json_text(report) + "\n")
+        _write_text(args.json_path, json_text(report) + "\n")
     return EXIT_OK
 
 
-def _run_roc(cfg: RunConfig) -> int:
-    data = read_csv(cfg.input)
+def _run_roc(args: argparse.Namespace) -> int:
+    data = read_csv(args.input)
     curve = operating_points(data)
     hull = convex_hull(curve)
     print(f"{len(curve.points)} operating points, {len(hull.points)} on the hull, "
           f"hull area {hull.auc():.6f}")
-    if cfg.csv_path:
-        _write_text(cfg.csv_path, xy_csv([(curve.fprs, curve.tprs, "points"),
+    if args.csv_path:
+        _write_text(args.csv_path, xy_csv([(curve.fprs, curve.tprs, "points"),
                                           (hull.fprs, hull.tprs, "hull")]))
-    if cfg.svg_path:
+    if args.svg_path:
         chance = Polyline(xs=[0.0, 1.0], ys=[0.0, 1.0], series="chance")
         entries = [PlotSeries(data=Polyline(xs=curve.fprs, ys=curve.tprs, series="points")),
                    PlotSeries(data=Polyline(xs=hull.fprs, ys=hull.tprs, series="hull"),
                               style=SeriesStyle(width=2.2)),
                    PlotSeries(data=chance, style=SeriesStyle(color="#999999", dash="4,4"))]
-        _plot(cfg.svg_path, "ROC", "false positive rate", "true positive rate",
+        _plot(args.svg_path, "ROC", "false positive rate", "true positive rate",
               entries, (-0.02, 1.02), (-0.02, 1.02))
     return EXIT_OK
 
 
-def _run_score(cfg: RunConfig) -> int:
-    data = read_csv(cfg.input)
+def _run_score(args: argparse.Namespace) -> int:
+    data = read_csv(args.input)
     dec = loss_decomposition(data, ThresholdGrid.cost_default())
-    report = {"command": "score", "input": cfg.input, "n": data.n,
+    report = {"command": "score", "input": args.input, "n": data.n,
               "priors": {"pi_p": data.pi_p, "pi_n": data.pi_n},
               "brier_score": dec.brier_score,
               "refinement_loss": dec.refinement,
               "calibration_loss": dec.calibration}
     text = json_text(report)
     print(text)
-    if cfg.json_path:
-        _write_text(cfg.json_path, text + "\n")
+    if args.json_path:
+        _write_text(args.json_path, text + "\n")
     return EXIT_OK
 
 
-def _run_compare(cfg: RunConfig) -> int:
-    data_a = read_csv(cfg.input)
-    data_b = read_csv(cfg.input_b)
-    report = compare_models(data_a, data_b, cfg.grid)
-    if cfg.json_path:
-        _write_text(cfg.json_path, report.to_json() + "\n")
+def _run_compare(args: argparse.Namespace) -> int:
+    data_a = read_csv(args.input)
+    data_b = read_csv(args.input_b)
+    report = compare_models(data_a, data_b, args.grid)
+    if args.json_path:
+        _write_text(args.json_path, report.to_json() + "\n")
         print(f"agree_at_all_t={str(report.agree_at_all_t).lower()}")
     else:
         print(report.to_json())
     return EXIT_OK
 
 
-def _run_isometrics(cfg: RunConfig) -> int:
-    if cfg.input is not None and cfg.pi_p is not None:
+def _run_isometrics(args: argparse.Namespace) -> int:
+    if args.input is not None and args.pi_p is not None:
         raise UsageError("pass either --input or --pi-p, not both")
-    if cfg.input is not None:
-        priors = read_csv(cfg.input).priors
-    elif cfg.pi_p is not None:
-        if not 0.0 < cfg.pi_p < 1.0:
+    if args.input is not None:
+        priors = read_csv(args.input).priors
+    elif args.pi_p is not None:
+        if not 0.0 < args.pi_p < 1.0:
             raise UsageError("--pi-p must lie strictly inside (0, 1)")
-        priors = Priors(pi_p=cfg.pi_p, pi_n=1.0 - cfg.pi_p)
+        priors = Priors(pi_p=args.pi_p, pi_n=1.0 - args.pi_p)
     else:
         raise UsageError("isometrics needs --pi-p or --input for the prevalence")
-    if cfg.metric == "accuracy" and cfg.t is not None:
+    if args.metric == "accuracy" and args.t is not None:
         raise UsageError("accuracy isometrics take no --t")
-    if cfg.metric != "accuracy" and cfg.t is None:
-        raise UsageError(f"{cfg.metric} isometrics need --t")
+    if args.metric != "accuracy" and args.t is None:
+        raise UsageError(f"{args.metric} isometrics need --t")
     lines = ["metric,level,t,gradient,intercept"]
-    for level in cfg.levels:
-        ln = isometric_line(cfg.metric, float(level), priors, cfg.t)
+    for level in args.levels:
+        ln = isometric_line(args.metric, float(level), priors, args.t)
         t_txt = "" if ln.t is None else repr(float(ln.t))
         lines.append(f"{ln.metric},{float(ln.level)!r},{t_txt},"
                      f"{float(ln.gradient)!r},{float(ln.intercept)!r}")
     text = "\n".join(lines) + "\n"
-    if cfg.csv_path:
-        _write_text(cfg.csv_path, text)
+    if args.csv_path:
+        _write_text(args.csv_path, text)
     else:
         print(text, end="")
     return EXIT_OK
 
 
-def _run_simulate(cfg: RunConfig) -> int:
-    spec = SimulationSpec(n=cfg.n, pi_p=cfg.pi_p if cfg.pi_p is not None else 0.2,
-                          mu_n=cfg.mu_n, sigma_n=cfg.sd_n,
-                          mu_p=cfg.mu_p, sigma_p=cfg.sd_p, seed=cfg.seed)
+def _run_simulate(args: argparse.Namespace) -> int:
+    spec = SimulationSpec(n=args.n, pi_p=args.pi_p, mu_n=args.mu_n, sigma_n=args.sd_n,
+                          mu_p=args.mu_p, sigma_p=args.sd_p, seed=args.seed)
     data = simulate_gaussian(spec)
-    write_csv(data, cfg.out_path)
-    print(f"wrote {cfg.out_path} ({data.n} samples, {data.n_p} positive, seed {cfg.seed})")
+    write_csv(data, args.out_path)
+    print(f"wrote {args.out_path} ({data.n} samples, {data.n_p} positive, seed {args.seed})")
     return EXIT_OK
 
 
@@ -433,12 +401,10 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
-    handler = _HANDLERS.get(cfg.command)
-    if handler is None:
-        raise UsageError(f"unknown command {cfg.command!r}")
-    _check_outputs(cfg)
-    return handler(cfg)
+def run(args: argparse.Namespace) -> int:
+    """Check the output paths, then run the command of a parsed namespace."""
+    _check_outputs(args)
+    return _HANDLERS[args.command](args)
 
 
 # first match wins: SimulationSpecError subclasses DatasetError and every
@@ -456,7 +422,7 @@ _EXIT_CODES = (
 def main(argv: list[str] | None = None) -> int:
     """Parse argv and run; returns the exit code instead of exiting."""
     try:
-        return run(parse_config(argv))
+        return run(_parse_args(argv))
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

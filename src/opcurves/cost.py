@@ -78,10 +78,8 @@ def loss_cp(tpr: ArrayLike, fpr: ArrayLike, priors: Priors, c: ArrayLike) -> Arr
     Computed as intercept + c * slope with the exact arrangement used by
     CostLine, so evaluating a point's line reproduces this bit for bit.
     """
-    tpr = np.asarray(tpr, dtype=np.float64)
-    fpr = np.asarray(fpr, dtype=np.float64)
-    intercept = 2.0 * priors.pi_p * (1.0 - tpr)
-    slope = 2.0 * (priors.pi_n * fpr - priors.pi_p * (1.0 - tpr))
+    slope, intercept = _line(np.asarray(tpr, dtype=np.float64),
+                             np.asarray(fpr, dtype=np.float64), priors)
     return _unwrap(np.asarray(intercept + np.asarray(c, dtype=np.float64) * slope))
 
 
@@ -91,9 +89,16 @@ def cost_line(point: OperatingPoint, priors: Priors) -> CostLine:
     gradient 2(pi_N FPR - pi_P(1 - TPR)), intercept 2 pi_P (1 - TPR); the
     line is horizontal exactly when pi_N FPR = pi_P (1 - TPR).
     """
-    slope = 2.0 * (priors.pi_n * point.fpr - priors.pi_p * (1.0 - point.tpr))
-    intercept = 2.0 * priors.pi_p * (1.0 - point.tpr)
+    slope, intercept = _line(point.tpr, point.fpr, priors)
     return CostLine(slope=slope, intercept=intercept, source=point)
+
+
+def _line(tpr, fpr, priors: Priors):
+    """(slope, intercept) of the cost line of rates (tpr, fpr), floats or
+    arrays; the one place their float operations are written."""
+    slope = 2.0 * (priors.pi_n * fpr - priors.pi_p * (1.0 - tpr))
+    intercept = 2.0 * priors.pi_p * (1.0 - tpr)
+    return slope, intercept
 
 
 def baseline_cost_lines(priors: Priors) -> tuple[CostLine, CostLine]:
@@ -111,7 +116,7 @@ def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve
     "lower_envelope"): the best loss any attainable classifier reaches at
     each cost proportion."""
     _require_hull(hull)
-    slopes, intercepts = _hull_lines(hull, priors)
+    slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
     vals = intercepts[:, None] + grid.values[None, :] * slopes[:, None]
     return Curve(xs=grid.values, ys=np.min(vals, axis=0),
                  series="lower_envelope", priors=priors)
@@ -121,16 +126,10 @@ def lower_envelope_support(hull: RocCurve, priors: Priors,
                            c: float) -> tuple[OperatingPoint, ...]:
     """Hull points whose lines attain the envelope at c, within 1e-12."""
     _require_hull(hull)
-    slopes, intercepts = _hull_lines(hull, priors)
+    slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
     vals = intercepts + float(c) * slopes
     best = float(np.min(vals))
     return tuple(hull.points[i] for i in np.flatnonzero(vals <= best + _TOL))
-
-
-def _hull_lines(hull: RocCurve, priors: Priors) -> tuple[np.ndarray, np.ndarray]:
-    slopes = 2.0 * (priors.pi_n * hull.fprs - priors.pi_p * (1.0 - hull.tprs))
-    intercepts = 2.0 * priors.pi_p * (1.0 - hull.tprs)
-    return slopes, intercepts
 
 
 def _brier_terms(tpr: np.ndarray, fpr: np.ndarray, priors: Priors,
@@ -196,7 +195,7 @@ def refinement_loss(hull: RocCurve, priors: Priors) -> float:
     switch points where consecutive vertices' lines intersect.
     """
     _require_hull(hull)
-    slopes, intercepts = _hull_lines(hull, priors)
+    slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
     if slopes.size == 1:
         lo = np.array([0.0])
         hi = np.array([1.0])

@@ -227,12 +227,13 @@ _LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 _PIECE = 1 << 16  # characters of the body in one StringIO for loadtxt
 
 
-def _pieces(text: str) -> Iterator[str]:
-    """text cut after the first newline past every _PIECE characters."""
+def _pieces(text: str) -> Iterator[tuple[int, int]]:
+    """(start, stop) of text cut after the first newline past every _PIECE
+    characters."""
     lo = 0
     while lo < len(text):
         hi = text.find("\n", lo + _PIECE) + 1 or len(text)
-        yield text[lo:hi]
+        yield lo, hi
         lo = hi
 
 
@@ -243,12 +244,14 @@ def _from_csv_fast(text: str) -> Dataset | None:
     the body must have no quote, no carriage return and no line other than
     `<score>,0` or `<score>,1`; the scores are parsed by one np.loadtxt
     call. _from_csv_rows reads every text this accepts to the same
-    Dataset, bit for bit, except a score cell longer than csv's field size
-    limit, which it refuses.
+    Dataset, bit for bit.
     """
+    # csv.reader refuses a cell longer than its field size limit
+    limit = csv.field_size_limit()
     header, _, body = text.partition("\n")
     header = header.removeprefix("\ufeff").split(",")
-    if tuple(cell.strip().casefold() for cell in header) != CSV_HEADER:
+    if (tuple(cell.strip().casefold() for cell in header) != CSV_HEADER
+            or max(map(len, header)) > limit):
         return None
     if not body.endswith("\n"):
         body += "\n"
@@ -259,9 +262,15 @@ def _from_csv_fast(text: str) -> Dataset | None:
         return None
     if '"' in body or "\r" in body or any(ch in body for ch in _LOADTXT_ONLY_SPACES):
         return None
+    pieces = list(_pieces(body))
+    # a line `<score>,0` with too long a score is longer than the limit, and
+    # so is the piece holding it
+    if any(hi - lo > limit and max(map(len, body[lo:hi].split("\n"))) > limit + 2
+           for lo, hi in pieces):
+        return None
     # loadtxt takes the lines from a StringIO of one piece of the body at a
     # time: a StringIO of the whole body holds it at 4 bytes a character
-    text_lines = itertools.chain.from_iterable(map(io.StringIO, _pieces(body)))
+    text_lines = itertools.chain.from_iterable(io.StringIO(body[lo:hi]) for lo, hi in pieces)
     try:
         table = np.loadtxt(text_lines, delimiter=",", comments=None,
                            quotechar=None, dtype=np.float64, ndmin=2)

@@ -121,11 +121,15 @@ def _series_vertices(entry: PlotSeries, label: str,
         ys = data.tpr_at(xs)
     else:
         raise RenderError(f"cannot plot object of type {type(data).__name__}")
-    bad = ~(np.isfinite(np.asarray(xs)) & np.isfinite(np.asarray(ys)))
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    bad = ~(np.isfinite(xs) & np.isfinite(ys))
     if np.any(bad):
-        x_bad = float(np.asarray(xs)[bad][0])
-        raise RenderError(f"series {label!r} has a non-finite value at x={x_bad!r}")
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+        raise RenderError(f"series {label!r} has a non-finite value at x={float(xs[bad][0])!r}")
+    # the clip works on each segment's dx and dy, which must be finite too
+    with np.errstate(over="ignore"):
+        if not (np.all(np.isfinite(np.diff(xs))) and np.all(np.isfinite(np.diff(ys)))):
+            raise RenderError(f"series {label!r} has a segment whose dx or dy overflows")
+    return xs, ys
 
 
 _CHUNK = 1 << 14  # segments clipped per pass; bounds the clip's temporaries
@@ -217,10 +221,7 @@ def _kept(vx: np.ndarray, vy: np.ndarray, heads: np.ndarray) -> np.ndarray:
     parallel and not opposed. Each subpath keeps its first and last vertex.
     """
     tails = np.append(heads[1:], True)
-    # a coordinate is NaN only where a segment's dx or dy overflows, and
-    # the clip then makes that segment a subpath of its own, so its two
-    # vertices stay whatever grid point stands in for them
-    gx, gy = (_centipixels(np.where(np.isfinite(v), v, 0.0)) for v in (vx, vy))
+    gx, gy = _centipixels(vx), _centipixels(vy)
     repeat = (gx[1:] == gx[:-1]) & (gy[1:] == gy[:-1])
     idx = np.flatnonzero(np.concatenate(([True], ~repeat | heads[1:] | tails[1:])))
     if idx.size < 3:

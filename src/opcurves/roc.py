@@ -92,37 +92,35 @@ class RocCurve:
     (0, 0) and (1, 1). is_hull marks curves in strictly convex position.
 
     Every field is a read-only array over the points, or a scalar.
-    thresholds is NaN where a point has none (the (0, 0) anchor). Curves
-    from data carry integer tp and fp counts over the class totals n_p and
-    n_n, and their rates are fprs = fp / n_n and tprs = tp / n_p. Curves
-    built from rate-only points have tp, fp, n_p and n_n set to None.
-    `points` builds an OperatingPoint only for the entries a caller reads.
+    thresholds is NaN where a point has none (the (0, 0) anchor). The
+    points carry integer tp and fp counts over the class totals n_p and
+    n_n, and their rates are fprs = fp / n_n and tprs = tp / n_p. Built
+    from points, as to pool two models' points, every point must carry
+    counts over the same totals. `points` builds an OperatingPoint only
+    for the entries a caller reads.
     """
 
     thresholds: np.ndarray
     fprs: np.ndarray
     tprs: np.ndarray
-    tp: np.ndarray | None
-    fp: np.ndarray | None
-    n_p: int | None
-    n_n: int | None
+    tp: np.ndarray
+    fp: np.ndarray
+    n_p: int
+    n_n: int
     is_hull: bool
 
     def __init__(self, points: Sequence[OperatingPoint], is_hull: bool = False) -> None:
         pts = tuple(points)
-        thresholds = [np.nan if p.threshold is None else p.threshold for p in pts]
-        counts = [p.counts for p in pts if p.counts is not None]
-        if not counts:
-            self._assign(thresholds, None, None, None, None, is_hull,
-                         [p.fpr for p in pts], [p.tpr for p in pts])
-            return
-        if len(counts) != len(pts):
-            raise ValueError("points must all carry counts or none")
-        totals = {(c.n_p, c.n_n) for c in counts}
+        if len(pts) < 2:
+            raise ValueError("a curve needs at least the (0,0) and (1,1) anchors")
+        if any(p.counts is None for p in pts):
+            raise ValueError("a curve's points must carry confusion counts")
+        totals = {(p.counts.n_p, p.counts.n_n) for p in pts}
         if len(totals) > 1:
             raise ValueError("points carry inconsistent class totals")
         (n_p, n_n), = totals
-        self._assign(thresholds, [c.tp for c in counts], [c.fp for c in counts],
+        self._assign([np.nan if p.threshold is None else p.threshold for p in pts],
+                     [p.counts.tp for p in pts], [p.counts.fp for p in pts],
                      n_p, n_n, is_hull)
 
     @classmethod
@@ -134,19 +132,14 @@ class RocCurve:
 
     def _take(self, idx: np.ndarray, is_hull: bool) -> RocCurve:
         """The curve through the points at the given indices."""
-        curve = RocCurve.__new__(RocCurve)
-        tp, fp = (None, None) if self.tp is None else (self.tp[idx], self.fp[idx])
-        curve._assign(self.thresholds[idx], tp, fp, self.n_p, self.n_n, is_hull,
-                      self.fprs[idx], self.tprs[idx])
-        return curve
+        return RocCurve._of_counts(self.thresholds[idx], self.tp[idx], self.fp[idx],
+                                   self.n_p, self.n_n, is_hull)
 
-    def _assign(self, thresholds, tp, fp, n_p, n_n, is_hull, fprs=None, tprs=None) -> None:
-        """Set every field, rates from the counts when there are counts."""
-        if tp is not None:
-            tp, fp = _frozen(tp, np.int64), _frozen(fp, np.int64)
-            fprs, tprs = fp / n_n, tp / n_p
+    def _assign(self, thresholds, tp, fp, n_p: int, n_n: int, is_hull: bool) -> None:
+        """Set every field, the rates from the counts."""
+        tp, fp = _frozen(tp, np.int64), _frozen(fp, np.int64)
         fields = {"thresholds": _frozen(thresholds, np.float64),
-                  "fprs": _frozen(fprs, np.float64), "tprs": _frozen(tprs, np.float64),
+                  "fprs": _frozen(fp / n_n, np.float64), "tprs": _frozen(tp / n_p, np.float64),
                   "tp": tp, "fp": fp, "n_p": n_p, "n_n": n_n, "is_hull": bool(is_hull)}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
@@ -154,8 +147,6 @@ class RocCurve:
 
     def _validate(self) -> None:
         x, y = self.fprs, self.tprs
-        if x.size < 2:
-            raise ValueError("a curve needs at least the (0,0) and (1,1) anchors")
         if (x[0], y[0]) != (0.0, 0.0):
             raise ValueError("curve must start at (0, 0)")
         if (x[-1], y[-1]) != (1.0, 1.0):
@@ -164,36 +155,21 @@ class RocCurve:
         if not np.all((dx > 0.0) | ((dx == 0.0) & (dy > 0.0))):
             raise ValueError("points must strictly increase in (fpr, tpr) order")
         if self.is_hull:
-            kx, ky = self._keys()
+            kx, ky = self.fp, self.tp
             ox, oy, ax, ay, bx, by = kx[:-2], ky[:-2], kx[1:-1], ky[1:-1], kx[2:], ky[2:]
             if np.any((ax - ox) * (by - oy) - (ay - oy) * (bx - ox) >= 0):
                 raise ValueError("hull points must be in strictly convex position")
 
-    def _keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """(x, y) arrays for hull geometry: exact integer counts when known."""
-        if self.tp is not None:
-            return self.fp, self.tp
-        return self.fprs, self.tprs
-
     def _point(self, i: int) -> OperatingPoint:
         t = float(self.thresholds[i])
-        threshold = None if math.isnan(t) else t
-        if self.tp is None:
-            return OperatingPoint(fpr=float(self.fprs[i]), tpr=float(self.tprs[i]),
-                                  threshold=threshold)
-        return OperatingPoint.from_counts(threshold, int(self.tp[i]), int(self.fp[i]),
-                                          self.n_p, self.n_n)
+        return OperatingPoint.from_counts(None if math.isnan(t) else t, int(self.tp[i]),
+                                          int(self.fp[i]), self.n_p, self.n_n)
 
     @property
     def points(self) -> Sequence[OperatingPoint]:
         """The points as OperatingPoint objects, built as they are read;
         len() is O(1) and builds none."""
         return _Points(self)
-
-    @property
-    def class_totals(self) -> tuple[int, int] | None:
-        """(n_p, n_n) when the points carry counts, else None."""
-        return None if self.n_p is None else (self.n_p, self.n_n)
 
     def auc(self) -> float:
         return float(np.trapezoid(self.tprs, self.fprs))
@@ -254,26 +230,23 @@ def operating_points(data: Dataset) -> RocCurve:
 def convex_hull(curve: RocCurve) -> RocCurve:
     """Upper convex hull of the curve's points, (0, 0) and (1, 1) included.
 
-    Runs a monotone chain over the points sorted by (fpr, tpr). When the
-    points carry confusion counts the turn test runs on integer counts, so
-    hull membership is exact rational arithmetic rather than float luck.
-    Collinear interior points are dropped; among points tied in fpr only
-    the one with maximal tpr can survive.
+    Runs a monotone chain over the points sorted by (fpr, tpr). The turn
+    test runs on the integer counts, so hull membership is exact rational
+    arithmetic rather than float luck. Collinear interior points are
+    dropped; among points tied in fpr only the one with maximal tpr can
+    survive.
 
-    With counts, the chain sees only the staircase's top-left corners:
+    The chain sees only the staircase's top-left corners:
     interior points that lie strictly above their predecessor and strictly
     left of their successor. No other point can be a hull vertex, because
     the curve ends at (1, 1) and so every supporting line of a vertex has
     non-negative slope (the ROC convex hull of Provost & Fawcett 2001).
     """
-    x, y = curve._keys()
-    if curve.tp is None:
-        idx = np.arange(x.size)
-    else:
-        corner = np.ones(x.size, dtype=bool)
-        corner[1:-1] = (y[1:-1] > y[:-2]) & (x[2:] > x[1:-1])
-        idx = np.flatnonzero(corner)
-    # Python ints (or floats) from tolist(), so integer turn tests cannot overflow
+    x, y = curve.fp, curve.tp
+    corner = np.ones(x.size, dtype=bool)
+    corner[1:-1] = (y[1:-1] > y[:-2]) & (x[2:] > x[1:-1])
+    idx = np.flatnonzero(corner)
+    # Python ints from tolist(), so the turn tests cannot overflow
     xs, ys = x[idx].tolist(), y[idx].tolist()
     hull: list[int] = []
     for j, (bx, by) in enumerate(zip(xs, ys)):
@@ -303,13 +276,11 @@ def dominance(a: RocCurve, b: RocCurve) -> Dominance:
     Returns "first" when a is at least b everywhere and strictly above
     somewhere (tolerance 1e-12), "second" for the mirror case, "equal"
     when they coincide within tolerance, "neither" when they cross.
-    Curves are compared as given; pass hulls to compare hulls. When both
-    sides carry confusion counts their class priors must match.
+    Curves are compared as given; pass hulls to compare hulls. Their class
+    priors must match.
     """
-    ta, tb = a.class_totals, b.class_totals
-    if ta is not None and tb is not None:
-        if ta[0] * (tb[0] + tb[1]) != tb[0] * (ta[0] + ta[1]):
-            raise ValueError("curves are over different class priors")
+    if a.n_p * (b.n_p + b.n_n) != b.n_p * (a.n_p + a.n_n):
+        raise ValueError("curves are over different class priors")
     grid = np.unique(np.concatenate([a.fprs, b.fprs]))
     diff = _upper_boundary(a, grid) - _upper_boundary(b, grid)
     a_ge = bool(np.all(diff >= -_TOL))

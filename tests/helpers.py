@@ -64,21 +64,15 @@ def operating_points_oracle(data: Dataset) -> tuple[OperatingPoint, ...]:
     return tuple(pts)
 
 
-def _rate_key(p: OperatingPoint):
-    if p.counts is not None:
-        return (p.counts.fp, p.counts.tp)
-    return (p.fpr, p.tpr)
-
-
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def convex_hull_oracle(points) -> tuple[OperatingPoint, ...]:
-    """Monotone chain over every point, on integer counts when known."""
+    """Monotone chain over every point, on its integer counts."""
     keyed: dict[tuple, OperatingPoint] = {}
     for p in sorted(points, key=lambda q: (q.fpr, q.tpr)):
-        keyed.setdefault(_rate_key(p), p)
+        keyed.setdefault((p.counts.fp, p.counts.tp), p)
     items = sorted(keyed.items(), key=lambda kv: kv[0])
     hull: list[tuple[tuple, OperatingPoint]] = []
     for key, p in items:

@@ -253,6 +253,19 @@ def assert_class_swap_invariance(data):
     grid = ThresholdGrid.cost_default()
     assert loss_decomposition(swapped, grid).refinement == pytest.approx(
         loss_decomposition(data, grid).refinement, abs=1e-12)
+    # the swap maps a point's cost line at c to its swapped line at 1 - c,
+    # so it mirrors the lower envelope; the brier_scaled net benefit is
+    # 2(1 - t) pi_P minus the loss, so the upper envelope mirrors with it
+    hull = convex_hull(operating_points(data))
+    swapped_hull = convex_hull(operating_points(swapped))
+    mirror = ThresholdGrid(values=np.sort(1.0 - grid.values))
+    env = lower_envelope(hull, data.priors, grid).ys
+    swapped_env = lower_envelope(swapped_hull, swapped.priors, mirror).ys[::-1]
+    assert np.max(np.abs(swapped_env - env)) <= 1e-12
+    upper = upper_envelope_decision_curve(swapped_hull, swapped.priors, mirror,
+                                          UtilityScheme.brier_scaled()).ys[::-1]
+    t = mirror.values[::-1]  # 1 - t is grid.values, up to rounding
+    assert np.max(np.abs(upper - (2.0 * (1.0 - t) * data.pi_n - env))) <= 1e-12
 
 
 @given(datasets())

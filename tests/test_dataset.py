@@ -113,12 +113,19 @@ def test_csv_reader_errors_are_parse_errors():
 
 
 def test_score_cell_longer_than_the_csv_field_limit():
-    # csv.reader refuses a field this long; the vectorized path has no limit
-    cell = "0." + "1" * csv.field_size_limit()
-    text = f"score,label\n{cell},1\n0.2,0\n"
-    assert from_csv(text).scores.tolist() == [float(cell), 0.2]
+    # csv.reader takes a cell of csv.field_size_limit() characters and
+    # refuses one longer; the vectorized path reads the first and not the second
+    limit = csv.field_size_limit()
+    lead = "score,label\n" + "0.2,0\n0.8,1\n" * 20_000  # past the first piece
+    for size in (limit, limit + 1):
+        cell = "0." + "1" * (size - 2)
+        first = f"score,label\n{cell},1\n0.2,0\n"
+        assert (_from_csv_fast(first) is None) == (size > limit)
+        for text in (first, f"{lead}{cell},0\n",
+                     f"score{' ' * (size - 5)},label\n0.2,0\n0.8,1\n"):
+            _assert_matches_row_parser(text)
     with pytest.raises(ParseError, match="^line 2: field larger than field limit"):
-        _from_csv_rows(text)
+        from_csv(first)
 
 
 def test_letter_labels_parse_through_the_row_parser():

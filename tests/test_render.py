@@ -256,16 +256,12 @@ def test_dense_staircase_collapses_on_the_grid():
     assert path.startswith("M 67.50 420.58 ") and path.endswith(" L 542.50 49.42")
 
 
-def test_non_finite_vertices_are_kept():
-    # a finite span so wide that dx overflows clips to NaN coordinates, in a
-    # subpath of its own
-    xs = np.array([-1e308, 1e308, 0.5, 0.5, 0.5])
-    ys = np.array([0.5, 0.5, 0.2, 0.3, 0.4])
-    with np.errstate(over="ignore", invalid="ignore"):
-        full = path_data_oracle(xs, ys, BOX, _px, _py)
-        got = render._path_data([(xs, ys)], BOX, _px, _py)[0]
-    assert full.startswith("M nan 235.00 L nan 235.00 M 67.50 346.35 L 67.50 346.35 ")
-    assert got == full.replace(" L 305.00 309.23", "")
+def test_overflowing_segment_is_refused():
+    # finite values whose difference overflows would clip to NaN coordinates
+    for xs, ys in (([-1e308, 1e308, 0.5], [0.5, 0.5, 0.2]), ([0.5, 0.5], [1e308, -1e308])):
+        wide = Polyline(xs=xs, ys=ys, series="wide")
+        with pytest.raises(RenderError, match="'wide' has a segment whose dx or dy overflows"):
+            render_svg(_spec(series=(PlotSeries(data=_curve()), PlotSeries(data=wide))))
 
 
 @given(st.lists(st.one_of(st.floats(0.0, 1e5), st.integers(0, 8 * 10**7).map(lambda k: k / 800),

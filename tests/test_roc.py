@@ -87,12 +87,16 @@ def test_auc_toy(toy):
 
 
 def test_curve_validation():
-    with pytest.raises(ValueError):
-        RocCurve(points=(OperatingPoint(0.0, 0.0),))  # too short
+    def point(tp, fp):  # counts over 10 positives and 10 negatives
+        return OperatingPoint.from_counts(None, tp, fp, 10, 10)
+
+    for too_short in ((), (point(0, 0),)):
+        with pytest.raises(ValueError, match="anchors"):
+            RocCurve(points=too_short)
     with pytest.raises(ValueError, match="start"):
-        RocCurve(points=(OperatingPoint(0.1, 0.1), OperatingPoint(1.0, 1.0)))
+        RocCurve(points=(point(1, 1), point(10, 10)))
     with pytest.raises(ValueError, match="end"):
-        RocCurve(points=(OperatingPoint(0.0, 0.0), OperatingPoint(0.9, 1.0)))
+        RocCurve(points=(point(0, 0), point(10, 9)))
 
 
 def test_operating_point_validation():
@@ -219,15 +223,6 @@ def test_hull_of_two_models_matches_oracle(rows):
     got = convex_hull(RocCurve(points=points))
     assert [(p.counts.fp, p.counts.tp) for p in got.points] == [
         (p.counts.fp, p.counts.tp) for p in want]
-
-
-@given(datasets())
-def test_rate_only_hull_matches_oracle(data):
-    points = [OperatingPoint(fpr=p.fpr, tpr=p.tpr) for p in operating_points_oracle(data)]
-    hull = convex_hull(RocCurve(points=points))
-    assert hull.tp is None and hull.class_totals is None
-    assert [(p.fpr, p.tpr) for p in hull.points] == [
-        (p.fpr, p.tpr) for p in convex_hull_oracle(points)]
 
 
 def test_point_count_builds_no_points(monkeypatch):
