@@ -20,8 +20,8 @@ import numpy as np
 
 from .dataset import Dataset, Priors
 from .decision import ArrayLike, Curve, ThresholdGrid, _unwrap
-from .roc import (_TOL, OperatingPoint, RocCurve, _require_hull, convex_hull,
-                  operating_points, threshold_rates)
+from .roc import (_TOL, OperatingPoint, RocCurve, _envelope_vertices, _line, _require_hull,
+                  _switch_points, convex_hull, operating_points, threshold_rates)
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,6 @@ def cost_line(point: OperatingPoint, priors: Priors) -> CostLine:
     return CostLine(slope=slope, intercept=intercept, source=point)
 
 
-def _line(tpr, fpr, priors: Priors):
-    """(slope, intercept) of the cost line of rates (tpr, fpr), floats or
-    arrays; the one place their float operations are written."""
-    slope = 2.0 * (priors.pi_n * fpr - priors.pi_p * (1.0 - tpr))
-    intercept = 2.0 * priors.pi_p * (1.0 - tpr)
-    return slope, intercept
-
-
 def baseline_cost_lines(priors: Priors) -> tuple[CostLine, CostLine]:
     """(all_positive, all_negative) reference lines.
 
@@ -117,7 +109,8 @@ def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve
     each cost proportion."""
     _require_hull(hull)
     slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
-    vals = intercepts[:, None] + grid.values[None, :] * slopes[:, None]
+    idx = _envelope_vertices(hull, priors, grid.values)
+    vals = intercepts[idx] + grid.values * slopes[idx]
     return Curve(xs=grid.values, ys=np.min(vals, axis=0),
                  series="lower_envelope", priors=priors)
 
@@ -196,17 +189,9 @@ def refinement_loss(hull: RocCurve, priors: Priors) -> float:
     """
     _require_hull(hull)
     slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
-    if slopes.size == 1:
-        lo = np.array([0.0])
-        hi = np.array([1.0])
-        a, b = slopes, intercepts
-    else:
-        switches = (intercepts[:-1] - intercepts[1:]) / (slopes[1:] - slopes[:-1])
-        bounds = np.concatenate([[0.0], switches[::-1], [1.0]])
-        # guard against last-ulp wobble in the switch points
-        bounds = np.clip(np.maximum.accumulate(bounds), 0.0, 1.0)
-        lo, hi = bounds[:-1], bounds[1:]
-        a, b = slopes[::-1], intercepts[::-1]
+    bounds = np.concatenate([[0.0], _switch_points(slopes, intercepts), [1.0]])
+    lo, hi = bounds[:-1], bounds[1:]
+    a, b = slopes[::-1], intercepts[::-1]
     v_lo = b + a * lo
     v_hi = b + a * hi
     return float(np.sum((hi - lo) * (v_lo + v_hi) / 2.0))

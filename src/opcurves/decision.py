@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import Dataset, Priors
-from .roc import _TOL, OperatingPoint, RocCurve, _require_hull, threshold_rates
+from .roc import _TOL, OperatingPoint, RocCurve, _envelope_vertices, _require_hull, threshold_rates
 
 # regular_values refuses to build more points than this, so a tiny step
 # fails at once instead of exhausting memory
@@ -238,14 +238,16 @@ def upper_envelope_decision_curve(hull: RocCurve, priors: Priors,
     """Best attainable net benefit at each threshold (series "upper_envelope").
 
     The maximizer of NB over all operating points is always a hull vertex
-    because NB is linear in (fpr, tpr), so the max runs over hull vertices
-    only; tests check this against an exhaustive all-points oracle.
+    because NB is linear in (fpr, tpr). NB at t is a positive multiple of
+    2(1 - t) pi_P minus the loss at c = t, so the max runs over the lower
+    envelope's three candidate vertices; tests check this against an
+    exhaustive all-points oracle.
     """
     scheme = scheme if scheme is not None else UtilityScheme.dca()
     _require_hull(hull)
     _require_threshold_scheme(scheme)
-    nb = net_benefit(hull.tprs[:, None], hull.fprs[:, None], priors,
-                     grid.values, scheme)
+    idx = _envelope_vertices(hull, priors, grid.values)
+    nb = net_benefit(hull.tprs[idx], hull.fprs[idx], priors, grid.values, scheme)
     return Curve(xs=grid.values, ys=np.max(nb, axis=0),
                  series="upper_envelope", priors=priors)
 

@@ -258,6 +258,8 @@ def render_svg(spec: PlotSpec) -> str:
     y0, y1 = spec.y_range
     if not all(isfinite(v) for v in (x0, x1, y0, y1)) or x0 >= x1 or y0 >= y1:
         raise RenderError("plot ranges must be finite and increasing")
+    if not (isfinite(x1 - x0) and isfinite(y1 - y0)):
+        raise RenderError("plot range spans must be finite")
     if spec.width < 160 or spec.height < 120:
         raise RenderError("plot size is too small to draw axes")
 

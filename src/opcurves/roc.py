@@ -18,7 +18,7 @@ from typing import Literal
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, Priors
 
 Dominance = Literal["first", "second", "equal", "neither"]
 
@@ -259,6 +259,32 @@ def convex_hull(curve: RocCurve) -> RocCurve:
             hull.pop()
         hull.append(j)
     return curve._take(idx[hull], is_hull=True)
+
+
+def _line(tpr, fpr, priors: Priors):
+    """(slope, intercept) of the cost line of rates (tpr, fpr), floats or
+    arrays; the one place their float operations are written."""
+    slope = 2.0 * (priors.pi_n * fpr - priors.pi_p * (1.0 - tpr))
+    intercept = 2.0 * priors.pi_p * (1.0 - tpr)
+    return slope, intercept
+
+
+def _switch_points(slopes: np.ndarray, intercepts: np.ndarray) -> np.ndarray:
+    """Where consecutive hull vertices' cost lines cross, in increasing c
+    (made monotone and clipped to [0, 1] against last-ulp wobble); past k of
+    them the line of vertex H - 1 - k is lowest."""
+    switches = (intercepts[:-1] - intercepts[1:]) / (slopes[1:] - slopes[:-1])
+    return np.clip(np.maximum.accumulate(switches[::-1]), 0.0, 1.0)
+
+
+def _envelope_vertices(hull: RocCurve, priors: Priors, xs: np.ndarray) -> np.ndarray:
+    """(3, len(xs)) hull indices: at each x the vertex the switch points make
+    active and its neighbours, so the envelopes take O(H + G) memory; the best
+    of the three is the optimum unless rounding moves a switch past the next."""
+    slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
+    last = slopes.size - 1
+    active = last - np.searchsorted(_switch_points(slopes, intercepts), xs)
+    return np.clip((active - 1, active, active + 1), 0, last)
 
 
 def _upper_boundary(curve: RocCurve, at: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from opcurves import (CostLine, CostParams, Dataset, OperatingPoint, ThresholdGrid,
@@ -9,7 +9,8 @@ from opcurves import (CostLine, CostParams, Dataset, OperatingPoint, ThresholdGr
                       loss_decomposition, lower_envelope, lower_envelope_support,
                       operating_points, per_class_components, refinement_loss,
                       upper_envelope_decision_curve)
-from helpers import THOUSANDTHS, UNIT_FLOATS, datasets, make_calibrated, make_random
+from helpers import (THOUSANDTHS, UNIT_FLOATS, datasets, envelope_gaps, make_calibrated,
+                     make_random, switch_grid)
 
 THIRD = 1 / 3
 
@@ -242,6 +243,10 @@ def assert_brier_properties(data):
     for scheme in (UtilityScheme.dca(), UtilityScheme.brier_scaled()):
         upper = upper_envelope_decision_curve(hull, data.priors, grid, scheme)
         assert np.all(upper.ys >= decision_curve(data, grid, scheme).ys - 1e-12)
+    # the three-vertex envelopes are the hull x grid ones bit for bit, also
+    # on both sides of every switch point
+    grids = (ThresholdGrid.cost_default(), switch_grid(hull))
+    assert envelope_gaps(hull, data.priors, grids) == [0.0] * 6
 
 
 def assert_class_swap_invariance(data):
@@ -266,6 +271,24 @@ def assert_class_swap_invariance(data):
                                           UtilityScheme.brier_scaled()).ys[::-1]
     t = mirror.values[::-1]  # 1 - t is grid.values, up to rounding
     assert np.max(np.abs(upper - (2.0 * (1.0 - t) * data.pi_n - env))) <= 1e-12
+    # the same holds for the model's own curves, NB_swapped(t) = 2(1 - t) pi_N
+    # - BC(1 - t), away from the thresholds where a score or 1 - s ties
+    # (criterion 12's mirrored grid; odd multiples of 0.0025 miss the 0.001
+    # lattice of the tied examples)
+    ts = _away_from_scores(data, ThresholdGrid.regular(0.0, 1.0, 0.0025).values)
+    mirror = ThresholdGrid(values=np.sort(1.0 - ts))
+    nb = decision_curve(swapped, mirror, UtilityScheme.brier_scaled()).ys[::-1]
+    t = mirror.values[::-1]
+    bc = brier_curve(data, ThresholdGrid(values=ts)).ys
+    assert np.max(np.abs(nb - (2.0 * (1.0 - t) * data.pi_n - bc))) <= 1e-12
+
+
+def _away_from_scores(data, values):
+    """The values more than 1e-9 from every score s and every 1 - s."""
+    ends = np.sort(np.concatenate([data.scores, 1.0 - data.scores]))
+    at = np.clip(np.searchsorted(ends, values), 1, ends.size - 1)
+    gap = np.minimum(np.abs(values - ends[at - 1]), np.abs(values - ends[at]))
+    return values[gap > 1e-9]
 
 
 @given(datasets())
@@ -305,13 +328,16 @@ def test_brier_class_swap(data):
     assert_class_swap_invariance(data)
 
 
+# the two explicit examples add one positive in 10^6, distinct and tied
 @settings(max_examples=5, phases=(Phase.explicit, Phase.generate))
-@given(st.integers(0, 2**32 - 1), st.integers(0, 19_999), st.booleans())
-def test_brier_properties_one_positive_in_twenty_thousand(seed, pos_index, tied):
-    scores = np.random.default_rng(seed).random(20_000)
+@example(seed=7, pos_index=999_999, tied=False, n=10**6)
+@example(seed=8, pos_index=0, tied=True, n=10**6)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 19_999), st.booleans(), st.just(20_000))
+def test_brier_properties_one_positive_in_twenty_thousand(seed, pos_index, tied, n):
+    scores = np.random.default_rng(seed).random(n)
     if tied:
         scores = np.round(scores, 3)
-    labels = np.zeros(20_000, dtype=int)
+    labels = np.zeros(n, dtype=int)
     labels[pos_index] = 1
     data = Dataset(scores, labels)  # no two of these scores merge under s -> 1 - s
     assert_brier_properties(data)

@@ -102,6 +102,13 @@ def test_rejects_bad_ranges():
         render_svg(_spec(y_range=(0.0, float("nan"))))
 
 
+def test_rejects_overflowing_range_span():
+    # finite ends whose difference overflows would reach the ticks as inf
+    for ranges in (dict(x_range=(-1e308, 1e308)), dict(y_range=(-1e308, 1e308))):
+        with pytest.raises(RenderError, match="plot range spans must be finite"):
+            render_svg(_spec(**ranges))
+
+
 def test_rejects_tiny_canvas():
     with pytest.raises(RenderError):
         render_svg(_spec(width=20, height=20))
