@@ -10,6 +10,7 @@ self-describing. Identical invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 
@@ -21,7 +22,7 @@ from .dataset import (Dataset, DatasetError, Priors, SimulationSpec,
 from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
                        decision_curve, regular_values, upper_envelope_decision_curve)
 from .isometrics import METRICS, isometric_line
-from .output import json_text, replaces, write_text, xy_csv
+from .output import _json_chunks, json_text, replaces, write_text, xy_csv
 from .relations import PriorMismatchError, compare_models
 from .render import PlotSeries, PlotSpec, Polyline, SeriesStyle, write_svg
 from .roc import convex_hull, operating_points
@@ -192,6 +193,11 @@ def _write_text(path: str, text) -> None:
     print(f"wrote {path}")
 
 
+def _json_report(report: dict):
+    """The report's JSON text and a final newline, in chunks for write_text."""
+    return itertools.chain(_json_chunks(report), ["\n"])
+
+
 def _curves_csv(curves: list[Curve]):
     return xy_csv([(c.xs, c.ys, c.series) for c in curves])
 
@@ -245,7 +251,7 @@ def _run_dca(args: argparse.Namespace) -> int:
         report = _report_scaffold(args, data)
         report["scheme"] = args.scheme.kind
         report["series"] = _series_json(curves)
-        _write_text(args.json_path, json_text(report) + "\n")
+        _write_text(args.json_path, _json_report(report))
     return EXIT_OK
 
 
@@ -300,7 +306,7 @@ def _run_brier(args: argparse.Namespace) -> int:
         report = _report_scaffold(args, data)
         report.update({"brier_score": dec.brier_score, "refinement_loss": dec.refinement,
                        "calibration_loss": dec.calibration, "series": _series_json(curves)})
-        _write_text(args.json_path, json_text(report) + "\n")
+        _write_text(args.json_path, _json_report(report))
     return EXIT_OK
 
 

@@ -84,9 +84,12 @@ class Dataset:
     __slots__ = ("_scores", "_labels", "_pos_sorted", "_neg_sorted")
 
     def __init__(self, scores: Sequence[float] | np.ndarray,
-                 labels: Sequence[int] | np.ndarray) -> None:
-        scores = np.array(scores, dtype=np.float64)
-        labels = np.array(labels, dtype=np.int64)
+                 labels: Sequence[int] | np.ndarray, *, _owned: bool = False) -> None:
+        # _owned: float64 and int64 arrays that nothing else holds, taken
+        # without the copy that keeps a caller's arrays apart from these
+        take = np.asarray if _owned else np.array
+        scores = take(scores, dtype=np.float64)
+        labels = take(labels, dtype=np.int64)
         if scores.ndim != 1 or labels.ndim != 1 or scores.shape != labels.shape:
             raise DatasetError("scores and labels must be 1-d and equal length")
         if scores.size == 0:
@@ -227,14 +230,23 @@ _LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
 _PIECE = 1 << 16  # characters of the body in one StringIO for loadtxt
 
 
-def _pieces(text: str) -> Iterator[tuple[int, int]]:
-    """(start, stop) of text cut after the first newline past every _PIECE
-    characters."""
-    lo = 0
+def _pieces(text: str | bytes, lo: int = 0, first: int = _PIECE,
+            size: int = _PIECE) -> Iterator[tuple[int, int]]:
+    """(start, stop) of text[lo:] cut after the first newline past `first`
+    characters, then after the first newline past every `size` more."""
+    newline = "\n" if isinstance(text, str) else b"\n"
     while lo < len(text):
-        hi = text.find("\n", lo + _PIECE) + 1 or len(text)
+        hi = text.find(newline, lo + first) + 1 or len(text)
         yield lo, hi
-        lo = hi
+        lo, first = hi, size
+
+
+def _plain_header(line: str) -> bool:
+    """Whether the first line is `score,label` up to case and padding, after
+    any byte order mark, with no cell longer than csv.field_size_limit()."""
+    cells = line.removeprefix("\ufeff").split(",")
+    return (tuple(cell.strip().casefold() for cell in cells) == CSV_HEADER
+            and max(map(len, cells)) <= csv.field_size_limit())
 
 
 def _from_csv_fast(text: str) -> Dataset | None:
@@ -246,13 +258,11 @@ def _from_csv_fast(text: str) -> Dataset | None:
     call. _from_csv_rows reads every text this accepts to the same
     Dataset, bit for bit.
     """
+    header, _, body = text.partition("\n")
+    if not _plain_header(header):
+        return None
     # csv.reader refuses a cell longer than its field size limit
     limit = csv.field_size_limit()
-    header, _, body = text.partition("\n")
-    header = header.removeprefix("\ufeff").split(",")
-    if (tuple(cell.strip().casefold() for cell in header) != CSV_HEADER
-            or max(map(len, header)) > limit):
-        return None
     if not body.endswith("\n"):
         body += "\n"
     lines = body.count("\n")
@@ -329,8 +339,111 @@ def to_csv(data: Dataset) -> str:
 
 
 def read_csv(path: str) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return from_csv(fh.read())
+    """Read a `score,label` CSV file into a Dataset.
+
+    The file is read as bytes once. _from_csv_bytes decodes a plain file of
+    short decimal scores from them; any other file is parsed by from_csv
+    from the text open(path, encoding="utf-8") would read. A file that is
+    not UTF-8 raises ParseError naming the line and the byte.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = _from_csv_bytes(raw)
+    if data is not None:
+        return data
+    text = _utf8_text(raw)
+    del raw  # the parsers never hold the file's bytes and its text at once
+    return from_csv(text)
+
+
+def _utf8_text(raw: bytes) -> str:
+    """raw decoded as a file opened in text mode as UTF-8 reads: CRLF and
+    lone CR become LF, and a byte order mark is kept."""
+    try:
+        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(f"line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
+
+
+_BYTE_PIECE = 1 << 17  # bytes of the body decoded at a time, after the first 1 KB
+_DIGITS = 18  # the widest field decoded: 10**18 - 1 fits in an int64
+_POW10 = 10.0 ** np.arange(_DIGITS)  # exact doubles, as 10**f is up to f = 22
+
+
+def _from_csv_bytes(raw: bytes) -> Dataset | None:
+    """The Dataset of a file whose header passes _plain_header and whose body
+    lines are all `<field>,0` or `<field>,1` (the last newline optional), or
+    None. A field is 1 to 18 ASCII digits and at most one dot, with a digit;
+    its digits form an integer m <= 2**53 and, with f digits after the dot,
+    its score is m / 10**f. Both are exact doubles, so that one division is
+    the correctly rounded value float() reads (Clinger 1990), and
+    _from_csv_rows reads the file to the same Dataset, bit for bit."""
+    body = raw.find(b"\n") + 1
+    if not body or b"\r" in raw[:body]:
+        return None
+    try:
+        header = raw[:body - 1].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    if not _plain_header(header):
+        return None
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    widest = min(_DIGITS, csv.field_size_limit())
+    scores = labels = None
+    row = 0
+    # the first piece is small, so a file of long scores is refused early
+    for lo, hi in _pieces(raw, body, 1 << 10, _BYTE_PIECE):
+        part = _decode_lines(buf[lo:hi], widest)
+        if part is None:
+            return None
+        if scores is None:
+            n = np.count_nonzero(buf[body:] == 10) + (raw[-1] != 10)
+            scores, labels = np.empty(n), np.empty(n, dtype=np.int64)
+        rows = part[0].size
+        scores[row:row + rows], labels[row:row + rows] = part
+        row += rows
+    try:
+        return None if scores is None else Dataset(scores, labels, _owned=True)
+    except DatasetError:
+        return None
+
+
+def _decode_lines(a: np.ndarray, widest: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Scores and labels of the lines in the bytes a, or None unless each is
+    a field _from_csv_bytes takes, of at most `widest` bytes, and `,0` or
+    `,1`."""
+    ends = np.flatnonzero(a == 10)
+    newlines = ends.size
+    if a[-1] != 10:
+        ends = np.append(ends, a.size)
+    comma = ends - 2
+    width = np.diff(ends, prepend=-1) - 3
+    labels = a[ends - 1] - 48
+    dots = np.count_nonzero(a == 46)
+    # one comma a line, left of a 0/1 label: every other byte is a digit or a dot
+    if (width.min() < 1 or width.max() > widest or np.any(labels > 1)
+            or np.count_nonzero(a == 44) != ends.size or np.any(a[comma] != 44)
+            or np.count_nonzero(a - 48 < 10) + dots + ends.size + newlines != a.size):
+        return None
+    # Horner's rule over the columns j bytes left of the commas, widest first,
+    # skipping each field's dot and the columns left of a field's start
+    m = np.zeros(ends.size, dtype=np.int64)
+    point = np.zeros(ends.size, dtype=np.int64)  # the j of the dot, 0 for none
+    span = int(width.max())
+    at = comma - span - 1
+    for j in range(span, 0, -1):
+        at += 1
+        digit = a.take(at, mode="clip") - 48  # a dot reads 254
+        outside = width < j
+        skip = outside | (digit > 9)
+        m = np.where(skip, m, m * 10 + digit)
+        point = np.where(skip ^ outside, j, point)  # skipped inside: the dot
+    if (np.count_nonzero(point) != dots or np.any((width == 1) & (point == 1))
+            or np.any(m > 1 << 53)):
+        return None
+    return m / _POW10[np.maximum(point - 1, 0)], labels
 
 
 def write_csv(data: Dataset, path: str) -> None:

@@ -4,11 +4,13 @@ replaced atomically.
 Reports and curve exports carry up to a few hundred thousand numbers.
 Formatting them one Python object at a time cost more than computing them
 (json.dumps with an indent runs the pure-Python encoder), so these writers
-format each numpy array with one map over its tolist(). The text is the
-one json.dumps(obj, indent=2) and repr-formatted CSV rows give. Within one
-output an array is formatted once, however often it occurs (the curves on
-one grid share its values array), and a CSV column calls float.__repr__
-once per run of equal values (an ROC staircase moves FP or TP, not both).
+format each numpy array with one map over the tolist() of each chunk of
+_CSV_CHUNK elements, and yield the text chunk by chunk for write_text to
+stream. The text is the one json.dumps(obj, indent=2) and repr-formatted
+CSV rows give. Within one output an array is formatted once, however
+often it occurs (the curves on one grid share its values array), and a
+CSV column calls float.__repr__ once per run of equal values (an ROC
+staircase moves FP or TP, not both).
 
 write_text puts a new or plain file under a temporary name in the target
 directory and moves it into place with os.replace, so a reader never sees
@@ -20,6 +22,7 @@ file) is opened and written through, as open(path, "w") does.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import stat
 from collections import Counter
@@ -99,27 +102,45 @@ def _key_text(key) -> str:
     return _json_str(key)
 
 
-def _block(open_: str, items: list[str], close: str, level: int) -> str:
-    if not items:
-        return open_ + close
+def _block(open_: str, items: Iterable[Iterable[str]], close: str,
+           level: int) -> Iterator[str]:
+    """open_, then each item's chunks on a line of its own at level + 1,
+    a comma after each item but the last, then close."""
     inner = "\n" + _INDENT * (level + 1)
-    return open_ + inner + ("," + inner).join(items) + "\n" + _INDENT * level + close
+    yield open_
+    lead = inner
+    for item in items:
+        yield lead
+        yield from item
+        lead = "," + inner
+    yield close if lead == inner else "\n" + _INDENT * level + close
 
 
-def _array_text(arr: np.ndarray, memo: _Memo) -> list[str]:
+def _array_chunks(arr: np.ndarray, memo: _Memo) -> Iterator[list[str]]:
+    """The texts of arr's elements, _CSV_CHUNK of them at a time."""
     texts = memo(arr)
-    return texts if texts is not None else _scalar_texts(arr)
+    # an empty array is still formatted once, which refuses a wrong dtype
+    for lo in range(0, max(arr.size, 1), _CSV_CHUNK):
+        yield (_scalar_texts(arr[lo:lo + _CSV_CHUNK]) if texts is None
+               else texts[lo:lo + _CSV_CHUNK])
 
 
-def _records_text(rec: Records, level: int, memo: _Memo) -> str:
+def _chunk_items(chunks: Iterable[list[str]], level: int) -> Iterator[list[str]]:
+    """Each non-empty chunk of texts as one item of a _block at level."""
+    sep = ",\n" + _INDENT * (level + 1)
+    return ([sep.join(texts)] for texts in chunks if texts)
+
+
+def _records_chunks(rec: Records, level: int, memo: _Memo) -> Iterator[list[str]]:
     inner = "\n" + _INDENT * (level + 2)
     fields = ("," + inner).join(_key_text(k).replace("%", "%%") + ": %s" for k in rec.columns)
     template = "{" + inner + fields + "\n" + _INDENT * (level + 1) + "}"
-    rows = zip(*(_array_text(np.asarray(c), memo) for c in rec.columns.values()))
-    return _block("[", list(map(template.__mod__, rows)), "]", level)
+    columns = [_array_chunks(np.asarray(c), memo) for c in rec.columns.values()]
+    for texts in zip(*columns):
+        yield list(map(template.__mod__, zip(*texts)))
 
 
-def _encode(o, level: int, memo: _Memo) -> str:
+def _scalar_text(o) -> str:
     if isinstance(o, str):
         return _json_str(o)
     if o is None:
@@ -132,16 +153,26 @@ def _encode(o, level: int, memo: _Memo) -> str:
         return int.__repr__(o)
     if isinstance(o, float):
         return _float_text(o)
-    if isinstance(o, (list, tuple)):
-        return _block("[", [_encode(v, level + 1, memo) for v in o], "]", level)
-    if isinstance(o, dict):
-        items = [f"{_key_text(k)}: {_encode(v, level + 1, memo)}" for k, v in o.items()]
-        return _block("{", items, "}", level)
-    if isinstance(o, np.ndarray) and o.ndim == 1:
-        return _block("[", _array_text(o, memo), "]", level)
-    if isinstance(o, Records):
-        return _records_text(o, level, memo)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _json_chunks(o, level: int = 0, memo: _Memo | None = None) -> Iterator[str]:
+    """The text of json_text(o) in chunks: an array or a Records yields
+    _CSV_CHUNK elements a chunk, so no text of a whole array is held."""
+    if memo is None:
+        memo = _Memo(_arrays(o), _scalar_texts)
+    if isinstance(o, (list, tuple)):
+        yield from _block("[", (_json_chunks(v, level + 1, memo) for v in o), "]", level)
+    elif isinstance(o, dict):
+        items = (itertools.chain((_key_text(k) + ": ",), _json_chunks(v, level + 1, memo))
+                 for k, v in o.items())
+        yield from _block("{", items, "}", level)
+    elif isinstance(o, np.ndarray) and o.ndim == 1:
+        yield from _block("[", _chunk_items(_array_chunks(o, memo), level), "]", level)
+    elif isinstance(o, Records):
+        yield from _block("[", _chunk_items(_records_chunks(o, level, memo), level), "]", level)
+    else:
+        yield _scalar_text(o)
 
 
 def json_text(obj) -> str:
@@ -151,7 +182,7 @@ def json_text(obj) -> str:
     A 1-d float or bool numpy array is written as the list of its elements
     and a Records as its list of objects, each in one pass.
     """
-    return _encode(obj, 0, _Memo(_arrays(obj), _scalar_texts))
+    return "".join(_json_chunks(obj))
 
 
 def _repr_chunks(values: np.ndarray) -> Iterator[list[str]]:

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -145,6 +147,23 @@ class TestBrier:
         assert obj["calibration_loss"] == pytest.approx(
             2.4559 / 9 - 7 / 54, abs=1e-9)
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_json_on_a_million_point_grid_streams(self, toy_csv, tmp_path):
+        # the JSON report is written in chunks, so its peak RSS stays near
+        # the CSV export's instead of holding the whole 200 MB text
+        child = ("import sys; from opcurves.cli import main; code = main(sys.argv[1:]); "
+                 "print([l.split()[1] for l in open('/proc/self/status') "
+                 "if l.startswith('VmHWM:')][0]); sys.exit(code)")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        peak = {}
+        for flag in ("--csv", "--json"):
+            argv = ["brier", "--input", toy_csv, "--grid", "0:0.999999:0.000001",
+                    flag, str(tmp_path / f"brier.{flag[2:]}")]
+            done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                                  capture_output=True, text=True, check=True)
+            peak[flag] = int(done.stdout.split()[-1])
+        assert peak["--json"] <= 1.5 * peak["--csv"]
+
 
 class TestRoc:
     def test_csv_lists_points_and_hull(self, toy_csv, tmp_path):
@@ -206,6 +225,12 @@ class TestScore:
         path.write_text("\ufeff" + to_csv(make_toy()), encoding="utf-8")
         assert main(["score", "--input", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["n"] == 9
+
+    def test_input_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"score,label\r\n0.5,1\r\n0.2,\xff\n0.8,1\n")
+        assert main(["score", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 3: not UTF-8 text (byte 0xff)\n"
 
 
 class TestCompare:

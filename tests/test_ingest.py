@@ -1,0 +1,247 @@
+"""Bytes-first ingest: read_csv reads a file's bytes once and decodes plain
+files of short decimal scores without float(); every other file is read as
+text-mode UTF-8 and parsed by from_csv.
+
+The oracles are the text-mode read, from_csv(open(path).read()), and the
+row parser _from_csv_rows: whatever read_csv returns must equal theirs bit
+for bit, and whatever they raise it must raise with the same message.
+"""
+
+import csv
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from opcurves import DatasetError, ParseError, from_csv, read_csv
+from opcurves import dataset
+from opcurves.dataset import _BYTE_PIECE, _from_csv_bytes, _from_csv_rows
+
+TWO_53 = 1 << 53
+
+
+def _bits(data):
+    return data.scores.view(np.int64).tolist(), data.labels.tolist()
+
+
+def _assert_reads_as_text_mode(path, raw):
+    """read_csv(path) of raw equals from_csv of the text-mode read of it."""
+    path.write_bytes(raw)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        want = from_csv(text)
+    except DatasetError as exc:
+        with pytest.raises(DatasetError) as got:
+            read_csv(str(path))
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    assert _bits(read_csv(str(path))) == _bits(want)
+
+
+LONG_BODY = "".join(f"0.{i % 997:03d},{i % 3 == 0:d}\n" for i in range(40_000))
+
+
+TEXT_MODE_FILES = {
+    "plain": b"score,label\n0.25,0\n0.75,1\n",
+    "crlf": b"score,label\r\n0.25,0\r\n0.75,1\r\n",
+    "lone-cr": b"score,label\r0.25,0\r0.75,1\r",
+    "crlf-header": b"score,label\r\n0.25,0\n0.75,1\n",
+    "crlf-body": b"score,label\n0.25,0\r\n0.75,1\n",
+    "cr-in-header": b"score\r,label\n0.25,0\n0.75,1\n",  # ends the header's line
+    "final-cr": b"score,label\n0.25,0\n0.75,1\r",
+    "bom": b"\xef\xbb\xbfscore,label\n0.25,0\n0.75,1\n",
+    "bom-crlf-no-final-newline": b"\xef\xbb\xbfscore,label\r\n0.25,0\r\n0.75,1",
+    "no-final-newline": b"score,label\n0.25,0\n0.75,1",
+    "blank-last-line": b"score,label\n0.25,0\n0.75,1\n\n",
+    "blank-first-line": b"score,label\n\n0.25,0\n0.75,1\n",
+    "non-ascii-digit": "score,label\n\u0660.25,0\n0.75,1\n".encode(),  # float() reads it
+    "non-ascii-header": "sc\u00f6re,label\n0.25,0\n0.75,1\n".encode(),
+    "non-ascii-label": "score,label\n0.25,0\n0.75,\u00e9\n".encode(),
+    "padded-label": b"score,label\n0.25, 0\n0.75,1 \n",
+    "padded-header": b"Score , LABEL \n0.25,0\n0.75,1\n",
+    "letter-labels": b"score,label\n0.25,n\n0.75,P\n",
+    "out-of-range": b"score,label\n0.25,0\n1.5,1\n",
+    "one-class": b"score,label\n0.25,0\n0.75,0\n",
+    "header-only": b"score,label\n",
+    "header-no-newline": b"score,label",
+    "empty": b"",
+    "nul": b"score,label\n0.25,0\n0.75,1\n\x00,1\n",
+    "long": ("score,label\n" + LONG_BODY).encode(),
+    "long-crlf": ("score,label\n" + LONG_BODY).replace("\n", "\r\n").encode(),
+    "long-letter-label-last": ("score,label\n" + LONG_BODY + "0.3,p").encode(),
+}
+
+
+@pytest.mark.parametrize("raw", TEXT_MODE_FILES.values(), ids=TEXT_MODE_FILES.keys())
+def test_read_csv_matches_the_text_mode_read(tmp_path, raw):
+    _assert_reads_as_text_mode(tmp_path / "in.csv", raw)
+
+
+@pytest.mark.parametrize("raw, line, byte", [
+    (b"score,label\n0.5,1\n0.2,\xff\n", 3, 0xff),
+    (b"score,label\r\n0.5,1\r\n\xfe0.2,0\r\n", 3, 0xfe),
+    (b"score,label\r0.5,1\r\r0.2,0\xc3\n", 4, 0xc3),
+    (b"\xffscore,label\n0.5,1\n", 1, 0xff),
+])
+def test_a_file_that_is_not_utf8_names_the_line_and_byte(tmp_path, raw, line, byte):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError, match=rf"^line {line}: not UTF-8 text \(byte 0x{byte:02x}\)$"):
+        read_csv(str(path))
+
+
+# The decoder against float(): which fields it takes, and the bits it gives.
+
+def _decodable(field):
+    """The decoder's language: 1-18 digits and dots, at most one dot, at
+    least one digit, digits m <= 2**53."""
+    digits = field.replace(".", "", 1)
+    return (1 <= len(field) <= 18 and digits.isdigit() and digits.isascii()
+            and int(digits) <= TWO_53)
+
+
+def _decode(fields, labels=None):
+    labels = labels or [i % 2 for i in range(len(fields))]
+    body = "".join(f"{f},{y}\n" for f, y in zip(fields, labels)).encode()
+    return dataset._decode_lines(np.frombuffer(body, dtype=np.uint8), 18)
+
+
+@st.composite
+def decimal_fields(draw):
+    digits = draw(st.one_of(st.text("0123456789", max_size=19),
+                            st.integers(TWO_53 - 3, TWO_53 + 3).map(str)))
+    at = draw(st.none() | st.integers(0, len(digits)))
+    return digits if at is None else digits[:at] + "." + digits[at:]
+
+
+@given(st.lists(decimal_fields(), min_size=1, max_size=6))
+def test_decoded_fields_are_float_bit_for_bit(fields):
+    got = _decode(fields)
+    if not all(_decodable(f) for f in fields):
+        assert got is None
+        return
+    scores, labels = got
+    assert scores.view(np.int64).tolist() == np.array(list(map(float, fields))).view(np.int64).tolist()
+    assert labels.tolist() == [i % 2 for i in range(len(fields))]
+
+
+@pytest.mark.parametrize("field", [".5", "1.", "0", "000.000", "1", "0.0", "1.000",
+                                   "0.9007199254740992", "9007199254740992",
+                                   ".00000000000000001", "123456789012345.6"])
+def test_fields_the_decoder_takes(field):
+    assert _decodable(field)
+    scores, _ = _decode([field])
+    assert scores.view(np.int64)[0] == np.float64(float(field)).view(np.int64)
+
+
+@pytest.mark.parametrize("field", [".", "", "1.2.3", "0..5", "..", "0.9007199254740993",
+                                   "9007199254740993", "0.1234567890123456789",
+                                   "0.12345678901234567", "-0.5", "+1", "1e-3", " 0.5",
+                                   "0.5 ", "0x1", "٠.5", "0_5", "nan", '"0.5"'])
+def test_fields_the_decoder_refuses(field):
+    assert _decode([field]) is None
+    assert _decode(["0.5", field, "0.25"]) is None
+
+
+@pytest.mark.parametrize("line", [b"0.5,2", b"0.5,01", b"0.5,", b"0.5", b"0.5,1,1",
+                                  b",1", b"0.5;1", b"0.5,p", b"0.5,\xff", b"\n"])
+def test_lines_the_decoder_refuses(line):
+    for body in (line + b"\n", b"0.25,0\n" + line + b"\n0.75,1\n", b"0.25,0\n" + line):
+        assert dataset._decode_lines(np.frombuffer(body, dtype=np.uint8), 18) is None
+
+
+def test_every_six_digit_decimal_is_float_bit_for_bit():
+    fields = [f"0.{i:06d}" for i in range(10**6)]
+    want = np.array(list(map(float, fields)))
+    raw = ("score,label\n" + "".join(f"{f},{i & 1}\n" for i, f in enumerate(fields))).encode()
+    data = _from_csv_bytes(raw)
+    assert data is not None
+    assert np.array_equal(data.scores.view(np.int64), want.view(np.int64))
+    assert np.array_equal(data.labels, np.arange(10**6) & 1)
+
+
+# Whole files: what the decoder takes equals the row parser, bit for bit.
+
+def _assert_bytes_match_the_row_parser(raw):
+    data = _from_csv_bytes(raw)
+    text = raw.decode("utf-8")
+    try:
+        want = _from_csv_rows(text)
+    except DatasetError:
+        assert data is None
+        return
+    if data is not None:
+        assert _bits(data) == _bits(want)
+        assert not data.scores.flags.writeable and not data.labels.flags.writeable
+    assert _bits(from_csv(text)) == _bits(want)
+
+
+@given(st.lists(st.tuples(st.one_of(decimal_fields(), st.sampled_from(["0.5", "1", "0"])),
+                          st.sampled_from("01")), min_size=1, max_size=8),
+       st.booleans())
+def test_files_of_decimal_fields_match_the_row_parser(rows, final_newline):
+    lines = [f"{f},{y}" for f, y in rows] + ["0.25,0", "0.75,1"]
+    raw = ("score,label\n" + "\n".join(lines) + "\n" * final_newline).encode()
+    _assert_bytes_match_the_row_parser(raw)
+
+
+@pytest.mark.parametrize("body", [".5,0\n1.,1\n", "0,0\n1,1\n000.000,0\n1,1",
+                                  "0.9007199254740992,1\n0,0\n"])
+def test_files_the_decoder_takes(body):
+    raw = ("score,label\n" + body).encode()
+    assert _from_csv_bytes(raw) is not None
+    _assert_bytes_match_the_row_parser(raw)
+
+
+@pytest.mark.parametrize("body", [".,1\n0,0\n", ",1\n0,0\n", "1.5,1\n0,0\n",
+                                  "0.9007199254740993,1\n0,0\n", "0,0\n0,0\n"])
+def test_files_the_decoder_leaves_to_the_text_path(tmp_path, body):
+    raw = ("score,label\n" + body).encode()
+    assert _from_csv_bytes(raw) is None
+    _assert_bytes_match_the_row_parser(raw)
+    _assert_reads_as_text_mode(tmp_path / "in.csv", raw)
+
+
+def test_an_out_of_range_score_keeps_the_row_parser_message(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_bytes(b"score,label\n0.25,0\n1.5,1\n0.75,1\n")
+    with pytest.raises(ParseError, match=r"^row 2 \(line 3\): score '1.5' is outside \[0, 1\]$"):
+        read_csv(str(path))
+
+
+def test_bodies_of_many_pieces_match_the_row_parser():
+    rng = np.random.default_rng(5)
+    fields = [f"{x:.{k}f}" for x, k in zip(rng.random(60_000), rng.integers(0, 12, 60_000))]
+    body = "".join(f"{f},{y}\n" for f, y in zip(fields, rng.integers(0, 2, 60_000)))
+    assert len(body) > 4 * _BYTE_PIECE
+    for raw in (("score,label\n" + body).encode(), ("score,label\n" + body[:-1]).encode()):
+        assert _from_csv_bytes(raw) is not None
+        _assert_bytes_match_the_row_parser(raw)
+    # refused late in the body: the text path reads the file
+    for tail in ("0.1234567890123456789,1\n", "1.5,0\n", "0.5,1,0\n"):
+        raw = ("score,label\n" + body + tail).encode()
+        assert _from_csv_bytes(raw) is None
+        _assert_bytes_match_the_row_parser(raw)
+
+
+def test_a_file_of_long_scores_is_refused_by_its_first_kilobyte():
+    raw = ("score,label\n0.30000000000000004,0\n" + "0.25,0\n0.75,1\n" * 50_000).encode()
+    with mock.patch.object(dataset, "_decode_lines", wraps=dataset._decode_lines) as decode:
+        assert _from_csv_bytes(raw) is None
+    assert decode.call_count == 1
+    assert decode.call_args.args[0].size <= 1100
+
+
+def test_the_csv_field_size_limit_holds_on_the_decoded_path(tmp_path):
+    limit = csv.field_size_limit()
+    try:
+        csv.field_size_limit(9)  # takes 0.1234567, refuses 0.12345678
+        for body in ("0.25,0\n0.125,1\n", "0.25,0\n0.1234567,1\n", "0.25,0\n0.12345678,1\n"):
+            raw = ("score,label\n" + body).encode()
+            _assert_bytes_match_the_row_parser(raw)
+            _assert_reads_as_text_mode(tmp_path / "in.csv", raw)
+    finally:
+        csv.field_size_limit(limit)
