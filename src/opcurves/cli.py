@@ -10,6 +10,7 @@ self-describing. Identical invocations write identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import os
 import sys
@@ -22,9 +23,9 @@ from .dataset import (Dataset, DatasetError, Priors, SimulationSpec,
 from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
                        decision_curve, regular_values, upper_envelope_decision_curve)
 from .isometrics import METRICS, isometric_line
-from .output import _json_chunks, json_text, replaces, write_text, xy_csv
+from .output import Outputs, _json_chunks, json_text, replaces, xy_csv
 from .relations import PriorMismatchError, compare_models
-from .render import PlotSeries, PlotSpec, Polyline, SeriesStyle, write_svg
+from .render import PlotSeries, PlotSpec, Polyline, SeriesStyle, render_svg
 from .roc import convex_hull, operating_points
 
 EXIT_OK = 0
@@ -188,13 +189,18 @@ def _check_outputs(args: argparse.Namespace) -> None:
             raise OSError(f"cannot write {path}: directory {folder} is not writable")
 
 
-def _write_text(path: str, text) -> None:
-    write_text(path, text)
-    print(f"wrote {path}")
+@contextlib.contextmanager
+def _outputs():
+    """An Outputs for the files of one run, each reported once all of them
+    are in place."""
+    with Outputs() as out:
+        yield out
+    for path in out.paths:
+        print(f"wrote {path}")
 
 
 def _json_report(report: dict):
-    """The report's JSON text and a final newline, in chunks for write_text."""
+    """The report's JSON text and a final newline, in chunks for Outputs.add."""
     return itertools.chain(_json_chunks(report), ["\n"])
 
 
@@ -218,11 +224,11 @@ def _line_curve(line, grid: ThresholdGrid, series: str, priors) -> Curve:
                  series=series, priors=priors)
 
 
-def _plot(path: str, title: str, x_label: str, y_label: str,
+def _plot(out: Outputs, path: str, title: str, x_label: str, y_label: str,
           entries: list[PlotSeries], x_range, y_range) -> None:
-    write_svg(PlotSpec(title=title, x_label=x_label, y_label=y_label,
-                       series=tuple(entries), x_range=x_range, y_range=y_range), path)
-    print(f"wrote {path}")
+    out.add(path, render_svg(PlotSpec(title=title, x_label=x_label, y_label=y_label,
+                                      series=tuple(entries), x_range=x_range,
+                                      y_range=y_range)))
 
 
 def _run_dca(args: argparse.Namespace) -> int:
@@ -236,22 +242,24 @@ def _run_dca(args: argparse.Namespace) -> int:
     peak = int(np.argmax(model.ys))
     print(f"model net benefit peaks at t={float(model.xs[peak]):.6g} "
           f"with value {float(model.ys[peak]):.6g}")
-    if args.csv_path:
-        _write_text(args.csv_path, _curves_csv(curves))
-    if args.svg_path:
-        ymax = max(float(np.max(c.ys)) for c in curves)
-        y_range = (-0.15 * max(ymax, 1e-9), 1.08 * max(ymax, 1e-9))
-        styles = {"model": SeriesStyle(), "treat_all": SeriesStyle(dash="6,3"),
-                  "treat_none": SeriesStyle(dash="2,3"), "upper_envelope": SeriesStyle(width=2.2)}
-        entries = [PlotSeries(data=c, style=styles.get(c.series, SeriesStyle()))
-                   for c in curves]
-        _plot(args.svg_path, "Decision curves", "threshold t", "net benefit",
-              entries, (float(args.grid.values[0]), float(args.grid.values[-1])), y_range)
-    if args.json_path:
-        report = _report_scaffold(args, data)
-        report["scheme"] = args.scheme.kind
-        report["series"] = _series_json(curves)
-        _write_text(args.json_path, _json_report(report))
+    with _outputs() as out:
+        if args.csv_path:
+            out.add(args.csv_path, _curves_csv(curves))
+        if args.svg_path:
+            ymax = max(float(np.max(c.ys)) for c in curves)
+            y_range = (-0.15 * max(ymax, 1e-9), 1.08 * max(ymax, 1e-9))
+            styles = {"model": SeriesStyle(), "treat_all": SeriesStyle(dash="6,3"),
+                      "treat_none": SeriesStyle(dash="2,3"),
+                      "upper_envelope": SeriesStyle(width=2.2)}
+            entries = [PlotSeries(data=c, style=styles.get(c.series, SeriesStyle()))
+                       for c in curves]
+            _plot(out, args.svg_path, "Decision curves", "threshold t", "net benefit",
+                  entries, (float(args.grid.values[0]), float(args.grid.values[-1])), y_range)
+        if args.json_path:
+            report = _report_scaffold(args, data)
+            report["scheme"] = args.scheme.kind
+            report["series"] = _series_json(curves)
+            out.add(args.json_path, _json_report(report))
     return EXIT_OK
 
 
@@ -266,19 +274,21 @@ def _run_cost(args: argparse.Namespace) -> int:
               _line_curve(all_neg, args.grid, "all_negative", priors)]
     print(f"lower envelope peaks at {float(np.max(env.ys)):.6g} "
           f"over {len(hull.points)} hull points")
-    if args.csv_path:
-        _write_text(args.csv_path, _curves_csv(curves))
-    if args.svg_path:
-        entries = [PlotSeries(data=env, style=SeriesStyle(width=2.4))]
-        entries.append(PlotSeries(data=curves[1], style=SeriesStyle(dash="6,3")))
-        entries.append(PlotSeries(data=curves[2], style=SeriesStyle(dash="2,3")))
-        grey = SeriesStyle(color="#b0b0b0", width=1.0)
-        lines = [cost_line(p, priors) for p in hull.points]
-        entries.extend(PlotSeries(data=line, style=grey) for line in lines)
-        ymax = max(max(float(np.max(c.ys)) for c in curves),
-                   max(line.value_at(1.0) for line in lines))
-        _plot(args.svg_path, "Cost curves", "cost proportion c", "normalized expected loss",
-              entries, (0.0, 1.0), (0.0, 1.06 * max(ymax, 1e-9)))
+    with _outputs() as out:
+        if args.csv_path:
+            out.add(args.csv_path, _curves_csv(curves))
+        if args.svg_path:
+            entries = [PlotSeries(data=env, style=SeriesStyle(width=2.4))]
+            entries.append(PlotSeries(data=curves[1], style=SeriesStyle(dash="6,3")))
+            entries.append(PlotSeries(data=curves[2], style=SeriesStyle(dash="2,3")))
+            grey = SeriesStyle(color="#b0b0b0", width=1.0)
+            lines = [cost_line(p, priors) for p in hull.points]
+            entries.extend(PlotSeries(data=line, style=grey) for line in lines)
+            ymax = max(max(float(np.max(c.ys)) for c in curves),
+                       max(line.value_at(1.0) for line in lines))
+            _plot(out, args.svg_path, "Cost curves", "cost proportion c",
+                  "normalized expected loss", entries, (0.0, 1.0),
+                  (0.0, 1.06 * max(ymax, 1e-9)))
     return EXIT_OK
 
 
@@ -292,21 +302,25 @@ def _run_brier(args: argparse.Namespace) -> int:
               _line_curve(all_neg, args.grid, "all_negative", priors)]
     print(f"brier_score={dec.brier_score:.6f} refinement={dec.refinement:.6f} "
           f"calibration={dec.calibration:.6f}")
-    if args.csv_path:
-        _write_text(args.csv_path, _curves_csv(curves))
-    if args.svg_path:
-        styles = {"brier": SeriesStyle(width=2.0), "lower_envelope": SeriesStyle(width=2.0),
-                  "all_positive": SeriesStyle(dash="6,3"), "all_negative": SeriesStyle(dash="2,3")}
-        entries = [PlotSeries(data=c, style=styles[c.series]) for c in curves]
-        ymax = max(float(np.max(c.ys)) for c in curves)
-        _plot(args.svg_path, "Brier curve", "cost proportion c = t", "normalized expected loss",
-              entries, (float(args.grid.values[0]), float(args.grid.values[-1])),
-              (0.0, 1.06 * max(ymax, 1e-9)))
-    if args.json_path:
-        report = _report_scaffold(args, data)
-        report.update({"brier_score": dec.brier_score, "refinement_loss": dec.refinement,
-                       "calibration_loss": dec.calibration, "series": _series_json(curves)})
-        _write_text(args.json_path, _json_report(report))
+    with _outputs() as out:
+        if args.csv_path:
+            out.add(args.csv_path, _curves_csv(curves))
+        if args.svg_path:
+            styles = {"brier": SeriesStyle(width=2.0), "lower_envelope": SeriesStyle(width=2.0),
+                      "all_positive": SeriesStyle(dash="6,3"),
+                      "all_negative": SeriesStyle(dash="2,3")}
+            entries = [PlotSeries(data=c, style=styles[c.series]) for c in curves]
+            ymax = max(float(np.max(c.ys)) for c in curves)
+            _plot(out, args.svg_path, "Brier curve", "cost proportion c = t",
+                  "normalized expected loss", entries,
+                  (float(args.grid.values[0]), float(args.grid.values[-1])),
+                  (0.0, 1.06 * max(ymax, 1e-9)))
+        if args.json_path:
+            report = _report_scaffold(args, data)
+            report.update({"brier_score": dec.brier_score, "refinement_loss": dec.refinement,
+                           "calibration_loss": dec.calibration,
+                           "series": _series_json(curves)})
+            out.add(args.json_path, _json_report(report))
     return EXIT_OK
 
 
@@ -316,17 +330,18 @@ def _run_roc(args: argparse.Namespace) -> int:
     hull = convex_hull(curve)
     print(f"{len(curve.points)} operating points, {len(hull.points)} on the hull, "
           f"hull area {hull.auc():.6f}")
-    if args.csv_path:
-        _write_text(args.csv_path, xy_csv([(curve.fprs, curve.tprs, "points"),
-                                          (hull.fprs, hull.tprs, "hull")]))
-    if args.svg_path:
-        chance = Polyline(xs=[0.0, 1.0], ys=[0.0, 1.0], series="chance")
-        entries = [PlotSeries(data=Polyline(xs=curve.fprs, ys=curve.tprs, series="points")),
-                   PlotSeries(data=Polyline(xs=hull.fprs, ys=hull.tprs, series="hull"),
-                              style=SeriesStyle(width=2.2)),
-                   PlotSeries(data=chance, style=SeriesStyle(color="#999999", dash="4,4"))]
-        _plot(args.svg_path, "ROC", "false positive rate", "true positive rate",
-              entries, (-0.02, 1.02), (-0.02, 1.02))
+    with _outputs() as out:
+        if args.csv_path:
+            out.add(args.csv_path, xy_csv([(curve.fprs, curve.tprs, "points"),
+                                           (hull.fprs, hull.tprs, "hull")]))
+        if args.svg_path:
+            chance = Polyline(xs=[0.0, 1.0], ys=[0.0, 1.0], series="chance")
+            entries = [PlotSeries(data=Polyline(xs=curve.fprs, ys=curve.tprs, series="points")),
+                       PlotSeries(data=Polyline(xs=hull.fprs, ys=hull.tprs, series="hull"),
+                                  style=SeriesStyle(width=2.2)),
+                       PlotSeries(data=chance, style=SeriesStyle(color="#999999", dash="4,4"))]
+            _plot(out, args.svg_path, "ROC", "false positive rate", "true positive rate",
+                  entries, (-0.02, 1.02), (-0.02, 1.02))
     return EXIT_OK
 
 
@@ -341,7 +356,8 @@ def _run_score(args: argparse.Namespace) -> int:
     text = json_text(report)
     print(text)
     if args.json_path:
-        _write_text(args.json_path, text + "\n")
+        with _outputs() as out:
+            out.add(args.json_path, text + "\n")
     return EXIT_OK
 
 
@@ -349,11 +365,13 @@ def _run_compare(args: argparse.Namespace) -> int:
     data_a = read_csv(args.input)
     data_b = read_csv(args.input_b)
     report = compare_models(data_a, data_b, args.grid)
+    chunks = _json_report(report.json_document())
     if args.json_path:
-        _write_text(args.json_path, report.to_json() + "\n")
+        with _outputs() as out:
+            out.add(args.json_path, chunks)
         print(f"agree_at_all_t={str(report.agree_at_all_t).lower()}")
     else:
-        print(report.to_json())
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 
@@ -380,7 +398,8 @@ def _run_isometrics(args: argparse.Namespace) -> int:
                      f"{float(ln.gradient)!r},{float(ln.intercept)!r}")
     text = "\n".join(lines) + "\n"
     if args.csv_path:
-        _write_text(args.csv_path, text)
+        with _outputs() as out:
+            out.add(args.csv_path, text)
     else:
         print(text, end="")
     return EXIT_OK

@@ -158,7 +158,11 @@ def per_class_components(data: Dataset, grid: ThresholdGrid) -> tuple[Curve, Cur
             Curve(xs=grid.values, ys=neg, series="negative_component", priors=priors))
 
 
-def brier_score(data: Dataset) -> float:
+# segments per block of brier_score's integral, so its temporaries stay small
+_BLOCK = 1 << 14
+
+
+def brier_score(data: Dataset, *, points: RocCurve | None = None) -> float:
     """Area under the Brier curve over c in [0, 1], integrated exactly.
 
     The curve is piecewise linear in t between breakpoints at 0, each
@@ -166,17 +170,34 @@ def brier_score(data: Dataset) -> float:
     exact. The result equals the mean squared error (1/n) sum (s - y)^2;
     ties among scores do not disturb the identity because a threshold
     coinciding with a score only changes the curve at isolated points.
+
+    The segments' counts are those of the operating points: on the open
+    segment (lo, hi) the rule s >= t classifies {s >= hi} positive, so
+    the false negatives and false positives are n_p - tp and fp of hi's
+    point, or of the (0, 0) anchor for hi = 1 when no score is 1. points,
+    when given, must be operating_points(data), which then is not built
+    again.
     """
-    b = np.unique(np.concatenate([[0.0], data.scores, [1.0]]))
-    lo, hi = b[:-1], b[1:]
-    # on the open segment (lo, hi) the rule s >= t classifies {s > lo}
-    # positive, so the false-negative and false-positive counts are
-    fn = np.searchsorted(data.positive_scores, lo, side="right")
-    fp = data.n_n - np.searchsorted(data.negative_scores, lo, side="right")
-    # trapezoid of (2/n)[(1-t) fn + t fp] over [lo, hi]
-    mid_fn = ((1.0 - lo) + (1.0 - hi)) / 2.0
-    mid_fp = (lo + hi) / 2.0
-    seg = (hi - lo) * (mid_fn * fn + mid_fp * fp)
+    if points is None:
+        points = operating_points(data)
+    elif (points.n_p, points.n_n) != (data.n_p, data.n_n) or points.is_hull:
+        raise ValueError("points must be operating_points(data)")
+    scores = points.thresholds[:0:-1]
+    lead, tail = int(scores[0] > 0.0), int(scores[-1] < 1.0)
+    bounds = np.empty(scores.size + lead + tail)
+    bounds[0], bounds[-1] = 0.0, 1.0
+    bounds[lead:bounds.size - tail] = scores
+    at = slice(1 - lead, points.tp.size - 1 + tail)
+    tps, fps = points.tp[::-1][at], points.fp[::-1][at]
+    seg = np.empty(bounds.size - 1)
+    for i in range(0, seg.size, _BLOCK):
+        j = min(i + _BLOCK, seg.size)
+        lo, hi = bounds[i:j], bounds[i + 1:j + 1]
+        fn, fp = points.n_p - tps[i:j], fps[i:j]
+        # trapezoid of (2/n)[(1-t) fn + t fp] over [lo, hi]
+        mid_fn = ((1.0 - lo) + (1.0 - hi)) / 2.0
+        mid_fp = (lo + hi) / 2.0
+        seg[i:j] = (hi - lo) * (mid_fn * fn + mid_fp * fp)
     return float(2.0 * seg.sum() / data.n)
 
 
@@ -224,9 +245,10 @@ def loss_decomposition(data: Dataset, grid: ThresholdGrid) -> LossDecomposition:
     A perfectly calibrated scorer has calibration 0 and a gap curve that
     is zero everywhere.
     """
-    hull = convex_hull(operating_points(data))
+    points = operating_points(data)
+    hull = convex_hull(points)
     priors = data.priors
-    bs = brier_score(data)
+    bs = brier_score(data, points=points)
     refinement = refinement_loss(hull, priors)
     calibration = bs - refinement
     if -_TOL < calibration < 0.0:

@@ -16,7 +16,8 @@ write_text puts a new or plain file under a temporary name in the target
 directory and moves it into place with os.replace, so a reader never sees
 a half-written file and a failed write leaves nothing behind. Any other
 path (a symlink, a device, a FIFO, a hard-linked file or another user's
-file) is opened and written through, as open(path, "w") does.
+file) is opened and written through, as open(path, "w") does. Outputs
+does the same for the several files of one run, all or none.
 """
 
 from __future__ import annotations
@@ -116,13 +117,14 @@ def _block(open_: str, items: Iterable[Iterable[str]], close: str,
     yield close if lead == inner else "\n" + _INDENT * level + close
 
 
-def _array_chunks(arr: np.ndarray, memo: _Memo) -> Iterator[list[str]]:
-    """The texts of arr's elements, _CSV_CHUNK of them at a time."""
+def _array_chunks(arr: np.ndarray, memo: _Memo,
+                  size: int = _CSV_CHUNK) -> Iterator[list[str]]:
+    """The texts of arr's elements, size of them at a time."""
     texts = memo(arr)
     # an empty array is still formatted once, which refuses a wrong dtype
-    for lo in range(0, max(arr.size, 1), _CSV_CHUNK):
-        yield (_scalar_texts(arr[lo:lo + _CSV_CHUNK]) if texts is None
-               else texts[lo:lo + _CSV_CHUNK])
+    for lo in range(0, max(arr.size, 1), size):
+        yield (_scalar_texts(arr[lo:lo + size]) if texts is None
+               else texts[lo:lo + size])
 
 
 def _chunk_items(chunks: Iterable[list[str]], level: int) -> Iterator[list[str]]:
@@ -135,7 +137,9 @@ def _records_chunks(rec: Records, level: int, memo: _Memo) -> Iterator[list[str]
     inner = "\n" + _INDENT * (level + 2)
     fields = ("," + inner).join(_key_text(k).replace("%", "%%") + ": %s" for k in rec.columns)
     template = "{" + inner + fields + "\n" + _INDENT * (level + 1) + "}"
-    columns = [_array_chunks(np.asarray(c), memo) for c in rec.columns.values()]
+    # _CSV_CHUNK values a chunk, as for an array
+    rows = max(1, _CSV_CHUNK // len(rec.columns))
+    columns = [_array_chunks(np.asarray(c), memo, rows) for c in rec.columns.values()]
     for texts in zip(*columns):
         yield list(map(template.__mod__, zip(*texts)))
 
@@ -248,19 +252,66 @@ def replaces(path: str) -> bool:
             and os.access(path, os.W_OK))
 
 
-def write_text(path: str, text: str | Iterable[str]) -> None:
-    """Write text, or an iterable of text chunks, to path as UTF-8.
+class Outputs:
+    """The files one run writes, all or none; use it as a context manager.
 
-    Where replaces(path), the chunks go to a temporary file next to path
-    that takes over the mode and group of any old file and then replaces
-    path in one os.replace; on any failure the temporary file is removed
-    and path is left as it was. Any other path is written in place.
+    add(path, text) streams text, a string or an iterable of text chunks,
+    to a temporary file next to path at once, as write_text does. Leaving
+    the with block moves every temporary file into place with os.replace,
+    in the order added. If anything fails before that, a later output or
+    the computing between two, every temporary file is removed and every
+    target is left as it was. A path that replaces() refuses is written in
+    place, so its text is kept unread until the block ends and written
+    before the first os.replace. paths lists the targets as added.
     """
-    chunks = [text] if isinstance(text, str) else text
-    if not replaces(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-        return
+
+    def __init__(self) -> None:
+        self.paths: list[str] = []
+        self._staged: list[tuple[str, str]] = []  # (temporary file, target)
+        self._in_place: list[tuple[str, Iterable[str]]] = []
+
+    def add(self, path: str, text: str | Iterable[str]) -> None:
+        chunks = [text] if isinstance(text, str) else text
+        if replaces(path):
+            self._staged.append((_stage(path, chunks), path))
+        else:
+            self._in_place.append((path, chunks))
+        self.paths.append(path)
+
+    def __enter__(self) -> Outputs:
+        return self
+
+    def __exit__(self, kind, exc, tb) -> None:
+        try:
+            if kind is None:
+                for path, chunks in self._in_place:
+                    with open(path, "w", encoding="utf-8", newline="") as fh:
+                        fh.writelines(chunks)
+                while self._staged:
+                    tmp, path = self._staged[0]
+                    try:
+                        os.replace(tmp, path)
+                    except OSError as exc:
+                        _name_target(exc, tmp, path)
+                        raise
+                    del self._staged[0]
+        finally:
+            for tmp, _ in self._staged:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+
+
+def _name_target(exc: BaseException, tmp: str, path: str) -> None:
+    """Make an OSError about the temporary file name path instead, the file
+    the caller asked for."""
+    if isinstance(exc, OSError) and exc.filename == tmp:
+        exc.filename = path
+
+
+def _stage(path: str, chunks: Iterable[str]) -> str:
+    """Write chunks to a new temporary file next to path, with the mode and
+    group of any old file at path, and return its name; on any failure the
+    temporary file is removed."""
     try:
         old = os.stat(path)
     except FileNotFoundError:
@@ -274,10 +325,21 @@ def write_text(path: str, text: str | Iterable[str]) -> None:
                 with contextlib.suppress(OSError):
                     os.chown(fh.fileno(), -1, old.st_gid)
             fh.writelines(chunks)
-        os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        if isinstance(exc, OSError) and exc.filename == tmp:
-            exc.filename = path  # name the file the caller asked for
+        _name_target(exc, tmp, path)
         raise
+    return tmp
+
+
+def write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or an iterable of text chunks, to path as UTF-8.
+
+    Where replaces(path), the chunks go to a temporary file next to path
+    that takes over the mode and group of any old file and then replaces
+    path in one os.replace; on any failure the temporary file is removed
+    and path is left as it was. Any other path is written in place.
+    """
+    with Outputs() as out:
+        out.add(path, text)

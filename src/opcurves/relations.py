@@ -82,9 +82,14 @@ class ComparisonReport:
     def to_dict(self) -> dict:
         return self._document(self.grid.values.tolist(), list(self.records()))
 
+    def json_document(self) -> dict:
+        """to_dict() with the grid as an array and per_t as Records, which
+        json_text writes as it writes to_dict() and without a dict a row."""
+        return self._document(self.grid.values, Records(self._columns()))
+
     def to_json(self) -> str:
         """json.dumps(self.to_dict(), indent=2), written from the columns."""
-        return json_text(self._document(self.grid.values, Records(self._columns())))
+        return json_text(self.json_document())
 
 
 def _soft_sign(x: np.ndarray) -> np.ndarray:

@@ -81,7 +81,9 @@ class OperatingPoint:
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    """values as a read-only array, taken without a copy when it is one
+    already of that dtype."""
+    arr = np.asarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 
@@ -126,6 +128,8 @@ class RocCurve:
     @classmethod
     def _of_counts(cls, thresholds, tp, fp, n_p: int, n_n: int,
                    is_hull: bool = False) -> RocCurve:
+        """The curve through fresh arrays that nothing else holds; it takes
+        them as they are and makes them read-only."""
         curve = cls.__new__(cls)
         curve._assign(thresholds, tp, fp, n_p, n_n, is_hull)
         return curve
@@ -211,6 +215,55 @@ def threshold_rates(data: Dataset, thresholds: np.ndarray) -> tuple[np.ndarray, 
     return tp / data.n_p, fp / data.n_n
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in a sorted array begins."""
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _anchored(anchor, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """anchor, then values[idx]."""
+    out = np.empty(idx.size + 1, dtype=values.dtype)
+    out[0] = anchor
+    # idx is in range; any mode but "raise" lets take write out unbuffered
+    np.take(values, idx, out=out[1:], mode="clip")
+    return out
+
+
+def _count_table(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operating points' thresholds (NaN for the (0, 0) anchor, then
+    the distinct scores descending) and their integer tp and fp counts.
+
+    Each sorted class array is cut into runs of equal scores; one stable
+    sort merges the two run lists (each sorted already, so timsort merges
+    them in linear time), and the run lengths summed down the merged order
+    count the samples at or above each entry. The last entry of each score
+    carries its point's counts.
+    """
+    pos, neg = data.positive_scores, data.negative_scores
+    starts_p, starts_n = _run_starts(pos), _run_starts(neg)
+    values = np.concatenate((pos[starts_p], neg[starts_n]))
+    lengths = np.concatenate((np.diff(starts_p, append=pos.size),
+                              np.diff(starts_n, append=neg.size)))
+    pos_runs = starts_p.size
+    del starts_p, starts_n
+    # scores descending; a score of both classes has two adjacent entries
+    order = np.argsort(values, kind="stable")[::-1]
+    values = values[order]
+    last = np.append(_run_starts(values)[1:], values.size) - 1
+    thresholds = _anchored(np.nan, values, last)
+    del values
+    lengths = lengths[order]
+    below = np.cumsum(lengths)  # samples scored at or above each entry
+    np.multiply(lengths, order < pos_runs, out=lengths)
+    del order
+    tp = np.cumsum(lengths, out=lengths)
+    fp = np.subtract(below, tp, out=below)
+    return thresholds, _anchored(0, tp, last), _anchored(0, fp, last)
+
+
 def operating_points(data: Dataset) -> RocCurve:
     """All attainable operating points, one per distinct score.
 
@@ -219,12 +272,7 @@ def operating_points(data: Dataset) -> RocCurve:
     (1, 1) (the threshold at the minimum score classifies everything
     positive). Tied scores collapse into a single point.
     """
-    distinct = np.unique(data.scores)[::-1]
-    tp = data.n_p - np.searchsorted(data.positive_scores, distinct, side="left")
-    fp = data.n_n - np.searchsorted(data.negative_scores, distinct, side="left")
-    return RocCurve._of_counts(np.concatenate(([np.nan], distinct)),
-                               np.concatenate(([0], tp)), np.concatenate(([0], fp)),
-                               data.n_p, data.n_n)
+    return RocCurve._of_counts(*_count_table(data), data.n_p, data.n_n)
 
 
 def convex_hull(curve: RocCurve) -> RocCurve:
@@ -307,7 +355,8 @@ def dominance(a: RocCurve, b: RocCurve) -> Dominance:
     """
     if a.n_p * (b.n_p + b.n_n) != b.n_p * (a.n_p + a.n_n):
         raise ValueError("curves are over different class priors")
-    grid = np.unique(np.concatenate([a.fprs, b.fprs]))
+    pooled = np.sort(np.concatenate([a.fprs, b.fprs]))
+    grid = pooled[_run_starts(pooled)]
     diff = _upper_boundary(a, grid) - _upper_boundary(b, grid)
     a_ge = bool(np.all(diff >= -_TOL))
     b_ge = bool(np.all(diff <= _TOL))

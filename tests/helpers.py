@@ -66,6 +66,22 @@ def operating_points_oracle(data: Dataset) -> tuple[OperatingPoint, ...]:
     return tuple(pts)
 
 
+def brier_score_oracle(data: Dataset) -> float:
+    """The Brier curve's area from all n scores: np.unique over the scores
+    and both bounds, then two searchsorted calls for each segment's counts."""
+    b = np.unique(np.concatenate([[0.0], data.scores, [1.0]]))
+    lo, hi = b[:-1], b[1:]
+    # on the open segment (lo, hi) the rule s >= t classifies {s > lo}
+    # positive, so the false-negative and false-positive counts are
+    fn = np.searchsorted(data.positive_scores, lo, side="right")
+    fp = data.n_n - np.searchsorted(data.negative_scores, lo, side="right")
+    # trapezoid of (2/n)[(1-t) fn + t fp] over [lo, hi]
+    mid_fn = ((1.0 - lo) + (1.0 - hi)) / 2.0
+    mid_fp = (lo + hi) / 2.0
+    seg = (hi - lo) * (mid_fn * fn + mid_fp * fp)
+    return float(2.0 * seg.sum() / data.n)
+
+
 def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 

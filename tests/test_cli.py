@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from opcurves import (Dataset, DatasetError, ParseError, PriorMismatchError,
-                      SimulationSpecError, ThresholdGrid, operating_points, to_csv)
+                      SimulationSpecError, ThresholdGrid, compare_models, operating_points,
+                      to_csv)
 from opcurves import cli
 from opcurves.cli import UsageError, main
 from helpers import assert_decimated, make_random, make_toy, path_data_oracle
@@ -20,6 +22,17 @@ def toy_csv(tmp_path):
     path = tmp_path / "toy.csv"
     path.write_text(to_csv(make_toy()), encoding="utf-8")
     return str(path)
+
+
+def _peak_kb(argv):
+    """VmHWM, the peak resident set in kB, of a child that runs main(argv)."""
+    child = ("import sys; from opcurves.cli import main; code = main(sys.argv[1:]); "
+             "print([l.split()[1] for l in open('/proc/self/status') "
+             "if l.startswith('VmHWM:')][0]); sys.exit(code)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout.split()[-1])
 
 
 def _read_series(path):
@@ -151,17 +164,10 @@ class TestBrier:
     def test_json_on_a_million_point_grid_streams(self, toy_csv, tmp_path):
         # the JSON report is written in chunks, so its peak RSS stays near
         # the CSV export's instead of holding the whole 200 MB text
-        child = ("import sys; from opcurves.cli import main; code = main(sys.argv[1:]); "
-                 "print([l.split()[1] for l in open('/proc/self/status') "
-                 "if l.startswith('VmHWM:')][0]); sys.exit(code)")
-        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
         peak = {}
         for flag in ("--csv", "--json"):
-            argv = ["brier", "--input", toy_csv, "--grid", "0:0.999999:0.000001",
-                    flag, str(tmp_path / f"brier.{flag[2:]}")]
-            done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
-                                  capture_output=True, text=True, check=True)
-            peak[flag] = int(done.stdout.split()[-1])
+            peak[flag] = _peak_kb(["brier", "--input", toy_csv, "--grid", "0:0.999999:0.000001",
+                                   flag, str(tmp_path / f"brier.{flag[2:]}")])
         assert peak["--json"] <= 1.5 * peak["--csv"]
 
 
@@ -241,6 +247,35 @@ class TestCompare:
         obj = json.loads(out.read_text(encoding="utf-8"))
         assert obj["agree_at_all_t"] is True
         assert all(row["agree"] for row in obj["per_t"])
+
+    def test_stdout_and_file_carry_the_report(self, toy_csv, tmp_path, capsys):
+        grid = ThresholdGrid.regular(0.0, 0.99, 0.005)
+        want = compare_models(make_toy(), make_toy(), grid).to_json() + "\n"
+        assert main(["compare", "--input-a", toy_csv, "--input-b", toy_csv]) == 0
+        assert capsys.readouterr().out == want
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--input-a", toy_csv, "--input-b", toy_csv,
+                     "--json", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == want
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_json_on_a_hundred_thousand_point_grid_streams(self, tmp_path):
+        # holding the report's text once would take its size in memory; it
+        # is written in chunks, so the peak grows by less than that over a
+        # 100-point grid's
+        inputs = []
+        for seed in (1, 2):
+            inputs.append(str(tmp_path / f"{seed}.csv"))
+            assert main(["simulate", "--n", "2000", "--seed", str(seed),
+                         "--out", inputs[-1]]) == 0
+        out = tmp_path / "cmp.json"
+        peak = {}
+        for grid in ("0:0.99:0.01", "0:0.99999:0.00001"):
+            peak[grid] = _peak_kb(["compare", "--input-a", inputs[0], "--input-b", inputs[1],
+                                   "--grid", grid, "--json", str(out)])
+        report_kb = out.stat().st_size / 1024
+        assert report_kb > 25_000
+        assert peak["0:0.99999:0.00001"] - peak["0:0.99:0.01"] < report_kb
 
     def test_prior_mismatch_is_data_error(self, toy_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"
@@ -352,6 +387,47 @@ class TestOutputs:
         assert link.is_symlink()
         assert json.loads(target.read_text(encoding="utf-8"))["command"] == "score"
 
+    def test_failed_second_output_leaves_every_target_as_it_was(self, toy_csv, tmp_path,
+                                                                monkeypatch, capsys):
+        csv_out, svg_out = tmp_path / "roc.csv", tmp_path / "roc.svg"
+        csv_out.write_text("old csv", encoding="utf-8")
+        svg_out.write_text("old svg", encoding="utf-8")
+
+        def full_disk(spec):
+            yield "<svg"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "render_svg", full_disk)
+        code = main(["roc", "--input", toy_csv, "--csv", str(csv_out), "--svg", str(svg_out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "No space left on device" in captured.err
+        assert "wrote" not in captured.out
+        assert csv_out.read_text(encoding="utf-8") == "old csv"
+        assert svg_out.read_text(encoding="utf-8") == "old svg"
+        assert sorted(os.listdir(tmp_path)) == ["roc.csv", "roc.svg", "toy.csv"]
+
+    def test_failed_last_output_writes_none_of_three(self, toy_csv, tmp_path, monkeypatch):
+        def failing(report):
+            yield "{"
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(cli, "_json_report", failing)
+        paths = [str(tmp_path / name) for name in ("dca.csv", "dca.svg", "dca.json")]
+        code = main(["dca", "--input", toy_csv, "--csv", paths[0], "--svg", paths[1],
+                     "--json", paths[2]])
+        assert code == 2
+        assert os.listdir(tmp_path) == ["toy.csv"]
+
+    def test_several_outputs_are_reported_once_all_are_written(self, toy_csv, tmp_path,
+                                                               capsys):
+        paths = [str(tmp_path / name) for name in ("b.csv", "b.svg", "b.json")]
+        assert main(["brier", "--input", toy_csv, "--csv", paths[0], "--svg", paths[1],
+                     "--json", paths[2]]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1:] == [f"wrote {p}" for p in paths]
+        assert all(os.path.getsize(p) > 0 for p in paths)
+
     def test_fifo_output_is_written_through(self, toy_csv, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
@@ -363,6 +439,24 @@ class TestOutputs:
         reader.join(timeout=10)
         assert got and got[0].startswith("x,y,series\n")
         assert sorted(os.listdir(tmp_path)) == ["pipe", "toy.csv"]
+
+
+def test_no_command_imports_numpy_ma(toy_csv, tmp_path):
+    # numpy.ma costs 15-18 ms to import; np.unique is what used to load it
+    runs = [["score", "--input", toy_csv],
+            ["brier", "--input", toy_csv],
+            ["dca", "--input", toy_csv, "--upper-envelope"],
+            ["cost", "--input", toy_csv, "--svg", str(tmp_path / "c.svg")],
+            ["roc", "--input", toy_csv],
+            ["compare", "--input-a", toy_csv, "--input-b", toy_csv]]
+    child = ("import json, sys; from opcurves.cli import main\n"
+             "for argv in json.loads(sys.argv[1]):\n"
+             "    assert main(argv) == 0\n"
+             "    print(argv[0], 'numpy.ma' in sys.modules, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stderr.splitlines() == [f"{argv[0]} False" for argv in runs]
 
 
 class TestUsage:

@@ -9,8 +9,8 @@ from opcurves import (CostLine, CostParams, Dataset, OperatingPoint, ThresholdGr
                       loss_decomposition, lower_envelope, lower_envelope_support,
                       operating_points, per_class_components, refinement_loss,
                       upper_envelope_decision_curve)
-from helpers import (THOUSANDTHS, UNIT_FLOATS, datasets, envelope_gaps, make_calibrated,
-                     make_random, switch_grid)
+from helpers import (THOUSANDTHS, UNIT_FLOATS, brier_score_oracle, datasets, envelope_gaps,
+                     make_calibrated, make_random, switch_grid)
 
 THIRD = 1 / 3
 
@@ -165,6 +165,78 @@ class TestBrierScore:
         data = Dataset(scores, labels)
         mse = float(np.mean((data.scores - data.labels) ** 2))
         assert brier_score(data) == pytest.approx(mse, abs=1e-9)
+
+
+# brier_score integrates from the operating points; the oracle, the code it
+# replaced, integrates from all n scores. The two must agree bit for bit.
+
+def assert_brier_matches_oracle(data):
+    got = np.float64(brier_score(data)).view(np.int64)
+    assert got == np.float64(brier_score_oracle(data)).view(np.int64)
+
+
+@given(datasets())
+def test_brier_score_matches_oracle(data):
+    assert_brier_matches_oracle(data)
+
+
+def test_brier_score_takes_the_points_it_is_given(toy):
+    points = operating_points(toy)
+    assert brier_score(toy, points=points) == brier_score(toy)
+    with pytest.raises(ValueError, match="operating_points"):
+        brier_score(toy, points=convex_hull(points))
+    with pytest.raises(ValueError, match="operating_points"):
+        brier_score(toy, points=operating_points(make_random(0, n=50)))
+
+
+@given(datasets(st.sampled_from([0.2, 0.4, 0.6])))
+def test_brier_score_on_tied_scores_matches_oracle(data):
+    assert_brier_matches_oracle(data)
+
+
+@given(UNIT_FLOATS, UNIT_FLOATS)
+def test_brier_score_of_two_samples_matches_oracle(pos, neg):
+    assert_brier_matches_oracle(Dataset(np.array([pos, neg]), np.array([1, 0])))
+
+
+@given(UNIT_FLOATS, st.integers(1, 30), st.integers(1, 30))
+@example(0.0, 1, 1)
+@example(1.0, 1, 1)
+def test_brier_score_of_one_distinct_score_matches_oracle(score, n_p, n_n):
+    assert_brier_matches_oracle(
+        Dataset(np.full(n_p + n_n, score), np.array([1] * n_p + [0] * n_n)))
+
+
+# 0 and 1 each drop a segment of zero width, at the bottom and at the top
+@given(datasets(st.sampled_from([0.0, 0.5, 1.0])))
+def test_brier_score_with_scores_at_zero_and_one_matches_oracle(data):
+    assert_brier_matches_oracle(data)
+
+
+@given(datasets(THOUSANDTHS))
+def test_brier_score_after_class_swap_matches_oracle(data):
+    assert_brier_matches_oracle(data)
+    assert_brier_matches_oracle(Dataset(1.0 - data.scores, 1 - data.labels))
+
+
+# positives only at or below 0.5, negatives only at or above it: every
+# other score belongs to one class
+@given(st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.5]), min_size=1, max_size=30),
+       st.lists(st.sampled_from([0.5, 0.75, 0.875, 1.0]), min_size=1, max_size=30))
+def test_brier_score_with_scores_of_one_class_matches_oracle(pos, neg):
+    assert_brier_matches_oracle(
+        Dataset(np.array(pos + neg), np.array([1] * len(pos) + [0] * len(neg))))
+
+
+@settings(max_examples=5, phases=(Phase.explicit, Phase.generate))
+@given(st.integers(0, 2**32 - 1), st.integers(0, 19_999), st.booleans())
+def test_brier_score_of_one_positive_in_twenty_thousand_matches_oracle(seed, pos_index, tied):
+    scores = np.random.default_rng(seed).random(20_000)
+    if tied:
+        scores = np.round(scores, 3)
+    labels = np.zeros(20_000, dtype=int)
+    labels[pos_index] = 1
+    assert_brier_matches_oracle(Dataset(scores, labels))
 
 
 class TestRefinement:

@@ -10,7 +10,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from opcurves import output
-from opcurves.output import Records, csv_rows, json_text, replaces, write_text, xy_csv
+from opcurves.output import (Outputs, Records, csv_rows, json_text, replaces, write_text,
+                             xy_csv)
 
 FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, float("nan"),
                                                  float("inf"), float("-inf")]))
@@ -212,3 +213,67 @@ class TestWriteText:
         assert got == ["x,y\né\n".encode("utf-8")]
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert os.listdir(tmp_path) == ["pipe"]
+
+
+def _failing(text):
+    yield text
+    raise OSError(28, "No space left on device")
+
+
+class TestOutputs:
+    def test_all_targets_are_replaced_in_order(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("old a")
+        with Outputs() as out:
+            out.add(str(a), "new a")
+            out.add(str(b), iter(["new ", "b"]))
+            assert a.read_text() == "old a" and not b.exists()
+        assert (a.read_text(), b.read_text()) == ("new a", "new b")
+        assert out.paths == [str(a), str(b)]
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+
+    def test_a_failed_second_output_keeps_both_targets(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("old a")
+        b.write_text("old b")
+        with pytest.raises(OSError, match="No space"):
+            with Outputs() as out:
+                out.add(str(a), "new a")
+                out.add(str(b), _failing("new b"))
+        assert (a.read_text(), b.read_text()) == ("old a", "old b")
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+
+    def test_a_failure_between_outputs_writes_none(self, tmp_path):
+        a = tmp_path / "a.txt"
+        with pytest.raises(RuntimeError):
+            with Outputs() as out:
+                out.add(str(a), "new a")
+                raise RuntimeError("computing the next output failed")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_symlink_is_written_only_when_every_output_is_ready(self, tmp_path):
+        target, link, b = tmp_path / "target.txt", tmp_path / "link.txt", tmp_path / "b.txt"
+        target.write_text("old")
+        link.symlink_to(target)
+        with pytest.raises(OSError):
+            with Outputs() as out:
+                out.add(str(link), "new")
+                out.add(str(b), _failing("new b"))
+        assert target.read_text() == "old" and not b.exists()
+        with Outputs() as out:
+            out.add(str(link), iter(["ne", "w"]))
+            out.add(str(b), "new b")
+        assert (target.read_text(), b.read_text()) == ("new", "new b")
+        assert link.is_symlink()
+
+    def test_a_failed_replace_names_the_target_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        def fail(src, dst):
+            raise OSError(28, "No space left on device", src)
+
+        monkeypatch.setattr(os, "replace", fail)
+        path = tmp_path / "a.txt"
+        with pytest.raises(OSError) as info:
+            with Outputs() as out:
+                out.add(str(path), "x")
+        assert info.value.filename == str(path)
+        assert os.listdir(tmp_path) == []

@@ -154,6 +154,9 @@ def assert_matches_oracle(data):
     curve = operating_points(data)
     points = operating_points_oracle(data)
     assert _arrays(curve) == _oracle_arrays(points)
+    # the thresholds bit for bit, signed zeros included
+    want = np.array([p.threshold for p in points[1:]], dtype=np.float64)
+    assert curve.thresholds[1:].view(np.int64).tolist() == want.view(np.int64).tolist()
     assert _arrays(convex_hull(curve)) == _oracle_arrays(convex_hull_oracle(points))
 
 
