@@ -368,18 +368,31 @@ def _utf8_text(raw: bytes) -> str:
 
 
 _BYTE_PIECE = 1 << 17  # bytes of the body decoded at a time, after the first 1 KB
-_DIGITS = 18  # the widest field decoded: 10**18 - 1 fits in an int64
-_POW10 = 10.0 ** np.arange(_DIGITS)  # exact doubles, as 10**f is up to f = 22
+_WIDEST = 24  # the widest field decoded
+_M_LIMIT = 1 << 58  # the digits form m < 2**58, so m * 10 + 9 fits in an int64
+_EXACT = 1 << 53  # every integer up to this is a double
+_POW10 = np.array([float(10**f) for f in range(23)])  # exact doubles, as 10**f is up to f = 22
+_DOUBT = 2.0 ** -20  # rows whose correction lies this near a rounding tie are re-read
+
+
+def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into halves of at most 26 bits, x = hi + lo."""
+    t = x * 134217729.0  # 2**27 + 1
+    hi = t - (t - x)
+    return hi, x - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _from_csv_bytes(raw: bytes) -> Dataset | None:
     """The Dataset of a file whose header passes _plain_header and whose body
     lines are all `<field>,0` or `<field>,1` (the last newline optional), or
-    None. A field is 1 to 18 ASCII digits and at most one dot, with a digit;
-    its digits form an integer m <= 2**53 and, with f digits after the dot,
-    its score is m / 10**f. Both are exact doubles, so that one division is
-    the correctly rounded value float() reads (Clinger 1990), and
-    _from_csv_rows reads the file to the same Dataset, bit for bit."""
+    None. A field is 1 to 24 ASCII digits and at most one dot, with a digit;
+    its digits form an integer m < 2**58 and it has f <= 22 digits after the
+    dot, so its score is m / 10**f with 10**f an exact double. _decode_lines
+    gives every score bit for bit as float() reads it, so _from_csv_rows
+    reads the file to the same Dataset."""
     body = raw.find(b"\n") + 1
     if not body or b"\r" in raw[:body]:
         return None
@@ -387,10 +400,12 @@ def _from_csv_bytes(raw: bytes) -> Dataset | None:
         header = raw[:body - 1].decode("utf-8")
     except UnicodeDecodeError:
         return None
-    if not _plain_header(header):
+    # repr writes a score below 1e-4 with an exponent, which no field holds:
+    # such a file goes to the text path before any piece is decoded
+    if not _plain_header(header) or raw.find(b"e", body) >= 0:
         return None
     buf = np.frombuffer(raw, dtype=np.uint8)
-    widest = min(_DIGITS, csv.field_size_limit())
+    widest = min(_WIDEST, csv.field_size_limit())
     scores = labels = None
     row = 0
     # the first piece is small, so a file of long scores is refused early
@@ -413,7 +428,19 @@ def _from_csv_bytes(raw: bytes) -> Dataset | None:
 def _decode_lines(a: np.ndarray, widest: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Scores and labels of the lines in the bytes a, or None unless each is
     a field _from_csv_bytes takes, of at most `widest` bytes, and `,0` or
-    `,1`."""
+    `,1`. The scores are float() of the fields, bit for bit.
+
+    When every m <= 2**53, m and 10**f are exact doubles and one IEEE
+    division is the correctly rounded m / 10**f (Clinger 1990). Otherwise
+    hi + lo = m with hi = float(m) and |lo| <= 16, q = hi / 10**f, and
+    Dekker's (1971) exact product q * 10**f = ph + pl gives the division's
+    remainder hi - ph - pl exactly, so c = (remainder + lo) / 10**f is the
+    exact m / 10**f - q with a relative error of at most 2**-52, under
+    2**-51 units in the last place of q. fl(q + c) is then the correctly
+    rounded m / 10**f unless c / ulp(q) lies within 2**-20 of a half-integer
+    (a rounding tie) or q lies within one ulp of a power of two (where the
+    spacing of doubles halves); those rows are re-read with float().
+    """
     ends = np.flatnonzero(a == 10)
     newlines = ends.size
     if a[-1] != 10:
@@ -438,12 +465,42 @@ def _decode_lines(a: np.ndarray, widest: int) -> tuple[np.ndarray, np.ndarray] |
         digit = a.take(at, mode="clip") - 48  # a dot reads 254
         outside = width < j
         skip = outside | (digit > 9)
+        # m < 10**18 after 18 columns; from then on m >= 2**58 is refused
+        # before m * 10 can overflow
+        if span - j > 17 and np.any(m >= _M_LIMIT):
+            return None
         m = np.where(skip, m, m * 10 + digit)
         point = np.where(skip ^ outside, j, point)  # skipped inside: the dot
+    f = np.maximum(point - 1, 0)  # digits after the dot
     if (np.count_nonzero(point) != dots or np.any((width == 1) & (point == 1))
-            or np.any(m > 1 << 53)):
+            or np.any(m >= _M_LIMIT) or f.max() >= _POW10.size):
         return None
-    return m / _POW10[np.maximum(point - 1, 0)], labels
+    scale = _POW10[f]
+    hi = m.astype(np.float64)
+    q = hi / scale
+    big = m > _EXACT
+    if not big.any():
+        return q, labels
+    lo = m - hi.astype(np.int64)
+    # Dekker's product: q * scale = ph + pl exactly
+    (qh, ql), sh, sl = _split(q), _POW10_HI[f], _POW10_LO[f]
+    ph = q * scale
+    pl = ((qh * sh - ph) + qh * sl + ql * sh) + ql * sl
+    c = ((hi - ph - pl) + lo) / scale
+    units = c / np.spacing(q)
+    mantissa = np.frexp(q)[0]  # in [0.5, 1), in steps of 2**-53
+    doubt = big & ((np.abs(units - np.floor(units) - 0.5) < _DOUBT)
+                   | (mantissa <= 0.5 + 2.0 ** -53) | (mantissa >= 1.0 - 2.0 ** -53))
+    scores = np.where(big, q + c, q)
+    rows = np.flatnonzero(doubt)
+    if rows.size:
+        scores[rows] = _reread(a, comma[rows] - width[rows], comma[rows])
+    return scores, labels
+
+
+def _reread(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[float]:
+    """float() of the fields a[start:stop]."""
+    return [float(a[i:j].tobytes()) for i, j in zip(starts.tolist(), stops.tolist())]
 
 
 def write_csv(data: Dataset, path: str) -> None:

@@ -442,21 +442,29 @@ class TestOutputs:
 
 
 def test_no_command_imports_numpy_ma(toy_csv, tmp_path):
-    # numpy.ma costs 15-18 ms to import; np.unique is what used to load it
-    runs = [["score", "--input", toy_csv],
-            ["brier", "--input", toy_csv],
-            ["dca", "--input", toy_csv, "--upper-envelope"],
-            ["cost", "--input", toy_csv, "--svg", str(tmp_path / "c.svg")],
-            ["roc", "--input", toy_csv],
-            ["compare", "--input-a", toy_csv, "--input-b", toy_csv]]
+    # numpy.ma costs 15-18 ms to import (np.unique is what used to load it);
+    # decimal or fractions would add to every command's start as well. The
+    # repr input has 17-digit scores, which take the refined decode.
+    repr_csv = str(tmp_path / "repr.csv")
+    assert main(["simulate", "--n", "500", "--seed", "3", "--out", repr_csv]) == 0
+    runs = [["simulate", "--n", "100", "--seed", "1", "--out", str(tmp_path / "s.csv")]]
+    for path in (toy_csv, repr_csv):
+        runs += [["score", "--input", path],
+                 ["brier", "--input", path],
+                 ["dca", "--input", path, "--upper-envelope"],
+                 ["cost", "--input", path, "--svg", str(tmp_path / "c.svg")],
+                 ["roc", "--input", path],
+                 ["compare", "--input-a", path, "--input-b", path],
+                 ["isometrics", "--input", path, "--metric", "accuracy", "--levels", "0:1:0.5"]]
     child = ("import json, sys; from opcurves.cli import main\n"
              "for argv in json.loads(sys.argv[1]):\n"
              "    assert main(argv) == 0\n"
-             "    print(argv[0], 'numpy.ma' in sys.modules, file=sys.stderr)")
+             "    print(argv[0], *(m in sys.modules for m in ('numpy.ma', 'decimal', 'fractions')),"
+             " file=sys.stderr)")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     done = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stderr.splitlines() == [f"{argv[0]} False" for argv in runs]
+    assert done.stderr.splitlines() == [f"{argv[0]} False False False" for argv in runs]
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 """Bytes-first ingest: read_csv reads a file's bytes once and decodes plain
-files of short decimal scores without float(); every other file is read as
+files of decimal scores of up to 24 bytes in numpy, re-reading with float()
+only the rows whose rounding it cannot prove; every other file is read as
 text-mode UTF-8 and parsed by from_csv.
 
 The oracles are the text-mode read, from_csv(open(path).read()), and the
@@ -8,17 +9,20 @@ for bit, and whatever they raise it must raise with the same message.
 """
 
 import csv
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from opcurves import DatasetError, ParseError, from_csv, read_csv
 from opcurves import dataset
-from opcurves.dataset import _BYTE_PIECE, _from_csv_bytes, _from_csv_rows
+from opcurves.cli import main
+from opcurves.dataset import _BYTE_PIECE, _WIDEST, _from_csv_bytes, _from_csv_rows
 
 TWO_53 = 1 << 53
+TWO_58 = 1 << 58
 
 
 def _bits(data):
@@ -96,23 +100,24 @@ def test_a_file_that_is_not_utf8_names_the_line_and_byte(tmp_path, raw, line, by
 # The decoder against float(): which fields it takes, and the bits it gives.
 
 def _decodable(field):
-    """The decoder's language: 1-18 digits and dots, at most one dot, at
-    least one digit, digits m <= 2**53."""
+    """The decoder's language: 1-24 digits and dots, at most one dot, at
+    least one digit, digits m < 2**58, at most 22 digits after the dot."""
     digits = field.replace(".", "", 1)
-    return (1 <= len(field) <= 18 and digits.isdigit() and digits.isascii()
-            and int(digits) <= TWO_53)
+    return (1 <= len(field) <= 24 and digits.isdigit() and digits.isascii()
+            and int(digits) < TWO_58 and len(field.partition(".")[2]) <= 22)
 
 
 def _decode(fields, labels=None):
     labels = labels or [i % 2 for i in range(len(fields))]
     body = "".join(f"{f},{y}\n" for f, y in zip(fields, labels)).encode()
-    return dataset._decode_lines(np.frombuffer(body, dtype=np.uint8), 18)
+    return dataset._decode_lines(np.frombuffer(body, dtype=np.uint8), _WIDEST)
 
 
 @st.composite
 def decimal_fields(draw):
-    digits = draw(st.one_of(st.text("0123456789", max_size=19),
-                            st.integers(TWO_53 - 3, TWO_53 + 3).map(str)))
+    digits = draw(st.one_of(st.text("0123456789", max_size=25),
+                            st.integers(TWO_53 - 3, TWO_53 + 3).map(str),
+                            st.integers(TWO_58 - 3, TWO_58 + 3).map(str)))
     at = draw(st.none() | st.integers(0, len(digits)))
     return digits if at is None else digits[:at] + "." + digits[at:]
 
@@ -130,17 +135,24 @@ def test_decoded_fields_are_float_bit_for_bit(fields):
 
 @pytest.mark.parametrize("field", [".5", "1.", "0", "000.000", "1", "0.0", "1.000",
                                    "0.9007199254740992", "9007199254740992",
-                                   ".00000000000000001", "123456789012345.6"])
+                                   ".00000000000000001", "123456789012345.6",
+                                   "0.9007199254740993", "9007199254740993",
+                                   "0.12345678901234567", "0.49999999999999994",
+                                   "288230376151711743", "0.288230376151711743",
+                                   ".0000000000000000000001", "0.0000000000000000000001",
+                                   "0000000000000000000000.5"])
 def test_fields_the_decoder_takes(field):
     assert _decodable(field)
     scores, _ = _decode([field])
     assert scores.view(np.int64)[0] == np.float64(float(field)).view(np.int64)
 
 
-@pytest.mark.parametrize("field", [".", "", "1.2.3", "0..5", "..", "0.9007199254740993",
-                                   "9007199254740993", "0.1234567890123456789",
-                                   "0.12345678901234567", "-0.5", "+1", "1e-3", " 0.5",
-                                   "0.5 ", "0x1", "٠.5", "0_5", "nan", '"0.5"'])
+@pytest.mark.parametrize("field", [".", "", "1.2.3", "0..5", "..", "0.1234567890123456789",
+                                   "288230376151711744", "2.88230376151711744",
+                                   ".00000000000000000000001", "0.00000000000000000000001",
+                                   "00000000000000000000000.5", "18446744073709551621",
+                                   "1844674407370955162.1", "-0.5", "+1", "1e-3",
+                                   " 0.5", "0.5 ", "0x1", "٠.5", "0_5", "nan", '"0.5"'])
 def test_fields_the_decoder_refuses(field):
     assert _decode([field]) is None
     assert _decode(["0.5", field, "0.25"]) is None
@@ -150,7 +162,7 @@ def test_fields_the_decoder_refuses(field):
                                   b",1", b"0.5;1", b"0.5,p", b"0.5,\xff", b"\n"])
 def test_lines_the_decoder_refuses(line):
     for body in (line + b"\n", b"0.25,0\n" + line + b"\n0.75,1\n", b"0.25,0\n" + line):
-        assert dataset._decode_lines(np.frombuffer(body, dtype=np.uint8), 18) is None
+        assert dataset._decode_lines(np.frombuffer(body, dtype=np.uint8), _WIDEST) is None
 
 
 def test_every_six_digit_decimal_is_float_bit_for_bit():
@@ -161,6 +173,60 @@ def test_every_six_digit_decimal_is_float_bit_for_bit():
     assert data is not None
     assert np.array_equal(data.scores.view(np.int64), want.view(np.int64))
     assert np.array_equal(data.labels, np.arange(10**6) & 1)
+
+
+# Fields of 17 significant digits, as repr writes them: m passes 2**53, and
+# each row's rounding is either proved or re-read with float().
+
+@given(st.lists(st.floats(1e-4, 1.0), min_size=1, max_size=20))
+@example([0.49999999999999994, 1.0, 0.1, 2.0 ** -13, 1e-4, 0.9999999999999999,
+          0.30000000000000004, 0.7182861382334527])
+def test_repr_fields_decode_bit_for_bit(values):
+    scores, _ = _decode(list(map(repr, values)))
+    assert scores.view(np.int64).tolist() == np.array(values).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("power", [1, 2, 3, 5, 8, 13])
+def test_repr_fields_across_binades_decode_bit_for_bit(power):
+    values = np.random.default_rng(power).random(20_000) ** power
+    fields = [f for f in map(repr, values.tolist()) if "e" not in f]
+    # none of these lies near a tie, so the re-read is not called
+    with mock.patch.object(dataset, "_reread", wraps=dataset._reread) as reread:
+        scores, _ = _decode(fields)
+    assert reread.call_count == 0
+    assert np.array_equal(scores.view(np.int64), np.array(list(map(float, fields))).view(np.int64))
+
+
+# Decimals within 2**-20 units in the last place of the midpoint of two
+# adjacent doubles (each the nearest to one such midpoint with m < 2**58),
+# and exact midpoints above 2**51; 2**54 - 1 and 2**55 - 2 are ties just
+# below a power of two, where the spacing of doubles halves.
+NEAR_TIES = ["0.054167496378288469", "0.092479772659323424", "0.0153508443904211778",
+             "0.000255365131809459010", "0.00065890419317539661", "0.0170611896853742704"]
+EXACT_TIES = [str(TWO_53 + 1), "2251799813685248.25", "9007199254740993.0",
+              str((1 << 54) - 1), str((1 << 55) - 2)]
+
+
+def _ulps_from_a_tie(field):
+    """How far the exact decimal lies from the midpoint of the double it reads
+    as and that double's neighbour on its side, in units of their spacing."""
+    exact, near = Decimal(field), float(field)
+    other = float(np.nextafter(near, np.inf if exact > Decimal(near) else -np.inf))
+    midpoint = (Decimal(near) + Decimal(other)) / 2
+    return abs(exact - midpoint) / abs(Decimal(near) - Decimal(other))
+
+
+@pytest.mark.parametrize("field", NEAR_TIES + EXACT_TIES)
+def test_fields_near_a_rounding_tie_are_reread(field):
+    assert _ulps_from_a_tie(field) < Decimal(2) ** -20
+    fields = ["0.5", field, "0.30000000000000004"]
+    with mock.patch.object(dataset, "_reread", wraps=dataset._reread) as reread:
+        scores, _ = _decode(fields)
+    assert reread.call_count == 1
+    a, starts, stops = reread.call_args.args
+    assert [a[i:j].tobytes().decode() for i, j in zip(starts, stops)] == [field]
+    want = np.array(list(map(float, fields)))
+    assert scores.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 # Whole files: what the decoder takes equals the row parser, bit for bit.
@@ -189,7 +255,8 @@ def test_files_of_decimal_fields_match_the_row_parser(rows, final_newline):
 
 
 @pytest.mark.parametrize("body", [".5,0\n1.,1\n", "0,0\n1,1\n000.000,0\n1,1",
-                                  "0.9007199254740992,1\n0,0\n"])
+                                  "0.9007199254740992,1\n0,0\n",
+                                  "0.9007199254740993,1\n0,0\n"])
 def test_files_the_decoder_takes(body):
     raw = ("score,label\n" + body).encode()
     assert _from_csv_bytes(raw) is not None
@@ -197,7 +264,7 @@ def test_files_the_decoder_takes(body):
 
 
 @pytest.mark.parametrize("body", [".,1\n0,0\n", ",1\n0,0\n", "1.5,1\n0,0\n",
-                                  "0.9007199254740993,1\n0,0\n", "0,0\n0,0\n"])
+                                  "0.288230376151711744,1\n0,0\n", "0,0\n0,0\n"])
 def test_files_the_decoder_leaves_to_the_text_path(tmp_path, body):
     raw = ("score,label\n" + body).encode()
     assert _from_csv_bytes(raw) is None
@@ -220,19 +287,48 @@ def test_bodies_of_many_pieces_match_the_row_parser():
     for raw in (("score,label\n" + body).encode(), ("score,label\n" + body[:-1]).encode()):
         assert _from_csv_bytes(raw) is not None
         _assert_bytes_match_the_row_parser(raw)
-    # refused late in the body: the text path reads the file
+    # a late piece of 17-digit scores is refined and stays on the decoded path
+    raw = ("score,label\n" + body + "0.12345678901234567,1\n").encode()
+    assert _from_csv_bytes(raw) is not None
+    _assert_bytes_match_the_row_parser(raw)
+    # refused late in the body (m >= 2**58 in the first): the text path reads it
     for tail in ("0.1234567890123456789,1\n", "1.5,0\n", "0.5,1,0\n"):
         raw = ("score,label\n" + body + tail).encode()
         assert _from_csv_bytes(raw) is None
         _assert_bytes_match_the_row_parser(raw)
 
 
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_a_simulated_file_reads_as_the_row_parser_reads_it(tmp_path, final_newline):
+    path = tmp_path / "sim.csv"
+    assert main(["simulate", "--n", "30000", "--seed", "11", "--out", str(path)]) == 0
+    raw = path.read_bytes()
+    assert len(raw) > 4 * _BYTE_PIECE
+    if not final_newline:
+        raw = raw[:-1]
+        path.write_bytes(raw)
+    assert _from_csv_bytes(raw) is not None
+    assert _bits(read_csv(str(path))) == _bits(_from_csv_rows(raw.decode()))
+
+
 def test_a_file_of_long_scores_is_refused_by_its_first_kilobyte():
-    raw = ("score,label\n0.30000000000000004,0\n" + "0.25,0\n0.75,1\n" * 50_000).encode()
+    # the exact decimal of the double 0.30000000000000004: 54 bytes
+    raw = ("score,label\n0.3000000000000000444089209850062616169452667236328125,0\n"
+           + "0.25,0\n0.75,1\n" * 50_000).encode()
     with mock.patch.object(dataset, "_decode_lines", wraps=dataset._decode_lines) as decode:
         assert _from_csv_bytes(raw) is None
     assert decode.call_count == 1
     assert decode.call_args.args[0].size <= 1100
+
+
+def test_a_file_with_an_exponent_is_refused_before_any_piece_is_decoded():
+    # repr writes scores below 1e-4 with one, here in the last line
+    raw = ("score,label\n" + "0.30000000000000004,0\n0.75,1\n" * 50_000
+           + repr(2.65516383690656e-05) + ",0\n").encode()
+    with mock.patch.object(dataset, "_decode_lines", wraps=dataset._decode_lines) as decode:
+        assert _from_csv_bytes(raw) is None
+    assert decode.call_count == 0
+    _assert_bytes_match_the_row_parser(raw)
 
 
 def test_the_csv_field_size_limit_holds_on_the_decoded_path(tmp_path):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from opcurves import (ConfusionCounts, Dataset, OperatingPoint, RocCurve,
                       convex_hull, dominance, operating_points, threshold_rates)
+from opcurves import roc
 from helpers import (THOUSANDTHS, UNIT_FLOATS, convex_hull_oracle, datasets, make_random,
                      operating_points_oracle)
 
@@ -226,6 +229,25 @@ def test_hull_of_two_models_matches_oracle(rows):
     got = convex_hull(RocCurve(points=points))
     assert [(p.counts.fp, p.counts.tp) for p in got.points] == [
         (p.counts.fp, p.counts.tp) for p in want]
+
+
+# The hull's vectorised pre-pass: whatever number of rounds runs before the
+# monotone chain, the hull is the oracle's.
+
+@pytest.mark.parametrize("rounds", [0, 1, 2])
+@given(data=datasets())
+def test_hull_after_any_number_of_prepass_rounds_matches_oracle(rounds, data):
+    with mock.patch.object(roc, "_HULL_ROUNDS", rounds):
+        assert_matches_oracle(data)
+
+
+@settings(max_examples=5, phases=(Phase.explicit, Phase.generate))
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_hull_of_twenty_thousand_gaussian_scores_matches_oracle(seed, tied):
+    rng = np.random.default_rng(seed)
+    labels = (rng.random(20_000) < 0.2).astype(int)
+    scores = np.clip(rng.normal(0.4 + 0.2 * labels, 0.12), 0.0, 1.0)
+    assert_matches_oracle(Dataset(np.round(scores, 3) if tied else scores, labels))
 
 
 def test_point_count_builds_no_points(monkeypatch):
