@@ -25,7 +25,7 @@ from .cost import (CostLine, CostParams, LossDecomposition, baseline_cost_lines,
 from .dataset import (NEGATIVE, POSITIVE, Dataset, DatasetError, DegenerateClassError,
                       EmptyInputError, ParseError, Priors, SimulationSpec,
                       SimulationSpecError, from_csv, parse_dataset, read_csv,
-                      serialize_dataset, simulate_gaussian, to_csv, write_csv)
+                      simulate_gaussian, to_csv, write_csv)
 from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
                        decision_curve, net_benefit, standardized_net_benefit,
                        upper_envelope_decision_curve, upper_envelope_support)
@@ -43,7 +43,7 @@ __all__ = [
     "NEGATIVE", "POSITIVE", "Dataset", "DatasetError", "DegenerateClassError",
     "EmptyInputError", "ParseError", "Priors", "SimulationSpec",
     "SimulationSpecError", "from_csv", "parse_dataset", "read_csv",
-    "serialize_dataset", "simulate_gaussian", "to_csv", "write_csv",
+    "simulate_gaussian", "to_csv", "write_csv",
     "ConfusionCounts", "OperatingPoint", "RocCurve", "convex_hull", "dominance",
     "operating_points", "threshold_rates",
     "Curve", "ThresholdGrid", "UtilityScheme", "baseline_decision_curves",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -199,46 +198,20 @@ def _where(row: int, lines: Sequence[int] | None) -> str:
     return f"row {row}" if lines is None else f"row {row} (line {lines[row - 1]})"
 
 
-def serialize_dataset(data: Dataset) -> tuple[tuple[str, str], ...]:
-    """Inverse of parse_dataset: emits records that parse back to `data`.
-
-    Scores are written with repr so the float round-trips exactly; labels
-    are written canonically as 0/1.
-    """
-    return tuple((repr(float(s)), str(int(l)))
-                 for s, l in zip(data.scores, data.labels))
-
-
 def from_csv(text: str) -> Dataset:
     """Parse `score,label` CSV text into a Dataset.
 
     A leading byte order mark, which spreadsheet exports write, is skipped.
-    Plain files (header `score,label`, then one `score,0` or `score,1` per
-    line) are read in one vectorized pass; anything else, and any input
-    that pass or Dataset rejects, goes through the row-by-row parser, which
-    defines the accepted language and the error messages.
+    The UTF-8 bytes of the text go to the byte decoder, _from_csv_bytes;
+    any text it refuses, and any input Dataset rejects, goes through the
+    row-by-row parser, which defines the accepted language and the error
+    messages.
     """
-    data = _from_csv_fast(text)
+    try:
+        data = _from_csv_bytes(text.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        data = None
     return data if data is not None else _from_csv_rows(text)
-
-
-# numpy's loadtxt skips these ASCII separators around a number like spaces,
-# but float() rejects them, so a body holding one goes to the row parser
-_LOADTXT_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
-
-
-_PIECE = 1 << 16  # characters of the body in one StringIO for loadtxt
-
-
-def _pieces(text: str | bytes, lo: int = 0, first: int = _PIECE,
-            size: int = _PIECE) -> Iterator[tuple[int, int]]:
-    """(start, stop) of text[lo:] cut after the first newline past `first`
-    characters, then after the first newline past every `size` more."""
-    newline = "\n" if isinstance(text, str) else b"\n"
-    while lo < len(text):
-        hi = text.find(newline, lo + first) + 1 or len(text)
-        yield lo, hi
-        lo, first = hi, size
 
 
 def _plain_header(line: str) -> bool:
@@ -247,51 +220,6 @@ def _plain_header(line: str) -> bool:
     cells = line.removeprefix("\ufeff").split(",")
     return (tuple(cell.strip().casefold() for cell in cells) == CSV_HEADER
             and max(map(len, cells)) <= csv.field_size_limit())
-
-
-def _from_csv_fast(text: str) -> Dataset | None:
-    """The Dataset of a plain `score,0|1` file, or None for any other text.
-
-    The header must be exactly `score,label` up to case and padding, and
-    the body must have no quote, no carriage return and no line other than
-    `<score>,0` or `<score>,1`; the scores are parsed by one np.loadtxt
-    call. _from_csv_rows reads every text this accepts to the same
-    Dataset, bit for bit.
-    """
-    header, _, body = text.partition("\n")
-    if not _plain_header(header):
-        return None
-    # csv.reader refuses a cell longer than its field size limit
-    limit = csv.field_size_limit()
-    if not body.endswith("\n"):
-        body += "\n"
-    lines = body.count("\n")
-    # a line ending in ",0" or ",1" holds a comma, so equal counts mean
-    # every line holds exactly one comma and ends in a 0/1 label
-    if not body.count(",") == lines == body.count(",0\n") + body.count(",1\n"):
-        return None
-    if '"' in body or "\r" in body or any(ch in body for ch in _LOADTXT_ONLY_SPACES):
-        return None
-    pieces = list(_pieces(body))
-    # a line `<score>,0` with too long a score is longer than the limit, and
-    # so is the piece holding it
-    if any(hi - lo > limit and max(map(len, body[lo:hi].split("\n"))) > limit + 2
-           for lo, hi in pieces):
-        return None
-    # loadtxt takes the lines from a StringIO of one piece of the body at a
-    # time: a StringIO of the whole body holds it at 4 bytes a character
-    text_lines = itertools.chain.from_iterable(io.StringIO(body[lo:hi]) for lo, hi in pieces)
-    try:
-        table = np.loadtxt(text_lines, delimiter=",", comments=None,
-                           quotechar=None, dtype=np.float64, ndmin=2)
-    except ValueError:
-        return None
-    if table.shape != (lines, 2):
-        return None
-    try:
-        return Dataset(table[:, 0], table[:, 1])
-    except DatasetError:
-        return None
 
 
 def _from_csv_rows(text: str) -> Dataset:
@@ -341,10 +269,10 @@ def to_csv(data: Dataset) -> str:
 def read_csv(path: str) -> Dataset:
     """Read a `score,label` CSV file into a Dataset.
 
-    The file is read as bytes once. _from_csv_bytes decodes a plain file of
-    short decimal scores from them; any other file is parsed by from_csv
-    from the text open(path, encoding="utf-8") would read. A file that is
-    not UTF-8 raises ParseError naming the line and the byte.
+    The file is read as bytes once and decoded by _from_csv_bytes; any file
+    it refuses is parsed by _from_csv_rows from the text open(path,
+    encoding="utf-8") would read. A file that is not UTF-8 raises
+    ParseError naming the line and the byte.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -352,8 +280,8 @@ def read_csv(path: str) -> Dataset:
     if data is not None:
         return data
     text = _utf8_text(raw)
-    del raw  # the parsers never hold the file's bytes and its text at once
-    return from_csv(text)
+    del raw  # the row parser never holds the file's bytes and its text at once
+    return _from_csv_rows(text)
 
 
 def _utf8_text(raw: bytes) -> str:
@@ -367,7 +295,7 @@ def _utf8_text(raw: bytes) -> str:
         raise ParseError(f"line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
 
 
-_BYTE_PIECE = 1 << 17  # bytes of the body decoded at a time, after the first 1 KB
+_PIECE_BYTES = 1 << 17  # bytes of the body decoded at a time, after the first 1 KB
 _WIDEST = 24  # the widest field decoded
 _M_LIMIT = 1 << 58  # the digits form m < 2**58, so m * 10 + 9 fits in an int64
 _EXACT = 1 << 53  # every integer up to this is a double
@@ -387,30 +315,32 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 
 def _from_csv_bytes(raw: bytes) -> Dataset | None:
     """The Dataset of a file whose header passes _plain_header and whose body
-    lines are all `<field>,0` or `<field>,1` (the last newline optional), or
-    None. A field is 1 to 24 ASCII digits and at most one dot, with a digit;
-    its digits form an integer m < 2**58 and it has f <= 22 digits after the
-    dot, so its score is m / 10**f with 10**f an exact double. _decode_lines
-    gives every score bit for bit as float() reads it, so _from_csv_rows
-    reads the file to the same Dataset."""
+    lines are all `<field>,0` or `<field>,1`, ended by LF or CRLF (the last
+    one optional), or None. A field has 1 to 24 bytes: ASCII digits and at
+    most one dot, whose digits form an integer m < 2**58 with f <= 22 digits
+    after the dot, decoded as m / 10**f; or digits, dots and a sign or an
+    exponent (`+`, `-`, `e`, `E`), read by float(). _decode_lines gives every
+    score bit for bit as float() reads it, so _from_csv_rows reads the file
+    to the same Dataset."""
     body = raw.find(b"\n") + 1
-    if not body or b"\r" in raw[:body]:
+    if not body:
         return None
+    header = raw[:body - 1].removesuffix(b"\r")
     try:
-        header = raw[:body - 1].decode("utf-8")
+        if b"\r" in header or not _plain_header(header.decode("utf-8")):
+            return None
     except UnicodeDecodeError:
         return None
-    # repr writes a score below 1e-4 with an exponent, which no field holds:
-    # such a file goes to the text path before any piece is decoded
-    if not _plain_header(header) or raw.find(b"e", body) >= 0:
-        return None
+    crlf = raw.find(b"\r", body) >= 0
     buf = np.frombuffer(raw, dtype=np.uint8)
     widest = min(_WIDEST, csv.field_size_limit())
     scores = labels = None
     row = 0
     # the first piece is small, so a file of long scores is refused early
-    for lo, hi in _pieces(raw, body, 1 << 10, _BYTE_PIECE):
-        part = _decode_lines(buf[lo:hi], widest)
+    lo, size = body, 1 << 10
+    while lo < len(raw):
+        hi = raw.find(b"\n", lo + size) + 1 or len(raw)
+        part = _decode_lines(buf[lo:hi], widest, crlf)
         if part is None:
             return None
         if scores is None:
@@ -419,51 +349,75 @@ def _from_csv_bytes(raw: bytes) -> Dataset | None:
         rows = part[0].size
         scores[row:row + rows], labels[row:row + rows] = part
         row += rows
+        lo, size = hi, _PIECE_BYTES
     try:
         return None if scores is None else Dataset(scores, labels, _owned=True)
     except DatasetError:
         return None
 
 
-def _decode_lines(a: np.ndarray, widest: int) -> tuple[np.ndarray, np.ndarray] | None:
+def _decode_lines(a: np.ndarray, widest: int,
+                  crlf: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
     """Scores and labels of the lines in the bytes a, or None unless each is
     a field _from_csv_bytes takes, of at most `widest` bytes, and `,0` or
-    `,1`. The scores are float() of the fields, bit for bit.
+    `,1`, ended by LF, by CRLF when `crlf`, or by the end of a. The scores
+    are float() of the fields, bit for bit.
 
-    When every m <= 2**53, m and 10**f are exact doubles and one IEEE
-    division is the correctly rounded m / 10**f (Clinger 1990). Otherwise
-    hi + lo = m with hi = float(m) and |lo| <= 16, q = hi / 10**f, and
-    Dekker's (1971) exact product q * 10**f = ph + pl gives the division's
-    remainder hi - ph - pl exactly, so c = (remainder + lo) / 10**f is the
-    exact m / 10**f - q with a relative error of at most 2**-52, under
-    2**-51 units in the last place of q. fl(q + c) is then the correctly
-    rounded m / 10**f unless c / ulp(q) lies within 2**-20 of a half-integer
-    (a rounding tie) or q lies within one ulp of a power of two (where the
-    spacing of doubles halves); those rows are re-read with float().
+    A field holding a sign or an exponent is read by float(), and one that
+    float() refuses refuses a. In the others, when every m <= 2**53, m and
+    10**f are exact doubles and one IEEE division is the correctly rounded
+    m / 10**f (Clinger 1990). Otherwise hi + lo = m with hi = float(m) and
+    |lo| <= 16, q = hi / 10**f, and Dekker's (1971) exact product
+    q * 10**f = ph + pl gives the division's remainder hi - ph - pl exactly,
+    so c = (remainder + lo) / 10**f is the exact m / 10**f - q with a
+    relative error of at most 2**-52, under 2**-51 units in the last place
+    of q. fl(q + c) is then the correctly rounded m / 10**f unless c / ulp(q)
+    lies within 2**-20 of a half-integer (a rounding tie) or q lies within
+    one ulp of a power of two (where the spacing of doubles halves); those
+    rows are re-read with float().
     """
     ends = np.flatnonzero(a == 10)
     newlines = ends.size
     if a[-1] != 10:
         ends = np.append(ends, a.size)
-    comma = ends - 2
     width = np.diff(ends, prepend=-1) - 3
-    labels = a[ends - 1] - 48
+    stops, crs = ends, 0
+    if crlf:  # a CR right before a newline is part of the line end
+        cr = np.zeros(ends.size, dtype=np.int64)
+        cr[:newlines] = a[ends[:newlines] - 1] == 13
+        crs = np.count_nonzero(cr)
+        stops, width = ends - cr, width - cr
+    comma = stops - 2
+    labels = a[stops - 1] - 48
     dots = np.count_nonzero(a == 46)
-    # one comma a line, left of a 0/1 label: every other byte is a digit or a dot
+    # one comma a line, left of a 0/1 label: every other byte is a digit, a
+    # dot, or a sign or an exponent of a field float() reads
     if (width.min() < 1 or width.max() > widest or np.any(labels > 1)
-            or np.count_nonzero(a == 44) != ends.size or np.any(a[comma] != 44)
-            or np.count_nonzero(a - 48 < 10) + dots + ends.size + newlines != a.size):
+            or np.count_nonzero(a == 44) != ends.size or np.any(a[comma] != 44)):
         return None
+    # bytes of no class counted here must be signs or exponents; so must any
+    # CR that does not end a line, which refuses a
+    signs = a.size - np.count_nonzero(a - 48 < 10) - dots - ends.size - newlines - crs
+    by_float, reach = False, width  # rows read by float(); widths Horner's rule reads
+    if signs:
+        odd = np.flatnonzero((a == 43) | (a == 45) | (a == 69) | (a == 101))  # + - E e
+        if odd.size != signs:
+            return None
+        by_float = np.zeros(ends.size, dtype=bool)
+        by_float[np.searchsorted(ends, odd)] = True
+        # the dots of these fields are float()'s to check
+        dots -= np.count_nonzero(by_float[np.searchsorted(ends, np.flatnonzero(a == 46))])
+        reach = np.where(by_float, 0, width)
     # Horner's rule over the columns j bytes left of the commas, widest first,
     # skipping each field's dot and the columns left of a field's start
     m = np.zeros(ends.size, dtype=np.int64)
     point = np.zeros(ends.size, dtype=np.int64)  # the j of the dot, 0 for none
-    span = int(width.max())
+    span = int(reach.max())
     at = comma - span - 1
     for j in range(span, 0, -1):
         at += 1
         digit = a.take(at, mode="clip") - 48  # a dot reads 254
-        outside = width < j
+        outside = reach < j
         skip = outside | (digit > 9)
         # m < 10**18 after 18 columns; from then on m >= 2**58 is refused
         # before m * 10 can overflow
@@ -477,30 +431,41 @@ def _decode_lines(a: np.ndarray, widest: int) -> tuple[np.ndarray, np.ndarray] |
         return None
     scale = _POW10[f]
     hi = m.astype(np.float64)
-    q = hi / scale
+    scores = hi / scale
     big = m > _EXACT
-    if not big.any():
-        return q, labels
-    lo = m - hi.astype(np.int64)
-    # Dekker's product: q * scale = ph + pl exactly
-    (qh, ql), sh, sl = _split(q), _POW10_HI[f], _POW10_LO[f]
-    ph = q * scale
-    pl = ((qh * sh - ph) + qh * sl + ql * sh) + ql * sl
-    c = ((hi - ph - pl) + lo) / scale
-    units = c / np.spacing(q)
-    mantissa = np.frexp(q)[0]  # in [0.5, 1), in steps of 2**-53
-    doubt = big & ((np.abs(units - np.floor(units) - 0.5) < _DOUBT)
-                   | (mantissa <= 0.5 + 2.0 ** -53) | (mantissa >= 1.0 - 2.0 ** -53))
-    scores = np.where(big, q + c, q)
-    rows = np.flatnonzero(doubt)
+    if big.any():
+        q, lo = scores, m - hi.astype(np.int64)
+        # Dekker's product: q * scale = ph + pl exactly
+        (qh, ql), sh, sl = _split(q), _POW10_HI[f], _POW10_LO[f]
+        ph = q * scale
+        pl = ((qh * sh - ph) + qh * sl + ql * sh) + ql * sl
+        c = ((hi - ph - pl) + lo) / scale
+        units = c / np.spacing(q)
+        mantissa = np.frexp(q)[0]  # in [0.5, 1), in steps of 2**-53
+        by_float = by_float | (big & ((np.abs(units - np.floor(units) - 0.5) < _DOUBT)
+                                      | (mantissa <= 0.5 + 2.0 ** -53)
+                                      | (mantissa >= 1.0 - 2.0 ** -53)))
+        scores = np.where(big, q + c, q)
+    rows = np.flatnonzero(by_float)
     if rows.size:
-        scores[rows] = _reread(a, comma[rows] - width[rows], comma[rows])
+        try:
+            scores[rows] = _reread(a, comma[rows] - width[rows], comma[rows])
+        except ValueError:
+            return None
     return scores, labels
 
 
-def _reread(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[float]:
-    """float() of the fields a[start:stop]."""
-    return [float(a[i:j].tobytes()) for i, j in zip(starts.tolist(), stops.tolist())]
+_COLUMNS = np.arange(_WIDEST)
+
+
+def _reread(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """float() of the fields a[start:stop], of at most _WIDEST bytes each.
+    The fields, padded with NULs to _WIDEST bytes, make one bytes array,
+    which numpy casts to float64 by float() of each item."""
+    padded = np.append(a, np.zeros(_WIDEST, dtype=np.uint8))
+    cells = np.lib.stride_tricks.sliding_window_view(padded, _WIDEST)[starts]
+    cells[_COLUMNS >= (stops - starts)[:, None]] = 0
+    return cells.view(f"S{_WIDEST}")[:, 0].astype(np.float64)
 
 
 def write_csv(data: Dataset, path: str) -> None:
@@ -524,6 +489,9 @@ class SimulationSpec:
             raise SimulationSpecError("n must be at least 2")
         if not 0.0 < self.pi_p < 1.0:
             raise SimulationSpecError("pi_p must lie strictly inside (0, 1)")
+        for name in ("mu_n", "sigma_n", "mu_p", "sigma_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationSpecError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma_n <= 0.0 or self.sigma_p <= 0.0:
             raise SimulationSpecError("class standard deviations must be positive")
 

@@ -62,6 +62,16 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag, field", [("--mu-n", "mu_n"), ("--sd-n", "sigma_n"),
+                                             ("--mu-p", "mu_p"), ("--sd-p", "sigma_p")])
+    def test_non_finite_means_and_sds_are_usage_errors(self, tmp_path, capsys, flag, field,
+                                                       value):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--n", "300", f"{flag}={value}", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {float(value)!r}\n"
+        assert not out.exists()
+
 
 class TestDca:
     def test_csv_has_expected_series(self, toy_csv, tmp_path):

@@ -6,9 +6,8 @@ import pytest
 
 from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError,
                       Priors, SimulationSpec, SimulationSpecError, from_csv,
-                      parse_dataset, serialize_dataset, simulate_gaussian, to_csv,
-                      write_csv)
-from opcurves.dataset import _PIECE, _from_csv_fast, _from_csv_rows
+                      parse_dataset, simulate_gaussian, to_csv, write_csv)
+from opcurves.dataset import _PIECE_BYTES, _from_csv_bytes, _from_csv_rows
 from helpers import make_random
 
 
@@ -71,11 +70,6 @@ def test_parse_reports_row_numbers():
         parse_dataset([("0.2", "maybe"), ("0.3", "0")])
 
 
-def test_serialize_round_trip(toy):
-    again = parse_dataset(serialize_dataset(toy))
-    assert again == toy
-
-
 def test_csv_round_trip(toy):
     text = to_csv(toy)
     assert text.splitlines()[0] == "score,label"
@@ -114,13 +108,15 @@ def test_csv_reader_errors_are_parse_errors():
 
 def test_score_cell_longer_than_the_csv_field_limit():
     # csv.reader takes a cell of csv.field_size_limit() characters and
-    # refuses one longer; the vectorized path reads the first and not the second
+    # refuses one longer; the byte decoder takes neither, as it takes no
+    # field wider than 24 bytes, and leaves both to the row parser
     limit = csv.field_size_limit()
     lead = "score,label\n" + "0.2,0\n0.8,1\n" * 20_000  # past the first piece
     for size in (limit, limit + 1):
         cell = "0." + "1" * (size - 2)
         first = f"score,label\n{cell},1\n0.2,0\n"
-        assert (_from_csv_fast(first) is None) == (size > limit)
+        assert _from_csv_bytes(first.encode()) is None
+        assert _from_csv_bytes(f"{lead}{cell},0\n".encode()) is None
         for text in (first, f"{lead}{cell},0\n",
                      f"score{' ' * (size - 5)},label\n0.2,0\n0.8,1\n"):
             _assert_matches_row_parser(text)
@@ -130,18 +126,18 @@ def test_score_cell_longer_than_the_csv_field_limit():
 
 def test_letter_labels_parse_through_the_row_parser():
     text = "score,label\n0.2,n\n0.8, P \n0.6,1\n"
-    assert _from_csv_fast(text) is None
+    assert _from_csv_bytes(text.encode()) is None
     assert from_csv(text).labels.tolist() == [0, 1, 1]
 
 
 def test_plain_files_take_the_vectorized_path(toy):
     for text in (to_csv(toy), to_csv(toy).rstrip("\n"), "\ufeff" + to_csv(toy),
-                 " Score , LABEL \n0.25,0\n1e-1,1\n"):
-        assert _from_csv_fast(text) is not None
-    assert _from_csv_fast(to_csv(toy)) == toy
+                 " Score , LABEL \n0.25,0\n1e-1,1\n", to_csv(toy).replace("\n", "\r\n")):
+        assert _from_csv_bytes(text.encode()) is not None
+    assert _from_csv_bytes(to_csv(toy).encode()) == toy
 
 
-# Differential ingest test: from_csv, and its vectorized path alone, must
+# Differential ingest test: from_csv, and its byte decoder alone, must
 # agree with the row-by-row parser on every text, bit for bit, or raise
 # what it raises.
 
@@ -162,13 +158,13 @@ def _assert_matches_row_parser(text):
     try:
         want = _from_csv_rows(text)
     except Exception as exc:
-        assert _from_csv_fast(text) is None
+        assert _from_csv_bytes(text.encode()) is None
         with pytest.raises(type(exc)) as got:
             from_csv(text)
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
         return
-    fast = _from_csv_fast(text)
+    fast = _from_csv_bytes(text.encode())
     for got in (from_csv(text),) if fast is None else (from_csv(text), fast):
         assert got == want
         assert got.scores.tobytes() == want.scores.tobytes()
@@ -225,15 +221,20 @@ def test_fuzzed_csv_matches_row_parser():
 
 
 def test_bodies_longer_than_one_piece_match_the_row_parser():
-    # loadtxt reads the body through StringIOs of _PIECE-character pieces
+    # the byte decoder reads the body in pieces of _PIECE_BYTES
     rng = random.Random(7)
-    cells = ["0.5", "1", "\xa00.25", "0.3\u2003", ".75", " 1e-1", "0.30000000000000004"]
-    body = [f"{rng.choice(cells)},{rng.choice('01')}" for _ in range(40_000)]
+    cells = ["0.5", "1", ".75", "1e-1", "+0.25", "-0.0", "2.65516383690656e-05",
+             "0.30000000000000004"]
+    body = [f"{rng.choice(cells)},{rng.choice('01')}" for _ in range(60_000)]
     text = "score,label\n" + "\n".join(["0.2,0", "0.8,1"] + body) + "\n"
-    assert len(text) > 4 * _PIECE
-    assert _from_csv_fast(text) is not None
+    assert len(text) > 4 * _PIECE_BYTES
+    assert _from_csv_bytes(text.encode()) is not None
     _assert_matches_row_parser(text)
-    for cell in ("\u0661", "é", "0.5#"):  # refused by the fast path late in the body
+    # padded cells, which float() reads, are the row parser's alone
+    padded = text + "\xa00.25,0\n0.3\u2003,1\n 1e-1,0\n"
+    assert _from_csv_bytes(padded.encode()) is None
+    _assert_matches_row_parser(padded)
+    for cell in ("\u0661", "é", "0.5#", "1e"):  # refused by the decoder late in the body
         _assert_matches_row_parser(text + f"{cell},1\n")
 
 
@@ -244,7 +245,6 @@ def test_to_csv_matches_elementwise_formatting(toy, tmp_path):
         # repr of each numpy scalar, the reference for to_csv's tolist() pass
         rows = [f"{float(s)!r},{int(l)}" for s, l in zip(data.scores, data.labels)]
         assert to_csv(data) == "\n".join(["score,label"] + rows) + "\n"
-        assert serialize_dataset(data) == tuple(tuple(r.split(",")) for r in rows)
         write_csv(data, str(tmp_path / "d.csv"))
         assert (tmp_path / "d.csv").read_text(encoding="utf-8") == to_csv(data)
 

@@ -1,7 +1,9 @@
 """Bytes-first ingest: read_csv reads a file's bytes once and decodes plain
-files of decimal scores of up to 24 bytes in numpy, re-reading with float()
-only the rows whose rounding it cannot prove; every other file is read as
-text-mode UTF-8 and parsed by from_csv.
+files (LF or CRLF line ends) of scores of up to 24 bytes in numpy. Decimal
+fields are decoded by integer arithmetic and re-read with float() only where
+their rounding cannot be proved; fields with a sign or an exponent are
+re-read with float(). Every other file is read as text-mode UTF-8 and
+parsed by the row parser.
 
 The oracles are the text-mode read, from_csv(open(path).read()), and the
 row parser _from_csv_rows: whatever read_csv returns must equal theirs bit
@@ -9,6 +11,7 @@ for bit, and whatever they raise it must raise with the same message.
 """
 
 import csv
+import re
 from decimal import Decimal
 from unittest import mock
 
@@ -19,7 +22,7 @@ from hypothesis import example, given, strategies as st
 from opcurves import DatasetError, ParseError, from_csv, read_csv
 from opcurves import dataset
 from opcurves.cli import main
-from opcurves.dataset import _BYTE_PIECE, _WIDEST, _from_csv_bytes, _from_csv_rows
+from opcurves.dataset import _PIECE_BYTES, _WIDEST, _from_csv_bytes, _from_csv_rows
 
 TWO_53 = 1 << 53
 TWO_58 = 1 << 58
@@ -151,11 +154,43 @@ def test_fields_the_decoder_takes(field):
                                    "288230376151711744", "2.88230376151711744",
                                    ".00000000000000000000001", "0.00000000000000000000001",
                                    "00000000000000000000000.5", "18446744073709551621",
-                                   "1844674407370955162.1", "-0.5", "+1", "1e-3",
+                                   "1844674407370955162.1",
                                    " 0.5", "0.5 ", "0x1", "٠.5", "0_5", "nan", '"0.5"'])
 def test_fields_the_decoder_refuses(field):
     assert _decode([field]) is None
     assert _decode(["0.5", field, "0.25"]) is None
+
+
+@pytest.mark.parametrize("field", ["-0.5", "+1", "1e-3", "1E-3", "-0.0", "+.5e0", "1e0",
+                                   "2.65516383690656e-05", "5e-324", "1e-400", "-1e5",
+                                   "4.9406564584124654e-324", "1.000000000000000000e+00",
+                                   "1e", "1e-3e1", "+-1", "--1", "e", "-", "1.2.3e0"])
+def test_fields_with_a_sign_or_an_exponent_are_reread_with_float(field):
+    fields = ["0.5", field, "0.25"]
+    with mock.patch.object(dataset, "_reread", wraps=dataset._reread) as reread:
+        got = _decode(fields)
+    assert reread.call_count == 1
+    a, starts, stops = reread.call_args.args
+    assert [a[i:j].tobytes().decode() for i, j in zip(starts, stops)] == [field]
+    try:
+        want = np.array(list(map(float, fields)))
+    except ValueError:  # the row parser gives the message
+        assert got is None
+        return
+    assert got[0].view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("field", ["1e", "1e-3e1", "+-1", "--1", "1.2.3e0"])
+def test_a_field_float_refuses_keeps_the_row_parser_message(tmp_path, field):
+    path = tmp_path / "in.csv"
+    for end in (b"\n", b"\r\n"):
+        path.write_bytes(end.join([b"score,label", b"0.25,0", field.encode() + b",1",
+                                   b"0.75,1", b""]))
+        message = rf"^row 2 \(line 3\): score '{re.escape(field)}' is not a decimal number$"
+        with pytest.raises(ParseError, match=message):
+            read_csv(str(path))
+        with pytest.raises(ParseError, match=message):
+            _from_csv_rows(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("line", [b"0.5,2", b"0.5,01", b"0.5,", b"0.5", b"0.5,1,1",
@@ -283,7 +318,7 @@ def test_bodies_of_many_pieces_match_the_row_parser():
     rng = np.random.default_rng(5)
     fields = [f"{x:.{k}f}" for x, k in zip(rng.random(60_000), rng.integers(0, 12, 60_000))]
     body = "".join(f"{f},{y}\n" for f, y in zip(fields, rng.integers(0, 2, 60_000)))
-    assert len(body) > 4 * _BYTE_PIECE
+    assert len(body) > 4 * _PIECE_BYTES
     for raw in (("score,label\n" + body).encode(), ("score,label\n" + body[:-1]).encode()):
         assert _from_csv_bytes(raw) is not None
         _assert_bytes_match_the_row_parser(raw)
@@ -303,7 +338,7 @@ def test_a_simulated_file_reads_as_the_row_parser_reads_it(tmp_path, final_newli
     path = tmp_path / "sim.csv"
     assert main(["simulate", "--n", "30000", "--seed", "11", "--out", str(path)]) == 0
     raw = path.read_bytes()
-    assert len(raw) > 4 * _BYTE_PIECE
+    assert len(raw) > 4 * _PIECE_BYTES
     if not final_newline:
         raw = raw[:-1]
         path.write_bytes(raw)
@@ -321,13 +356,15 @@ def test_a_file_of_long_scores_is_refused_by_its_first_kilobyte():
     assert decode.call_args.args[0].size <= 1100
 
 
-def test_a_file_with_an_exponent_is_refused_before_any_piece_is_decoded():
+def test_a_file_with_an_exponent_is_decoded_and_only_that_field_is_reread():
     # repr writes scores below 1e-4 with one, here in the last line
     raw = ("score,label\n" + "0.30000000000000004,0\n0.75,1\n" * 50_000
            + repr(2.65516383690656e-05) + ",0\n").encode()
-    with mock.patch.object(dataset, "_decode_lines", wraps=dataset._decode_lines) as decode:
-        assert _from_csv_bytes(raw) is None
-    assert decode.call_count == 0
+    with mock.patch.object(dataset, "_reread", wraps=dataset._reread) as reread:
+        assert _from_csv_bytes(raw) is not None
+    assert reread.call_count == 1
+    a, starts, stops = reread.call_args.args
+    assert [a[i:j].tobytes() for i, j in zip(starts, stops)] == [b"2.65516383690656e-05"]
     _assert_bytes_match_the_row_parser(raw)
 
 
@@ -341,3 +378,41 @@ def test_the_csv_field_size_limit_holds_on_the_decoded_path(tmp_path):
             _assert_reads_as_text_mode(tmp_path / "in.csv", raw)
     finally:
         csv.field_size_limit(limit)
+
+
+CRLF_FILES = ("crlf", "crlf-header", "crlf-body", "bom-crlf-no-final-newline", "long-crlf")
+
+
+@pytest.mark.parametrize("name", CRLF_FILES + ("lone-cr", "cr-in-header", "final-cr"))
+def test_crlf_line_ends_are_decoded_and_a_lone_cr_is_not(name):
+    raw = TEXT_MODE_FILES[name]
+    assert (_from_csv_bytes(raw) is not None) == (name in CRLF_FILES)
+
+
+@pytest.mark.parametrize("body", [b"0.5,1\r\r\n", b"0.5\r,1\r\n", b"\r0.5,1\r\n", b"0.5,1\r",
+                                  b"\r\n", b"0.5,\r1\r\n"])
+def test_crlf_lines_the_decoder_refuses(body):
+    for crlf in (False, True):
+        a = np.frombuffer(b"0.25,0\r\n" + body + b"0.75,1\r\n", dtype=np.uint8)
+        assert dataset._decode_lines(a, _WIDEST, crlf) is None
+
+
+def _signed(x):
+    return st.sampled_from(["+" + repr(x), "-0.0", "-0", "+0.5", "-0e-5"])
+
+
+# every float in [0, 1] in the forms repr, "%.18e", "%.6E" and signed write
+repr_and_exponent_fields = st.floats(0.0, 1.0).flatmap(lambda x: st.sampled_from(
+    [repr(x), f"{x:.18e}", f"{x:.6E}"]) | _signed(x))
+
+
+@given(st.lists(st.tuples(repr_and_exponent_fields, st.sampled_from("01")), max_size=12),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example([(repr(5e-324), "1"), (f"{2.0 ** -1074:.18e}", "0"), ("1.000000E+00", "1"),
+          (repr(2.65516383690656e-05), "0"), ("+" + repr(0.49999999999999994), "1")], "\r\n", False)
+def test_files_of_repr_exponent_and_signed_fields_are_decoded(rows, end, final_end):
+    lines = ["score,label", "0.25,0", "0.75,1"] + [f"{f},{y}" for f, y in rows]
+    raw = (end.join(lines) + end * final_end).encode()
+    # "%.18e" of a value below 1e-99 has 25 bytes, which the row parser reads
+    assert (_from_csv_bytes(raw) is not None) == all(len(f) <= _WIDEST for f, _ in rows)
+    _assert_bytes_match_the_row_parser(raw)
