@@ -18,9 +18,8 @@ The two views are linked pointwise, and the area under the Brier curve
 is the Brier score, which splits into calibration and refinement parts.
 """
 
-from .cost import (CostLine, CostParams, LossDecomposition, baseline_cost_lines,
-                   brier_curve, brier_score, cost_line, expected_loss, loss_cp,
-                   loss_decomposition, lower_envelope, lower_envelope_support,
+from .cost import (CostLine, LossDecomposition, baseline_cost_lines, brier_curve,
+                   brier_score, cost_line, loss_cp, loss_decomposition, lower_envelope,
                    per_class_components, refinement_loss)
 from .dataset import (NEGATIVE, POSITIVE, Dataset, DatasetError, DegenerateClassError,
                       EmptyInputError, ParseError, Priors, SimulationSpec,
@@ -28,14 +27,14 @@ from .dataset import (NEGATIVE, POSITIVE, Dataset, DatasetError, DegenerateClass
                       simulate_gaussian, to_csv, write_csv)
 from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
                        decision_curve, net_benefit, standardized_net_benefit,
-                       upper_envelope_decision_curve, upper_envelope_support)
+                       upper_envelope_decision_curve)
 from .isometrics import METRICS, RocLine, isometric_gradient, isometric_line
 from .relations import (ComparisonReport, PriorMismatchError, compare_models,
                         nb_from_brier_loss)
 from .render import (PALETTE, PlotSeries, PlotSpec, Polyline, RenderError, SeriesStyle,
                      render_svg, write_svg)
-from .roc import (ConfusionCounts, OperatingPoint, RocCurve, convex_hull, dominance,
-                  operating_points, threshold_rates)
+from .roc import (OperatingPoint, RocCurve, convex_hull, dominance, operating_points,
+                  threshold_rates)
 
 __version__ = "0.1.0"
 
@@ -44,14 +43,13 @@ __all__ = [
     "EmptyInputError", "ParseError", "Priors", "SimulationSpec",
     "SimulationSpecError", "from_csv", "parse_dataset", "read_csv",
     "simulate_gaussian", "to_csv", "write_csv",
-    "ConfusionCounts", "OperatingPoint", "RocCurve", "convex_hull", "dominance",
-    "operating_points", "threshold_rates",
+    "OperatingPoint", "RocCurve", "convex_hull", "dominance", "operating_points",
+    "threshold_rates",
     "Curve", "ThresholdGrid", "UtilityScheme", "baseline_decision_curves",
     "decision_curve", "net_benefit", "standardized_net_benefit",
-    "upper_envelope_decision_curve", "upper_envelope_support",
-    "CostLine", "CostParams", "LossDecomposition", "baseline_cost_lines",
-    "brier_curve", "brier_score", "cost_line", "expected_loss", "loss_cp",
-    "loss_decomposition", "lower_envelope", "lower_envelope_support",
+    "upper_envelope_decision_curve",
+    "CostLine", "LossDecomposition", "baseline_cost_lines", "brier_curve",
+    "brier_score", "cost_line", "loss_cp", "loss_decomposition", "lower_envelope",
     "per_class_components", "refinement_loss",
     "METRICS", "RocLine", "isometric_gradient", "isometric_line",
     "ComparisonReport", "PriorMismatchError", "compare_models", "nb_from_brier_loss",

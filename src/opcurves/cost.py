@@ -25,32 +25,6 @@ from .roc import (_TOL, OperatingPoint, RocCurve, _envelope_vertices, _line, _re
 
 
 @dataclass(frozen=True)
-class CostParams:
-    """Per-error costs: c_p for a missed positive, c_n for a flagged negative."""
-
-    c_p: float
-    c_n: float
-
-    def __post_init__(self) -> None:
-        if self.c_p < 0.0 or self.c_n < 0.0:
-            raise ValueError("error costs must be non-negative")
-        if self.c_p == 0.0 and self.c_n == 0.0:
-            raise ValueError("error costs must not both be zero")
-
-    @property
-    def proportion(self) -> float:
-        """c = c_n / (c_n + c_p), the fraction of total cost on false positives."""
-        return self.c_n / (self.c_n + self.c_p)
-
-    @classmethod
-    def from_proportion(cls, c: float) -> CostParams:
-        """The unique costs with c_p + c_n = 2 and the given proportion."""
-        if not 0.0 <= c <= 1.0:
-            raise ValueError("cost proportion must lie in [0, 1]")
-        return cls(c_p=2.0 * (1.0 - c), c_n=2.0 * c)
-
-
-@dataclass(frozen=True)
 class CostLine:
     """Dual of one ROC point: normalized expected loss as a line in c."""
 
@@ -61,15 +35,6 @@ class CostLine:
     def value_at(self, c: ArrayLike) -> ArrayLike:
         # identical float arrangement to loss_cp, so the duality is bitwise
         return _unwrap(np.asarray(self.intercept + np.asarray(c, dtype=np.float64) * self.slope))
-
-    __call__ = value_at
-
-
-def expected_loss(tpr: ArrayLike, fpr: ArrayLike, priors: Priors,
-                  costs: CostParams) -> ArrayLike:
-    out = costs.c_p * priors.pi_p * (1.0 - np.asarray(tpr)) \
-        + costs.c_n * priors.pi_n * np.asarray(fpr)
-    return _unwrap(np.asarray(out))
 
 
 def loss_cp(tpr: ArrayLike, fpr: ArrayLike, priors: Priors, c: ArrayLike) -> ArrayLike:
@@ -113,16 +78,6 @@ def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve
     vals = intercepts[idx] + grid.values * slopes[idx]
     return Curve(xs=grid.values, ys=np.min(vals, axis=0),
                  series="lower_envelope", priors=priors)
-
-
-def lower_envelope_support(hull: RocCurve, priors: Priors,
-                           c: float) -> tuple[OperatingPoint, ...]:
-    """Hull points whose lines attain the envelope at c, within 1e-12."""
-    _require_hull(hull)
-    slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
-    vals = intercepts + float(c) * slopes
-    best = float(np.min(vals))
-    return tuple(hull.points[i] for i in np.flatnonzero(vals <= best + _TOL))
 
 
 def _brier_terms(tpr: np.ndarray, fpr: np.ndarray, priors: Priors,

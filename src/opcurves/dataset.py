@@ -296,7 +296,7 @@ def _utf8_text(raw: bytes) -> str:
 
 
 _PIECE_BYTES = 1 << 17  # bytes of the body decoded at a time, after the first 1 KB
-_WIDEST = 24  # the widest field decoded
+_WIDEST = 25  # the widest field decoded, as "%.18e" writes a score below 1e-99
 _M_LIMIT = 1 << 58  # the digits form m < 2**58, so m * 10 + 9 fits in an int64
 _EXACT = 1 << 53  # every integer up to this is a double
 _POW10 = np.array([float(10**f) for f in range(23)])  # exact doubles, as 10**f is up to f = 22
@@ -316,10 +316,11 @@ _POW10_HI, _POW10_LO = _split(_POW10)
 def _from_csv_bytes(raw: bytes) -> Dataset | None:
     """The Dataset of a file whose header passes _plain_header and whose body
     lines are all `<field>,0` or `<field>,1`, ended by LF or CRLF (the last
-    one optional), or None. A field has 1 to 24 bytes: ASCII digits and at
+    one optional), or None. A field is 1 to 24 bytes of ASCII digits and at
     most one dot, whose digits form an integer m < 2**58 with f <= 22 digits
-    after the dot, decoded as m / 10**f; or digits, dots and a sign or an
-    exponent (`+`, `-`, `e`, `E`), read by float(). _decode_lines gives every
+    after the dot, decoded as m / 10**f; or 1 to 25 bytes of digits, dots
+    and a sign or an exponent (`+`, `-`, `e`, `E`), read by float(), as
+    "%.18e" writes a score below 1e-99 in 25. _decode_lines gives every
     score bit for bit as float() reads it, so _from_csv_rows reads the file
     to the same Dataset."""
     body = raw.find(b"\n") + 1
@@ -359,9 +360,9 @@ def _from_csv_bytes(raw: bytes) -> Dataset | None:
 def _decode_lines(a: np.ndarray, widest: int,
                   crlf: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
     """Scores and labels of the lines in the bytes a, or None unless each is
-    a field _from_csv_bytes takes, of at most `widest` bytes, and `,0` or
-    `,1`, ended by LF, by CRLF when `crlf`, or by the end of a. The scores
-    are float() of the fields, bit for bit.
+    a field _from_csv_bytes takes, of at most `widest` bytes (24 for a
+    decimal field), and `,0` or `,1`, ended by LF, by CRLF when `crlf`, or
+    by the end of a. The scores are float() of the fields, bit for bit.
 
     A field holding a sign or an exponent is read by float(), and one that
     float() refuses refuses a. In the others, when every m <= 2**53, m and
@@ -413,6 +414,8 @@ def _decode_lines(a: np.ndarray, widest: int,
     m = np.zeros(ends.size, dtype=np.int64)
     point = np.zeros(ends.size, dtype=np.int64)  # the j of the dot, 0 for none
     span = int(reach.max())
+    if span == _WIDEST:  # a decimal field has at most 24 bytes
+        return None
     at = comma - span - 1
     for j in range(span, 0, -1):
         at += 1

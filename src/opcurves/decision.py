@@ -2,14 +2,14 @@
 
 Net benefit at threshold t weighs true positives against false positives,
 NB(t) = u_P(t) * pi_P * TPR - u_N(t) * pi_N * FPR, where the weighting
-scheme decides what one unit of each is worth. Three schemes are built in:
+scheme decides what one unit of each is worth. Two schemes are built in,
+both indexed by the threshold:
 
 - dca: u_P = 1, u_N = t / (1 - t). The threshold doubles as the odds at
   which a user is indifferent between treating and not treating, so the
   curve reads as benefit per person in treated-true-positive units.
 - brier_scaled: u_P = 2(1 - t), u_N = 2t. The same ranking at fixed t,
   rescaled so the curve is directly comparable to Brier-style losses.
-- explicit: constant non-negative u_P, u_N supplied by the caller.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .dataset import Dataset, Priors
-from .roc import _TOL, OperatingPoint, RocCurve, _envelope_vertices, _require_hull, threshold_rates
+from .roc import _TOL, RocCurve, _envelope_vertices, _require_hull, threshold_rates
 
 # regular_values refuses to build more points than this, so a tiny step
 # fails at once instead of exhausting memory
@@ -45,21 +45,10 @@ class UtilityScheme:
     """Threshold-dependent weights (u_P, u_N) for net benefit."""
 
     kind: str
-    u_p_const: float | None = None
-    u_n_const: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("dca", "brier_scaled", "explicit"):
+        if self.kind not in ("dca", "brier_scaled"):
             raise ValueError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "explicit":
-            if self.u_p_const is None or self.u_n_const is None:
-                raise ValueError("explicit scheme needs constant u_p and u_n")
-            if self.u_p_const < 0.0 or self.u_n_const < 0.0:
-                raise ValueError("explicit utilities must be non-negative")
-            if self.u_p_const == 0.0 and self.u_n_const == 0.0:
-                raise ValueError("explicit utilities must not both be zero")
-        elif self.u_p_const is not None or self.u_n_const is not None:
-            raise ValueError(f"{self.kind} scheme takes no utility constants")
 
     @classmethod
     def dca(cls) -> UtilityScheme:
@@ -69,17 +58,11 @@ class UtilityScheme:
     def brier_scaled(cls) -> UtilityScheme:
         return cls(kind="brier_scaled")
 
-    @classmethod
-    def explicit(cls, u_p: float, u_n: float) -> UtilityScheme:
-        return cls(kind="explicit", u_p_const=float(u_p), u_n_const=float(u_n))
-
     def u_p(self, t: ArrayLike) -> ArrayLike:
         arr = _thresholds(t)
         if self.kind == "dca":
             return _unwrap(np.ones_like(arr))
-        if self.kind == "brier_scaled":
-            return _unwrap(2.0 * (1.0 - arr))
-        return _unwrap(np.full_like(arr, self.u_p_const))
+        return _unwrap(2.0 * (1.0 - arr))
 
     def u_n(self, t: ArrayLike) -> ArrayLike:
         arr = _thresholds(t)
@@ -87,9 +70,7 @@ class UtilityScheme:
             if arr.size and arr.max() == 1.0:
                 raise ValueError("dca weighting t/(1-t) is undefined at t = 1")
             return _unwrap(arr / (1.0 - arr))
-        if self.kind == "brier_scaled":
-            return _unwrap(2.0 * arr)
-        return _unwrap(np.full_like(arr, self.u_n_const))
+        return _unwrap(2.0 * arr)
 
 
 def regular_values(start: float, stop: float, step: float) -> np.ndarray:
@@ -226,12 +207,6 @@ def baseline_decision_curves(priors: Priors, grid: ThresholdGrid,
             Curve(xs=ts, ys=none_ys, series="treat_none", priors=priors))
 
 
-def _require_threshold_scheme(scheme: UtilityScheme) -> None:
-    if scheme.kind not in ("dca", "brier_scaled"):
-        raise ValueError("threshold envelopes are defined for the dca and "
-                         "brier_scaled schemes only")
-
-
 def upper_envelope_decision_curve(hull: RocCurve, priors: Priors,
                                   grid: ThresholdGrid,
                                   scheme: UtilityScheme | None = None) -> Curve:
@@ -245,22 +220,10 @@ def upper_envelope_decision_curve(hull: RocCurve, priors: Priors,
     """
     scheme = scheme if scheme is not None else UtilityScheme.dca()
     _require_hull(hull)
-    _require_threshold_scheme(scheme)
     idx = _envelope_vertices(hull, priors, grid.values)
     nb = net_benefit(hull.tprs[idx], hull.fprs[idx], priors, grid.values, scheme)
     return Curve(xs=grid.values, ys=np.max(nb, axis=0),
                  series="upper_envelope", priors=priors)
-
-
-def upper_envelope_support(hull: RocCurve, priors: Priors, t: float,
-                           scheme: UtilityScheme | None = None) -> tuple[OperatingPoint, ...]:
-    """Hull points attaining the envelope at t, within 1e-12 of the max."""
-    scheme = scheme if scheme is not None else UtilityScheme.dca()
-    _require_hull(hull)
-    _require_threshold_scheme(scheme)
-    vals = net_benefit(hull.tprs, hull.fprs, priors, float(t), scheme)
-    best = float(np.max(vals))
-    return tuple(hull.points[i] for i in np.flatnonzero(vals >= best - _TOL))
 
 
 def standardized_net_benefit(curve_or_value: Curve | ArrayLike,

@@ -15,7 +15,6 @@ visible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -61,34 +60,22 @@ class ComparisonReport:
     def agree_at_all_t(self) -> bool:
         return bool(np.all(self.agree))
 
-    def _columns(self) -> dict[str, np.ndarray]:
-        return {"t": self.grid.values, "nb_a": self.nb_a, "nb_b": self.nb_b,
-                "bc_a": self.bc_a, "bc_b": self.bc_b, "delta_nb": self.delta_nb,
-                "delta_bc": self.delta_bc, "agree": self.agree}
-
-    def records(self) -> Iterator[dict]:
-        cols = self._columns()
-        for row in zip(*(c.tolist() for c in cols.values())):
-            yield dict(zip(cols, row))
-
-    def _document(self, grid, per_t) -> dict:
+    def json_document(self) -> dict:
+        """The report for json_text: the priors, the grid as an array, per_t
+        as Records of the columns (one JSON object per grid point, written
+        without a dict a row) and agree_at_all_t."""
+        per_t = Records({"t": self.grid.values, "nb_a": self.nb_a, "nb_b": self.nb_b,
+                         "bc_a": self.bc_a, "bc_b": self.bc_b, "delta_nb": self.delta_nb,
+                         "delta_bc": self.delta_bc, "agree": self.agree})
         return {
             "priors": {"pi_p": self.priors.pi_p, "pi_n": self.priors.pi_n},
-            "grid": grid,
+            "grid": self.grid.values,
             "per_t": per_t,
             "agree_at_all_t": self.agree_at_all_t,
         }
 
-    def to_dict(self) -> dict:
-        return self._document(self.grid.values.tolist(), list(self.records()))
-
-    def json_document(self) -> dict:
-        """to_dict() with the grid as an array and per_t as Records, which
-        json_text writes as it writes to_dict() and without a dict a row."""
-        return self._document(self.grid.values, Records(self._columns()))
-
     def to_json(self) -> str:
-        """json.dumps(self.to_dict(), indent=2), written from the columns."""
+        """json_document() as JSON text with indent 2, as json.dumps writes it."""
         return json_text(self.json_document())
 
 

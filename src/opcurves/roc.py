@@ -27,57 +27,24 @@ _TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class ConfusionCounts:
-    """Integer contingency table for one threshold."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self) -> None:
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-    @property
-    def n_p(self) -> int:
-        return self.tp + self.fn
-
-    @property
-    def n_n(self) -> int:
-        return self.fp + self.tn
-
-    @property
-    def n(self) -> int:
-        return self.n_p + self.n_n
-
-
-@dataclass(frozen=True)
 class OperatingPoint:
     """One point in ROC space.
 
     threshold is None for the synthetic (0, 0) anchor, which corresponds to
-    a threshold above every score and so has no single value in [0, 1].
-    counts is None for points that carry rates only (for example the duals
-    of the fixed baseline lines, which have no backing dataset).
+    a threshold above every score and so has no single value in [0, 1],
+    and for points that carry rates only (for example the duals of the
+    fixed baseline lines, which have no backing dataset).
     """
 
     fpr: float
     tpr: float
     threshold: float | None = None
-    counts: ConfusionCounts | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.fpr <= 1.0 and 0.0 <= self.tpr <= 1.0):
             raise ValueError("rates must lie in [0, 1]")
         if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-
-    @classmethod
-    def from_counts(cls, threshold: float | None, tp: int, fp: int,
-                    n_p: int, n_n: int) -> OperatingPoint:
-        counts = ConfusionCounts(tp=tp, fp=fp, tn=n_n - fp, fn=n_p - tp)
-        return cls(fpr=fp / n_n, tpr=tp / n_p, threshold=threshold, counts=counts)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -96,10 +63,8 @@ class RocCurve:
     Every field is a read-only array over the points, or a scalar.
     thresholds is NaN where a point has none (the (0, 0) anchor). The
     points carry integer tp and fp counts over the class totals n_p and
-    n_n, and their rates are fprs = fp / n_n and tprs = tp / n_p. Built
-    from points, as to pool two models' points, every point must carry
-    counts over the same totals. `points` builds an OperatingPoint only
-    for the entries a caller reads.
+    n_n, and their rates are fprs = fp / n_n and tprs = tp / n_p. `points`
+    builds an OperatingPoint only for the entries a caller reads.
     """
 
     thresholds: np.ndarray
@@ -111,36 +76,11 @@ class RocCurve:
     n_n: int
     is_hull: bool
 
-    def __init__(self, points: Sequence[OperatingPoint], is_hull: bool = False) -> None:
-        pts = tuple(points)
-        if len(pts) < 2:
-            raise ValueError("a curve needs at least the (0,0) and (1,1) anchors")
-        if any(p.counts is None for p in pts):
-            raise ValueError("a curve's points must carry confusion counts")
-        totals = {(p.counts.n_p, p.counts.n_n) for p in pts}
-        if len(totals) > 1:
-            raise ValueError("points carry inconsistent class totals")
-        (n_p, n_n), = totals
-        self._assign([np.nan if p.threshold is None else p.threshold for p in pts],
-                     [p.counts.tp for p in pts], [p.counts.fp for p in pts],
-                     n_p, n_n, is_hull)
-
-    @classmethod
-    def _of_counts(cls, thresholds, tp, fp, n_p: int, n_n: int,
-                   is_hull: bool = False) -> RocCurve:
-        """The curve through fresh arrays that nothing else holds; it takes
-        them as they are and makes them read-only."""
-        curve = cls.__new__(cls)
-        curve._assign(thresholds, tp, fp, n_p, n_n, is_hull)
-        return curve
-
-    def _take(self, idx: np.ndarray, is_hull: bool) -> RocCurve:
-        """The curve through the points at the given indices."""
-        return RocCurve._of_counts(self.thresholds[idx], self.tp[idx], self.fp[idx],
-                                   self.n_p, self.n_n, is_hull)
-
-    def _assign(self, thresholds, tp, fp, n_p: int, n_n: int, is_hull: bool) -> None:
-        """Set every field, the rates from the counts."""
+    def __init__(self, thresholds, tp, fp, n_p: int, n_n: int, is_hull: bool = False) -> None:
+        """The curve through the points of the given thresholds (NaN for
+        none) and integer counts, the rates from the counts. thresholds, tp
+        and fp are taken without a copy where they are float64 and int64
+        arrays already, and made read-only."""
         tp, fp = _frozen(tp, np.int64), _frozen(fp, np.int64)
         fields = {"thresholds": _frozen(thresholds, np.float64),
                   "fprs": _frozen(fp / n_n, np.float64), "tprs": _frozen(tp / n_p, np.float64),
@@ -149,8 +89,16 @@ class RocCurve:
             object.__setattr__(self, name, value)
         self._validate()
 
+    def _take(self, idx: np.ndarray, is_hull: bool) -> RocCurve:
+        """The curve through the points at the given indices."""
+        return RocCurve(self.thresholds[idx], self.tp[idx], self.fp[idx],
+                        self.n_p, self.n_n, is_hull)
+
     def _validate(self) -> None:
         x, y = self.fprs, self.tprs
+        if not 2 <= x.size == y.size == self.thresholds.size:
+            raise ValueError("a curve needs one threshold, tp and fp a point, and "
+                             "at least the (0, 0) and (1, 1) anchors")
         if (x[0], y[0]) != (0.0, 0.0):
             raise ValueError("curve must start at (0, 0)")
         if (x[-1], y[-1]) != (1.0, 1.0):
@@ -166,8 +114,8 @@ class RocCurve:
 
     def _point(self, i: int) -> OperatingPoint:
         t = float(self.thresholds[i])
-        return OperatingPoint.from_counts(None if math.isnan(t) else t, int(self.tp[i]),
-                                          int(self.fp[i]), self.n_p, self.n_n)
+        return OperatingPoint(fpr=int(self.fp[i]) / self.n_n, tpr=int(self.tp[i]) / self.n_p,
+                              threshold=None if math.isnan(t) else t)
 
     @property
     def points(self) -> Sequence[OperatingPoint]:
@@ -272,7 +220,7 @@ def operating_points(data: Dataset) -> RocCurve:
     (1, 1) (the threshold at the minimum score classifies everything
     positive). Tied scores collapse into a single point.
     """
-    return RocCurve._of_counts(*_count_table(data), data.n_p, data.n_n)
+    return RocCurve(*_count_table(data), data.n_p, data.n_n)
 
 
 def convex_hull(curve: RocCurve) -> RocCurve:

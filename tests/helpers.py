@@ -54,16 +54,14 @@ def datasets(draw, values=st.one_of(THOUSANDTHS, UNIT_FLOATS), max_size=40):
 # Reference implementations. The library's array-backed versions are
 # checked against these object-at-a-time originals.
 
-def operating_points_oracle(data: Dataset) -> tuple[OperatingPoint, ...]:
-    """One OperatingPoint per distinct score, after the (0, 0) anchor."""
+def operating_points_oracle(data: Dataset) -> tuple[tuple, ...]:
+    """One (threshold, tp, fp) record per distinct score, with Python int
+    counts, after the (0, 0) anchor's (None, 0, 0)."""
     distinct = np.unique(data.scores)[::-1]
     tp = data.n_p - np.searchsorted(data.positive_scores, distinct, side="left")
     fp = data.n_n - np.searchsorted(data.negative_scores, distinct, side="left")
-    pts = [OperatingPoint.from_counts(None, 0, 0, data.n_p, data.n_n)]
-    pts.extend(
-        OperatingPoint.from_counts(float(t), int(tpk), int(fpk), data.n_p, data.n_n)
-        for t, tpk, fpk in zip(distinct, tp, fp))
-    return tuple(pts)
+    return ((None, 0, 0),) + tuple((float(t), int(tpk), int(fpk))
+                                   for t, tpk, fpk in zip(distinct, tp, fp))
 
 
 def brier_score_oracle(data: Dataset) -> float:
@@ -86,18 +84,18 @@ def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def convex_hull_oracle(points) -> tuple[OperatingPoint, ...]:
-    """Monotone chain over every point, on its integer counts."""
-    keyed: dict[tuple, OperatingPoint] = {}
-    for p in sorted(points, key=lambda q: (q.fpr, q.tpr)):
-        keyed.setdefault((p.counts.fp, p.counts.tp), p)
-    items = sorted(keyed.items(), key=lambda kv: kv[0])
-    hull: list[tuple[tuple, OperatingPoint]] = []
-    for key, p in items:
+def convex_hull_oracle(records) -> tuple[tuple, ...]:
+    """Monotone chain over every (threshold, tp, fp) record, on its integer
+    counts; of records with equal counts the first is kept."""
+    keyed: dict[tuple, tuple] = {}
+    for record in records:
+        keyed.setdefault((record[2], record[1]), record)
+    hull: list[tuple[tuple, tuple]] = []
+    for key, record in sorted(keyed.items()):
         while len(hull) >= 2 and _cross(hull[-2][0], hull[-1][0], key) >= 0:
             hull.pop()
-        hull.append((key, p))
-    return tuple(p for _, p in hull)
+        hull.append((key, record))
+    return tuple(record for _, record in hull)
 
 
 _CHUNK = 8192
@@ -131,6 +129,15 @@ def envelope_oracle(points, priors: Priors, grid: ThresholdGrid, which: str,
             best = np.minimum(best, np.min(vals, axis=0))
     series = "upper_envelope" if which == "upper_decision" else "lower_envelope"
     return Curve(xs=xs, ys=best, series=series, priors=priors)
+
+
+def envelope_support(hull: RocCurve, priors: Priors, c: float) -> tuple[OperatingPoint, ...]:
+    """The hull points whose cost lines attain the lower envelope at c,
+    within 1e-12: a scan of every vertex's line. At t = c under the dca
+    weighting the same points attain the upper envelope of net benefit."""
+    slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
+    vals = intercepts + float(c) * slopes
+    return tuple(hull.points[i] for i in np.flatnonzero(vals <= vals.min() + 1e-12))
 
 
 def lower_envelope_oracle(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> np.ndarray:
@@ -176,7 +183,7 @@ def hull_of_edges(dfp, dtp) -> RocCurve:
     fp = np.concatenate(([0], np.cumsum(dfp)))
     tp = np.concatenate(([0], np.cumsum(dtp)))
     thresholds = np.concatenate(([np.nan], np.linspace(1.0, 0.0, fp.size - 1)))
-    return RocCurve._of_counts(thresholds, tp, fp, int(tp[-1]), int(fp[-1]), is_hull=True)
+    return RocCurve(thresholds, tp, fp, int(tp[-1]), int(fp[-1]), is_hull=True)
 
 
 def farey_hull(order: int, terms: int) -> RocCurve:
@@ -222,10 +229,10 @@ def recalibrate_oracle(data: Dataset) -> Dataset:
     points."""
     hull = convex_hull_oracle(operating_points_oracle(data))
     edges = zip(hull[:-1], hull[1:])
-    levels = [(b.counts.tp - a.counts.tp)
-              / (b.counts.tp - a.counts.tp + b.counts.fp - a.counts.fp) for a, b in edges]
+    levels = [(tp_b - tp_a) / (tp_b - tp_a + fp_b - fp_a)
+              for (_, tp_a, fp_a), (_, tp_b, fp_b) in edges]
     # the segment into vertex j holds the scores in [threshold_j, threshold_{j-1})
-    thresholds = np.array([p.threshold for p in hull[1:]])
+    thresholds = np.array([t for t, _, _ in hull[1:]])
     segment = np.searchsorted(-thresholds, -data.scores, side="left")
     return Dataset(np.array(levels)[segment], data.labels)
 

@@ -13,10 +13,10 @@ import numpy as np
 from opcurves import (Dataset, Priors, SimulationSpec, ThresholdGrid, UtilityScheme,
                       baseline_cost_lines, baseline_decision_curves, brier_curve,
                       brier_score, compare_models, convex_hull, decision_curve,
-                      loss_cp, loss_decomposition, lower_envelope, lower_envelope_support,
-                      net_benefit, nb_from_brier_loss, operating_points,
-                      simulate_gaussian, upper_envelope_decision_curve)
-from helpers import envelope_oracle, make_calibrated, make_random, make_toy
+                      loss_cp, loss_decomposition, lower_envelope, net_benefit,
+                      nb_from_brier_loss, operating_points, simulate_gaussian,
+                      upper_envelope_decision_curve)
+from helpers import envelope_oracle, envelope_support, make_calibrated, make_random, make_toy
 
 THIRD = 1 / 3
 PI_CYCLE = (0.1, 0.33, 0.5)
@@ -69,7 +69,7 @@ def test_criterion_02_envelope_tie():
     env = lower_envelope(hull, data.priors, ThresholdGrid(values=np.array([THIRD])))
     assert abs(env.ys[0] - 2 / 9) <= 1e-12
     support = {(round(p.fpr, 9), round(p.tpr, 9))
-               for p in lower_envelope_support(hull, data.priors, THIRD)}
+               for p in envelope_support(hull, data.priors, THIRD)}
     assert support == {(round(1 / 6, 9), round(2 / 3, 9)), (0.5, 1.0)}
 
 

@@ -3,14 +3,13 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from opcurves import (CostLine, CostParams, Dataset, OperatingPoint, ThresholdGrid,
-                      UtilityScheme, baseline_cost_lines, brier_curve, brier_score,
-                      convex_hull, cost_line, decision_curve, expected_loss, loss_cp,
-                      loss_decomposition, lower_envelope, lower_envelope_support,
+from opcurves import (Dataset, OperatingPoint, ThresholdGrid, UtilityScheme,
+                      baseline_cost_lines, brier_curve, brier_score, convex_hull, cost_line,
+                      decision_curve, loss_cp, loss_decomposition, lower_envelope,
                       operating_points, per_class_components, refinement_loss,
                       upper_envelope_decision_curve)
 from helpers import (THOUSANDTHS, UNIT_FLOATS, brier_score_oracle, datasets, envelope_gaps,
-                     make_calibrated, make_random, switch_grid)
+                     envelope_support, make_calibrated, make_random, switch_grid)
 
 THIRD = 1 / 3
 
@@ -19,37 +18,18 @@ TOY_BRIER_SCORE = 2.4559 / 9
 TOY_REFINEMENT = 7 / 54
 
 
-class TestCostParams:
-    def test_proportion(self):
-        cp = CostParams(c_p=1.5, c_n=0.5)
-        assert cp.proportion == pytest.approx(0.25, abs=0)
-
-    def test_from_proportion_normalizes_to_two(self):
-        cp = CostParams.from_proportion(0.2)
-        assert cp.c_p == pytest.approx(1.6, abs=0)
-        assert cp.c_n == pytest.approx(0.4, abs=0)
-        assert cp.c_p + cp.c_n == pytest.approx(2.0, abs=0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CostParams(c_p=-0.1, c_n=1.0)
-        with pytest.raises(ValueError):
-            CostParams(c_p=0.0, c_n=0.0)
-        with pytest.raises(ValueError):
-            CostParams.from_proportion(1.5)
-
-
 class TestExpectedLoss:
     def test_formula(self, toy):
-        # loss = C_P pi_P fnr + C_N pi_N fpr
-        val = expected_loss(2 / 3, 1 / 6, toy.priors, CostParams(c_p=1.6, c_n=0.4))
+        # loss = C_P pi_P fnr + C_N pi_N fpr, here with C_P = 1.6, C_N = 0.4 (c = 0.2)
+        val = loss_cp(2 / 3, 1 / 6, toy.priors, 0.2)
         want = 1.6 * THIRD * THIRD + 0.4 * (2 / 3) * (1 / 6)
         assert val == pytest.approx(want, abs=1e-15)
 
     def test_loss_cp_matches_normalized(self, toy):
+        # loss = C_P pi_P fnr + C_N pi_N fpr with C_P = 2(1 - c), C_N = 2c
         for c in (0.0, 0.2, 0.5, 0.9, 1.0):
             a = loss_cp(2 / 3, 1 / 6, toy.priors, c)
-            b = expected_loss(2 / 3, 1 / 6, toy.priors, CostParams.from_proportion(c))
+            b = 2 * (1 - c) * toy.pi_p * THIRD + 2 * c * toy.pi_n * (1 / 6)
             assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -89,7 +69,7 @@ class TestLowerEnvelope:
         grid = ThresholdGrid(values=np.array([THIRD]))
         env = lower_envelope(hull, toy.priors, grid)
         assert env.ys[0] == pytest.approx(2 / 9, abs=1e-12)
-        support = lower_envelope_support(hull, toy.priors, THIRD)
+        support = envelope_support(hull, toy.priors, THIRD)
         got = {(round(p.fpr, 6), round(p.tpr, 6)) for p in support}
         assert got == {(round(1 / 6, 6), round(2 / 3, 6)), (0.5, 1.0)}
 

@@ -109,7 +109,7 @@ def test_csv_reader_errors_are_parse_errors():
 def test_score_cell_longer_than_the_csv_field_limit():
     # csv.reader takes a cell of csv.field_size_limit() characters and
     # refuses one longer; the byte decoder takes neither, as it takes no
-    # field wider than 24 bytes, and leaves both to the row parser
+    # field wider than 25 bytes, and leaves both to the row parser
     limit = csv.field_size_limit()
     lead = "score,label\n" + "0.2,0\n0.8,1\n" * 20_000  # past the first piece
     for size in (limit, limit + 1):

@@ -3,10 +3,9 @@ import pytest
 
 from opcurves import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
                       convex_hull, decision_curve, net_benefit, operating_points,
-                      standardized_net_benefit, upper_envelope_decision_curve,
-                      upper_envelope_support)
+                      standardized_net_benefit, upper_envelope_decision_curve)
 from opcurves.decision import MAX_GRID_POINTS
-from helpers import make_random
+from helpers import envelope_support, make_random
 
 THIRD = 1 / 3
 
@@ -33,16 +32,11 @@ class TestUtilityScheme:
         assert s.u_p(1.0) == 0.0
         assert s.u_n(1.0) == 2.0
 
-    def test_explicit_weights(self):
-        s = UtilityScheme.explicit(u_p=3.0, u_n=0.5)
-        assert s.u_p(0.9) == 3.0
-        assert s.u_n(0.1) == 0.5
-
-    def test_explicit_rejects_bad_weights(self):
-        with pytest.raises(ValueError):
-            UtilityScheme.explicit(u_p=-1.0, u_n=0.5)
-        with pytest.raises(ValueError):
-            UtilityScheme.explicit(u_p=0.0, u_n=0.0)
+    def test_unknown_kind_is_refused(self):
+        # every scheme is indexed by the threshold; constant weights are not one
+        for kind in ("explicit", "DCA", ""):
+            with pytest.raises(ValueError, match="unknown scheme kind"):
+                UtilityScheme(kind=kind)
 
 
 class TestThresholdGrid:
@@ -168,22 +162,21 @@ class TestUpperEnvelope:
 
     def test_support_reports_tie(self, toy):
         hull = convex_hull(operating_points(toy))
-        support = upper_envelope_support(hull, toy.priors, THIRD)
+        support = envelope_support(hull, toy.priors, THIRD)
         got = {(round(p.fpr, 6), round(p.tpr, 6)) for p in support}
         assert got == {(round(1 / 6, 6), round(2 / 3, 6)), (0.5, 1.0)}
+        # both tied points reach the upper envelope of net benefit at t = 1/3
+        env = upper_envelope_decision_curve(hull, toy.priors,
+                                            ThresholdGrid(values=np.array([THIRD])))
+        for p in support:
+            assert net_benefit(p.tpr, p.fpr, toy.priors, THIRD) == pytest.approx(
+                env.ys[0], abs=1e-12)
 
     def test_requires_hull(self, toy):
         curve = operating_points(toy)
         with pytest.raises(ValueError, match="hull"):
             upper_envelope_decision_curve(curve, toy.priors,
                                           ThresholdGrid.decision_default())
-
-    def test_rejects_explicit_scheme(self, toy):
-        hull = convex_hull(operating_points(toy))
-        with pytest.raises(ValueError):
-            upper_envelope_decision_curve(hull, toy.priors,
-                                          ThresholdGrid.decision_default(),
-                                          UtilityScheme.explicit(1.0, 1.0))
 
 
 class TestStandardized:

@@ -1,5 +1,6 @@
 """Bytes-first ingest: read_csv reads a file's bytes once and decodes plain
-files (LF or CRLF line ends) of scores of up to 24 bytes in numpy. Decimal
+files (LF or CRLF line ends) of scores of up to 24 bytes, or 25 with a sign
+or an exponent, in numpy. Decimal
 fields are decoded by integer arithmetic and re-read with float() only where
 their rounding cannot be proved; fields with a sign or an exponent are
 re-read with float(). Every other file is read as text-mode UTF-8 and
@@ -413,6 +414,25 @@ repr_and_exponent_fields = st.floats(0.0, 1.0).flatmap(lambda x: st.sampled_from
 def test_files_of_repr_exponent_and_signed_fields_are_decoded(rows, end, final_end):
     lines = ["score,label", "0.25,0", "0.75,1"] + [f"{f},{y}" for f, y in rows]
     raw = (end.join(lines) + end * final_end).encode()
-    # "%.18e" of a value below 1e-99 has 25 bytes, which the row parser reads
-    assert (_from_csv_bytes(raw) is not None) == all(len(f) <= _WIDEST for f, _ in rows)
+    # every such field has at most 25 bytes, as "%.18e" of a value below 1e-99
+    assert _from_csv_bytes(raw) is not None
     _assert_bytes_match_the_row_parser(raw)
+
+
+def test_a_savetxt_file_with_scores_below_1e_99_is_decoded(tmp_path):
+    # np.savetxt's default "%.18e" writes 1e-120 and 5e-324 in 25 bytes
+    rng = np.random.default_rng(5)
+    scores, labels = rng.random(2_000), (rng.random(2_000) < 0.3).astype(int)
+    scores[[3, 1_500]] = 1e-120, 5e-324
+    path = tmp_path / "savetxt.csv"
+    np.savetxt(path, np.column_stack([scores, labels]), fmt=["%.18e", "%d"],
+               delimiter=",", header="score,label", comments="")
+    raw = path.read_bytes()
+    assert b"\n9.999999999999999786e-121," in raw and b"\n4.940656458412465442e-324," in raw
+    data = _from_csv_bytes(raw)
+    assert data is not None
+    assert _bits(data) == _bits(_from_csv_rows(raw.decode())) == _bits(read_csv(str(path)))
+    # a field of 26 bytes goes to the row parser
+    wide = raw.replace(b"\n9.9", b"\n+9.9")
+    assert _from_csv_bytes(wide) is None
+    _assert_reads_as_text_mode(path, wide)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from opcurves import (ConfusionCounts, Dataset, OperatingPoint, RocCurve,
-                      convex_hull, dominance, operating_points, threshold_rates)
+from opcurves import (Dataset, OperatingPoint, RocCurve, convex_hull, dominance,
+                      operating_points, threshold_rates)
 from opcurves import roc
 from helpers import (THOUSANDTHS, UNIT_FLOATS, convex_hull_oracle, datasets, make_random,
                      operating_points_oracle)
@@ -29,9 +29,8 @@ def test_operating_points_toy(toy):
 
 def test_operating_points_carry_counts(toy):
     curve = operating_points(toy)
-    p = curve.points[2]
-    assert p.counts == ConfusionCounts(tp=2, fp=1, tn=5, fn=1)
-    assert p.counts.n_p == 3 and p.counts.n_n == 6
+    assert (curve.tp[2], curve.fp[2]) == (2, 1)
+    assert (curve.n_p, curve.n_n) == (3, 6)
 
 
 def test_threshold_rates_half_open(toy):
@@ -89,17 +88,37 @@ def test_auc_toy(toy):
     assert convex_hull(curve).auc() == pytest.approx(31 / 36, abs=1e-12)
 
 
-def test_curve_validation():
-    def point(tp, fp):  # counts over 10 positives and 10 negatives
-        return OperatingPoint.from_counts(None, tp, fp, 10, 10)
+def curve_of(counts, is_hull=False):
+    """The curve through the (tp, fp) counts over 10 positives and 10
+    negatives, with placeholder thresholds."""
+    tp, fp = zip(*counts) if counts else ((), ())
+    return RocCurve(np.full(len(tp), np.nan), tp, fp, 10, 10, is_hull)
 
-    for too_short in ((), (point(0, 0),)):
+
+def test_curve_validation():
+    for too_short in ((), ((0, 0),)):
         with pytest.raises(ValueError, match="anchors"):
-            RocCurve(points=too_short)
+            curve_of(too_short)
     with pytest.raises(ValueError, match="start"):
-        RocCurve(points=(point(1, 1), point(10, 10)))
+        curve_of([(1, 1), (10, 10)])
     with pytest.raises(ValueError, match="end"):
-        RocCurve(points=(point(0, 0), point(10, 9)))
+        curve_of([(0, 0), (9, 10)])
+    for backwards in ([(0, 0), (5, 5), (4, 5), (10, 10)], [(0, 0), (5, 5), (5, 5), (10, 10)],
+                      [(0, 0), (5, 5), (4, 4), (10, 10)]):
+        with pytest.raises(ValueError, match="strictly increase"):
+            curve_of(backwards)
+    assert curve_of([(0, 0), (5, 2), (5, 5), (10, 10)]).fprs.tolist() == [0.0, 0.2, 0.5, 1.0]
+
+
+def test_hull_validation_refuses_points_not_in_strictly_convex_position():
+    hull = [(0, 0), (6, 2), (10, 10)]
+    assert curve_of(hull, is_hull=True).is_hull
+    # a point on the chord of its neighbours (tp, fp) = (6, 2) and (10, 10),
+    # and one below it
+    for inner in ((8, 6), (7, 6)):
+        with pytest.raises(ValueError, match="strictly convex"):
+            curve_of([(0, 0), (6, 2), inner, (10, 10)], is_hull=True)
+        assert not curve_of([(0, 0), (6, 2), inner, (10, 10)]).is_hull
 
 
 def test_operating_point_validation():
@@ -107,8 +126,6 @@ def test_operating_point_validation():
         OperatingPoint(fpr=-0.1, tpr=0.5)
     with pytest.raises(ValueError):
         OperatingPoint(fpr=0.1, tpr=1.5)
-    with pytest.raises(ValueError):
-        ConfusionCounts(tp=-1, fp=0, tn=1, fn=1)
 
 
 def test_dominance_strict():
@@ -143,9 +160,8 @@ def test_rate_arrays_read_only(toy):
 # equal the object-at-a-time oracles in thresholds and integer counts.
 
 
-def _oracle_arrays(points):
-    return ([p.threshold for p in points], [p.counts.tp for p in points],
-            [p.counts.fp for p in points])
+def _oracle_arrays(records):
+    return tuple(map(list, zip(*records)))
 
 
 def _arrays(curve):
@@ -158,7 +174,7 @@ def assert_matches_oracle(data):
     points = operating_points_oracle(data)
     assert _arrays(curve) == _oracle_arrays(points)
     # the thresholds bit for bit, signed zeros included
-    want = np.array([p.threshold for p in points[1:]], dtype=np.float64)
+    want = np.array([t for t, _, _ in points[1:]], dtype=np.float64)
     assert curve.thresholds[1:].view(np.int64).tolist() == want.view(np.int64).tolist()
     assert _arrays(convex_hull(curve)) == _oracle_arrays(convex_hull_oracle(points))
 
@@ -222,13 +238,14 @@ def test_hull_of_two_models_matches_oracle(rows):
     labels = np.array([int(r[2]) for r in rows])
     a = Dataset(np.array([r[0] for r in rows]), labels)
     b = Dataset(np.array([r[1] for r in rows]), labels)
-    pooled = {(p.counts.fp, p.counts.tp): p
-              for p in operating_points_oracle(a) + operating_points_oracle(b)}
-    points = [pooled[k] for k in sorted(pooled)]
-    want = convex_hull_oracle(points)
-    got = convex_hull(RocCurve(points=points))
-    assert [(p.counts.fp, p.counts.tp) for p in got.points] == [
-        (p.counts.fp, p.counts.tp) for p in want]
+    pooled = {(fp, tp): (t, tp, fp)
+              for t, tp, fp in operating_points_oracle(a) + operating_points_oracle(b)}
+    records = [pooled[k] for k in sorted(pooled)]
+    thresholds, tp, fp = zip(*records)
+    want = convex_hull_oracle(records)
+    got = convex_hull(RocCurve([np.nan if t is None else t for t in thresholds], tp, fp,
+                               a.n_p, a.n_n))
+    assert list(zip(got.fp.tolist(), got.tp.tolist())) == [(fp, tp) for _, tp, fp in want]
 
 
 # The hull's vectorised pre-pass: whatever number of rounds runs before the
@@ -262,7 +279,8 @@ def test_point_count_builds_no_points(monkeypatch):
 
 def test_points_view_indexes_like_a_tuple(toy):
     curve = operating_points(toy)
-    as_tuple = operating_points_oracle(toy)
+    as_tuple = tuple(OperatingPoint(fpr=fp / toy.n_n, tpr=tp / toy.n_p, threshold=t)
+                     for t, tp, fp in operating_points_oracle(toy))
     assert tuple(curve.points) == as_tuple
     assert curve.points[-1] == as_tuple[-1]
     assert curve.points[2:5] == as_tuple[2:5]
@@ -270,10 +288,12 @@ def test_points_view_indexes_like_a_tuple(toy):
         curve.points[len(as_tuple)]
 
 
-def test_points_need_counts_on_all_or_none(toy):
-    counted = operating_points_oracle(toy)
-    with pytest.raises(ValueError, match="counts"):
-        RocCurve(points=(OperatingPoint(0.0, 0.0),) + counted[1:])
+def test_points_need_counts_on_all_or_none():
+    # every point has a threshold, a tp and an fp count
+    for thresholds, tp, fp in (([np.nan], [0, 10], [0, 10]), ([np.nan, 0.5], [0], [0, 10]),
+                               ([np.nan, 0.5], [0, 10], [0, 5, 10])):
+        with pytest.raises(ValueError, match="one threshold, tp and fp a point"):
+            RocCurve(thresholds, tp, fp, 10, 10)
 
 
 def test_count_arrays_read_only(toy):
