@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (Dataset, PlotSeries, PlotSpec, Polyline, SeriesStyle, convex_hull,
+from opcurves import (Curve, Dataset, PlotSeries, PlotSpec, SeriesStyle, convex_hull,
                       dominance, operating_points, write_svg)
 
 OUT = Path(__file__).parent / "out"
@@ -44,9 +44,9 @@ spec = PlotSpec(
     x_label="false positive rate",
     y_label="true positive rate",
     series=(
-        # the raw polylines: tied false positive rates draw vertical steps
-        PlotSeries(data=Polyline(xs=curve.fprs, ys=curve.tprs, series="points")),
-        PlotSeries(data=Polyline(xs=hull.fprs, ys=hull.tprs, series="hull"),
+        # the raw staircases: tied false positive rates draw vertical steps
+        PlotSeries(data=Curve(xs=curve.fprs, ys=curve.tprs, series="points")),
+        PlotSeries(data=Curve(xs=hull.fprs, ys=hull.tprs, series="hull"),
                    style=SeriesStyle(width=2.4)),
     ),
     x_range=(-0.02, 1.02),

@@ -12,11 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (PlotSeries, PlotSpec, SeriesStyle, SimulationSpec,
+from opcurves import (Curve, PlotSeries, PlotSpec, SeriesStyle, SimulationSpec,
                       ThresholdGrid, baseline_cost_lines, brier_curve,
                       convex_hull, cost_line, lower_envelope, operating_points,
                       simulate_gaussian, write_svg)
-from opcurves.decision import Curve
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -46,8 +45,7 @@ print(f"Brier curve sits {gap.max():.4f} above the envelope at worst "
 
 
 def sampled(line, series):
-    return Curve(xs=grid.values, ys=line.value_at(grid.values),
-                 series=series, priors=priors)
+    return Curve(xs=grid.values, ys=line.value_at(grid.values), series=series)
 
 
 hull_lines = tuple(

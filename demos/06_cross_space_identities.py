@@ -15,11 +15,10 @@ Brier loss differences are.
 
 import numpy as np
 
-from opcurves import (Priors, SimulationSpec, ThresholdGrid, UtilityScheme,
-                      brier_curve, compare_models, convex_hull, decision_curve,
-                      loss_cp, lower_envelope, nb_from_brier_loss, net_benefit,
-                      operating_points, simulate_gaussian,
-                      upper_envelope_decision_curve)
+from opcurves import (Priors, SimulationSpec, ThresholdGrid, brier_curve, compare_models,
+                      convex_hull, decision_curve, loss_cp, lower_envelope,
+                      nb_from_brier_loss, net_benefit, operating_points,
+                      simulate_gaussian, upper_envelope_decision_curve)
 
 grid = ThresholdGrid.decision_default()
 base = dict(n=4000, mu_n=0.4, sigma_n=0.12, mu_p=0.6, sigma_p=0.12)
@@ -48,15 +47,14 @@ print(f"ranking agreement at every threshold: {report.agree_at_all_t}")
 # same Brier gap but wildly different net benefit gaps
 priors = Priors(pi_p=0.5, pi_n=0.5)
 pairs = {0.1: ((0.8, 0.8), (1.0, 0.8)), 0.9: ((0.2, 0.2), (0.2, 0.0))}
-bs = UtilityScheme.brier_scaled()
 print("\n t    dNB      dBC      dNB(rescaled)")
 for t, (worse, better) in pairs.items():
     d_nb = (net_benefit(better[0], better[1], priors, t)
             - net_benefit(worse[0], worse[1], priors, t))
     d_bc = (loss_cp(worse[0], worse[1], priors, t)
             - loss_cp(better[0], better[1], priors, t))
-    d_bs = (net_benefit(better[0], better[1], priors, t, bs)
-            - net_benefit(worse[0], worse[1], priors, t, bs))
+    d_bs = (net_benefit(better[0], better[1], priors, t, "brier_scaled")
+            - net_benefit(worse[0], worse[1], priors, t, "brier_scaled"))
     print(f"{t:.1f}  {d_nb:.4f}   {d_bc:.4f}   {d_bs:.4f}")
 print("same Brier delta at both thresholds; net benefit only agrees "
       "after rescaling by 2(1 - t)")

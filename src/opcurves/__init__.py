@@ -25,14 +25,13 @@ from .dataset import (NEGATIVE, POSITIVE, Dataset, DatasetError, DegenerateClass
                       EmptyInputError, ParseError, Priors, SimulationSpec,
                       SimulationSpecError, from_csv, parse_dataset, read_csv,
                       simulate_gaussian, to_csv, write_csv)
-from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
-                       decision_curve, net_benefit, standardized_net_benefit,
-                       upper_envelope_decision_curve)
+from .decision import (Curve, ThresholdGrid, baseline_decision_curves, decision_curve,
+                       net_benefit, standardized_net_benefit, upper_envelope_decision_curve)
 from .isometrics import METRICS, RocLine, isometric_gradient, isometric_line
 from .relations import (ComparisonReport, PriorMismatchError, compare_models,
                         nb_from_brier_loss)
-from .render import (PALETTE, PlotSeries, PlotSpec, Polyline, RenderError, SeriesStyle,
-                     render_svg, write_svg)
+from .render import (PALETTE, PlotSeries, PlotSpec, RenderError, SeriesStyle, render_svg,
+                     write_svg)
 from .roc import (OperatingPoint, RocCurve, convex_hull, dominance, operating_points,
                   threshold_rates)
 
@@ -45,7 +44,7 @@ __all__ = [
     "simulate_gaussian", "to_csv", "write_csv",
     "OperatingPoint", "RocCurve", "convex_hull", "dominance", "operating_points",
     "threshold_rates",
-    "Curve", "ThresholdGrid", "UtilityScheme", "baseline_decision_curves",
+    "Curve", "ThresholdGrid", "baseline_decision_curves",
     "decision_curve", "net_benefit", "standardized_net_benefit",
     "upper_envelope_decision_curve",
     "CostLine", "LossDecomposition", "baseline_cost_lines", "brier_curve",
@@ -53,7 +52,7 @@ __all__ = [
     "per_class_components", "refinement_loss",
     "METRICS", "RocLine", "isometric_gradient", "isometric_line",
     "ComparisonReport", "PriorMismatchError", "compare_models", "nb_from_brier_loss",
-    "PALETTE", "PlotSeries", "PlotSpec", "Polyline", "RenderError", "SeriesStyle",
+    "PALETTE", "PlotSeries", "PlotSpec", "RenderError", "SeriesStyle",
     "render_svg", "write_svg",
     "__version__",
 ]

@@ -20,12 +20,12 @@ import numpy as np
 from .cost import baseline_cost_lines, cost_line, loss_decomposition, lower_envelope
 from .dataset import (Dataset, DatasetError, Priors, SimulationSpec,
                       SimulationSpecError, read_csv, write_csv, simulate_gaussian)
-from .decision import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
-                       decision_curve, regular_values, upper_envelope_decision_curve)
+from .decision import (Curve, ThresholdGrid, baseline_decision_curves, decision_curve,
+                       regular_values, upper_envelope_decision_curve)
 from .isometrics import METRICS, isometric_line
 from .output import Outputs, _json_chunks, json_text, replaces, xy_csv
 from .relations import PriorMismatchError, compare_models
-from .render import PlotSeries, PlotSpec, Polyline, SeriesStyle, render_svg
+from .render import PlotSeries, PlotSpec, SeriesStyle, render_svg
 from .roc import convex_hull, operating_points
 
 EXIT_OK = 0
@@ -151,30 +151,40 @@ def _build_parser() -> _Parser:
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """The argparse namespace, with the grid, scheme and levels parsed."""
+    """The argparse namespace, with the grid and levels parsed."""
     args = _build_parser().parse_args(argv)
     if args.command in ("dca", "compare"):
         args.grid = _threshold_grid(args.grid)
     elif args.command in ("cost", "brier"):
         args.grid = _parse_grid(args.grid)
-    if args.command == "dca":
-        args.scheme = (UtilityScheme.brier_scaled() if args.scheme == "brier_scaled"
-                       else UtilityScheme.dca())
     if args.command == "isometrics":
         args.levels = _parse_levels(args.levels)
     return args
 
 
+_OUTPUT_FLAGS = {"csv_path": "--csv", "svg_path": "--svg", "json_path": "--json",
+                 "out_path": "--out"}
+
+
 def _check_outputs(args: argparse.Namespace) -> None:
     """Refuse output paths that cannot be written before computing anything.
 
-    A path write_text replaces needs a writable directory; an existing path
-    it writes through (a device, a FIFO, a symlink) needs to be writable.
+    An empty path, or two outputs with one real path (the later file would
+    replace the earlier), is a usage error. A path write_text replaces
+    needs a writable directory; an existing path it writes through (a
+    device, a FIFO, a symlink) needs to be writable.
     """
-    for name in ("csv_path", "svg_path", "json_path", "out_path"):
-        path = getattr(args, name, None)
+    given = {flag: getattr(args, name) for name, flag in _OUTPUT_FLAGS.items()
+             if getattr(args, name, None) is not None}
+    seen: dict[str, str] = {}
+    for flag, path in given.items():
         if not path:
-            continue
+            raise UsageError(f"{flag} needs a file path, got an empty one")
+        real = os.path.realpath(path)
+        if real in seen:
+            raise UsageError(f"{seen[real]} and {flag} name the same file {real}")
+        seen[real] = flag
+    for path in given.values():
         if os.path.isdir(path):
             raise OSError(f"cannot write {path}: it is a directory")
         if os.path.exists(path) and not replaces(path):
@@ -219,9 +229,10 @@ def _report_scaffold(args: argparse.Namespace, data: Dataset) -> dict:
             "grid": args.grid.values}
 
 
-def _line_curve(line, grid: ThresholdGrid, series: str, priors) -> Curve:
-    return Curve(xs=grid.values, ys=line.value_at(grid.values),
-                 series=series, priors=priors)
+def _baseline_cost_curves(priors: Priors, grid: ThresholdGrid) -> list[Curve]:
+    """The all_positive and all_negative cost lines sampled on the grid."""
+    return [Curve(xs=grid.values, ys=line.value_at(grid.values), series=series)
+            for line, series in zip(baseline_cost_lines(priors), ("all_positive", "all_negative"))]
 
 
 def _plot(out: Outputs, path: str, title: str, x_label: str, y_label: str,
@@ -257,7 +268,7 @@ def _run_dca(args: argparse.Namespace) -> int:
                   entries, (float(args.grid.values[0]), float(args.grid.values[-1])), y_range)
         if args.json_path:
             report = _report_scaffold(args, data)
-            report["scheme"] = args.scheme.kind
+            report["scheme"] = args.scheme
             report["series"] = _series_json(curves)
             out.add(args.json_path, _json_report(report))
     return EXIT_OK
@@ -268,10 +279,7 @@ def _run_cost(args: argparse.Namespace) -> int:
     hull = convex_hull(operating_points(data))
     priors = data.priors
     env = lower_envelope(hull, priors, args.grid)
-    all_pos, all_neg = baseline_cost_lines(priors)
-    curves = [env,
-              _line_curve(all_pos, args.grid, "all_positive", priors),
-              _line_curve(all_neg, args.grid, "all_negative", priors)]
+    curves = [env, *_baseline_cost_curves(priors, args.grid)]
     print(f"lower envelope peaks at {float(np.max(env.ys)):.6g} "
           f"over {len(hull.points)} hull points")
     with _outputs() as out:
@@ -294,12 +302,9 @@ def _run_cost(args: argparse.Namespace) -> int:
 
 def _run_brier(args: argparse.Namespace) -> int:
     data = read_csv(args.input)
-    priors = data.priors
     dec = loss_decomposition(data, args.grid)
-    all_pos, all_neg = baseline_cost_lines(priors)
     curves = [dec.brier_curve, dec.lower_envelope,
-              _line_curve(all_pos, args.grid, "all_positive", priors),
-              _line_curve(all_neg, args.grid, "all_negative", priors)]
+              *_baseline_cost_curves(data.priors, args.grid)]
     print(f"brier_score={dec.brier_score:.6f} refinement={dec.refinement:.6f} "
           f"calibration={dec.calibration:.6f}")
     with _outputs() as out:
@@ -335,9 +340,9 @@ def _run_roc(args: argparse.Namespace) -> int:
             out.add(args.csv_path, xy_csv([(curve.fprs, curve.tprs, "points"),
                                            (hull.fprs, hull.tprs, "hull")]))
         if args.svg_path:
-            chance = Polyline(xs=[0.0, 1.0], ys=[0.0, 1.0], series="chance")
-            entries = [PlotSeries(data=Polyline(xs=curve.fprs, ys=curve.tprs, series="points")),
-                       PlotSeries(data=Polyline(xs=hull.fprs, ys=hull.tprs, series="hull"),
+            chance = Curve(xs=[0.0, 1.0], ys=[0.0, 1.0], series="chance")
+            entries = [PlotSeries(data=Curve(xs=curve.fprs, ys=curve.tprs, series="points")),
+                       PlotSeries(data=Curve(xs=hull.fprs, ys=hull.tprs, series="hull"),
                                   style=SeriesStyle(width=2.2)),
                        PlotSeries(data=chance, style=SeriesStyle(color="#999999", dash="4,4"))]
             _plot(out, args.svg_path, "ROC", "false positive rate", "true positive rate",

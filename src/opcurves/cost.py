@@ -76,8 +76,7 @@ def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve
     slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
     idx = _envelope_vertices(hull, priors, grid.values)
     vals = intercepts[idx] + grid.values * slopes[idx]
-    return Curve(xs=grid.values, ys=np.min(vals, axis=0),
-                 series="lower_envelope", priors=priors)
+    return Curve(xs=grid.values, ys=np.min(vals, axis=0), series="lower_envelope")
 
 
 def _brier_terms(tpr: np.ndarray, fpr: np.ndarray, priors: Priors,
@@ -99,7 +98,7 @@ def brier_curve(data: Dataset, grid: ThresholdGrid) -> Curve:
     """
     tpr, fpr = threshold_rates(data, grid.values)
     pos, neg = _brier_terms(tpr, fpr, data.priors, grid.values)
-    return Curve(xs=grid.values, ys=pos + neg, series="brier", priors=data.priors)
+    return Curve(xs=grid.values, ys=pos + neg, series="brier")
 
 
 def per_class_components(data: Dataset, grid: ThresholdGrid) -> tuple[Curve, Curve]:
@@ -108,9 +107,8 @@ def per_class_components(data: Dataset, grid: ThresholdGrid) -> tuple[Curve, Cur
     bit-for-bit because all three share the same subexpressions."""
     tpr, fpr = threshold_rates(data, grid.values)
     pos, neg = _brier_terms(tpr, fpr, data.priors, grid.values)
-    priors = data.priors
-    return (Curve(xs=grid.values, ys=pos, series="positive_component", priors=priors),
-            Curve(xs=grid.values, ys=neg, series="negative_component", priors=priors))
+    return (Curve(xs=grid.values, ys=pos, series="positive_component"),
+            Curve(xs=grid.values, ys=neg, series="negative_component"))
 
 
 # segments per block of brier_score's integral, so its temporaries stay small
@@ -215,4 +213,4 @@ def loss_decomposition(data: Dataset, grid: ThresholdGrid) -> LossDecomposition:
     return LossDecomposition(
         brier_score=bs, refinement=refinement, calibration=calibration,
         brier_curve=bc, lower_envelope=env,
-        gap_curve=Curve(xs=grid.values, ys=gap, series="calibration_gap", priors=priors))
+        gap_curve=Curve(xs=grid.values, ys=gap, series="calibration_gap"))

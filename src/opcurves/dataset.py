@@ -475,6 +475,11 @@ def write_csv(data: Dataset, path: str) -> None:
     write_text(path, _csv_chunks(data))
 
 
+# SimulationSpec refuses a larger n, so a huge one fails with a message
+# instead of numpy's allocation error
+MAX_SIMULATED_ROWS = 10**8
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """Two-Gaussian score model: one component per class, clipped to [0, 1]."""
@@ -490,6 +495,8 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise SimulationSpecError("n must be at least 2")
+        if self.n > MAX_SIMULATED_ROWS:
+            raise SimulationSpecError(f"n must be at most {MAX_SIMULATED_ROWS}")
         if not 0.0 < self.pi_p < 1.0:
             raise SimulationSpecError("pi_p must lie strictly inside (0, 1)")
         for name in ("mu_n", "sigma_n", "mu_p", "sigma_p"):

@@ -29,48 +29,8 @@ MAX_GRID_POINTS = 10**6
 ArrayLike = Union[float, np.ndarray]
 
 
-def _thresholds(t: ArrayLike) -> np.ndarray:
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
-        raise ValueError("thresholds must be finite and lie in [0, 1]")
-    return arr
-
-
 def _unwrap(out: np.ndarray) -> ArrayLike:
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class UtilityScheme:
-    """Threshold-dependent weights (u_P, u_N) for net benefit."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("dca", "brier_scaled"):
-            raise ValueError(f"unknown scheme kind {self.kind!r}")
-
-    @classmethod
-    def dca(cls) -> UtilityScheme:
-        return cls(kind="dca")
-
-    @classmethod
-    def brier_scaled(cls) -> UtilityScheme:
-        return cls(kind="brier_scaled")
-
-    def u_p(self, t: ArrayLike) -> ArrayLike:
-        arr = _thresholds(t)
-        if self.kind == "dca":
-            return _unwrap(np.ones_like(arr))
-        return _unwrap(2.0 * (1.0 - arr))
-
-    def u_n(self, t: ArrayLike) -> ArrayLike:
-        arr = _thresholds(t)
-        if self.kind == "dca":
-            if arr.size and arr.max() == 1.0:
-                raise ValueError("dca weighting t/(1-t) is undefined at t = 1")
-            return _unwrap(arr / (1.0 - arr))
-        return _unwrap(2.0 * arr)
 
 
 def regular_values(start: float, stop: float, step: float) -> np.ndarray:
@@ -150,22 +110,20 @@ def _read_only(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Curve:
-    """A sampled curve: ys over xs, with a series label and the priors it
-    was computed under. Labels in use: model, treat_all, treat_none,
-    upper_envelope, brier, lower_envelope, all_positive, all_negative,
-    positive_component, negative_component, calibration_gap."""
+    """Vertices (xs[i], ys[i]) with a series label, drawn in order. A
+    sampled curve has strictly increasing xs; an ROC staircase repeats
+    them. Labels in use: model, treat_all, treat_none, upper_envelope,
+    brier, lower_envelope, all_positive, all_negative, positive_component,
+    negative_component, calibration_gap, points, hull, chance."""
 
     xs: np.ndarray
     ys: np.ndarray
     series: str
-    priors: Priors
 
     def __post_init__(self) -> None:
         xs, ys = _read_only(self.xs), _read_only(self.ys)
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
             raise ValueError("xs and ys must be equal-length non-empty 1-d arrays")
-        if np.any(np.diff(xs) <= 0.0):
-            raise ValueError("xs must be strictly increasing")
         if not self.series:
             raise ValueError("series label must be non-empty")
         object.__setattr__(self, "xs", xs)
@@ -173,28 +131,36 @@ class Curve:
 
 
 def net_benefit(tpr: ArrayLike, fpr: ArrayLike, priors: Priors,
-                t: ArrayLike, scheme: UtilityScheme | None = None) -> ArrayLike:
+                t: ArrayLike, scheme: str = "dca") -> ArrayLike:
     """NB = u_P(t) * pi_P * TPR - u_N(t) * pi_N * FPR.
 
-    Broadcasts over rates and thresholds; defaults to the dca scheme.
+    Broadcasts over rates and thresholds. scheme names the weights:
+    "dca" (u_P = 1, u_N = t / (1 - t), undefined at t = 1) or
+    "brier_scaled" (u_P = 2(1 - t), u_N = 2t).
     """
-    scheme = scheme if scheme is not None else UtilityScheme.dca()
-    u_p = scheme.u_p(t)
-    u_n = scheme.u_n(t)
-    out = np.asarray(u_p * priors.pi_p * tpr - u_n * priors.pi_n * fpr)
-    return _unwrap(out)
+    t = np.asarray(t, dtype=np.float64)
+    if t.size and (not np.all(np.isfinite(t)) or t.min() < 0.0 or t.max() > 1.0):
+        raise ValueError("thresholds must be finite and lie in [0, 1]")
+    if scheme == "dca":
+        if t.size and t.max() == 1.0:
+            raise ValueError("dca weighting t/(1-t) is undefined at t = 1")
+        u_p, u_n = 1.0, t / (1.0 - t)
+    elif scheme == "brier_scaled":
+        u_p, u_n = 2.0 * (1.0 - t), 2.0 * t
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}; use 'dca' or 'brier_scaled'")
+    return _unwrap(np.asarray(u_p * priors.pi_p * tpr - u_n * priors.pi_n * fpr))
 
 
-def decision_curve(data: Dataset, grid: ThresholdGrid,
-                   scheme: UtilityScheme | None = None) -> Curve:
+def decision_curve(data: Dataset, grid: ThresholdGrid, scheme: str = "dca") -> Curve:
     """The model's net benefit across the grid (series "model")."""
     tpr, fpr = threshold_rates(data, grid.values)
     ys = net_benefit(tpr, fpr, data.priors, grid.values, scheme)
-    return Curve(xs=grid.values, ys=ys, series="model", priors=data.priors)
+    return Curve(xs=grid.values, ys=ys, series="model")
 
 
 def baseline_decision_curves(priors: Priors, grid: ThresholdGrid,
-                             scheme: UtilityScheme | None = None) -> tuple[Curve, Curve]:
+                             scheme: str = "dca") -> tuple[Curve, Curve]:
     """(treat_all, treat_none) reference curves, generated analytically.
 
     treat_all is the policy TPR = FPR = 1; under the dca scheme it crosses
@@ -203,13 +169,12 @@ def baseline_decision_curves(priors: Priors, grid: ThresholdGrid,
     ts = grid.values
     all_ys = net_benefit(1.0, 1.0, priors, ts, scheme)
     none_ys = net_benefit(0.0, 0.0, priors, ts, scheme)
-    return (Curve(xs=ts, ys=all_ys, series="treat_all", priors=priors),
-            Curve(xs=ts, ys=none_ys, series="treat_none", priors=priors))
+    return (Curve(xs=ts, ys=all_ys, series="treat_all"),
+            Curve(xs=ts, ys=none_ys, series="treat_none"))
 
 
 def upper_envelope_decision_curve(hull: RocCurve, priors: Priors,
-                                  grid: ThresholdGrid,
-                                  scheme: UtilityScheme | None = None) -> Curve:
+                                  grid: ThresholdGrid, scheme: str = "dca") -> Curve:
     """Best attainable net benefit at each threshold (series "upper_envelope").
 
     The maximizer of NB over all operating points is always a hull vertex
@@ -218,12 +183,10 @@ def upper_envelope_decision_curve(hull: RocCurve, priors: Priors,
     envelope's three candidate vertices; tests check this against an
     exhaustive all-points oracle.
     """
-    scheme = scheme if scheme is not None else UtilityScheme.dca()
     _require_hull(hull)
     idx = _envelope_vertices(hull, priors, grid.values)
     nb = net_benefit(hull.tprs[idx], hull.fprs[idx], priors, grid.values, scheme)
-    return Curve(xs=grid.values, ys=np.max(nb, axis=0),
-                 series="upper_envelope", priors=priors)
+    return Curve(xs=grid.values, ys=np.max(nb, axis=0), series="upper_envelope")
 
 
 def standardized_net_benefit(curve_or_value: Curve | ArrayLike,
@@ -233,5 +196,5 @@ def standardized_net_benefit(curve_or_value: Curve | ArrayLike,
         raise ValueError("prevalence must be positive")
     if isinstance(curve_or_value, Curve):
         c = curve_or_value
-        return Curve(xs=c.xs, ys=c.ys / pi_p, series=c.series, priors=c.priors)
+        return Curve(xs=c.xs, ys=c.ys / pi_p, series=c.series)
     return _unwrap(np.asarray(curve_or_value) / pi_p)

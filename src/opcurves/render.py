@@ -2,8 +2,8 @@
 
 No plotting dependency: the writer emits plain SVG 1.1 text and the same
 PlotSpec always produces byte-identical output, so rendered files can be
-diffed and cached. Series data may be a sampled Curve, a Polyline (an ROC
-staircase, say, whose x repeats), a CostLine or a RocLine; lines are drawn
+diffed and cached. Series data may be a Curve (sampled, or an ROC
+staircase whose x repeats), a CostLine or a RocLine; lines are drawn
 across the x range and everything is clipped to the axes box. A path
 vertex that the 0.01 px output resolution cannot tell apart from the path
 without it is left out.
@@ -29,33 +29,15 @@ _MARGIN_LEFT = 58
 _MARGIN_RIGHT = 168
 _MARGIN_TOP = 42
 _MARGIN_BOTTOM = 52
+_WIDTH = 720
+_HEIGHT = 480
 
 
 class RenderError(ValueError):
     """The plot spec cannot be rendered faithfully."""
 
 
-@dataclass(frozen=True, eq=False)
-class Polyline:
-    """Vertices (xs[i], ys[i]) drawn in order. Unlike a Curve's, xs may
-    repeat or go back, so an ROC staircase is drawn as it is."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    series: str
-
-    def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=np.float64)
-        ys = np.asarray(self.ys, dtype=np.float64)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
-            raise ValueError("xs and ys must be equal-length non-empty 1-d arrays")
-        if not self.series:
-            raise ValueError("series label must be non-empty")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-
-PlotData = Union[Curve, Polyline, CostLine, RocLine]
+PlotData = Union[Curve, CostLine, RocLine]
 
 
 @dataclass(frozen=True)
@@ -80,8 +62,6 @@ class PlotSpec:
     series: tuple[PlotSeries, ...]
     x_range: tuple[float, float]
     y_range: tuple[float, float]
-    width: int = 720
-    height: int = 480
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "series", tuple(self.series))
@@ -97,7 +77,7 @@ def _fmt(v: float) -> str:
 
 
 def _default_label(data: PlotData) -> str:
-    if isinstance(data, (Curve, Polyline)):
+    if isinstance(data, Curve):
         return data.series
     if isinstance(data, CostLine):
         src = data.source
@@ -111,7 +91,7 @@ def _default_label(data: PlotData) -> str:
 def _series_vertices(entry: PlotSeries, label: str,
                      x_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
     data = entry.data
-    if isinstance(data, (Curve, Polyline)):
+    if isinstance(data, Curve):
         xs, ys = data.xs, data.ys
     elif isinstance(data, CostLine):
         xs = np.array(x_range, dtype=np.float64)
@@ -260,11 +240,9 @@ def render_svg(spec: PlotSpec) -> str:
         raise RenderError("plot ranges must be finite and increasing")
     if not (isfinite(x1 - x0) and isfinite(y1 - y0)):
         raise RenderError("plot range spans must be finite")
-    if spec.width < 160 or spec.height < 120:
-        raise RenderError("plot size is too small to draw axes")
 
-    pw = spec.width - _MARGIN_LEFT - _MARGIN_RIGHT
-    ph = spec.height - _MARGIN_TOP - _MARGIN_BOTTOM
+    pw = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    ph = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x0) / (x1 - x0) * pw
@@ -275,9 +253,8 @@ def render_svg(spec: PlotSpec) -> str:
     lines: list[str] = []
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{spec.width}" height="{spec.height}" '
-        f'viewBox="0 0 {spec.width} {spec.height}">')
-    lines.append(f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>')
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">')
+    lines.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     lines.append(
         f'<text x="{_fmt(_MARGIN_LEFT + pw / 2)}" y="24" text-anchor="middle" '
         f'font-family="sans-serif" font-size="15" fill="#222222">{_escape(spec.title)}</text>')
@@ -297,7 +274,7 @@ def render_svg(spec: PlotSpec) -> str:
 
     lines.append(f'<rect x="{_MARGIN_LEFT}" y="{_MARGIN_TOP}" width="{pw}" height="{ph}" '
                  f'fill="none" stroke="#333333" stroke-width="1"/>')
-    lines.append(f'<text x="{_fmt(_MARGIN_LEFT + pw / 2)}" y="{spec.height - 12}" '
+    lines.append(f'<text x="{_fmt(_MARGIN_LEFT + pw / 2)}" y="{_HEIGHT - 12}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="13" '
                  f'fill="#222222">{_escape(spec.x_label)}</text>')
     ylab_x, ylab_y = 17, _MARGIN_TOP + ph / 2

@@ -4,8 +4,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
-                      UtilityScheme, loss_cp, lower_envelope, net_benefit,
-                      upper_envelope_decision_curve)
+                      loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
 from opcurves.roc import _line
 
 # Nine samples with a tie at 0.70 and a miscalibrated top score; small
@@ -102,7 +101,7 @@ _CHUNK = 8192
 
 
 def envelope_oracle(points, priors: Priors, grid: ThresholdGrid, which: str,
-                    scheme: UtilityScheme | None = None) -> Curve:
+                    scheme: str = "dca") -> Curve:
     """Brute-force envelope over EVERY operating point, not just the hull.
 
     which is "upper_decision" (max net benefit per grid t) or "lower_cost"
@@ -128,7 +127,7 @@ def envelope_oracle(points, priors: Priors, grid: ThresholdGrid, which: str,
             vals = loss_cp(tp, fp, priors, xs)
             best = np.minimum(best, np.min(vals, axis=0))
     series = "upper_envelope" if which == "upper_decision" else "lower_envelope"
-    return Curve(xs=xs, ys=best, series=series, priors=priors)
+    return Curve(xs=xs, ys=best, series=series)
 
 
 def envelope_support(hull: RocCurve, priors: Priors, c: float) -> tuple[OperatingPoint, ...]:
@@ -150,7 +149,7 @@ def lower_envelope_oracle(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -
 
 
 def upper_envelope_oracle(hull: RocCurve, priors: Priors, grid: ThresholdGrid,
-                          scheme: UtilityScheme) -> np.ndarray:
+                          scheme: str) -> np.ndarray:
     """Every hull vertex's net benefit at every grid point, then the
     maximum: the hull x grid matrix upper_envelope_decision_curve
     evaluated before it read the active vertex from the switch points."""
@@ -168,7 +167,7 @@ def envelope_gaps(hull: RocCurve, priors: Priors, grids) -> list[float]:
         pairs = [(lower_envelope(hull, priors, grid).ys,
                   lower_envelope_oracle(hull, priors, grid))]
         below_one = ThresholdGrid(values=grid.values[grid.values < 1.0])
-        for scheme in (UtilityScheme.dca(), UtilityScheme.brier_scaled()):
+        for scheme in ("dca", "brier_scaled"):
             pairs.append((upper_envelope_decision_curve(hull, priors, below_one, scheme).ys,
                           upper_envelope_oracle(hull, priors, below_one, scheme)))
         for got, want in pairs:

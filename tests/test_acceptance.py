@@ -10,9 +10,9 @@ import time
 
 import numpy as np
 
-from opcurves import (Dataset, Priors, SimulationSpec, ThresholdGrid, UtilityScheme,
-                      baseline_cost_lines, baseline_decision_curves, brier_curve,
-                      brier_score, compare_models, convex_hull, decision_curve,
+from opcurves import (Dataset, Priors, SimulationSpec, ThresholdGrid, baseline_cost_lines,
+                      baseline_decision_curves, brier_curve, brier_score, compare_models,
+                      convex_hull, decision_curve,
                       loss_cp, loss_decomposition, lower_envelope, net_benefit,
                       nb_from_brier_loss, operating_points, simulate_gaussian,
                       upper_envelope_decision_curve)
@@ -190,13 +190,12 @@ def test_criterion_09_cross_threshold_deltas():
     # (tpr, fpr) for models A and B at thresholds 0.1 and 0.9
     a_01, a_09 = (0.8, 0.8), (0.2, 0.2)
     b_01, b_09 = (1.0, 0.8), (0.2, 0.0)
-    bs = UtilityScheme.brier_scaled()
 
     def deltas(t, a, b):
         d_nb = net_benefit(b[0], b[1], priors, t) - net_benefit(a[0], a[1], priors, t)
         d_bc = loss_cp(a[0], a[1], priors, t) - loss_cp(b[0], b[1], priors, t)
-        d_bs = (net_benefit(b[0], b[1], priors, t, bs)
-                - net_benefit(a[0], a[1], priors, t, bs))
+        d_bs = (net_benefit(b[0], b[1], priors, t, "brier_scaled")
+                - net_benefit(a[0], a[1], priors, t, "brier_scaled"))
         return d_nb, d_bc, d_bs
 
     d_nb, d_bc, d_bs = deltas(0.1, a_01, b_01)
@@ -256,13 +255,13 @@ def test_criterion_10_simulated_band():
 def test_criterion_11_bounds():
     dec_grid = ThresholdGrid.decision_default()
     cost_grid = ThresholdGrid.cost_default()
-    u_n = UtilityScheme.dca().u_n(dec_grid.values)
     tc = cost_grid.values
     for seed in range(50):
         data = make_random(seed, n=200, pi_p=PI_CYCLE[seed % 3])
         nb = decision_curve(data, dec_grid).ys
         assert np.all(nb <= data.pi_p)
-        assert np.all(nb >= -(u_n * data.pi_n))
+        # the floor -u_N(t) pi_N, NB of treating every negative and no positive
+        assert np.all(nb >= net_benefit(0.0, 1.0, data.priors, dec_grid.values, "dca"))
         bc = brier_curve(data, cost_grid).ys
         assert np.all(bc >= 0.0)
         assert np.all(bc <= 2.0 * (1.0 - tc) * data.pi_p + 2.0 * tc * data.pi_n)

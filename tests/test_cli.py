@@ -72,6 +72,13 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {field} must be finite, got {float(value)!r}\n"
         assert not out.exists()
 
+    def test_n_above_the_cap_is_usage_error(self, tmp_path, capsys):
+        # refused before numpy is asked for the arrays
+        out = tmp_path / "big.csv"
+        assert main(["simulate", "--n", "1000000000000000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: n must be at most 100000000\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestDca:
     def test_csv_has_expected_series(self, toy_csv, tmp_path):
@@ -368,6 +375,36 @@ class TestOutputs:
         assert "nonexistent" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["dca", "--input", "missing.csv", "--csv", ""], "--csv"),
+        (["dca", "--input", "missing.csv", "--csv", "a.csv", "--json", ""], "--json"),
+        (["roc", "--input", "missing.csv", "--svg", ""], "--svg"),
+        (["simulate", "--out", ""], "--out")])
+    def test_empty_output_path_is_usage_error(self, tmp_path, monkeypatch, capsys, argv, flag):
+        # refused before the input is read: a missing input would exit 2
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {flag} needs a file path, got an empty one\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("first, second", [("x", "x"), ("x", "./x"), ("x", "sub/../x")])
+    def test_two_outputs_to_one_file_are_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                     first, second):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(["dca", "--input", "missing.csv", "--csv", first, "--json", second]) == 1
+        real = os.path.realpath(tmp_path / "x")
+        assert capsys.readouterr().err == f"error: --csv and --json name the same file {real}\n"
+        assert sorted(os.listdir(tmp_path)) == ["sub"]
+
+    def test_symlink_to_another_output_is_usage_error(self, toy_csv, tmp_path, capsys):
+        target, link = tmp_path / "plot.svg", tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["roc", "--input", toy_csv, "--csv", str(link), "--svg", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --csv and --svg name the same file {os.path.realpath(target)}\n")
+        assert not target.exists() and link.is_symlink()
+
     def test_output_path_that_is_a_directory(self, toy_csv, tmp_path, capsys):
         assert main(["roc", "--input", toy_csv, "--csv", str(tmp_path)]) == 2
         assert "is a directory" in capsys.readouterr().err
@@ -478,6 +515,25 @@ def test_no_command_imports_numpy_ma(toy_csv, tmp_path):
 
 
 class TestUsage:
+    def test_python_m_opcurves_exit_codes(self, tmp_path):
+        # the console entry point: the process exit code is main's
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "opcurves", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=60)
+
+        good = run("simulate", "--n", "200", "--seed", "1", "--out", "sim.csv")
+        assert (good.returncode, good.stderr) == (0, "")
+        assert good.stdout.startswith("wrote sim.csv (200 samples")
+        assert run("score", "--input", "sim.csv").returncode == 0
+        bad_flag = run("score", "--input", "sim.csv", "--bogus")
+        assert bad_flag.returncode == 1
+        assert bad_flag.stderr.startswith("error: unrecognized arguments: --bogus")
+        missing = run("score", "--input", "missing.csv")
+        assert missing.returncode == 2
+        assert missing.stderr.startswith("error: ") and "missing.csv" in missing.stderr
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err

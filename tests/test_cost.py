@@ -3,11 +3,10 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from opcurves import (Dataset, OperatingPoint, ThresholdGrid, UtilityScheme,
-                      baseline_cost_lines, brier_curve, brier_score, convex_hull, cost_line,
-                      decision_curve, loss_cp, loss_decomposition, lower_envelope,
-                      operating_points, per_class_components, refinement_loss,
-                      upper_envelope_decision_curve)
+from opcurves import (Dataset, OperatingPoint, ThresholdGrid, baseline_cost_lines,
+                      brier_curve, brier_score, convex_hull, cost_line, decision_curve,
+                      loss_cp, loss_decomposition, lower_envelope, operating_points,
+                      per_class_components, refinement_loss, upper_envelope_decision_curve)
 from helpers import (THOUSANDTHS, UNIT_FLOATS, brier_score_oracle, datasets, envelope_gaps,
                      envelope_support, make_calibrated, make_random, switch_grid)
 
@@ -292,7 +291,7 @@ def assert_brier_properties(data):
     assert np.all(dec.lower_envelope.ys <= dec.brier_curve.ys + 1e-12)
     hull = convex_hull(operating_points(data))
     grid = ThresholdGrid.decision_default()
-    for scheme in (UtilityScheme.dca(), UtilityScheme.brier_scaled()):
+    for scheme in ("dca", "brier_scaled"):
         upper = upper_envelope_decision_curve(hull, data.priors, grid, scheme)
         assert np.all(upper.ys >= decision_curve(data, grid, scheme).ys - 1e-12)
     # the three-vertex envelopes are the hull x grid ones bit for bit, also
@@ -320,7 +319,7 @@ def assert_class_swap_invariance(data):
     swapped_env = lower_envelope(swapped_hull, swapped.priors, mirror).ys[::-1]
     assert np.max(np.abs(swapped_env - env)) <= 1e-12
     upper = upper_envelope_decision_curve(swapped_hull, swapped.priors, mirror,
-                                          UtilityScheme.brier_scaled()).ys[::-1]
+                                          "brier_scaled").ys[::-1]
     t = mirror.values[::-1]  # 1 - t is grid.values, up to rounding
     assert np.max(np.abs(upper - (2.0 * (1.0 - t) * data.pi_n - env))) <= 1e-12
     # the same holds for the model's own curves, NB_swapped(t) = 2(1 - t) pi_N
@@ -329,7 +328,7 @@ def assert_class_swap_invariance(data):
     # lattice of the tied examples)
     ts = _away_from_scores(data, ThresholdGrid.regular(0.0, 1.0, 0.0025).values)
     mirror = ThresholdGrid(values=np.sort(1.0 - ts))
-    nb = decision_curve(swapped, mirror, UtilityScheme.brier_scaled()).ys[::-1]
+    nb = decision_curve(swapped, mirror, "brier_scaled").ys[::-1]
     t = mirror.values[::-1]
     bc = brier_curve(data, ThresholdGrid(values=ts)).ys
     assert np.max(np.abs(nb - (2.0 * (1.0 - t) * data.pi_n - bc))) <= 1e-12

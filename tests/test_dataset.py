@@ -7,7 +7,7 @@ import pytest
 from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError,
                       Priors, SimulationSpec, SimulationSpecError, from_csv,
                       parse_dataset, simulate_gaussian, to_csv, write_csv)
-from opcurves.dataset import _PIECE_BYTES, _from_csv_bytes, _from_csv_rows
+from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_bytes, _from_csv_rows
 from helpers import make_random
 
 
@@ -290,6 +290,12 @@ def test_simulation_spec_validation():
     with pytest.raises(SimulationSpecError):
         SimulationSpec(n=100, pi_p=0.2, mu_n=0.4, sigma_n=0.0,
                        mu_p=0.6, sigma_p=0.12, seed=0)
+    # checked on construction, before anything is drawn
+    base = dict(pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6, sigma_p=0.12, seed=0)
+    assert SimulationSpec(n=MAX_SIMULATED_ROWS, **base).n == 10**8
+    for n in (MAX_SIMULATED_ROWS + 1, 10**15):
+        with pytest.raises(SimulationSpecError, match="^n must be at most 100000000$"):
+            SimulationSpec(n=n, **base)
 
 
 def test_simulation_rejects_empty_class():

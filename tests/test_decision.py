@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from opcurves import (Curve, ThresholdGrid, UtilityScheme, baseline_decision_curves,
-                      convex_hull, decision_curve, net_benefit, operating_points,
-                      standardized_net_benefit, upper_envelope_decision_curve)
+from opcurves import (Curve, Priors, ThresholdGrid, baseline_decision_curves, convex_hull,
+                      decision_curve, net_benefit, operating_points, standardized_net_benefit,
+                      upper_envelope_decision_curve)
 from opcurves.decision import MAX_GRID_POINTS
 from helpers import envelope_support, make_random
 
@@ -11,32 +11,41 @@ THIRD = 1 / 3
 
 
 class TestUtilityScheme:
+    # a scheme is the name of a pair of weights; NB at (tpr, fpr) = (1, 0)
+    # is u_P * pi_P and at (0, 1) it is -u_N * pi_N
+    PRIORS = Priors(pi_p=0.25, pi_n=0.75)
+
     def test_dca_weights(self):
-        s = UtilityScheme.dca()
-        assert s.u_p(0.3) == 1.0
-        assert s.u_n(0.2) == pytest.approx(0.25, abs=0)
-        assert s.u_n(0.0) == 0.0
+        p = self.PRIORS
+        for t in (0.0, 0.3, 0.9):
+            assert net_benefit(1.0, 0.0, p, t) == 0.25
+            assert net_benefit(1.0, 0.0, p, t, "dca") == 0.25
+        assert net_benefit(0.0, 1.0, p, 0.2, "dca") == pytest.approx(-0.25 * 0.75)
+        assert net_benefit(0.0, 1.0, p, 0.5, "dca") == -0.75
+        assert net_benefit(0.0, 1.0, p, 0.0, "dca") == 0.0
 
     def test_dca_undefined_at_one(self):
-        s = UtilityScheme.dca()
         with pytest.raises(ValueError, match="t = 1"):
-            s.u_n(1.0)
+            net_benefit(0.5, 0.5, self.PRIORS, 1.0)
         with pytest.raises(ValueError, match="t = 1"):
-            s.u_n(np.array([0.5, 1.0]))
+            net_benefit(0.5, 0.5, self.PRIORS, np.array([0.5, 1.0]), "dca")
 
     def test_brier_scaled_weights(self):
-        s = UtilityScheme.brier_scaled()
-        assert s.u_p(0.2) == pytest.approx(1.6, abs=0)
-        assert s.u_n(0.2) == pytest.approx(0.4, abs=0)
+        p = self.PRIORS
+        assert net_benefit(1.0, 0.0, p, 0.2, "brier_scaled") == pytest.approx(1.6 * 0.25)
+        assert net_benefit(0.0, 1.0, p, 0.2, "brier_scaled") == pytest.approx(-0.4 * 0.75)
         # defined on the whole unit interval, including t = 1
-        assert s.u_p(1.0) == 0.0
-        assert s.u_n(1.0) == 2.0
+        assert net_benefit(1.0, 0.0, p, 1.0, "brier_scaled") == 0.0
+        assert net_benefit(0.0, 1.0, p, 1.0, "brier_scaled") == -1.5
+        ts = np.array([0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(net_benefit(1.0, 1.0, p, ts, "brier_scaled"),
+                                      2.0 * (1.0 - ts) * 0.25 - 2.0 * ts * 0.75)
 
     def test_unknown_kind_is_refused(self):
         # every scheme is indexed by the threshold; constant weights are not one
-        for kind in ("explicit", "DCA", ""):
-            with pytest.raises(ValueError, match="unknown scheme kind"):
-                UtilityScheme(kind=kind)
+        for name in ("explicit", "DCA", "", None):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                net_benefit(0.5, 0.5, self.PRIORS, 0.2, name)
 
 
 class TestThresholdGrid:
@@ -90,14 +99,14 @@ class TestNetBenefit:
         assert nb == pytest.approx(0.25, abs=1e-12)
 
     def test_point_values_brier_scaled(self, toy):
-        nb = net_benefit(1.0, 0.5, toy.priors, 0.2, UtilityScheme.brier_scaled())
+        nb = net_benefit(1.0, 0.5, toy.priors, 0.2, "brier_scaled")
         assert nb == pytest.approx(0.40, abs=1e-12)
 
     def test_scheme_relation(self, toy):
         # brier_scaled is the dca value rescaled by 2(1 - t)
         grid = ThresholdGrid.decision_default()
         a = decision_curve(toy, grid)
-        b = decision_curve(toy, grid, UtilityScheme.brier_scaled())
+        b = decision_curve(toy, grid, "brier_scaled")
         np.testing.assert_allclose(b.ys, 2.0 * (1.0 - grid.values) * a.ys,
                                    rtol=0, atol=1e-12)
 
@@ -195,15 +204,15 @@ class TestStandardized:
 
 
 class TestCurveContainer:
-    def test_validates_lengths(self, toy):
+    def test_validates_lengths(self):
         with pytest.raises(ValueError):
-            Curve(xs=np.array([0.1, 0.2]), ys=np.array([1.0]),
-                  series="model", priors=toy.priors)
+            Curve(xs=np.array([0.1, 0.2]), ys=np.array([1.0]), series="model")
+        with pytest.raises(ValueError):
+            Curve(xs=[], ys=[], series="model")
 
-    def test_validates_series(self, toy):
+    def test_validates_series(self):
         with pytest.raises(ValueError):
-            Curve(xs=np.array([0.1]), ys=np.array([1.0]),
-                  series="", priors=toy.priors)
+            Curve(xs=np.array([0.1]), ys=np.array([1.0]), series="")
 
 
 def test_envelope_on_random_data_majorizes_every_point():
@@ -224,7 +233,7 @@ def test_curves_on_a_grid_share_its_values():
     assert decision_curve(data, grid).xs is grid.values
     assert all(c.xs is grid.values for c in baseline_decision_curves(data.priors, grid))
     xs = np.linspace(0.0, 1.0, 5)
-    curve = Curve(xs=xs, ys=xs, series="model", priors=data.priors)
+    curve = Curve(xs=xs, ys=xs, series="model")
     xs[0] = -1.0  # a writable array is copied
     assert curve.xs[0] == 0.0
     assert not curve.xs.flags.writeable and not curve.ys.flags.writeable

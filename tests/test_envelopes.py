@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from opcurves import (Dataset, Priors, ThresholdGrid, UtilityScheme, brier_curve, brier_score,
+from opcurves import (Dataset, Priors, ThresholdGrid, brier_curve, brier_score,
                       convex_hull, decision_curve, lower_envelope, operating_points,
                       refinement_loss, upper_envelope_decision_curve)
 from helpers import (THOUSANDTHS, datasets, envelope_gaps, farey_hull, hull_of_edges,
                      make_random, recalibrate_oracle, switch_grid)
 
-SCHEMES = (UtilityScheme.dca(), UtilityScheme.brier_scaled())
+SCHEMES = ("dca", "brier_scaled")
 
 
 def test_envelopes_bitwise_on_random_data_and_fine_grid():

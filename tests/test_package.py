@@ -1,6 +1,7 @@
 """The public surface: __all__, the names that were removed from it, and the
 README's library quickstart."""
 
+import dataclasses
 import os
 import re
 import subprocess
@@ -28,7 +29,7 @@ def test_star_import_binds_exactly_all():
 
 @pytest.mark.parametrize("name", ["ConfusionCounts", "CostParams", "expected_loss",
                                   "lower_envelope_support", "upper_envelope_support",
-                                  "serialize_dataset"])
+                                  "serialize_dataset", "UtilityScheme", "Polyline"])
 def test_removed_names_are_not_in_the_package(name):
     assert not hasattr(opcurves, name)
     assert name not in opcurves.__all__
@@ -38,10 +39,19 @@ def test_removed_names_are_not_in_the_package(name):
     ("OperatingPoint", "counts"), ("OperatingPoint", "from_counts"),
     ("RocCurve", "_of_counts"), ("UtilityScheme", "explicit"),
     ("ComparisonReport", "to_dict"), ("ComparisonReport", "records"),
-    ("CostLine", "__call__")])
+    ("CostLine", "__call__"), ("Curve", "priors"), ("PlotSpec", "width"),
+    ("PlotSpec", "height")])
 def test_removed_members_are_gone(owner, attr):
-    # dir() of a class leaves out its metaclass's members, such as type.__call__
-    assert attr not in dir(getattr(opcurves, owner))
+    # dir() of a class leaves out its metaclass's members, such as type.__call__;
+    # the members of a removed class (UtilityScheme) went with it
+    cls = getattr(opcurves, owner, None)
+    assert cls is None or attr not in dir(cls)
+
+
+def test_curve_and_plot_spec_fields():
+    assert [f.name for f in dataclasses.fields(opcurves.Curve)] == ["xs", "ys", "series"]
+    assert [f.name for f in dataclasses.fields(opcurves.PlotSpec)] == [
+        "title", "x_label", "y_label", "series", "x_range", "y_range"]
 
 
 def _python_blocks(markdown: str) -> list[str]:

@@ -130,14 +130,12 @@ class TestCompareModels:
 class TestBounds:
     def test_net_benefit_bounds_hold_exactly(self):
         grid = ThresholdGrid.decision_default()
-        t = grid.values
-        from opcurves import UtilityScheme
-        u_n = UtilityScheme.dca().u_n(t)
         for seed in range(10):
             data = make_random(seed, n=200, pi_p=0.25)
             nb = decision_curve(data, grid).ys
             assert np.all(nb <= data.pi_p)
-            assert np.all(nb >= -(u_n * data.pi_n))
+            # treat every negative and no positive: -u_N(t) pi_N
+            assert np.all(nb >= net_benefit(0.0, 1.0, data.priors, grid.values))
 
     def test_brier_curve_bounds_hold_exactly(self):
         grid = ThresholdGrid.cost_default()
