@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (Curve, PlotSeries, PlotSpec, SeriesStyle, SimulationSpec,
-                      ThresholdGrid, baseline_cost_lines, brier_curve,
-                      convex_hull, cost_line, lower_envelope, operating_points,
-                      simulate_gaussian, write_svg)
+from opcurves import (PlotSeries, PlotSpec, SeriesStyle, SimulationSpec, ThresholdGrid,
+                      baseline_cost_curves, brier_curve, convex_hull, cost_lines,
+                      loss_cp, lower_envelope, operating_points, simulate_gaussian,
+                      write_svg)
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -29,7 +29,7 @@ priors = data.priors
 hull = convex_hull(operating_points(data))
 envelope = lower_envelope(hull, priors, grid)
 brier = brier_curve(data, grid)
-all_pos, all_neg = baseline_cost_lines(priors)
+all_pos, all_neg = baseline_cost_curves(priors, grid)
 
 print(f"hull has {len(hull.points)} operating points, so the envelope "
       f"has at most {len(hull.points)} linear pieces")
@@ -37,21 +37,16 @@ worst = int(np.argmax(envelope.ys))
 print(f"envelope peaks at c={envelope.xs[worst]:.3f} "
       f"with loss {envelope.ys[worst]:.4f}")
 print(f"trivial baselines cross at c={priors.pi_p:.2f} "
-      f"with loss {all_pos.value_at(priors.pi_p):.4f}")
+      f"with loss {loss_cp(1.0, 1.0, priors, priors.pi_p):.4f}")
 
 gap = brier.ys - envelope.ys
 print(f"Brier curve sits {gap.max():.4f} above the envelope at worst "
       f"(c={brier.xs[int(np.argmax(gap))]:.3f})")
 
 
-def sampled(line, series):
-    return Curve(xs=grid.values, ys=line.value_at(grid.values), series=series)
-
-
 hull_lines = tuple(
-    PlotSeries(data=cost_line(p, priors),
-               style=SeriesStyle(color="#c9c9c9", width=0.9))
-    for p in hull.points)
+    PlotSeries(data=line, style=SeriesStyle(color="#c9c9c9", width=0.9))
+    for line in cost_lines(hull, priors))
 
 spec = PlotSpec(
     title="Cost lines, lower envelope and Brier curve",
@@ -60,10 +55,8 @@ spec = PlotSpec(
     series=hull_lines + (
         PlotSeries(data=envelope, style=SeriesStyle(width=2.4)),
         PlotSeries(data=brier, style=SeriesStyle(width=2.0)),
-        PlotSeries(data=sampled(all_pos, "all_positive"),
-                   style=SeriesStyle(dash="6,3")),
-        PlotSeries(data=sampled(all_neg, "all_negative"),
-                   style=SeriesStyle(dash="2,3")),
+        PlotSeries(data=all_pos, style=SeriesStyle(dash="6,3")),
+        PlotSeries(data=all_neg, style=SeriesStyle(dash="2,3")),
     ),
     x_range=(0.0, 1.0),
     y_range=(0.0, 0.45),

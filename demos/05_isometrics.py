@@ -11,8 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (PlotSeries, PlotSpec, Priors, SeriesStyle, isometric_gradient,
-                      isometric_line, write_svg)
+from opcurves import (Curve, PlotSeries, PlotSpec, Priors, SeriesStyle,
+                      isometric_gradient, isometric_line, write_svg)
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -28,12 +28,21 @@ for t in (0.1, 0.25, 0.5):
 print("the slope is 1 exactly at t = prevalence, where both error "
       "types trade off evenly")
 
+
+def drawn(metric, level, t=None):
+    """The isometric across the plot's fpr range, as a two-vertex Curve."""
+    line = isometric_line(metric, level, priors, t)
+    fprs = np.array([0.0, 1.0])
+    label = f"{metric}={level:g}" + ("" if t is None else f" t={t:g}")
+    return Curve(xs=fprs, ys=line.tpr_at(fprs), series=label)
+
+
 acc_lines = tuple(
-    PlotSeries(data=isometric_line("accuracy", level, priors),
+    PlotSeries(data=drawn("accuracy", level),
                style=SeriesStyle(color="#888888", dash="4,3"))
     for level in (0.7, 0.8, 0.9))
 nb_lines = tuple(
-    PlotSeries(data=isometric_line("net_benefit", level, priors, t=0.25))
+    PlotSeries(data=drawn("net_benefit", level, t=0.25))
     for level in (0.0, 0.1, 0.2))
 
 spec = PlotSpec(

@@ -18,8 +18,8 @@ The two views are linked pointwise, and the area under the Brier curve
 is the Brier score, which splits into calibration and refinement parts.
 """
 
-from .cost import (CostLine, LossDecomposition, baseline_cost_lines, brier_curve,
-                   brier_score, cost_line, loss_cp, loss_decomposition, lower_envelope,
+from .cost import (LossDecomposition, baseline_cost_curves, brier_curve, brier_score,
+                   cost_lines, loss_cp, loss_decomposition, lower_envelope,
                    per_class_components, refinement_loss)
 from .dataset import (NEGATIVE, POSITIVE, Dataset, DatasetError, DegenerateClassError,
                       EmptyInputError, ParseError, Priors, SimulationSpec,
@@ -47,8 +47,8 @@ __all__ = [
     "Curve", "ThresholdGrid", "baseline_decision_curves",
     "decision_curve", "net_benefit", "standardized_net_benefit",
     "upper_envelope_decision_curve",
-    "CostLine", "LossDecomposition", "baseline_cost_lines", "brier_curve",
-    "brier_score", "cost_line", "loss_cp", "loss_decomposition", "lower_envelope",
+    "LossDecomposition", "baseline_cost_curves", "brier_curve",
+    "brier_score", "cost_lines", "loss_cp", "loss_decomposition", "lower_envelope",
     "per_class_components", "refinement_loss",
     "METRICS", "RocLine", "isometric_gradient", "isometric_line",
     "ComparisonReport", "PriorMismatchError", "compare_models", "nb_from_brier_loss",

@@ -2,9 +2,11 @@
 
 Exit codes: 0 on success, 1 for usage problems (bad flags, bad grid
 specs), 2 for data problems (unreadable or malformed input, degenerate
-datasets). Curve exports are CSV with header x,y,series; JSON outputs
-carry the priors and grid they were computed under, so they are
-self-describing. Identical invocations write identical bytes.
+datasets), 141 (128 + SIGPIPE), with no message, when the reader of a
+pipe it writes to goes away, as in `opcurves ... | head -1`. Curve
+exports are CSV with header x,y,series; JSON outputs carry the priors and
+grid they were computed under, so they are self-describing. Identical
+invocations write identical bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .cost import baseline_cost_lines, cost_line, loss_decomposition, lower_envelope
+from .cost import baseline_cost_curves, cost_lines, loss_decomposition, lower_envelope
 from .dataset import (Dataset, DatasetError, Priors, SimulationSpec,
                       SimulationSpecError, read_csv, write_csv, simulate_gaussian)
 from .decision import (Curve, ThresholdGrid, baseline_decision_curves, decision_curve,
@@ -31,6 +33,7 @@ from .roc import convex_hull, operating_points
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
+EXIT_PIPE = 141
 
 _DCA_GRID = "0:0.99:0.005"
 _COST_GRID = "0:1:0.005"
@@ -157,6 +160,10 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
         args.grid = _threshold_grid(args.grid)
     elif args.command in ("cost", "brier"):
         args.grid = _parse_grid(args.grid)
+    # dca and brier plot over the grid's range, which one point does not span
+    if args.command in ("dca", "brier") and args.svg_path is not None and len(args.grid) < 2:
+        raise UsageError("--svg plots over the grid's range and needs a grid of at "
+                         f"least two points, got only {float(args.grid.values[0])!r}")
     if args.command == "isometrics":
         args.levels = _parse_levels(args.levels)
     return args
@@ -235,12 +242,6 @@ def _report_scaffold(args: argparse.Namespace, data: Dataset) -> dict:
             "grid": args.grid.values}
 
 
-def _baseline_cost_curves(priors: Priors, grid: ThresholdGrid) -> list[Curve]:
-    """The all_positive and all_negative cost lines sampled on the grid."""
-    return [Curve(xs=grid.values, ys=line.value_at(grid.values), series=series)
-            for line, series in zip(baseline_cost_lines(priors), ("all_positive", "all_negative"))]
-
-
 def _plot(out: Outputs, path: str, title: str, x_label: str, y_label: str,
           entries: list[PlotSeries], x_range, y_range) -> None:
     out.add(path, render_svg(PlotSpec(title=title, x_label=x_label, y_label=y_label,
@@ -285,7 +286,7 @@ def _run_cost(args: argparse.Namespace) -> int:
     hull = convex_hull(operating_points(data))
     priors = data.priors
     env = lower_envelope(hull, priors, args.grid)
-    curves = [env, *_baseline_cost_curves(priors, args.grid)]
+    curves = [env, *baseline_cost_curves(priors, args.grid)]
     print(f"lower envelope peaks at {float(np.max(env.ys)):.6g} "
           f"over {len(hull.points)} hull points")
     with _outputs() as out:
@@ -296,10 +297,11 @@ def _run_cost(args: argparse.Namespace) -> int:
             entries.append(PlotSeries(data=curves[1], style=SeriesStyle(dash="6,3")))
             entries.append(PlotSeries(data=curves[2], style=SeriesStyle(dash="2,3")))
             grey = SeriesStyle(color="#b0b0b0", width=1.0)
-            lines = [cost_line(p, priors) for p in hull.points]
+            lines = cost_lines(hull, priors)
             entries.extend(PlotSeries(data=line, style=grey) for line in lines)
+            # each line's end at c = 1 widens the y range; its start at c = 0 does not
             ymax = max(max(float(np.max(c.ys)) for c in curves),
-                       max(line.value_at(1.0) for line in lines))
+                       max(float(line.ys[-1]) for line in lines))
             _plot(out, args.svg_path, "Cost curves", "cost proportion c",
                   "normalized expected loss", entries, (0.0, 1.0),
                   (0.0, 1.06 * max(ymax, 1e-9)))
@@ -310,7 +312,7 @@ def _run_brier(args: argparse.Namespace) -> int:
     data = read_csv(args.input)
     dec = loss_decomposition(data, args.grid)
     curves = [dec.brier_curve, dec.lower_envelope,
-              *_baseline_cost_curves(data.priors, args.grid)]
+              *baseline_cost_curves(data.priors, args.grid)]
     print(f"brier_score={dec.brier_score:.6f} refinement={dec.refinement:.6f} "
           f"calibration={dec.calibration:.6f}")
     with _outputs() as out:
@@ -457,7 +459,14 @@ _EXIT_CODES = (
 def main(argv: list[str] | None = None) -> int:
     """Parse argv and run; returns the exit code instead of exiting."""
     try:
-        return run(_parse_args(argv))
+        code = run(_parse_args(argv))
+        sys.stdout.flush()  # so a closed pipe shows here and not at exit
+        return code
+    except BrokenPipeError:
+        # the Python docs' recipe: stdout goes to devnull, so the flush at
+        # exit of what is still buffered for it stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

@@ -20,52 +20,41 @@ import numpy as np
 
 from .dataset import Dataset, Priors
 from .decision import ArrayLike, Curve, ThresholdGrid, _unwrap
-from .roc import (_TOL, OperatingPoint, RocCurve, _envelope_vertices, _line, _require_hull,
+from .roc import (_TOL, RocCurve, _envelope_vertices, _line, _require_hull,
                   _switch_points, convex_hull, operating_points, threshold_rates)
-
-
-@dataclass(frozen=True)
-class CostLine:
-    """Dual of one ROC point: normalized expected loss as a line in c."""
-
-    slope: float
-    intercept: float
-    source: OperatingPoint
-
-    def value_at(self, c: ArrayLike) -> ArrayLike:
-        # identical float arrangement to loss_cp, so the duality is bitwise
-        return _unwrap(np.asarray(self.intercept + np.asarray(c, dtype=np.float64) * self.slope))
 
 
 def loss_cp(tpr: ArrayLike, fpr: ArrayLike, priors: Priors, c: ArrayLike) -> ArrayLike:
     """Expected loss at cost proportion c with costs normalized to sum 2.
 
-    Computed as intercept + c * slope with the exact arrangement used by
-    CostLine, so evaluating a point's line reproduces this bit for bit.
+    Broadcasts over rates and cost proportions. As a function of c it is
+    the point's cost line, intercept + c * slope, with gradient
+    2(pi_N FPR - pi_P(1 - TPR)) and intercept 2 pi_P (1 - TPR); the line is
+    horizontal exactly when pi_N FPR = pi_P (1 - TPR).
     """
     slope, intercept = _line(np.asarray(tpr, dtype=np.float64),
                              np.asarray(fpr, dtype=np.float64), priors)
     return _unwrap(np.asarray(intercept + np.asarray(c, dtype=np.float64) * slope))
 
 
-def cost_line(point: OperatingPoint, priors: Priors) -> CostLine:
-    """The point's loss as a function of cost proportion.
+def cost_lines(curve: RocCurve, priors: Priors) -> list[Curve]:
+    """Each point's cost line over c in [0, 1] as a two-vertex Curve
+    (series "line fpr=... tpr=..."), in the curve's point order."""
+    cs = np.array([0.0, 1.0])
+    ys = loss_cp(curve.tprs[:, None], curve.fprs[:, None], priors, cs)
+    return [Curve(xs=cs, ys=y, series=f"line fpr={fpr:g} tpr={tpr:g}")
+            for y, fpr, tpr in zip(ys, curve.fprs.tolist(), curve.tprs.tolist())]
 
-    gradient 2(pi_N FPR - pi_P(1 - TPR)), intercept 2 pi_P (1 - TPR); the
-    line is horizontal exactly when pi_N FPR = pi_P (1 - TPR).
+
+def baseline_cost_curves(priors: Priors, grid: ThresholdGrid) -> tuple[Curve, Curve]:
+    """(all_positive, all_negative) reference curves, generated analytically.
+
+    They are the cost lines of ROC points (1, 1) and (0, 0): y = 2 pi_N c
+    and y = 2 pi_P (1 - c), crossing at c = pi_P with value 2 pi_P pi_N.
     """
-    slope, intercept = _line(point.tpr, point.fpr, priors)
-    return CostLine(slope=slope, intercept=intercept, source=point)
-
-
-def baseline_cost_lines(priors: Priors) -> tuple[CostLine, CostLine]:
-    """(all_positive, all_negative) reference lines.
-
-    They are the duals of ROC points (1, 1) and (0, 0): y = 2 pi_N c and
-    y = 2 pi_P (1 - c), intersecting at c = pi_P with value 2 pi_P pi_N.
-    """
-    return (cost_line(OperatingPoint(fpr=1.0, tpr=1.0), priors),
-            cost_line(OperatingPoint(fpr=0.0, tpr=0.0), priors))
+    cs = grid.values
+    return (Curve(xs=cs, ys=loss_cp(1.0, 1.0, priors, cs), series="all_positive"),
+            Curve(xs=cs, ys=loss_cp(0.0, 0.0, priors, cs), series="all_negative"))
 
 
 def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve:

@@ -15,6 +15,7 @@ both indexed by the threshold:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Union
 
 import numpy as np
@@ -36,14 +37,17 @@ def _unwrap(out: np.ndarray) -> ArrayLike:
 def regular_values(start: float, stop: float, step: float) -> np.ndarray:
     """Arithmetic sequence from start by step; stop is included when it is
     within 1e-12 of a whole number of steps, else the sequence ends at the
-    last value below it. More than MAX_GRID_POINTS values are refused with
-    ValueError before anything is allocated."""
+    last value below it. A non-finite start, stop or step, and more than
+    MAX_GRID_POINTS values, are refused with ValueError before anything is
+    allocated."""
+    if not (isfinite(start) and isfinite(stop) and isfinite(step)):
+        raise ValueError("start, stop and step must be finite numbers")
     if step <= 0.0:
         raise ValueError("step must be positive")
     if stop <= start:
         raise ValueError("stop must exceed start")
     ratio = (stop - start) / step
-    if not ratio < MAX_GRID_POINTS - 0.5:  # nan and inf fail too
+    if not ratio < MAX_GRID_POINTS - 0.5:  # a span that overflows to inf fails too
         raise ValueError(f"grid would have more than {MAX_GRID_POINTS} points; "
                          "use a larger step")
     count = int(round(ratio))
@@ -99,7 +103,7 @@ class ThresholdGrid:
 def _read_only(values) -> np.ndarray:
     """values as a read-only float64 array. One that already is such an
     array and owns its data is taken as it is, so the curves on a grid
-    share its values (and the writers format them once)."""
+    share its values instead of each holding a copy."""
     if (isinstance(values, np.ndarray) and values.dtype == np.float64
             and values.base is None and not values.flags.writeable):
         return values

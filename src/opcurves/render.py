@@ -1,25 +1,21 @@
-"""Deterministic SVG rendering for curves and reference lines.
+"""Deterministic SVG rendering for curves.
 
 No plotting dependency: the writer emits plain SVG 1.1 text and the same
 PlotSpec always produces byte-identical output, so rendered files can be
-diffed and cached. Series data may be a Curve (sampled, or an ROC
-staircase whose x repeats), a CostLine or a RocLine; lines are drawn
-across the x range and everything is clipped to the axes box. A path
-vertex that the 0.01 px output resolution cannot tell apart from the path
-without it is left out.
+diffed and cached. Every series is a Curve (sampled, an ROC staircase
+whose x repeats, or a two-vertex line), drawn through its vertices in
+order and clipped to the axes box. A path vertex that the 0.01 px output
+resolution cannot tell apart from the path without it is left out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, floor, isfinite, log10
-from typing import Union
 
 import numpy as np
 
-from .cost import CostLine
 from .decision import Curve
-from .isometrics import RocLine
 from .output import write_text
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -37,9 +33,6 @@ class RenderError(ValueError):
     """The plot spec cannot be rendered faithfully."""
 
 
-PlotData = Union[Curve, CostLine, RocLine]
-
-
 @dataclass(frozen=True)
 class SeriesStyle:
     color: str | None = None     # palette slot by position when None
@@ -49,8 +42,8 @@ class SeriesStyle:
 
 @dataclass(frozen=True)
 class PlotSeries:
-    data: PlotData
-    label: str = ""              # derived from the data when empty
+    data: Curve
+    label: str = ""              # the curve's series when empty
     style: SeriesStyle = field(default_factory=SeriesStyle)
 
 
@@ -76,32 +69,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _default_label(data: PlotData) -> str:
-    if isinstance(data, Curve):
-        return data.series
-    if isinstance(data, CostLine):
-        src = data.source
-        return f"line fpr={src.fpr:g} tpr={src.tpr:g}"
-    if isinstance(data, RocLine):
-        tag = f"{data.metric}={data.level:g}"
-        return tag if data.t is None else f"{tag} t={data.t:g}"
-    raise RenderError(f"cannot plot object of type {type(data).__name__}")
-
-
-def _series_vertices(entry: PlotSeries, label: str,
-                     x_range: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+def _series_vertices(entry: PlotSeries) -> tuple[str, np.ndarray, np.ndarray]:
+    """The entry's legend label and its curve's vertices, checked for drawing."""
     data = entry.data
-    if isinstance(data, Curve):
-        xs, ys = data.xs, data.ys
-    elif isinstance(data, CostLine):
-        xs = np.array(x_range, dtype=np.float64)
-        ys = data.value_at(xs)
-    elif isinstance(data, RocLine):
-        xs = np.array(x_range, dtype=np.float64)
-        ys = data.tpr_at(xs)
-    else:
+    if not isinstance(data, Curve):
         raise RenderError(f"cannot plot object of type {type(data).__name__}")
-    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    label = entry.label or data.series
+    xs, ys = data.xs, data.ys
     bad = ~(np.isfinite(xs) & np.isfinite(ys))
     if np.any(bad):
         raise RenderError(f"series {label!r} has a non-finite value at x={float(xs[bad][0])!r}")
@@ -109,7 +83,7 @@ def _series_vertices(entry: PlotSeries, label: str,
     with np.errstate(over="ignore"):
         if not (np.all(np.isfinite(np.diff(xs))) and np.all(np.isfinite(np.diff(ys)))):
             raise RenderError(f"series {label!r} has a segment whose dx or dy overflows")
-    return xs, ys
+    return label, xs, ys
 
 
 _CHUNK = 1 << 14  # segments clipped per pass; bounds the clip's temporaries
@@ -231,7 +205,8 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 def render_svg(spec: PlotSpec) -> str:
     """Render the spec to SVG text. Raises RenderError on an empty series
-    list, unusable ranges, or non-finite curve values."""
+    list, unusable ranges, a series that is not a Curve, or non-finite
+    curve values."""
     if not spec.series:
         raise RenderError("nothing to plot: series list is empty")
     x0, x1 = spec.x_range
@@ -285,9 +260,9 @@ def render_svg(spec: PlotSpec) -> str:
     legend: list[tuple[str, str, SeriesStyle]] = []
     polylines = []
     for idx, entry in enumerate(spec.series):
-        label = entry.label or _default_label(entry.data)
+        label, xs, ys = _series_vertices(entry)
         legend.append((label, entry.style.color or PALETTE[idx % len(PALETTE)], entry.style))
-        polylines.append(_series_vertices(entry, label, spec.x_range))
+        polylines.append((xs, ys))
     for d, (_, color, style) in zip(_path_data(polylines, (x0, x1, y0, y1), px, py), legend):
         if d:
             dash = f' stroke-dasharray="{style.dash}"' if style.dash else ""

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from opcurves import (Dataset, Priors, SimulationSpec, ThresholdGrid, baseline_cost_lines,
+from opcurves import (Dataset, Priors, SimulationSpec, ThresholdGrid, baseline_cost_curves,
                       baseline_decision_curves, brier_curve, brier_score, compare_models,
                       convex_hull, decision_curve,
                       loss_cp, loss_decomposition, lower_envelope, net_benefit,
@@ -177,10 +177,10 @@ def test_criterion_08_baselines():
     lo, hi = float(grid.values[flip[0]]), float(grid.values[flip[0] + 1])
     assert lo - step <= priors.pi_p <= hi + step
     assert abs(net_benefit(1.0, 1.0, priors, 0.2)) <= 1e-12
-    all_pos, all_neg = baseline_cost_lines(priors)
-    assert abs(all_pos.value_at(0.2) - 0.32) <= 1e-12
-    assert abs(all_neg.value_at(0.2) - 0.32) <= 1e-12
-    assert abs(all_pos.value_at(0.2) - all_neg.value_at(0.2)) <= 1e-12
+    all_pos, all_neg = (c.ys[0] for c in baseline_cost_curves(priors, ThresholdGrid([0.2])))
+    assert abs(all_pos - 0.32) <= 1e-12
+    assert abs(all_neg - 0.32) <= 1e-12
+    assert abs(all_pos - all_neg) <= 1e-12
 
 
 @criterion(9, "equal-merit deltas: BC gap 0.18 at t=0.1 and 0.9, NB gap 0.1 "
@@ -230,9 +230,8 @@ def test_criterion_10_simulated_band():
     treat_all, treat_none = (c.ys for c in baseline_decision_curves(data.priors, grid))
     dec_mask = (model > treat_all) & (model > treat_none)
     bc = brier_curve(data, grid).ys
-    all_pos, all_neg = baseline_cost_lines(data.priors)
-    cost_mask = ((bc < all_pos.value_at(grid.values))
-                 & (bc < all_neg.value_at(grid.values)))
+    all_pos, all_neg = (c.ys for c in baseline_cost_curves(data.priors, grid))
+    cost_mask = (bc < all_pos) & (bc < all_neg)
     dec_runs = _contiguous_runs(dec_mask)
     cost_runs = _contiguous_runs(cost_mask)
     # both spaces carve the threshold axis into the same bands

@@ -561,6 +561,65 @@ class TestUsage:
         assert missing.returncode == 2
         assert missing.stderr.startswith("error: ") and "missing.csv" in missing.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["isometrics", "--pi-p", "0.3", "--metric", "accuracy", "--levels", "0:1:0.00001"],
+        ["compare", "--input-a", "toy.csv", "--input-b", "toy.csv", "--grid", "0:0.99:0.0001"],
+    ], ids=["isometrics", "compare"])
+    def test_closed_stdout_exits_141_without_a_message(self, tmp_path, argv):
+        # far more output than a pipe holds, so a write meets the closed pipe
+        (tmp_path / "toy.csv").write_text(to_csv(make_toy()), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        proc = subprocess.Popen([sys.executable, "-m", "opcurves", *argv], env=env,
+                                cwd=tmp_path, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+        assert first and err == b""
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["cost", "--grid", "nan:0.5:0.1", "--csv", "o.csv"],
+                     "bad grid 'nan:0.5:0.1': start, stop and step must be finite numbers",
+                     id="nan-start"),
+        pytest.param(["cost", "--grid", "0:0.5:nan", "--csv", "o.csv"],
+                     "bad grid '0:0.5:nan': start, stop and step must be finite numbers",
+                     id="nan-step"),
+        pytest.param(["cost", "--grid", "0:nan:0.1", "--svg", "o.svg"],
+                     "bad grid '0:nan:0.1': start, stop and step must be finite numbers",
+                     id="nan-stop"),
+        pytest.param(["cost", "--grid=-inf:0.5:0.1", "--svg", "o.svg"],
+                     "bad grid '-inf:0.5:0.1': start, stop and step must be finite numbers",
+                     id="minus-inf-start"),
+        pytest.param(["brier", "--grid", "0:0.5:inf", "--json", "o.json"],
+                     "bad grid '0:0.5:inf': start, stop and step must be finite numbers",
+                     id="inf-step"),
+        pytest.param(["isometrics", "--pi-p", "0.3", "--metric", "accuracy",
+                      "--levels", "nan:1:0.1", "--csv", "o.csv"],
+                     "bad level range 'nan:1:0.1': start, stop and step must be finite numbers",
+                     id="nan-level-start"),
+        pytest.param(["dca", "--grid", "0:0.5:0.6", "--svg", "o.svg"],
+                     "--svg plots over the grid's range and needs a grid of at least two "
+                     "points, got only 0.0", id="dca-one-point-svg"),
+        pytest.param(["brier", "--grid", "0.5:0.6:0.2", "--svg", "o.svg", "--csv", "o.csv"],
+                     "--svg plots over the grid's range and needs a grid of at least two "
+                     "points, got only 0.5", id="brier-one-point-svg"),
+    ])
+    def test_grid_refused_before_the_input_is_read(self, tmp_path, monkeypatch, capsys,
+                                                   argv, message):
+        # the input does not exist: reading it would be a data error, exit 2
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--input", "missing.csv"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_one_point_grid_plots_where_the_x_range_is_fixed(self, toy_csv, tmp_path):
+        # the cost plot spans c in [0, 1] whatever the grid
+        out = tmp_path / "cost.svg"
+        assert main(["cost", "--input", toy_csv, "--grid", "0.5:0.6:0.2",
+                     "--svg", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").startswith("<svg")
+
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error:" in capsys.readouterr().err

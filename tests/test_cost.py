@@ -3,8 +3,8 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from opcurves import (Dataset, OperatingPoint, ThresholdGrid, baseline_cost_lines,
-                      brier_curve, brier_score, convex_hull, cost_line, decision_curve,
+from opcurves import (Dataset, ThresholdGrid, baseline_cost_curves,
+                      brier_curve, brier_score, convex_hull, cost_lines, decision_curve,
                       loss_cp, loss_decomposition, lower_envelope, operating_points,
                       per_class_components, refinement_loss, upper_envelope_decision_curve)
 from helpers import (THOUSANDTHS, UNIT_FLOATS, brier_score_oracle, datasets, envelope_gaps,
@@ -32,34 +32,44 @@ class TestExpectedLoss:
             assert a == pytest.approx(b, abs=1e-12)
 
 
+def _toy_line(toy):
+    """The cost line of the toy's point (1/6, 2/3), which is horizontal."""
+    lines = cost_lines(operating_points(toy), toy.priors)
+    return next(c for c in lines if c.series == "line fpr=0.166667 tpr=0.666667")
+
+
 class TestCostLine:
     def test_endpoints(self, toy):
-        line = cost_line(OperatingPoint(fpr=1 / 6, tpr=2 / 3), toy.priors)
+        line = _toy_line(toy)
+        assert line.xs.tolist() == [0.0, 1.0]
         # at c=0 only misses cost; at c=1 only false alarms
-        assert line.value_at(0.0) == pytest.approx(2 * THIRD * THIRD, abs=1e-12)
-        assert line.value_at(1.0) == pytest.approx(2 * (2 / 3) * (1 / 6), abs=1e-12)
+        assert line.ys[0] == pytest.approx(2 * THIRD * THIRD, abs=1e-12)
+        assert line.ys[1] == pytest.approx(2 * (2 / 3) * (1 / 6), abs=1e-12)
 
     def test_matches_loss_cp_bitwise(self, toy):
-        cs = np.linspace(0.0, 1.0, 101)
-        for p in operating_points(toy).points:
-            line = cost_line(p, toy.priors)
-            direct = loss_cp(p.tpr, p.fpr, toy.priors, cs)
-            assert np.all(line.value_at(cs) == direct)
+        for curve in (operating_points(toy), operating_points(make_random(3, n=300))):
+            lines = cost_lines(curve, toy.priors)
+            assert len(lines) == curve.fprs.size
+            for line, tpr, fpr in zip(lines, curve.tprs.tolist(), curve.fprs.tolist()):
+                assert line.series == f"line fpr={fpr:g} tpr={tpr:g}"
+                assert np.all(line.ys == loss_cp(tpr, fpr, toy.priors, line.xs))
 
     def test_horizontal_condition(self, toy):
-        # slope vanishes iff pi_N fpr == pi_P fnr
-        line = cost_line(OperatingPoint(fpr=toy.pi_p / 2, tpr=1 - toy.pi_n / 2),
-                         toy.priors)
-        assert line.slope == pytest.approx(0.0, abs=1e-15)
+        # slope vanishes iff pi_N fpr == pi_P fnr, as at (pi_P / 2, 1 - pi_N / 2)
+        assert (toy.pi_p / 2, 1 - toy.pi_n / 2) == pytest.approx((1 / 6, 2 / 3), abs=1e-15)
+        line = _toy_line(toy)
+        assert line.ys[1] - line.ys[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_baselines_cross_at_prevalence(self):
         from opcurves import Priors
         priors = Priors(pi_p=0.2, pi_n=0.8)
-        all_pos, all_neg = baseline_cost_lines(priors)
-        assert all_pos.value_at(0.2) == pytest.approx(0.32, abs=1e-12)
-        assert all_neg.value_at(0.2) == pytest.approx(0.32, abs=1e-12)
-        assert all_pos.value_at(0.0) == 0.0
-        assert all_neg.value_at(1.0) == 0.0
+        grid = ThresholdGrid(values=np.array([0.0, 0.2, 1.0]))
+        all_pos, all_neg = baseline_cost_curves(priors, grid)
+        assert (all_pos.series, all_neg.series) == ("all_positive", "all_negative")
+        assert all_pos.ys[1] == pytest.approx(0.32, abs=1e-12)
+        assert all_neg.ys[1] == pytest.approx(0.32, abs=1e-12)
+        assert all_pos.ys[0] == 0.0
+        assert all_neg.ys[2] == 0.0
 
 
 class TestLowerEnvelope:
@@ -76,9 +86,9 @@ class TestLowerEnvelope:
         hull = convex_hull(operating_points(toy))
         grid = ThresholdGrid.cost_default()
         env = lower_envelope(hull, toy.priors, grid)
-        for p in hull.points:
-            line = cost_line(p, toy.priors)
-            assert np.all(env.ys <= line.value_at(grid.values))
+        lines = loss_cp(hull.tprs[:, None], hull.fprs[:, None], toy.priors, grid.values)
+        assert lines.shape == (hull.fprs.size, grid.values.size)
+        assert np.all(env.ys <= lines)
 
     def test_zero_at_extremes(self, toy):
         # the all-negative line pins c=0, the all-positive line pins c=1

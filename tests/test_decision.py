@@ -4,7 +4,7 @@ import pytest
 from opcurves import (Curve, Priors, ThresholdGrid, baseline_decision_curves, convex_hull,
                       decision_curve, net_benefit, operating_points, standardized_net_benefit,
                       upper_envelope_decision_curve)
-from opcurves.decision import MAX_GRID_POINTS
+from opcurves.decision import MAX_GRID_POINTS, regular_values
 from helpers import envelope_support, make_random
 
 THIRD = 1 / 3
@@ -82,8 +82,13 @@ class TestThresholdGrid:
         for step in (1e-15, 1e-6):
             with pytest.raises(ValueError, match=f"more than {MAX_GRID_POINTS} points"):
                 ThresholdGrid.regular(0.0, 1.0, step)
+        # finite ends whose span overflows to inf are refused by the count
         with pytest.raises(ValueError, match="more than"):
-            ThresholdGrid.regular(0.0, float("inf"), 0.1)
+            regular_values(-1e308, 1e308, 0.1)
+        for start, stop, step in ((0.0, float("inf"), 0.1), (float("nan"), 1.0, 0.1),
+                                  (0.0, 1.0, float("nan")), (float("-inf"), 1.0, 0.1)):
+            with pytest.raises(ValueError, match="start, stop and step must be finite"):
+                ThresholdGrid.regular(start, stop, step)
         assert len(ThresholdGrid.regular(0.0, 1.0, 1.0 / (MAX_GRID_POINTS - 1))) == MAX_GRID_POINTS
 
     def test_values_read_only(self):

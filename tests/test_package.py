@@ -29,7 +29,8 @@ def test_star_import_binds_exactly_all():
 
 @pytest.mark.parametrize("name", ["ConfusionCounts", "CostParams", "expected_loss",
                                   "lower_envelope_support", "upper_envelope_support",
-                                  "serialize_dataset", "UtilityScheme", "Polyline"])
+                                  "serialize_dataset", "UtilityScheme", "Polyline",
+                                  "CostLine", "cost_line", "baseline_cost_lines"])
 def test_removed_names_are_not_in_the_package(name):
     assert not hasattr(opcurves, name)
     assert name not in opcurves.__all__

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opcurves import (Curve, PlotSeries, PlotSpec, Priors, RenderError, SeriesStyle,
-                      cost_line, isometric_line, render_svg, write_svg)
+from opcurves import (Curve, PlotSeries, PlotSpec, Priors, RenderError, RocCurve,
+                      SeriesStyle, cost_lines, isometric_line, render_svg, write_svg)
 from opcurves import render
-from opcurves.roc import OperatingPoint
 from helpers import assert_decimated, path_data_oracle
 
 PRIORS = Priors(pi_p=0.25, pi_n=0.75)
@@ -67,12 +66,35 @@ def test_explicit_style_wins():
 
 
 def test_lines_are_sampled_and_clipped():
-    line = cost_line(OperatingPoint(fpr=0.2, tpr=0.7), PRIORS)
-    iso = isometric_line("accuracy", 0.8, PRIORS)
+    # the cost line of (fpr, tpr) = (0.2, 0.7) and the accuracy 0.8 isometric,
+    # each a two-vertex Curve over x in [0, 1]; the isometric leaves the y range
+    points = RocCurve([np.nan, 0.5, 0.1], [0, 7, 10], [0, 1, 5], n_p=10, n_n=5)
+    line = cost_lines(points, PRIORS)[1]
+    fprs = np.array([0.0, 1.0])
+    iso = Curve(xs=fprs, ys=isometric_line("accuracy", 0.8, PRIORS).tpr_at(fprs),
+                series="accuracy=0.8")
     spec = _spec(series=(PlotSeries(data=line), PlotSeries(data=iso)),
                  y_range=(0.0, 0.5))
     text = render_svg(spec)
-    ET.fromstring(text)
+    root = ET.fromstring(text)
+    assert ">line fpr=0.2 tpr=0.7<" in text and ">accuracy=0.8<" in text
+    paths = [e.get("d") for e in root.iter() if e.tag.endswith("path")]
+    assert len(paths) == 2
+    right = render._WIDTH - render._MARGIN_RIGHT
+    bottom = render._HEIGHT - render._MARGIN_BOTTOM
+    for d in paths:
+        nums = [float(v) for v in re.findall(r"-?\d+\.\d+", d)]
+        assert all(render._MARGIN_LEFT <= x <= right for x in nums[0::2])
+        assert all(render._MARGIN_TOP <= y <= bottom for y in nums[1::2])
+
+
+@pytest.mark.parametrize("label", ["", "named"])
+@pytest.mark.parametrize("data", [isometric_line("accuracy", 0.8, PRIORS),
+                                  (np.zeros(2), np.ones(2)), None])
+def test_non_curve_series_is_refused(data, label):
+    spec = _spec(series=(PlotSeries(data=_curve()), PlotSeries(data=data, label=label)))
+    with pytest.raises(RenderError, match=f"cannot plot object of type {type(data).__name__}$"):
+        render_svg(spec)
 
 
 def test_out_of_range_series_is_dropped_not_drawn():
