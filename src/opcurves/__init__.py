@@ -16,43 +16,68 @@ views:
 
 The two views are linked pointwise, and the area under the Brier curve
 is the Brier score, which splits into calibration and refinement parts.
+
+Importing the package runs none of its modules: each submodule is in
+sys.modules from the start and runs on first attribute access
+(importlib.util.LazyLoader), and a public name is looked up in its module
+when it is first read (PEP 562). So a command loads only the modules it
+uses, and `opcurves --help` loads no numpy.
 """
 
-from .cost import (LossDecomposition, baseline_cost_curves, brier_curve, brier_score,
-                   cost_lines, loss_cp, loss_decomposition, lower_envelope,
-                   per_class_components, refinement_loss)
-from .dataset import (NEGATIVE, POSITIVE, Dataset, DatasetError, DegenerateClassError,
-                      EmptyInputError, ParseError, Priors, SimulationSpec,
-                      SimulationSpecError, from_csv, parse_dataset, read_csv,
-                      simulate_gaussian, to_csv, write_csv)
-from .decision import (Curve, ThresholdGrid, baseline_decision_curves, decision_curve,
-                       net_benefit, standardized_net_benefit, upper_envelope_decision_curve)
-from .isometrics import METRICS, RocLine, isometric_gradient, isometric_line
-from .relations import (ComparisonReport, PriorMismatchError, compare_models,
-                        nb_from_brier_loss)
-from .render import (PALETTE, PlotSeries, PlotSpec, RenderError, SeriesStyle, render_svg,
-                     write_svg)
-from .roc import (OperatingPoint, RocCurve, convex_hull, dominance, operating_points,
-                  threshold_rates)
+import importlib.util
+import sys
+
+# the names isometric lines are built for; here, so that the command line
+# parser can offer them without loading numpy
+METRICS = ("accuracy", "net_benefit", "brier_loss")
+
+_EXPORTS = {
+    "dataset": ("NEGATIVE", "POSITIVE", "Dataset", "DatasetError", "DegenerateClassError",
+                "EmptyInputError", "ParseError", "Priors", "SimulationSpec",
+                "SimulationSpecError", "read_csv", "simulate_gaussian", "to_csv", "write_csv"),
+    "roc": ("OperatingPoint", "RocCurve", "convex_hull", "dominance", "operating_points",
+            "threshold_rates"),
+    "decision": ("Curve", "ThresholdGrid", "baseline_decision_curves", "decision_curve",
+                 "net_benefit", "standardized_net_benefit", "upper_envelope_decision_curve"),
+    "cost": ("LossDecomposition", "baseline_cost_curves", "brier_curve", "brier_score",
+             "cost_lines", "loss_cp", "loss_decomposition", "lower_envelope",
+             "per_class_components", "refinement_loss"),
+    "isometrics": ("RocLine", "isometric_gradient", "isometric_line"),
+    "relations": ("ComparisonReport", "PriorMismatchError", "compare_models",
+                  "nb_from_brier_loss"),
+    "render": ("PlotSeries", "PlotSpec", "RenderError", "SeriesStyle", "render_svg",
+               "write_svg"),
+}
+_OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "NEGATIVE", "POSITIVE", "Dataset", "DatasetError", "DegenerateClassError",
-    "EmptyInputError", "ParseError", "Priors", "SimulationSpec",
-    "SimulationSpecError", "from_csv", "parse_dataset", "read_csv",
-    "simulate_gaussian", "to_csv", "write_csv",
-    "OperatingPoint", "RocCurve", "convex_hull", "dominance", "operating_points",
-    "threshold_rates",
-    "Curve", "ThresholdGrid", "baseline_decision_curves",
-    "decision_curve", "net_benefit", "standardized_net_benefit",
-    "upper_envelope_decision_curve",
-    "LossDecomposition", "baseline_cost_curves", "brier_curve",
-    "brier_score", "cost_lines", "loss_cp", "loss_decomposition", "lower_envelope",
-    "per_class_components", "refinement_loss",
-    "METRICS", "RocLine", "isometric_gradient", "isometric_line",
-    "ComparisonReport", "PriorMismatchError", "compare_models", "nb_from_brier_loss",
-    "PALETTE", "PlotSeries", "PlotSpec", "RenderError", "SeriesStyle",
-    "render_svg", "write_svg",
-    "__version__",
-]
+__all__ = [*_OWNERS, "METRICS", "__version__"]
+
+
+def _lazy(name: str):
+    """Put the submodule name in sys.modules and the package namespace,
+    to run on its first attribute access."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _name in ("_exact", "output", "dataset", "roc", "decision", "cost", "isometrics",
+              "relations", "render", "cli"):
+    _lazy(_name)
+
+
+def __getattr__(name: str):
+    if name not in _OWNERS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[_OWNERS[name]], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -7,6 +7,11 @@ pipe it writes to goes away, as in `opcurves ... | head -1`. Curve
 exports are CSV with header x,y,series; JSON outputs carry the priors and
 grid they were computed under, so they are self-describing. Identical
 invocations write identical bytes.
+
+Each command imports the modules it runs when it runs, and the package
+loads a module only on first use, so `--help` and the usage errors that
+the flags show load no numpy, up to the grid or level range: numpy
+builds those, and the isometrics flags are checked after them.
 """
 
 from __future__ import annotations
@@ -17,18 +22,7 @@ import itertools
 import os
 import sys
 
-import numpy as np
-
-from .cost import baseline_cost_curves, cost_lines, loss_decomposition, lower_envelope
-from .dataset import (Dataset, DatasetError, Priors, SimulationSpec,
-                      SimulationSpecError, read_csv, write_csv, simulate_gaussian)
-from .decision import (Curve, ThresholdGrid, baseline_decision_curves, decision_curve,
-                       regular_values, upper_envelope_decision_curve)
-from .isometrics import METRICS, isometric_lines
-from .output import Outputs, _json_chunks, json_text, replaces, rows, xy_csv
-from .relations import PriorMismatchError, compare_models
-from .render import PlotSeries, PlotSpec, SeriesStyle, render_svg
-from .roc import convex_hull, operating_points
+from . import METRICS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -62,11 +56,13 @@ def _parse_range(text: str, what: str, build):
         raise UsageError(f"bad {what} {text!r}: {exc}") from None
 
 
-def _parse_grid(text: str) -> ThresholdGrid:
+def _parse_grid(text: str):
+    from .decision import ThresholdGrid
+
     return _parse_range(text, "grid", ThresholdGrid.regular)
 
 
-def _threshold_grid(text: str) -> ThresholdGrid:
+def _threshold_grid(text: str):
     grid = _parse_grid(text)
     if grid.values[-1] >= 1.0:
         raise UsageError("net benefit is undefined at t = 1; use a grid with stop < 1")
@@ -77,6 +73,8 @@ def _parse_levels(text: str) -> tuple[float, ...]:
     # a level range is not a grid: brier_loss levels exceed 1, net benefit
     # levels go below 0, and the metric checks each level itself
     if ":" in text:
+        from .decision import regular_values
+
         return tuple(_parse_range(text, "level range", regular_values).tolist())
     try:
         return tuple(float(p) for p in text.split(","))
@@ -154,8 +152,11 @@ def _build_parser() -> _Parser:
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """The argparse namespace, with the grid and levels parsed."""
+    """The argparse namespace, with every usage error that the flags show
+    refused: the output paths first, then the grid or the levels (a range
+    of them is built in numpy) and the isometrics flags."""
     args = _build_parser().parse_args(argv)
+    _check_output_names(args)
     if args.command in ("dca", "compare"):
         args.grid = _threshold_grid(args.grid)
     elif args.command in ("cost", "brier"):
@@ -166,26 +167,40 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
                          f"least two points, got only {float(args.grid.values[0])!r}")
     if args.command == "isometrics":
         args.levels = _parse_levels(args.levels)
+        _check_isometrics_flags(args)
     return args
+
+
+def _check_isometrics_flags(args: argparse.Namespace) -> None:
+    """Refuse a prevalence given twice or not at all, or out of (0, 1), and
+    a --t the metric does not take or lacks."""
+    if args.input is not None and args.pi_p is not None:
+        raise UsageError("pass either --input or --pi-p, not both")
+    if args.input is None and args.pi_p is None:
+        raise UsageError("isometrics needs --pi-p or --input for the prevalence")
+    if args.input is None and not 0.0 < args.pi_p < 1.0:
+        raise UsageError("--pi-p must lie strictly inside (0, 1)")
+    if args.metric == "accuracy" and args.t is not None:
+        raise UsageError("accuracy isometrics take no --t")
+    if args.metric != "accuracy" and args.t is None:
+        raise UsageError(f"{args.metric} isometrics need --t")
 
 
 _OUTPUT_FLAGS = {"csv_path": "--csv", "svg_path": "--svg", "json_path": "--json",
                  "out_path": "--out"}
 
 
-def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse output paths that cannot be written before computing anything.
+def _given_outputs(args: argparse.Namespace) -> dict[str, str]:
+    return {flag: getattr(args, name) for name, flag in _OUTPUT_FLAGS.items()
+            if getattr(args, name, None) is not None}
 
-    An empty path, or two outputs that are one file (the later file would
-    replace the earlier): one real path, or for paths that exist one device
-    and inode (hard links), is a usage error. A path write_text replaces
-    needs a writable directory; an existing path it writes through (a
-    device, a FIFO, a symlink) needs to be writable.
-    """
-    given = {flag: getattr(args, name) for name, flag in _OUTPUT_FLAGS.items()
-             if getattr(args, name, None) is not None}
+
+def _check_output_names(args: argparse.Namespace) -> None:
+    """Refuse an empty output path, or two outputs that are one file (the
+    later file would replace the earlier): one real path, or for paths that
+    exist one device and inode (hard links). Each is a usage error."""
     seen: dict[object, str] = {}
-    for flag, path in given.items():
+    for flag, path in _given_outputs(args).items():
         if not path:
             raise UsageError(f"{flag} needs a file path, got an empty one")
         real = os.path.realpath(path)
@@ -197,7 +212,17 @@ def _check_outputs(args: argparse.Namespace) -> None:
             if key in seen:
                 raise UsageError(f"{seen[key]} and {flag} name the same file {real}")
         seen.update(dict.fromkeys(keys, flag))
-    for path in given.values():
+
+
+def _check_writable(args: argparse.Namespace) -> None:
+    """Refuse output paths that cannot be written before computing anything.
+
+    A path write_text replaces needs a writable directory; an existing path
+    it writes through (a device, a FIFO, a symlink) needs to be writable.
+    """
+    from .output import replaces
+
+    for path in _given_outputs(args).values():
         if os.path.isdir(path):
             raise OSError(f"cannot write {path}: it is a directory")
         if os.path.exists(path) and not replaces(path):
@@ -216,6 +241,8 @@ def _check_outputs(args: argparse.Namespace) -> None:
 def _outputs():
     """An Outputs for the files of one run, each reported once all of them
     are in place."""
+    from .output import Outputs
+
     with Outputs() as out:
         yield out
     for path in out.paths:
@@ -224,32 +251,42 @@ def _outputs():
 
 def _json_report(report: dict):
     """The report's JSON text and a final newline, in chunks for Outputs.add."""
+    from .output import _json_chunks
+
     return itertools.chain(_json_chunks(report), ["\n"])
 
 
-def _curves_csv(curves: list[Curve]):
+def _curves_csv(curves: list):
+    from .output import xy_csv
+
     return xy_csv([(c.xs, c.ys, c.series) for c in curves])
 
 
-def _series_json(curves: list[Curve]) -> list[dict]:
+def _series_json(curves: list) -> list[dict]:
     return [{"series": c.series, "x": c.xs, "y": c.ys} for c in curves]
 
 
-def _report_scaffold(args: argparse.Namespace, data: Dataset) -> dict:
+def _report_scaffold(args: argparse.Namespace, data) -> dict:
     return {"command": args.command,
             "input": args.input,
             "priors": {"pi_p": data.pi_p, "pi_n": data.pi_n},
             "grid": args.grid.values}
 
 
-def _plot(out: Outputs, path: str, title: str, x_label: str, y_label: str,
-          entries: list[PlotSeries], x_range, y_range) -> None:
+def _plot(out, path: str, title: str, x_label: str, y_label: str,
+          entries: list, x_range, y_range) -> None:
+    from .render import PlotSpec, render_svg
+
     out.add(path, render_svg(PlotSpec(title=title, x_label=x_label, y_label=y_label,
                                       series=tuple(entries), x_range=x_range,
                                       y_range=y_range)))
 
 
 def _run_dca(args: argparse.Namespace) -> int:
+    from .dataset import read_csv
+    from .decision import baseline_decision_curves, decision_curve, upper_envelope_decision_curve
+    from .roc import convex_hull, operating_points
+
     data = read_csv(args.input)
     curves = [decision_curve(data, args.grid, args.scheme)]
     curves.extend(baseline_decision_curves(data.priors, args.grid, args.scheme))
@@ -257,14 +294,16 @@ def _run_dca(args: argparse.Namespace) -> int:
         hull = convex_hull(operating_points(data))
         curves.append(upper_envelope_decision_curve(hull, data.priors, args.grid, args.scheme))
     model = curves[0]
-    peak = int(np.argmax(model.ys))
+    peak = int(model.ys.argmax())
     print(f"model net benefit peaks at t={float(model.xs[peak]):.6g} "
           f"with value {float(model.ys[peak]):.6g}")
     with _outputs() as out:
         if args.csv_path:
             out.add(args.csv_path, _curves_csv(curves))
         if args.svg_path:
-            ymax = max(float(np.max(c.ys)) for c in curves)
+            from .render import PlotSeries, SeriesStyle
+
+            ymax = max(float(c.ys.max()) for c in curves)
             y_range = (-0.15 * max(ymax, 1e-9), 1.08 * max(ymax, 1e-9))
             styles = {"model": SeriesStyle(), "treat_all": SeriesStyle(dash="6,3"),
                       "treat_none": SeriesStyle(dash="2,3"),
@@ -282,26 +321,31 @@ def _run_dca(args: argparse.Namespace) -> int:
 
 
 def _run_cost(args: argparse.Namespace) -> int:
+    from .cost import baseline_cost_curves, cost_lines, lower_envelope
+    from .dataset import read_csv
+    from .roc import convex_hull, operating_points
+
     data = read_csv(args.input)
     hull = convex_hull(operating_points(data))
     priors = data.priors
     env = lower_envelope(hull, priors, args.grid)
     curves = [env, *baseline_cost_curves(priors, args.grid)]
-    print(f"lower envelope peaks at {float(np.max(env.ys)):.6g} "
+    print(f"lower envelope peaks at {float(env.ys.max()):.6g} "
           f"over {len(hull.points)} hull points")
     with _outputs() as out:
         if args.csv_path:
             out.add(args.csv_path, _curves_csv(curves))
         if args.svg_path:
+            from .render import PlotSeries, SeriesStyle
+
             entries = [PlotSeries(data=env, style=SeriesStyle(width=2.4))]
             entries.append(PlotSeries(data=curves[1], style=SeriesStyle(dash="6,3")))
             entries.append(PlotSeries(data=curves[2], style=SeriesStyle(dash="2,3")))
             grey = SeriesStyle(color="#b0b0b0", width=1.0)
             lines = cost_lines(hull, priors)
             entries.extend(PlotSeries(data=line, style=grey) for line in lines)
-            # each line's end at c = 1 widens the y range; its start at c = 0 does not
-            ymax = max(max(float(np.max(c.ys)) for c in curves),
-                       max(float(line.ys[-1]) for line in lines))
+            # a line is drawn over c in [0, 1], so both of its ends widen the y range
+            ymax = max(float(c.ys.max()) for c in [*curves, *lines])
             _plot(out, args.svg_path, "Cost curves", "cost proportion c",
                   "normalized expected loss", entries, (0.0, 1.0),
                   (0.0, 1.06 * max(ymax, 1e-9)))
@@ -309,6 +353,9 @@ def _run_cost(args: argparse.Namespace) -> int:
 
 
 def _run_brier(args: argparse.Namespace) -> int:
+    from .cost import baseline_cost_curves, loss_decomposition
+    from .dataset import read_csv
+
     data = read_csv(args.input)
     dec = loss_decomposition(data, args.grid)
     curves = [dec.brier_curve, dec.lower_envelope,
@@ -319,11 +366,13 @@ def _run_brier(args: argparse.Namespace) -> int:
         if args.csv_path:
             out.add(args.csv_path, _curves_csv(curves))
         if args.svg_path:
+            from .render import PlotSeries, SeriesStyle
+
             styles = {"brier": SeriesStyle(width=2.0), "lower_envelope": SeriesStyle(width=2.0),
                       "all_positive": SeriesStyle(dash="6,3"),
                       "all_negative": SeriesStyle(dash="2,3")}
             entries = [PlotSeries(data=c, style=styles[c.series]) for c in curves]
-            ymax = max(float(np.max(c.ys)) for c in curves)
+            ymax = max(float(c.ys.max()) for c in curves)
             _plot(out, args.svg_path, "Brier curve", "cost proportion c = t",
                   "normalized expected loss", entries,
                   (float(args.grid.values[0]), float(args.grid.values[-1])),
@@ -338,6 +387,10 @@ def _run_brier(args: argparse.Namespace) -> int:
 
 
 def _run_roc(args: argparse.Namespace) -> int:
+    from .dataset import read_csv
+    from .output import xy_csv
+    from .roc import convex_hull, operating_points
+
     data = read_csv(args.input)
     curve = operating_points(data)
     hull = convex_hull(curve)
@@ -348,6 +401,9 @@ def _run_roc(args: argparse.Namespace) -> int:
             out.add(args.csv_path, xy_csv([(curve.fprs, curve.tprs, "points"),
                                            (hull.fprs, hull.tprs, "hull")]))
         if args.svg_path:
+            from .decision import Curve
+            from .render import PlotSeries, SeriesStyle
+
             chance = Curve(xs=[0.0, 1.0], ys=[0.0, 1.0], series="chance")
             entries = [PlotSeries(data=Curve(xs=curve.fprs, ys=curve.tprs, series="points")),
                        PlotSeries(data=Curve(xs=hull.fprs, ys=hull.tprs, series="hull"),
@@ -359,6 +415,11 @@ def _run_roc(args: argparse.Namespace) -> int:
 
 
 def _run_score(args: argparse.Namespace) -> int:
+    from .cost import loss_decomposition
+    from .dataset import read_csv
+    from .decision import ThresholdGrid
+    from .output import json_text
+
     data = read_csv(args.input)
     dec = loss_decomposition(data, ThresholdGrid.cost_default())
     report = {"command": "score", "input": args.input, "n": data.n,
@@ -375,6 +436,9 @@ def _run_score(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
+    from .dataset import read_csv
+    from .relations import compare_models
+
     data_a = read_csv(args.input)
     data_b = read_csv(args.input_b)
     report = compare_models(data_a, data_b, args.grid)
@@ -389,20 +453,16 @@ def _run_compare(args: argparse.Namespace) -> int:
 
 
 def _run_isometrics(args: argparse.Namespace) -> int:
-    if args.input is not None and args.pi_p is not None:
-        raise UsageError("pass either --input or --pi-p, not both")
+    import numpy as np
+
+    from .dataset import Priors, read_csv
+    from .isometrics import isometric_lines
+    from .output import rows
+
     if args.input is not None:
         priors = read_csv(args.input).priors
-    elif args.pi_p is not None:
-        if not 0.0 < args.pi_p < 1.0:
-            raise UsageError("--pi-p must lie strictly inside (0, 1)")
-        priors = Priors(pi_p=args.pi_p, pi_n=1.0 - args.pi_p)
     else:
-        raise UsageError("isometrics needs --pi-p or --input for the prevalence")
-    if args.metric == "accuracy" and args.t is not None:
-        raise UsageError("accuracy isometrics take no --t")
-    if args.metric != "accuracy" and args.t is None:
-        raise UsageError(f"{args.metric} isometrics need --t")
+        priors = Priors(pi_p=args.pi_p, pi_n=1.0 - args.pi_p)
     levels = np.array(args.levels, dtype=np.float64)
     gradient, intercepts = isometric_lines(args.metric, levels, priors, args.t)
     t_text = "" if args.t is None else repr(float(args.t))
@@ -418,6 +478,8 @@ def _run_isometrics(args: argparse.Namespace) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    from .dataset import SimulationSpec, simulate_gaussian, write_csv
+
     spec = SimulationSpec(n=args.n, pi_p=args.pi_p, mu_n=args.mu_n, sigma_n=args.sd_n,
                           mu_p=args.mu_p, sigma_p=args.sd_p, seed=args.seed)
     data = simulate_gaussian(spec)
@@ -439,21 +501,28 @@ _HANDLERS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Check the output paths, then run the command of a parsed namespace."""
-    _check_outputs(args)
+    """Check that the output paths can be written, then run the command of
+    a namespace from _parse_args."""
+    _check_writable(args)
     return _HANDLERS[args.command](args)
 
 
-# first match wins: SimulationSpecError subclasses DatasetError and every
-# DatasetError and PriorMismatchError is a ValueError
-_EXIT_CODES = (
-    (UsageError, EXIT_USAGE),
-    (SimulationSpecError, EXIT_USAGE),
-    (DatasetError, EXIT_DATA),
-    (PriorMismatchError, EXIT_DATA),
-    (OSError, EXIT_DATA),
-    (ValueError, EXIT_USAGE),
-)
+# keyed by the qualified names of an error's classes, most derived first,
+# so that mapping an error loads no module: SimulationSpecError subclasses
+# DatasetError, and every DatasetError and PriorMismatchError is a ValueError
+_EXIT_CODES = {
+    f"{__name__}.UsageError": EXIT_USAGE,
+    "opcurves.dataset.SimulationSpecError": EXIT_USAGE,
+    "opcurves.dataset.DatasetError": EXIT_DATA,
+    "opcurves.relations.PriorMismatchError": EXIT_DATA,
+    "builtins.OSError": EXIT_DATA,
+    "builtins.ValueError": EXIT_USAGE,
+}
+
+
+def _exit_code(exc: Exception) -> int:
+    names = (f"{kind.__module__}.{kind.__qualname__}" for kind in type(exc).__mro__)
+    return next(_EXIT_CODES[name] for name in names if name in _EXIT_CODES)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -469,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PIPE
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+        return _exit_code(exc)
 
 
 def entry() -> None:

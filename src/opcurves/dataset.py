@@ -166,53 +166,31 @@ class Dataset:
         return f"Dataset(n={self.n}, n_p={self.n_p}, n_n={self.n_n})"
 
 
-def parse_dataset(records: Iterable[tuple[str, str]], *,
-                  lines: Sequence[int] | None = None) -> Dataset:
-    """Build a Dataset from (score_text, label_text) records.
+def _parse_records(records: Iterable[tuple[str, str]], lines: Sequence[int]) -> Dataset:
+    """Build a Dataset from (score_text, label_text) records, the record of
+    data row k on file line lines[k - 1].
 
-    Raises ParseError naming the offending 1-based row on any malformed
-    score or unknown label token, and its file line when `lines` gives the
-    line of each record.
+    Raises ParseError naming the offending 1-based row and its file line on
+    any malformed score or unknown label token.
     """
     scores: list[float] = []
     labels: list[int] = []
     for row, (score_text, label_text) in enumerate(records, start=1):
+        where = f"row {row} (line {lines[row - 1]})"
         try:
             score = float(score_text)
-        except (TypeError, ValueError):
-            raise ParseError(f"{_where(row, lines)}: score {score_text!r} "
-                             "is not a decimal number") from None
+        except ValueError:
+            raise ParseError(f"{where}: score {score_text!r} is not a decimal number") from None
         if not math.isfinite(score) or not 0.0 <= score <= 1.0:
-            raise ParseError(f"{_where(row, lines)}: score {score_text!r} is outside [0, 1]")
-        label = _LABEL_TOKENS.get(str(label_text).strip().casefold())
+            raise ParseError(f"{where}: score {score_text!r} is outside [0, 1]")
+        label = _LABEL_TOKENS.get(label_text.strip().casefold())
         if label is None:
-            raise ParseError(f"{_where(row, lines)}: unknown label {label_text!r} "
-                             "(expected 0/1 or N/P)")
+            raise ParseError(f"{where}: unknown label {label_text!r} (expected 0/1 or N/P)")
         scores.append(score)
         labels.append(label)
     if not scores:
         raise EmptyInputError("no sample rows in input")
     return Dataset(scores, labels)
-
-
-def _where(row: int, lines: Sequence[int] | None) -> str:
-    return f"row {row}" if lines is None else f"row {row} (line {lines[row - 1]})"
-
-
-def from_csv(text: str) -> Dataset:
-    """Parse `score,label` CSV text into a Dataset.
-
-    A leading byte order mark, which spreadsheet exports write, is skipped.
-    The UTF-8 bytes of the text go to the byte decoder, _from_csv_bytes;
-    any text it refuses, and any input Dataset rejects, goes through the
-    row-by-row parser, which defines the accepted language and the error
-    messages.
-    """
-    try:
-        data = _from_csv_bytes(text.encode("utf-8"))
-    except UnicodeEncodeError:  # a lone surrogate
-        data = None
-    return data if data is not None else _from_csv_rows(text)
 
 
 def _plain_header(line: str) -> bool:
@@ -247,7 +225,7 @@ def _from_csv_rows(text: str) -> Dataset:
             raise ParseError(f"row {idx} (line {line}): expected 2 fields, got {len(row)}")
         lines.append(line)
         records.append((row[0], row[1]))
-    return parse_dataset(records, lines=lines)
+    return _parse_records(records, lines)
 
 
 def _csv_chunks(data: Dataset) -> Iterator[str]:

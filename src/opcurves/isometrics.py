@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import METRICS
 from .dataset import Priors
 from .decision import ArrayLike, _unwrap
-
-METRICS = ("accuracy", "net_benefit", "brier_loss")
 
 
 @dataclass(frozen=True)

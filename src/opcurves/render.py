@@ -18,8 +18,8 @@ import numpy as np
 from .decision import Curve
 from .output import write_text
 
-PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
-           "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
+_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
+            "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f")
 
 _MARGIN_LEFT = 58
 _MARGIN_RIGHT = 168
@@ -101,13 +101,15 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
     the float operations of the one-segment-at-a-time version in the same
     order, so every vertex drawn has the same text. Vertices that change
     nothing at the 0.01 px resolution of that text are left out (_kept).
+    A vertex is carried as its centipixels from the clip on, and its text
+    is written from them (_path_texts).
     """
     xmin, xmax, ymin, ymax = box
     xs = np.concatenate([x for x, _ in polylines])
     ys = np.concatenate([y for _, y in polylines])
     ids = np.repeat(np.arange(len(polylines)), [x.size for x, _ in polylines])
     owner, drawn = ids[:-1], ids[:-1] == ids[1:]  # a segment's polyline; not a bridge
-    kept = []  # per chunk: (px, py, heads, polyline) of the vertices _kept keeps
+    kept = []  # per chunk: (gx, gy, heads, polyline) of the vertices _kept keeps
     prev_ok, prev_bx, prev_by = False, 0.0, 0.0
     for lo in range(0, xs.size - 1, _CHUNK):
         hi = min(lo + _CHUNK, xs.size - 1)
@@ -134,8 +136,8 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
         pick = np.column_stack((ok & ~joins, ok)).ravel()
         if not pick.any():
             continue
-        vertices = (px(np.column_stack((ax, bx)).ravel()[pick]),
-                    py(np.column_stack((ay, by)).ravel()[pick]),
+        vertices = (_path_centipixels(px(np.column_stack((ax, bx)).ravel()[pick])),
+                    _path_centipixels(py(np.column_stack((ay, by)).ravel()[pick])),
                     np.tile((True, False), hi - lo)[pick], np.repeat(owner[lo:hi], 2)[pick])
         # here the chunk's last vertex passes for the end of its subpath;
         # the _kept over what every chunk kept settles it
@@ -143,13 +145,40 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
         kept.append([v[keep] for v in vertices])
     if not kept:
         return [""] * len(polylines)
-    vx, vy, heads, owners = map(np.concatenate, zip(*kept))
-    keep = _kept(vx, vy, heads)
-    parts = list(map("L {:.2f} {:.2f}".format, vx[keep].tolist(), vy[keep].tolist()))
-    for k in np.flatnonzero(heads[keep]).tolist():
-        parts[k] = "M" + parts[k][1:]
+    gx, gy, heads, owners = map(np.concatenate, zip(*kept))
+    keep = _kept(gx, gy, heads)
     bounds = np.searchsorted(owners[keep], np.arange(len(polylines) + 1)).tolist()
-    return [" ".join(parts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return _path_texts(gx[keep], gy[keep], heads[keep], bounds)
+
+
+def _path_texts(gx: np.ndarray, gy: np.ndarray, heads: np.ndarray,
+                bounds: list[int]) -> list[str]:
+    """The path data of the vertices from each bound to the next: "M" at a
+    subpath's first vertex (heads) and "L" at any other, then the point as
+    f"{x:.2f} {y:.2f}" writes it, from its centipixels in [0, 10**5); the
+    vertices are joined by spaces. Each vertex is a 16-byte row of a frame,
+    "L ddd.dd ddd.dd ", with NUL bytes for the zeros that lead the integer
+    part; deleting the NULs leaves the text."""
+    frame = np.empty((gx.size, 16), dtype=np.uint8)
+    frame[:, 0] = np.where(heads, ord("M"), ord("L"))
+    frame[:, [1, 8, 15]] = ord(" ")
+    frame[:, [5, 12]] = ord(".")
+    for at, g in ((2, gx), (9, gy)):
+        for col, place in zip((at, at + 1, at + 2, at + 4, at + 5), (10**4, 10**3, 100, 10, 1)):
+            frame[:, col] = g // place % 10 + ord("0")
+        frame[g < 10**4, at] = 0
+        frame[g < 10**3, at + 1] = 0
+    return [frame[a:b].tobytes().translate(None, b"\0")[:-1].decode()
+            for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _path_centipixels(v: np.ndarray) -> np.ndarray:
+    """_centipixels of path coordinates, refusing one that the frame of
+    _path_texts has no room for: one with a sign, as -0.0 has, or with 4
+    or more integer digits. No double below 999.995 prints as 1000.00."""
+    if np.signbit(v).any() or not np.all(v < 999.995):
+        raise RenderError("a path vertex lies outside the 0 to 999.99 px its text is written for")
+    return _centipixels(v)
 
 
 def _centipixels(v: np.ndarray) -> np.ndarray:
@@ -164,10 +193,10 @@ def _centipixels(v: np.ndarray) -> np.ndarray:
     return k
 
 
-def _kept(vx: np.ndarray, vy: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Indices of the path vertices (pixel coordinates vx, vy; heads marks
-    each subpath's first vertex) that change the drawing at the output's
-    0.01 px resolution.
+def _kept(gx: np.ndarray, gy: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Indices of the path vertices (centipixel coordinates gx, gy; heads
+    marks each subpath's first vertex) that change the drawing at the
+    output's 0.01 px resolution.
 
     On the integer grid of the printed coordinates, a vertex goes when it
     repeats the point of the vertex before it, or when it lies on the
@@ -175,7 +204,6 @@ def _kept(vx: np.ndarray, vy: np.ndarray, heads: np.ndarray) -> np.ndarray:
     parallel and not opposed. Each subpath keeps its first and last vertex.
     """
     tails = np.append(heads[1:], True)
-    gx, gy = _centipixels(vx), _centipixels(vy)
     repeat = (gx[1:] == gx[:-1]) & (gy[1:] == gy[:-1])
     idx = np.flatnonzero(np.concatenate(([True], ~repeat | heads[1:] | tails[1:])))
     if idx.size < 3:
@@ -261,7 +289,7 @@ def render_svg(spec: PlotSpec) -> str:
     polylines = []
     for idx, entry in enumerate(spec.series):
         label, xs, ys = _series_vertices(entry)
-        legend.append((label, entry.style.color or PALETTE[idx % len(PALETTE)], entry.style))
+        legend.append((label, entry.style.color or _PALETTE[idx % len(_PALETTE)], entry.style))
         polylines.append((xs, ys))
     for d, (_, color, style) in zip(_path_data(polylines, (x0, x1, y0, y1), px, py), legend):
         if d:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
                       loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
+from opcurves.dataset import _from_csv_bytes, _from_csv_rows
 from opcurves.roc import _line
 
 # Nine samples with a tie at 0.70 and a miscalibrated top score; small
@@ -35,6 +36,18 @@ def make_random(seed: int, n: int = 200, pi_p: float = 0.5,
         assert len(np.unique(scores)) == n
     labels = np.concatenate([np.ones(n_p, dtype=int), np.zeros(n - n_p, dtype=int)])
     return Dataset(scores, labels)
+
+
+def from_csv(text: str) -> Dataset:
+    """The Dataset of `score,label` CSV text, through read_csv's two paths:
+    the byte decoder on the text's UTF-8 bytes, then, for any text it
+    refuses (or that has no UTF-8 form, as a lone surrogate), the row
+    parser."""
+    try:
+        data = _from_csv_bytes(text.encode("utf-8"))
+    except UnicodeEncodeError:
+        data = None
+    return data if data is not None else _from_csv_rows(text)
 
 
 # Hypothesis strategies for the property tests.

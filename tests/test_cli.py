@@ -5,14 +5,16 @@ import re
 import subprocess
 import sys
 import threading
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opcurves import (Dataset, DatasetError, ParseError, PriorMismatchError,
+from opcurves import (Dataset, DatasetError, ParseError, Priors, PriorMismatchError,
                       SimulationSpecError, ThresholdGrid, compare_models, isometric_line,
                       operating_points, to_csv)
-from opcurves import cli
+from opcurves import cli, render
 from opcurves.cli import UsageError, main
 from helpers import assert_decimated, make_random, make_toy, path_data_oracle
 
@@ -156,6 +158,29 @@ class TestCost:
         out = tmp_path / "cost.svg"
         assert main(["cost", "--input", toy_csv, "--svg", str(out)]) == 0
         assert "<svg" in out.read_text(encoding="utf-8")
+
+    def test_every_line_fits_the_plot(self, tmp_path):
+        # with pi_P > pi_N the (0, 0) vertex's line reaches 2 pi_P = 1.4 at
+        # c = 0, left of a grid that starts at 0.1, and above every curve
+        sim, out = tmp_path / "sim.csv", tmp_path / "cost.svg"
+        assert main(["simulate", "--n", "2000", "--pi-p", "0.7", "--seed", "3",
+                     "--out", str(sim)]) == 0
+        assert main(["cost", "--input", str(sim), "--grid", "0.1:0.9:0.1",
+                     "--svg", str(out)]) == 0
+        paths = [(e.get("d"), e.get("stroke")) for e in ET.parse(out).getroot().iter()
+                 if e.tag.endswith("path")]
+        left, right = render._MARGIN_LEFT, render._WIDTH - render._MARGIN_RIGHT
+        top, bottom = render._MARGIN_TOP, render._HEIGHT - render._MARGIN_BOTTOM
+        for d, _ in paths:
+            nums = [float(v) for v in re.findall(r"-?\d+\.\d+", d)]
+            assert all(left <= x <= right for x in nums[0::2])
+            # a vertex on the top edge would be where the clip cut a line off
+            assert all(top < y <= bottom for y in nums[1::2])
+        lines = [d.split() for d, stroke in paths if stroke == "#b0b0b0"]
+        assert len(lines) > 2
+        # each cost line is drawn whole, from c = 0 to c = 1
+        assert all(d[:2] == ["M", f"{left:.2f}"] and d[3:5] == ["L", f"{right:.2f}"]
+                   and len(d) == 6 for d in lines)
 
 
 class TestBrier:
@@ -357,7 +382,7 @@ class TestIsometrics:
         argv = ["isometrics", "--metric", metric, f"--levels={levels}", "--pi-p", "0.25",
                 "--csv", str(out)]
         assert main(argv + ([] if t is None else ["--t", str(t)])) == 0
-        priors = cli.Priors(pi_p=0.25, pi_n=0.75)
+        priors = Priors(pi_p=0.25, pi_n=0.75)
         want = ["metric,level,t,gradient,intercept"]
         for level in cli._parse_levels(levels):
             line = isometric_line(metric, float(level), priors, t)
@@ -471,7 +496,7 @@ class TestOutputs:
             yield "<svg"
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cli, "render_svg", full_disk)
+        monkeypatch.setattr(render, "render_svg", full_disk)
         code = main(["roc", "--input", toy_csv, "--csv", str(csv_out), "--svg", str(svg_out)])
         assert code == 2
         captured = capsys.readouterr()
@@ -539,6 +564,71 @@ def test_no_command_imports_numpy_ma(toy_csv, tmp_path):
     done = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stderr.splitlines() == [f"{argv[0]} False False False" for argv in runs]
+
+
+# the modules of the package each command runs (and so loads), besides cli
+_SIM = {"dataset", "output", "_exact"}
+_READ = {"dataset", "output", "_exact", "roc"}
+_LOADED = [
+    (["--help"], 0, set()),
+    (["dca", "--grid", "0:0.5:0.1"], 1, set()),  # --input missing
+    (["score", "--input", "{csv}", "--json", ""], 1, set()),
+    (["isometrics", "--metric", "auc", "--levels", "0.5", "--pi-p", "0.5"], 1, set()),
+    (["isometrics", "--metric", "accuracy", "--levels", "0.5", "--pi-p", "0.5", "--t", "0.2"],
+     1, set()),
+    (["simulate", "--n", "100", "--out", "{tmp}/s.csv"], 0, _SIM),
+    (["score", "--input", "{csv}"], 0, _READ | {"decision", "cost"}),
+    (["brier", "--input", "{csv}", "--json", "{tmp}/b.json"], 0, _READ | {"decision", "cost"}),
+    (["dca", "--input", "{csv}", "--upper-envelope", "--csv", "{tmp}/d.csv"], 0,
+     _READ | {"decision"}),
+    (["dca", "--input", "{csv}", "--svg", "{tmp}/d.svg"], 0, _READ | {"decision", "render"}),
+    (["cost", "--input", "{csv}", "--svg", "{tmp}/c.svg"], 0,
+     _READ | {"decision", "cost", "render"}),
+    (["roc", "--input", "{csv}", "--csv", "{tmp}/r.csv"], 0, _READ),
+    (["compare", "--input-a", "{csv}", "--input-b", "{csv}"], 0,
+     _READ | {"decision", "cost", "relations"}),
+    (["isometrics", "--metric", "accuracy", "--levels", "0:1:0.5", "--input", "{csv}"], 0,
+     _READ | {"decision", "isometrics"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, modules", _LOADED,
+                         ids=[" ".join(argv[:2]) + f" -> {code}" for argv, code, _ in _LOADED])
+def test_each_command_loads_only_the_modules_it_runs(toy_csv, tmp_path, argv, code, modules):
+    # in a fresh interpreter, the way python -m opcurves runs a command: --help
+    # and usage errors load no numpy, only compare loads relations, and no
+    # command without --svg loads render
+    argv = [a.format(csv=toy_csv, tmp=tmp_path) for a in argv]
+    child = ("import json, sys, types\n"
+             "from opcurves.cli import main\n"
+             "try:\n"
+             "    code = main(sys.argv[1:])\n"
+             "except SystemExit as exc:\n"
+             "    code = exc.code\n"
+             "ran = [n for n, m in sys.modules.items() if type(m) is types.ModuleType\n"
+             "       and (n == 'numpy' or n.startswith('opcurves.'))]\n"
+             "print(json.dumps([code, sorted(ran)]), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    got_code, ran = json.loads(done.stderr.splitlines()[-1])
+    assert got_code == code
+    want = sorted({f"opcurves.{m}" for m in modules | {"cli"}} | ({"numpy"} if modules else set()))
+    assert ran == want
+
+
+def test_import_registers_every_module_the_tracer_wraps():
+    # bench/tracer.py reads sys.modules["opcurves.<module>"] for each layer
+    # right after importing opcurves and opcurves.cli, before any command runs
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    child = ("import sys\n"
+             f"sys.path.insert(0, {str(bench)!r})\n"
+             "import opcurves, opcurves.cli\n"
+             "from tracer import LAYERS\n"
+             "missing = [m for _, m, _, _ in LAYERS if f'opcurves.{m}' not in sys.modules]\n"
+             "assert not missing and 'numpy' not in sys.modules, missing")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=60)
 
 
 class TestUsage:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError,
-                      Priors, SimulationSpec, SimulationSpecError, from_csv,
-                      parse_dataset, simulate_gaussian, to_csv, write_csv)
+                      Priors, SimulationSpec, SimulationSpecError, simulate_gaussian, to_csv,
+                      write_csv)
 from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_bytes, _from_csv_rows
-from helpers import make_random
+from helpers import from_csv, make_random
 
 
 def test_basic_properties(toy):
@@ -59,15 +59,15 @@ def test_rejects_bad_labels():
 
 
 def test_parse_accepts_letter_labels():
-    data = parse_dataset([("0.2", "p"), ("0.4", "N"), ("0.6", "1"), ("0.8", "0")])
+    data = from_csv("score,label\n0.2,p\n0.4,N\n0.6,1\n0.8,0\n")
     assert data.labels.tolist() == [1, 0, 1, 0]
 
 
 def test_parse_reports_row_numbers():
     with pytest.raises(ParseError, match="row 2"):
-        parse_dataset([("0.2", "1"), ("x", "0")])
+        from_csv("score,label\n0.2,1\nx,0\n")
     with pytest.raises(ParseError, match="row 1"):
-        parse_dataset([("0.2", "maybe"), ("0.3", "0")])
+        from_csv("score,label\n0.2,maybe\n0.3,0\n")
 
 
 def test_csv_round_trip(toy):

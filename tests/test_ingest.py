@@ -20,10 +20,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from opcurves import DatasetError, ParseError, from_csv, read_csv
+from opcurves import DatasetError, ParseError, read_csv
 from opcurves import dataset
 from opcurves.cli import main
 from opcurves.dataset import _PIECE_BYTES, _WIDEST, _from_csv_bytes, _from_csv_rows
+from helpers import from_csv
 
 TWO_53 = 1 << 53
 TWO_58 = 1 << 58

@@ -1,5 +1,5 @@
-"""The public surface: __all__, the names that were removed from it, and the
-README's library quickstart."""
+"""The public surface: __all__, the names that were removed from it, the
+lazy loading of the package's modules, and the README's library quickstart."""
 
 import dataclasses
 import os
@@ -27,10 +27,33 @@ def test_star_import_binds_exactly_all():
     assert set(namespace) - {"__builtins__"} == set(opcurves.__all__)
 
 
+def test_dir_lists_every_public_name_and_module():
+    names = set(dir(opcurves))
+    assert set(opcurves.__all__) <= names
+    assert {"cli", "cost", "dataset", "decision", "isometrics", "output", "relations",
+            "render", "roc"} <= names
+
+
+def test_import_runs_no_module_until_one_is_used():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    child = ("import sys, types, opcurves\n"
+             "def ran():\n"
+             "    return sorted(n for n, m in sys.modules.items() if n.startswith('opcurves.')\n"
+             "                  and type(m) is types.ModuleType)\n"
+             "assert 'numpy' not in sys.modules and ran() == [], ran()\n"
+             "assert opcurves.METRICS and 'numpy' not in sys.modules\n"
+             "from opcurves.decision import Curve\n"
+             "assert opcurves.Curve is Curve and opcurves.decision.Curve is Curve\n"
+             "assert ran() == ['opcurves._exact', 'opcurves.dataset', 'opcurves.decision',\n"
+             "                 'opcurves.output', 'opcurves.roc'], ran()\n")
+    subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=60)
+
+
 @pytest.mark.parametrize("name", ["ConfusionCounts", "CostParams", "expected_loss",
                                   "lower_envelope_support", "upper_envelope_support",
                                   "serialize_dataset", "UtilityScheme", "Polyline",
-                                  "CostLine", "cost_line", "baseline_cost_lines"])
+                                  "CostLine", "cost_line", "baseline_cost_lines",
+                                  "from_csv", "parse_dataset", "PALETTE"])
 def test_removed_names_are_not_in_the_package(name):
     assert not hasattr(opcurves, name)
     assert name not in opcurves.__all__

@@ -49,7 +49,7 @@ def test_legend_lists_every_series():
 
 
 def test_default_palette_cycles():
-    from opcurves import PALETTE
+    from opcurves.render import _PALETTE as PALETTE
     spec = _spec(series=(PlotSeries(data=_curve("a")),
                          PlotSeries(data=_curve("b"))))
     text = render_svg(spec)
@@ -293,3 +293,29 @@ def test_centipixels_are_the_printed_digits(values):
     v = np.array(values)
     want = [int(f"{x:.2f}".replace(".", "")) for x in values]
     assert render._centipixels(v).tolist() == want
+
+
+# The path text writer against the "L {:.2f} {:.2f}".format it replaces.
+
+COORDINATE = st.one_of(st.floats(0.0, 999.99), st.integers(0, 799_995).map(lambda k: k / 800),
+                       st.sampled_from([0.0, 0.004, 0.005, 9.995, 99.995, 999.99, 999.994]))
+
+
+@given(st.lists(st.tuples(COORDINATE, COORDINATE, st.booleans()), max_size=40),
+       st.lists(st.integers(0, 40), max_size=4))
+def test_path_texts_are_the_format_texts(vertices, cuts):
+    x, y = (np.array([v[k] for v in vertices], dtype=np.float64) for k in (0, 1))
+    heads = np.array([v[2] for v in vertices], dtype=bool)
+    bounds = sorted({0, len(vertices), *(min(c, len(vertices)) for c in cuts)})
+    parts = [("M" if h else "L") + " {:.2f} {:.2f}".format(a, b)
+             for a, b, h in zip(x.tolist(), y.tolist(), heads.tolist())]
+    want = [" ".join(parts[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    got = render._path_texts(render._path_centipixels(x), render._path_centipixels(y),
+                             heads, bounds)
+    assert got == want
+
+
+@pytest.mark.parametrize("v", [-0.0, -0.001, -3.0, 999.995, 1000.0, 1e300, np.nan])
+def test_path_coordinates_without_room_in_the_frame_are_refused(v):
+    with pytest.raises(RenderError, match="outside the 0 to 999.99 px"):
+        render._path_centipixels(np.array([1.0, v]))
