@@ -12,6 +12,11 @@ Each command imports the modules it runs when it runs, and the package
 loads a module only on first use, so `--help` and the usage errors that
 the flags show load no numpy, up to the grid or level range: numpy
 builds those, and the isometrics flags are checked after them.
+
+The four curve commands (dca, cost, brier, roc) compute their curves,
+print a summary line and describe their plot; one writer, _write_curves,
+writes the CSV, SVG and JSON of all four. It builds the plot only for
+--svg, so render, and what only the plot draws, load only then.
 """
 
 from __future__ import annotations
@@ -172,7 +177,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _check_isometrics_flags(args: argparse.Namespace) -> None:
-    """Refuse a prevalence given twice or not at all, or out of (0, 1), and
+    """Refuse a prevalence given twice or not at all, or out of (0, 1) (or
+    so close to 0 that 1 - pi_p, the negative prevalence, rounds to 1), and
     a --t the metric does not take or lacks."""
     if args.input is not None and args.pi_p is not None:
         raise UsageError("pass either --input or --pi-p, not both")
@@ -180,6 +186,8 @@ def _check_isometrics_flags(args: argparse.Namespace) -> None:
         raise UsageError("isometrics needs --pi-p or --input for the prevalence")
     if args.input is None and not 0.0 < args.pi_p < 1.0:
         raise UsageError("--pi-p must lie strictly inside (0, 1)")
+    if args.input is None and 1.0 - args.pi_p == 1.0:
+        raise UsageError(f"--pi-p {args.pi_p!r} is so small that 1 - pi_p rounds to 1")
     if args.metric == "accuracy" and args.t is not None:
         raise UsageError("accuracy isometrics take no --t")
     if args.metric != "accuracy" and args.t is None:
@@ -256,30 +264,37 @@ def _json_report(report: dict):
     return itertools.chain(_json_chunks(report), ["\n"])
 
 
-def _curves_csv(curves: list):
+def _write_curves(args: argparse.Namespace, data, curves: list, plot,
+                  report: dict | None = None) -> None:
+    """Write the files a curve command's flags name; curves are Curves or
+    (xs, ys, series) triples.
+
+    --csv writes the curves as x,y,series rows. --svg draws what plot()
+    returns, (title, x_label, y_label, drawn, x_range, y_span): drawn pairs
+    each curve to draw with its SeriesStyle fields, in legend order, and the
+    y range is y_span times the highest point drawn. --json writes the
+    command, input, priors and grid, then report's keys, then the curves.
+    """
     from .output import xy_csv
 
-    return xy_csv([(c.xs, c.ys, c.series) for c in curves])
+    with _outputs() as out:
+        if args.csv_path:
+            out.add(args.csv_path, xy_csv(curves))
+        if args.svg_path:
+            from .decision import Curve
+            from .render import PlotSeries, PlotSpec, SeriesStyle, render_svg
 
-
-def _series_json(curves: list) -> list[dict]:
-    return [{"series": c.series, "x": c.xs, "y": c.ys} for c in curves]
-
-
-def _report_scaffold(args: argparse.Namespace, data) -> dict:
-    return {"command": args.command,
-            "input": args.input,
-            "priors": {"pi_p": data.pi_p, "pi_n": data.pi_n},
-            "grid": args.grid.values}
-
-
-def _plot(out, path: str, title: str, x_label: str, y_label: str,
-          entries: list, x_range, y_range) -> None:
-    from .render import PlotSpec, render_svg
-
-    out.add(path, render_svg(PlotSpec(title=title, x_label=x_label, y_label=y_label,
-                                      series=tuple(entries), x_range=x_range,
-                                      y_range=y_range)))
+            title, x_label, y_label, drawn, x_range, (low, high) = plot()
+            series = [PlotSeries(data=Curve(*c), style=SeriesStyle(**style)) for c, style in drawn]
+            top = max(max(float(s.data.ys.max()) for s in series), 1e-9)
+            out.add(args.svg_path, render_svg(PlotSpec(
+                title=title, x_label=x_label, y_label=y_label, series=series,
+                x_range=x_range, y_range=(low * top, high * top))))
+        if report is not None and args.json_path:
+            out.add(args.json_path, _json_report({
+                "command": args.command, "input": args.input,
+                "priors": {"pi_p": data.pi_p, "pi_n": data.pi_n}, "grid": args.grid.values,
+                **report, "series": [{"series": s, "x": x, "y": y} for x, y, s in curves]}))
 
 
 def _run_dca(args: argparse.Namespace) -> int:
@@ -297,26 +312,13 @@ def _run_dca(args: argparse.Namespace) -> int:
     peak = int(model.ys.argmax())
     print(f"model net benefit peaks at t={float(model.xs[peak]):.6g} "
           f"with value {float(model.ys[peak]):.6g}")
-    with _outputs() as out:
-        if args.csv_path:
-            out.add(args.csv_path, _curves_csv(curves))
-        if args.svg_path:
-            from .render import PlotSeries, SeriesStyle
-
-            ymax = max(float(c.ys.max()) for c in curves)
-            y_range = (-0.15 * max(ymax, 1e-9), 1.08 * max(ymax, 1e-9))
-            styles = {"model": SeriesStyle(), "treat_all": SeriesStyle(dash="6,3"),
-                      "treat_none": SeriesStyle(dash="2,3"),
-                      "upper_envelope": SeriesStyle(width=2.2)}
-            entries = [PlotSeries(data=c, style=styles.get(c.series, SeriesStyle()))
-                       for c in curves]
-            _plot(out, args.svg_path, "Decision curves", "threshold t", "net benefit",
-                  entries, (float(args.grid.values[0]), float(args.grid.values[-1])), y_range)
-        if args.json_path:
-            report = _report_scaffold(args, data)
-            report["scheme"] = args.scheme
-            report["series"] = _series_json(curves)
-            out.add(args.json_path, _json_report(report))
+    styles = {"treat_all": {"dash": "6,3"}, "treat_none": {"dash": "2,3"},
+              "upper_envelope": {"width": 2.2}}
+    _write_curves(args, data, curves, lambda: (
+        "Decision curves", "threshold t", "net benefit",
+        [(c, styles.get(c.series, {})) for c in curves],
+        (float(args.grid.values[0]), float(args.grid.values[-1])), (-0.15, 1.08)),
+        {"scheme": args.scheme})
     return EXIT_OK
 
 
@@ -327,28 +329,16 @@ def _run_cost(args: argparse.Namespace) -> int:
 
     data = read_csv(args.input)
     hull = convex_hull(operating_points(data))
-    priors = data.priors
-    env = lower_envelope(hull, priors, args.grid)
-    curves = [env, *baseline_cost_curves(priors, args.grid)]
+    env = lower_envelope(hull, data.priors, args.grid)
+    all_positive, all_negative = baseline_cost_curves(data.priors, args.grid)
     print(f"lower envelope peaks at {float(env.ys.max()):.6g} "
-          f"over {len(hull.points)} hull points")
-    with _outputs() as out:
-        if args.csv_path:
-            out.add(args.csv_path, _curves_csv(curves))
-        if args.svg_path:
-            from .render import PlotSeries, SeriesStyle
-
-            entries = [PlotSeries(data=env, style=SeriesStyle(width=2.4))]
-            entries.append(PlotSeries(data=curves[1], style=SeriesStyle(dash="6,3")))
-            entries.append(PlotSeries(data=curves[2], style=SeriesStyle(dash="2,3")))
-            grey = SeriesStyle(color="#b0b0b0", width=1.0)
-            lines = cost_lines(hull, priors)
-            entries.extend(PlotSeries(data=line, style=grey) for line in lines)
-            # a line is drawn over c in [0, 1], so both of its ends widen the y range
-            ymax = max(float(c.ys.max()) for c in [*curves, *lines])
-            _plot(out, args.svg_path, "Cost curves", "cost proportion c",
-                  "normalized expected loss", entries, (0.0, 1.0),
-                  (0.0, 1.06 * max(ymax, 1e-9)))
+          f"over {hull.tp.size} hull points")
+    grey = {"color": "#b0b0b0", "width": 1.0}
+    _write_curves(args, data, [env, all_positive, all_negative], lambda: (
+        "Cost curves", "cost proportion c", "normalized expected loss",
+        [(env, {"width": 2.4}), (all_positive, {"dash": "6,3"}), (all_negative, {"dash": "2,3"}),
+         *((line, grey) for line in cost_lines(hull, data.priors))],
+        (0.0, 1.0), (0.0, 1.06)))
     return EXIT_OK
 
 
@@ -362,55 +352,34 @@ def _run_brier(args: argparse.Namespace) -> int:
               *baseline_cost_curves(data.priors, args.grid)]
     print(f"brier_score={dec.brier_score:.6f} refinement={dec.refinement:.6f} "
           f"calibration={dec.calibration:.6f}")
-    with _outputs() as out:
-        if args.csv_path:
-            out.add(args.csv_path, _curves_csv(curves))
-        if args.svg_path:
-            from .render import PlotSeries, SeriesStyle
-
-            styles = {"brier": SeriesStyle(width=2.0), "lower_envelope": SeriesStyle(width=2.0),
-                      "all_positive": SeriesStyle(dash="6,3"),
-                      "all_negative": SeriesStyle(dash="2,3")}
-            entries = [PlotSeries(data=c, style=styles[c.series]) for c in curves]
-            ymax = max(float(c.ys.max()) for c in curves)
-            _plot(out, args.svg_path, "Brier curve", "cost proportion c = t",
-                  "normalized expected loss", entries,
-                  (float(args.grid.values[0]), float(args.grid.values[-1])),
-                  (0.0, 1.06 * max(ymax, 1e-9)))
-        if args.json_path:
-            report = _report_scaffold(args, data)
-            report.update({"brier_score": dec.brier_score, "refinement_loss": dec.refinement,
-                           "calibration_loss": dec.calibration,
-                           "series": _series_json(curves)})
-            out.add(args.json_path, _json_report(report))
+    styles = {"brier": {"width": 2.0}, "lower_envelope": {"width": 2.0},
+              "all_positive": {"dash": "6,3"}, "all_negative": {"dash": "2,3"}}
+    _write_curves(args, data, curves, lambda: (
+        "Brier curve", "cost proportion c = t", "normalized expected loss",
+        [(c, styles[c.series]) for c in curves],
+        (float(args.grid.values[0]), float(args.grid.values[-1])), (0.0, 1.06)),
+        {"brier_score": dec.brier_score, "refinement_loss": dec.refinement,
+         "calibration_loss": dec.calibration})
     return EXIT_OK
 
 
 def _run_roc(args: argparse.Namespace) -> int:
     from .dataset import read_csv
-    from .output import xy_csv
     from .roc import convex_hull, operating_points
 
     data = read_csv(args.input)
     curve = operating_points(data)
     hull = convex_hull(curve)
-    print(f"{len(curve.points)} operating points, {len(hull.points)} on the hull, "
+    print(f"{curve.tp.size} operating points, {hull.tp.size} on the hull, "
           f"hull area {hull.auc():.6f}")
-    with _outputs() as out:
-        if args.csv_path:
-            out.add(args.csv_path, xy_csv([(curve.fprs, curve.tprs, "points"),
-                                           (hull.fprs, hull.tprs, "hull")]))
-        if args.svg_path:
-            from .decision import Curve
-            from .render import PlotSeries, SeriesStyle
-
-            chance = Curve(xs=[0.0, 1.0], ys=[0.0, 1.0], series="chance")
-            entries = [PlotSeries(data=Curve(xs=curve.fprs, ys=curve.tprs, series="points")),
-                       PlotSeries(data=Curve(xs=hull.fprs, ys=hull.tprs, series="hull"),
-                                  style=SeriesStyle(width=2.2)),
-                       PlotSeries(data=chance, style=SeriesStyle(color="#999999", dash="4,4"))]
-            _plot(out, args.svg_path, "ROC", "false positive rate", "true positive rate",
-                  entries, (-0.02, 1.02), (-0.02, 1.02))
+    points = (curve.fprs, curve.tprs, "points")
+    edge = (hull.fprs, hull.tprs, "hull")
+    # every ROC curve ends at (1, 1), so y_span is the y range itself
+    _write_curves(args, data, [points, edge], lambda: (
+        "ROC", "false positive rate", "true positive rate",
+        [(points, {}), (edge, {"width": 2.2}),
+         (([0.0, 1.0], [0.0, 1.0], "chance"), {"color": "#999999", "dash": "4,4"})],
+        (-0.02, 1.02), (-0.02, 1.02)))
     return EXIT_OK
 
 

@@ -167,8 +167,7 @@ class LossDecomposition:
     refinement is the loss an optimally recalibrated version of the scorer
     would still pay (area under the lower envelope); calibration is the
     surplus the actual scores pay on top. brier_curve and lower_envelope
-    are the two curves sampled on the grid, and gap_curve is their
-    pointwise gap.
+    are the two curves sampled on the grid.
     """
 
     brier_score: float
@@ -176,7 +175,6 @@ class LossDecomposition:
     calibration: float
     brier_curve: Curve
     lower_envelope: Curve
-    gap_curve: Curve
 
 
 def loss_decomposition(data: Dataset, grid: ThresholdGrid) -> LossDecomposition:
@@ -184,8 +182,7 @@ def loss_decomposition(data: Dataset, grid: ThresholdGrid) -> LossDecomposition:
 
     Both areas are integrated exactly, so calibration is non-negative up
     to float rounding; negatives within 1e-12 of zero are clamped to 0.
-    A perfectly calibrated scorer has calibration 0 and a gap curve that
-    is zero everywhere.
+    A perfectly calibrated scorer has calibration 0.
     """
     points = operating_points(data)
     hull = convex_hull(points)
@@ -195,11 +192,6 @@ def loss_decomposition(data: Dataset, grid: ThresholdGrid) -> LossDecomposition:
     calibration = bs - refinement
     if -_TOL < calibration < 0.0:
         calibration = 0.0
-    bc = brier_curve(data, grid)
-    env = lower_envelope(hull, priors, grid)
-    gap = bc.ys - env.ys
-    gap = np.where((gap < 0.0) & (gap > -_TOL), 0.0, gap)
     return LossDecomposition(
         brier_score=bs, refinement=refinement, calibration=calibration,
-        brier_curve=bc, lower_envelope=env,
-        gap_curve=Curve(xs=grid.values, ys=gap, series="calibration_gap"))
+        brier_curve=brier_curve(data, grid), lower_envelope=lower_envelope(hull, priors, grid))

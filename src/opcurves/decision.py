@@ -116,9 +116,10 @@ def _read_only(values) -> np.ndarray:
 class Curve:
     """Vertices (xs[i], ys[i]) with a series label, drawn in order. A
     sampled curve has strictly increasing xs; an ROC staircase repeats
-    them. Labels in use: model, treat_all, treat_none, upper_envelope,
-    brier, lower_envelope, all_positive, all_negative, positive_component,
-    negative_component, calibration_gap, points, hull, chance."""
+    them. It unpacks as (xs, ys, series). Labels in use: model, treat_all,
+    treat_none, upper_envelope, brier, lower_envelope, all_positive,
+    all_negative, positive_component, negative_component, points, hull,
+    chance."""
 
     xs: np.ndarray
     ys: np.ndarray
@@ -132,6 +133,9 @@ class Curve:
             raise ValueError("series label must be non-empty")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
+
+    def __iter__(self):
+        return iter((self.xs, self.ys, self.series))
 
 
 def net_benefit(tpr: ArrayLike, fpr: ArrayLike, priors: Priors,

@@ -350,6 +350,12 @@ class TestIsometrics:
         assert main(["isometrics", "--metric", "accuracy",
                      "--levels", "0.8"]) == 1
 
+    def test_prevalence_whose_complement_rounds_to_one_is_usage_error(self, capsys):
+        # 1e-300 lies inside (0, 1), but 1 - 1e-300 is 1.0, which no Priors takes
+        assert main(["isometrics", "--metric", "accuracy", "--levels", "0.5",
+                     "--pi-p", "1e-300"]) == 1
+        assert capsys.readouterr().err.startswith("error: --pi-p 1e-300 ")
+
     def test_oversized_level_range_is_usage_error(self, capsys):
         assert main(["isometrics", "--metric", "accuracy", "--levels", "0:1:1e-15",
                      "--pi-p", "0.25"]) == 1
@@ -576,6 +582,7 @@ _LOADED = [
     (["isometrics", "--metric", "auc", "--levels", "0.5", "--pi-p", "0.5"], 1, set()),
     (["isometrics", "--metric", "accuracy", "--levels", "0.5", "--pi-p", "0.5", "--t", "0.2"],
      1, set()),
+    (["isometrics", "--metric", "accuracy", "--levels", "0.5", "--pi-p", "1e-300"], 1, set()),
     (["simulate", "--n", "100", "--out", "{tmp}/s.csv"], 0, _SIM),
     (["score", "--input", "{csv}"], 0, _READ | {"decision", "cost"}),
     (["brier", "--input", "{csv}", "--json", "{tmp}/b.json"], 0, _READ | {"decision", "cost"}),
@@ -629,6 +636,18 @@ def test_import_registers_every_module_the_tracer_wraps():
              "assert not missing and 'numpy' not in sys.modules, missing")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     subprocess.run([sys.executable, "-c", child], env=env, check=True, timeout=60)
+
+
+@pytest.mark.parametrize("argv, default", [
+    (["dca", "--input", "a.csv"], ThresholdGrid.decision_default),
+    (["compare", "--input-a", "a.csv", "--input-b", "b.csv"], ThresholdGrid.decision_default),
+    (["cost", "--input", "a.csv"], ThresholdGrid.cost_default),
+    (["brier", "--input", "a.csv"], ThresholdGrid.cost_default),
+], ids=["dca", "compare", "cost", "brier"])
+def test_default_grids_are_the_library_defaults(argv, default):
+    # the CLI writes its default grids as text, so that --help loads no numpy
+    got, want = cli._parse_args(argv).grid.values, default().values
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestUsage:

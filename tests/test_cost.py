@@ -254,11 +254,6 @@ class TestDecomposition:
             TOY_BRIER_SCORE - TOY_REFINEMENT, abs=1e-12)
         assert dec.calibration >= 0.0
 
-    def test_gap_curve_is_nonnegative(self, toy):
-        dec = loss_decomposition(toy, ThresholdGrid.cost_default())
-        assert dec.gap_curve.series == "calibration_gap"
-        assert np.all(dec.gap_curve.ys >= 0.0)
-
     def test_calibrated_model_collapses(self):
         data = make_calibrated()
         grid = ThresholdGrid.cost_default()

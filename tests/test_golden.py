@@ -1,4 +1,5 @@
-"""Every CLI command with every output, pinned by SHA-256.
+"""Every CLI command with every output, pinned by SHA-256, and what the
+curve commands and score print.
 
 The output writers build their text from whole arrays; the CSV and JSON
 hashes were taken from the element-at-a-time writers they replace, so any
@@ -137,6 +138,55 @@ GOLDEN = {
     },
 }
 
+# what each curve command and score print, taken from the handlers that
+# wrote their own files, before one writer served all four
+_SCORE_TOY = """{
+  "command": "score",
+  "input": "a.csv",
+  "n": 9,
+  "priors": {
+    "pi_p": 0.3333333333333333,
+    "pi_n": 0.6666666666666666
+  },
+  "brier_score": 0.2728777777777778,
+  "refinement_loss": 0.12962962962962962,
+  "calibration_loss": 0.14324814814814815
+}
+"""
+_SCORE_SIM = """{
+  "command": "score",
+  "input": "a.csv",
+  "n": 2000,
+  "priors": {
+    "pi_p": 0.2,
+    "pi_n": 0.8
+  },
+  "brier_score": 0.17768949188764768,
+  "refinement_loss": 0.10061183864677495,
+  "calibration_loss": 0.07707765324087273
+}
+"""
+STDOUT = {
+    ("toy", "dca"): "model net benefit peaks at t=0 with value 0.333333\n"
+                    "wrote dca.csv\nwrote dca.svg\nwrote dca.json\n",
+    ("toy", "cost"): "lower envelope peaks at 0.222222 over 5 hull points\n"
+                     "wrote cost.csv\nwrote cost.svg\n",
+    ("toy", "brier"): "brier_score=0.272878 refinement=0.129630 calibration=0.143248\n"
+                      "wrote brier.csv\nwrote brier.svg\nwrote brier.json\n",
+    ("toy", "roc"): "8 operating points, 5 on the hull, hull area 0.861111\n"
+                    "wrote roc.csv\nwrote roc.svg\n",
+    ("toy", "score"): _SCORE_TOY + "wrote score.json\n",
+    ("sim", "dca"): "model net benefit peaks at t=0 with value 0.2\n"
+                    "wrote dca.csv\nwrote dca.svg\nwrote dca.json\n",
+    ("sim", "cost"): "lower envelope peaks at 0.154475 over 31 hull points\n"
+                     "wrote cost.csv\nwrote cost.svg\n",
+    ("sim", "brier"): "brier_score=0.177689 refinement=0.100612 calibration=0.077078\n"
+                      "wrote brier.csv\nwrote brier.svg\nwrote brier.json\n",
+    ("sim", "roc"): "2001 operating points, 31 on the hull, hull area 0.872480\n"
+                    "wrote roc.csv\nwrote roc.svg\n",
+    ("sim", "score"): _SCORE_SIM + "wrote score.json\n",
+}
+
 
 def _inputs(kind, tmp_path):
     if kind == "toy":
@@ -165,3 +215,12 @@ def _run(kind, command, tmp_path, monkeypatch):
 @pytest.mark.parametrize("kind", ["toy", "sim"])
 def test_output_bytes_are_pinned(kind, command, tmp_path, monkeypatch):
     assert _run(kind, command, tmp_path, monkeypatch) == GOLDEN[kind, command]
+
+
+@pytest.mark.parametrize("kind, command", sorted(STDOUT))
+def test_stdout_is_pinned(kind, command, tmp_path, monkeypatch, capsys):
+    _inputs(kind, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(COMMANDS[command]) == 0
+    assert capsys.readouterr().out == STDOUT[kind, command]
