@@ -45,7 +45,8 @@ print(f"Brier curve sits {gap.max():.4f} above the envelope at worst "
 
 
 hull_lines = tuple(
-    PlotSeries(data=line, style=SeriesStyle(color="#c9c9c9", width=0.9))
+    PlotSeries(data=line, label="hull point cost lines",
+               style=SeriesStyle(color="#c9c9c9", width=0.9))
     for line in cost_lines(hull, priors))
 
 spec = PlotSpec(

@@ -16,7 +16,10 @@ builds those, and the isometrics flags are checked after them.
 The four curve commands (dca, cost, brier, roc) compute their curves,
 print a summary line and describe their plot; one writer, _write_curves,
 writes the CSV, SVG and JSON of all four. It builds the plot only for
---svg, so render, and what only the plot draws, load only then.
+--svg, so render, and what only the plot draws, load only then. Every
+JSON report (dca, brier, score, compare) is put together here from what
+the library computes, and compare and isometrics write theirs to the file
+their flag names, or else to stdout, through _write_or_print.
 """
 
 from __future__ import annotations
@@ -264,6 +267,18 @@ def _json_report(report: dict):
     return itertools.chain(_json_chunks(report), ["\n"])
 
 
+def _write_or_print(path: str | None, chunks, summary: str | None = None) -> None:
+    """Write chunks to the file at path and report it, then print summary;
+    with no path, print the chunks instead."""
+    if path:
+        with _outputs() as out:
+            out.add(path, chunks)
+        if summary is not None:
+            print(summary)
+    else:
+        sys.stdout.writelines(chunks)
+
+
 def _write_curves(args: argparse.Namespace, data, curves: list, plot,
                   report: dict | None = None) -> None:
     """Write the files a curve command's flags name; curves are Curves or
@@ -337,7 +352,8 @@ def _run_cost(args: argparse.Namespace) -> int:
     _write_curves(args, data, [env, all_positive, all_negative], lambda: (
         "Cost curves", "cost proportion c", "normalized expected loss",
         [(env, {"width": 2.4}), (all_positive, {"dash": "6,3"}), (all_negative, {"dash": "2,3"}),
-         *((line, grey) for line in cost_lines(hull, data.priors))],
+         *(((line.xs, line.ys, "hull point cost lines"), grey)
+           for line in cost_lines(hull, data.priors))],
         (0.0, 1.0), (0.0, 1.06)))
     return EXIT_OK
 
@@ -406,18 +422,18 @@ def _run_score(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     from .dataset import read_csv
+    from .output import Records
     from .relations import compare_models
 
-    data_a = read_csv(args.input)
-    data_b = read_csv(args.input_b)
-    report = compare_models(data_a, data_b, args.grid)
-    chunks = _json_report(report.json_document())
-    if args.json_path:
-        with _outputs() as out:
-            out.add(args.json_path, chunks)
-        print(f"agree_at_all_t={str(report.agree_at_all_t).lower()}")
-    else:
-        sys.stdout.writelines(chunks)
+    report = compare_models(read_csv(args.input), read_csv(args.input_b), args.grid)
+    # per_t as columns: one JSON object a grid point, written without a dict a row
+    per_t = Records({"t": args.grid.values, "nb_a": report.nb_a, "nb_b": report.nb_b,
+                     "bc_a": report.bc_a, "bc_b": report.bc_b, "delta_nb": report.delta_nb,
+                     "delta_bc": report.delta_bc, "agree": report.agree})
+    _write_or_print(args.json_path, _json_report({
+        "priors": {"pi_p": report.priors.pi_p, "pi_n": report.priors.pi_n},
+        "grid": args.grid.values, "per_t": per_t, "agree_at_all_t": report.agree_at_all_t}),
+        f"agree_at_all_t={str(report.agree_at_all_t).lower()}")
     return EXIT_OK
 
 
@@ -435,14 +451,9 @@ def _run_isometrics(args: argparse.Namespace) -> int:
     levels = np.array(args.levels, dtype=np.float64)
     gradient, intercepts = isometric_lines(args.metric, levels, priors, args.t)
     t_text = "" if args.t is None else repr(float(args.t))
-    chunks = itertools.chain(["metric,level,t,gradient,intercept\n"], rows(
+    _write_or_print(args.csv_path, itertools.chain(["metric,level,t,gradient,intercept\n"], rows(
         [levels, np.full(levels.size, gradient), intercepts],
-        [args.metric + ",", "," + t_text + ",", ",", "\n"]))
-    if args.csv_path:
-        with _outputs() as out:
-            out.add(args.csv_path, chunks)
-    else:
-        sys.stdout.writelines(chunks)
+        [args.metric + ",", "," + t_text + ",", ",", "\n"])))
     return EXIT_OK
 
 

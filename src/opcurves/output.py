@@ -8,8 +8,8 @@ becomes the text float.__repr__ gives it, found with numpy arithmetic on
 the whole column (see _float_words), each row's bytes go into a frame of
 uint32 words where NUL bytes mark unused places, and deleting the NULs
 leaves the text. json_text writes a JSON array, or the rows of a Records,
-through rows() too, and both yield the text chunk by chunk for
-write_text to stream.
+through rows() too, and each scalar as json.dumps writes it; both yield
+the text chunk by chunk for write_text to stream.
 
 write_text puts a new or plain file under a temporary name in the target
 directory and moves it into place with os.replace, so a reader never sees
@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import json
 import math
 import os
 import stat
@@ -304,22 +305,6 @@ def _records_items(rec: Records, level: int) -> Iterator[list[str]]:
     return _array_items([np.asarray(c) for c in rec.columns.values()], pieces, level)
 
 
-def _scalar_text(o) -> str:
-    if isinstance(o, str):
-        return _json_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float_text(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 def _json_chunks(o, level: int = 0) -> Iterator[str]:
     """The text of json_text(o) in chunks: an array or a Records yields one
     chunk of rows() at a time, so no text of a whole array is held."""
@@ -334,7 +319,7 @@ def _json_chunks(o, level: int = 0) -> Iterator[str]:
     elif isinstance(o, Records):
         yield from _block("[", _records_items(o, level), "]", level)
     else:
-        yield _scalar_text(o)
+        yield json.dumps(o)
 
 
 def json_text(obj) -> str:

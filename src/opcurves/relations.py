@@ -9,7 +9,8 @@ The map is affine and decreasing in BC at fixed t, so the two spaces rank
 any pair of models identically at each threshold, and the within-space
 envelopes are images of each other. Differences BETWEEN thresholds are
 weighed differently by the two spaces, which is what compare_models makes
-visible.
+visible. Its ComparisonReport holds the computed arrays; the compare
+command writes them as JSON.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .cost import brier_curve
 from .dataset import Dataset, Priors
 from .decision import ArrayLike, ThresholdGrid, _unwrap, decision_curve
-from .output import Records, json_text
 from .roc import _TOL
 
 
@@ -59,24 +59,6 @@ class ComparisonReport:
     @property
     def agree_at_all_t(self) -> bool:
         return bool(np.all(self.agree))
-
-    def json_document(self) -> dict:
-        """The report for json_text: the priors, the grid as an array, per_t
-        as Records of the columns (one JSON object per grid point, written
-        without a dict a row) and agree_at_all_t."""
-        per_t = Records({"t": self.grid.values, "nb_a": self.nb_a, "nb_b": self.nb_b,
-                         "bc_a": self.bc_a, "bc_b": self.bc_b, "delta_nb": self.delta_nb,
-                         "delta_bc": self.delta_bc, "agree": self.agree})
-        return {
-            "priors": {"pi_p": self.priors.pi_p, "pi_n": self.priors.pi_n},
-            "grid": self.grid.values,
-            "per_t": per_t,
-            "agree_at_all_t": self.agree_at_all_t,
-        }
-
-    def to_json(self) -> str:
-        """json_document() as JSON text with indent 2, as json.dumps writes it."""
-        return json_text(self.json_document())
 
 
 def _soft_sign(x: np.ndarray) -> np.ndarray:

@@ -298,7 +298,8 @@ def render_svg(spec: PlotSpec) -> str:
                          f'stroke-width="{style.width:g}"{dash}/>')
 
     lx = _MARGIN_LEFT + pw + 16
-    for row, (label, color, style) in enumerate(legend):
+    # a series drawn like an earlier one under the same label shares its row
+    for row, (label, color, style) in enumerate(dict.fromkeys(legend)):
         ly = _MARGIN_TOP + 14 + row * 20
         dash = f' stroke-dasharray="{style.dash}"' if style.dash else ""
         lines.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '

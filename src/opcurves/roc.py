@@ -49,8 +49,11 @@ class OperatingPoint:
 
 def _frozen(values, dtype) -> np.ndarray:
     """values as a read-only array, taken without a copy when it is one
-    already of that dtype."""
+    already of that dtype that owns its data. A view is copied: the array
+    it views would stay writable."""
     arr = np.asarray(values, dtype=dtype)
+    if not arr.flags.owndata:
+        arr = arr.copy()
     arr.flags.writeable = False
     return arr
 
@@ -80,7 +83,7 @@ class RocCurve:
         """The curve through the points of the given thresholds (NaN for
         none) and integer counts, the rates from the counts. thresholds, tp
         and fp are taken without a copy where they are float64 and int64
-        arrays already, and made read-only."""
+        arrays that own their data already, and made read-only."""
         tp, fp = _frozen(tp, np.int64), _frozen(fp, np.int64)
         fields = {"thresholds": _frozen(thresholds, np.float64),
                   "fprs": _frozen(fp / n_n, np.float64), "tprs": _frozen(tp / n_p, np.float64),

@@ -50,6 +50,19 @@ def from_csv(text: str) -> Dataset:
     return data if data is not None else _from_csv_rows(text)
 
 
+def comparison_dict(report) -> dict:
+    """The report as plain lists and one dict a grid point, built from its
+    public arrays: what the compare command's JSON must be, as json.dumps
+    writes it."""
+    cols = {"t": report.grid.values, "nb_a": report.nb_a, "nb_b": report.nb_b,
+            "bc_a": report.bc_a, "bc_b": report.bc_b, "delta_nb": report.delta_nb,
+            "delta_bc": report.delta_bc, "agree": report.agree}
+    per_t = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
+    return {"priors": {"pi_p": report.priors.pi_p, "pi_n": report.priors.pi_n},
+            "grid": report.grid.values.tolist(), "per_t": per_t,
+            "agree_at_all_t": report.agree_at_all_t}
+
+
 # Hypothesis strategies for the property tests.
 
 THOUSANDTHS = st.integers(0, 1000).map(lambda k: k / 1000)  # ties, 0 and 1

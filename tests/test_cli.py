@@ -16,7 +16,8 @@ from opcurves import (Dataset, DatasetError, ParseError, Priors, PriorMismatchEr
                       operating_points, to_csv)
 from opcurves import cli, render
 from opcurves.cli import UsageError, main
-from helpers import assert_decimated, make_random, make_toy, path_data_oracle
+from helpers import (assert_decimated, comparison_dict, make_random, make_toy,
+                     path_data_oracle)
 
 
 @pytest.fixture
@@ -182,6 +183,20 @@ class TestCost:
         assert all(d[:2] == ["M", f"{left:.2f}"] and d[3:5] == ["L", f"{right:.2f}"]
                    and len(d) == 6 for d in lines)
 
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_legend_fits_the_canvas(self, tmp_path, n):
+        # the hull points' grey lines share one legend row; a row each put 12
+        # of 34 rows below the 480 px canvas at n = 2000, and 65 rows at 20000
+        sim, out = tmp_path / "sim.csv", tmp_path / "cost.svg"
+        assert main(["simulate", "--n", str(n), "--seed", "3", "--out", str(sim)]) == 0
+        assert main(["cost", "--input", str(sim), "--svg", str(out)]) == 0
+        right = render._WIDTH - render._MARGIN_RIGHT
+        rows = [(e.text, float(e.get("y"))) for e in ET.parse(out).getroot().iter()
+                if e.tag.endswith("text") and float(e.get("x")) > right]
+        assert [label for label, _ in rows] == ["lower_envelope", "all_positive",
+                                                "all_negative", "hull point cost lines"]
+        assert all(render._MARGIN_TOP < y < render._HEIGHT for _, y in rows)
+
 
 class TestBrier:
     def test_csv_series(self, toy_csv, tmp_path):
@@ -292,7 +307,8 @@ class TestCompare:
 
     def test_stdout_and_file_carry_the_report(self, toy_csv, tmp_path, capsys):
         grid = ThresholdGrid.regular(0.0, 0.99, 0.005)
-        want = compare_models(make_toy(), make_toy(), grid).to_json() + "\n"
+        report = compare_models(make_toy(), make_toy(), grid)
+        want = json.dumps(comparison_dict(report), indent=2) + "\n"
         assert main(["compare", "--input-a", toy_csv, "--input-b", toy_csv]) == 0
         assert capsys.readouterr().out == want
         out = tmp_path / "cmp.json"

@@ -48,7 +48,7 @@ envelope peaks at c=0.400 with loss 0.1393
 trivial baselines cross at c=0.20 with loss 0.3200
 Brier curve sits 0.2471 above the envelope at worst (c=0.310)
 wrote <tmp>/out/cost_brier.svg
-""", {"cost_brier.svg": "7cf2a59c0b5051ebab32b2764a1d19f75eb200ca5c61be620cfbd830012103cb"}),
+""", {"cost_brier.svg": "a8e9f5064f91bdf07ac278c83782ff3919188fe47c97942d877eae3f729e5b2f"}),
     "04_loss_decomposition": ("""\
 calibrated: brier=0.1750  refinement=0.1750  calibration=0.0000
 squashed  : brier=0.2113  refinement=0.1750  calibration=0.0363

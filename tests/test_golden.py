@@ -1,11 +1,14 @@
-"""Every CLI command with every output, pinned by SHA-256, and what the
-curve commands and score print.
+"""Every CLI command with every output, pinned by SHA-256, and what each
+command prints: a summary line and the files it wrote, or, for compare
+without --json and isometrics without --csv, the bytes of that file.
 
 The output writers build their text from whole arrays; the CSV and JSON
 hashes were taken from the element-at-a-time writers they replace, so any
 changed byte in those files fails here. The SVG hashes were taken when the
 renderer began to leave out the path vertices the 0.01 px grid cannot show;
-tests/test_render.py checks such paths against the full ones.
+tests/test_render.py checks such paths against the full ones. The cost
+plots' were taken again when the hull points' cost lines began to share
+one legend row, with every path unchanged.
 """
 
 import hashlib
@@ -50,7 +53,7 @@ GOLDEN = {
         'cost.csv':
             '608c5866fd92d2110d953f24fb076a706b912bea63cf27048c9249bbf8390b32',
         'cost.svg':
-            'aa49bc386c3cc9f6f22d3ae6f242335c8deca7bbde9eaf509d91a59593efebe9',
+            '53801c1d69d903a768560438532c45b1689879b9457e1340d3e99509af9f81ee',
     },
     ('toy', 'dca'): {
         'dca.csv':
@@ -100,7 +103,7 @@ GOLDEN = {
         'cost.csv':
             '568f63a0a7717fa58fc8118688d195b118d35a129a413255740bc66b0784b1e3',
         'cost.svg':
-            '192c2b47d6e3b43feabd62338165e0fb4c563e3433a4213b0fee09a599cde909',
+            '8a9504eb48e9ca19166936947cc4c37dc6ac4da71bbc1c9c013a53c86ce7da07',
     },
     ('sim', 'dca'): {
         'dca.csv':
@@ -138,8 +141,10 @@ GOLDEN = {
     },
 }
 
-# what each curve command and score print, taken from the handlers that
-# wrote their own files, before one writer served all four
+# what each command prints; the curve commands' and score's were taken from
+# the handlers that wrote their own files, before one writer served all
+# four, and compare's and isometrics' from the handlers that each wrote to
+# their file or to stdout themselves, before one helper served both
 _SCORE_TOY = """{
   "command": "score",
   "input": "a.csv",
@@ -185,7 +190,18 @@ STDOUT = {
     ("sim", "roc"): "2001 operating points, 31 on the hull, hull area 0.872480\n"
                     "wrote roc.csv\nwrote roc.svg\n",
     ("sim", "score"): _SCORE_SIM + "wrote score.json\n",
+    ("toy", "compare"): "wrote compare.json\nagree_at_all_t=true\n",
+    ("sim", "compare"): "wrote compare.json\nagree_at_all_t=true\n",
+    ("toy", "isometrics"): "wrote isometrics.csv\n",
+    ("sim", "isometrics"): "wrote isometrics.csv\n",
+    ("toy", "isometrics_range"): "wrote isometrics.csv\n",
+    ("sim", "isometrics_range"): "wrote isometrics.csv\n",
 }
+
+# the file that compare and isometrics print instead of writing it when
+# their last flag, --json or --csv, is left out
+PRINTED = {"compare": "compare.json", "isometrics": "isometrics.csv",
+           "isometrics_range": "isometrics.csv"}
 
 
 def _inputs(kind, tmp_path):
@@ -224,3 +240,16 @@ def test_stdout_is_pinned(kind, command, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(COMMANDS[command]) == 0
     assert capsys.readouterr().out == STDOUT[kind, command]
+
+
+@pytest.mark.parametrize("command", sorted(PRINTED))
+@pytest.mark.parametrize("kind", ["toy", "sim"])
+def test_printed_report_is_pinned(kind, command, tmp_path, monkeypatch, capsys):
+    argv = COMMANDS[command]
+    assert argv[-2] in ("--json", "--csv") and argv[-1] == PRINTED[command]
+    _inputs(kind, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(argv[:-2]) == 0
+    printed = capsys.readouterr().out.encode()
+    assert hashlib.sha256(printed).hexdigest() == GOLDEN[kind, command][PRINTED[command]]

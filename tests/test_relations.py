@@ -1,24 +1,29 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opcurves import (PriorMismatchError, ThresholdGrid, brier_curve, compare_models,
                       convex_hull, decision_curve, lower_envelope, nb_from_brier_loss,
-                      net_benefit, operating_points, upper_envelope_decision_curve)
-from helpers import envelope_oracle, make_random
+                      net_benefit, operating_points, to_csv, upper_envelope_decision_curve)
+from opcurves.cli import main
+from helpers import comparison_dict, envelope_oracle, make_random
 
 
-def comparison_dict(report) -> dict:
-    """The report as plain lists and one dict a grid point, built from its
-    public arrays: what its JSON must be, as json.dumps writes it."""
-    cols = {"t": report.grid.values, "nb_a": report.nb_a, "nb_b": report.nb_b,
-            "bc_a": report.bc_a, "bc_b": report.bc_b, "delta_nb": report.delta_nb,
-            "delta_bc": report.delta_bc, "agree": report.agree}
-    per_t = [dict(zip(cols, row)) for row in zip(*(c.tolist() for c in cols.values()))]
-    return {"priors": {"pi_p": report.priors.pi_p, "pi_n": report.priors.pi_n},
-            "grid": report.grid.values.tolist(), "per_t": per_t,
-            "agree_at_all_t": report.agree_at_all_t}
+def compare_output(data_a, data_b, grid: str, tmp_path, capsys) -> str:
+    """What the compare command prints for two datasets over the grid
+    start:stop:step, once checked to be what it writes with --json too."""
+    paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+    for path, data in zip(paths, (data_a, data_b)):
+        Path(path).write_text(to_csv(data), encoding="utf-8")
+    argv = ["compare", "--input-a", paths[0], "--input-b", paths[1], "--grid", grid]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert main([*argv, "--json", str(tmp_path / "report.json")]) == 0
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == printed
+    return printed
 
 
 class TestPointIdentity:
@@ -98,11 +103,10 @@ class TestCompareModels:
         with pytest.raises(PriorMismatchError):
             compare_models(toy, other, ThresholdGrid.decision_default())
 
-    def test_json_round_trip(self, toy):
+    def test_json_round_trip(self, toy, tmp_path, capsys):
         grid = ThresholdGrid.regular(0.0, 0.9, 0.1)
         other = make_random(9, n=9, pi_p=1 / 3)
-        report = compare_models(toy, other, grid)
-        obj = json.loads(report.to_json())
+        obj = json.loads(compare_output(toy, other, "0:0.9:0.1", tmp_path, capsys))
         assert obj["priors"]["pi_p"] == pytest.approx(toy.pi_p, abs=0)
         assert obj["grid"] == [pytest.approx(v, abs=0) for v in grid.values]
         assert len(obj["per_t"]) == len(grid)
@@ -110,17 +114,18 @@ class TestCompareModels:
         assert set(row) >= {"t", "nb_a", "nb_b", "bc_a", "bc_b",
                             "delta_nb", "delta_bc", "agree"}
 
-    def test_json_is_json_dumps_of_the_dict(self):
+    def test_json_is_json_dumps_of_the_dict(self, tmp_path, capsys):
         grid = ThresholdGrid.regular(0.0, 0.98, 0.0007)
-        report = compare_models(make_random(3, n=400, pi_p=0.25),
-                                make_random(4, n=400, pi_p=0.25), grid)
-        assert report.to_json() == json.dumps(comparison_dict(report), indent=2)
+        a, b = make_random(3, n=400, pi_p=0.25), make_random(4, n=400, pi_p=0.25)
+        report = compare_models(a, b, grid)
+        assert compare_output(a, b, "0:0.98:0.0007", tmp_path, capsys) == (
+            json.dumps(comparison_dict(report), indent=2) + "\n")
 
-    def test_records_align_with_arrays(self, toy):
+    def test_records_align_with_arrays(self, toy, tmp_path, capsys):
         grid = ThresholdGrid.regular(0.0, 0.9, 0.1)
         other = make_random(9, n=9, pi_p=1 / 3)
         report = compare_models(toy, other, grid)
-        rows = json.loads(report.to_json())["per_t"]
+        rows = json.loads(compare_output(toy, other, "0:0.9:0.1", tmp_path, capsys))["per_t"]
         assert len(rows) == len(grid)
         assert rows[3]["delta_nb"] == pytest.approx(
             float(report.delta_nb[3]), abs=0)

@@ -48,6 +48,24 @@ def test_legend_lists_every_series():
     assert "treat_all" in text
 
 
+def test_series_drawn_alike_under_one_label_share_a_legend_row():
+    def legend(*series):
+        text = render_svg(_spec(series=series))
+        assert text.count("<path") == len(series)
+        return re.findall(r'dy="4" font-family="sans-serif" font-size="11" '
+                          r'fill="#222222">([^<]*)</text>', text)
+
+    grey = SeriesStyle(color="#b0b0b0", width=1.0)
+    assert legend(PlotSeries(data=_curve("line"), style=grey),
+                  PlotSeries(data=_curve("model")),
+                  PlotSeries(data=_curve("other"), label="line", style=grey)) == ["line", "model"]
+    # a different style, or a palette slot by position, gets a row of its own
+    assert legend(PlotSeries(data=_curve("line"), style=grey),
+                  PlotSeries(data=_curve("line"), style=SeriesStyle(color="#b0b0b0"))) == [
+        "line", "line"]
+    assert legend(PlotSeries(data=_curve("a")), PlotSeries(data=_curve("a"))) == ["a", "a"]
+
+
 def test_default_palette_cycles():
     from opcurves.render import _PALETTE as PALETTE
     spec = _spec(series=(PlotSeries(data=_curve("a")),

@@ -301,3 +301,16 @@ def test_count_arrays_read_only(toy):
     for arr in (curve.tp, curve.fp, curve.thresholds):
         with pytest.raises(ValueError):
             arr[0] = 1
+
+
+def test_curve_built_from_views_keeps_its_points():
+    # making a view read-only leaves the array it views writable, so a curve
+    # copies a view: a later write to that array moves no count, rate or
+    # threshold of the curve
+    counts = np.array([0, 5, 10, 99], dtype=np.int64)
+    cuts = np.array([np.nan, 0.5, 0.0, 9.0], dtype=np.float64)
+    curve = RocCurve(cuts[:3], counts[:3], np.array([0, 5, 10], dtype=np.int64), 10, 10)
+    counts[1], cuts[1] = 7, 0.25
+    assert curve.tp.tolist() == [0, 5, 10]
+    assert curve.tprs.tolist() == [0.0, 0.5, 1.0]
+    assert curve.thresholds[1] == 0.5
