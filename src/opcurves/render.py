@@ -27,6 +27,10 @@ _MARGIN_TOP = 42
 _MARGIN_BOTTOM = 52
 _WIDTH = 720
 _HEIGHT = 480
+# legend row k lies at y = _LEGEND_TOP + k * _LEGEND_PITCH
+_LEGEND_TOP = _MARGIN_TOP + 14
+_LEGEND_PITCH = 20
+_LEGEND_ROWS = (_HEIGHT - _LEGEND_TOP) // _LEGEND_PITCH + 1
 
 
 class RenderError(ValueError):
@@ -233,8 +237,8 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
 
 def render_svg(spec: PlotSpec) -> str:
     """Render the spec to SVG text. Raises RenderError on an empty series
-    list, unusable ranges, a series that is not a Curve, or non-finite
-    curve values."""
+    list, unusable ranges, a series that is not a Curve, non-finite curve
+    values, or more legend rows than fit on the canvas (_LEGEND_ROWS)."""
     if not spec.series:
         raise RenderError("nothing to plot: series list is empty")
     x0, x1 = spec.x_range
@@ -291,6 +295,11 @@ def render_svg(spec: PlotSpec) -> str:
         label, xs, ys = _series_vertices(entry)
         legend.append((label, entry.style.color or _PALETTE[idx % len(_PALETTE)], entry.style))
         polylines.append((xs, ys))
+    # a series drawn like an earlier one under the same label shares its row
+    rows = dict.fromkeys(legend)
+    if len(rows) > _LEGEND_ROWS:
+        raise RenderError(f"the legend has {len(rows)} rows, and at most {_LEGEND_ROWS} "
+                          "fit on the canvas")
     for d, (_, color, style) in zip(_path_data(polylines, (x0, x1, y0, y1), px, py), legend):
         if d:
             dash = f' stroke-dasharray="{style.dash}"' if style.dash else ""
@@ -298,9 +307,8 @@ def render_svg(spec: PlotSpec) -> str:
                          f'stroke-width="{style.width:g}"{dash}/>')
 
     lx = _MARGIN_LEFT + pw + 16
-    # a series drawn like an earlier one under the same label shares its row
-    for row, (label, color, style) in enumerate(dict.fromkeys(legend)):
-        ly = _MARGIN_TOP + 14 + row * 20
+    for row, (label, color, style) in enumerate(rows):
+        ly = _LEGEND_TOP + row * _LEGEND_PITCH
         dash = f' stroke-dasharray="{style.dash}"' if style.dash else ""
         lines.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="{style.width:g}"{dash}/>')

@@ -47,17 +47,6 @@ class OperatingPoint:
             raise ValueError("threshold must lie in [0, 1]")
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """values as a read-only array, taken without a copy when it is one
-    already of that dtype that owns its data. A view is copied: the array
-    it views would stay writable."""
-    arr = np.asarray(values, dtype=dtype)
-    if not arr.flags.owndata:
-        arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class RocCurve:
     """Operating points ordered by increasing (fpr, tpr), anchored at
@@ -81,21 +70,35 @@ class RocCurve:
 
     def __init__(self, thresholds, tp, fp, n_p: int, n_n: int, is_hull: bool = False) -> None:
         """The curve through the points of the given thresholds (NaN for
-        none) and integer counts, the rates from the counts. thresholds, tp
-        and fp are taken without a copy where they are float64 and int64
-        arrays that own their data already, and made read-only."""
-        tp, fp = _frozen(tp, np.int64), _frozen(fp, np.int64)
-        fields = {"thresholds": _frozen(thresholds, np.float64),
-                  "fprs": _frozen(fp / n_n, np.float64), "tprs": _frozen(tp / n_p, np.float64),
+        none) and integer counts, the rates from the counts. The curve holds
+        read-only copies of thresholds, tp and fp, so no array of the
+        caller's, or view of one, can move a point after the checks."""
+        self._hold(np.array(thresholds, dtype=np.float64), np.array(tp, dtype=np.int64),
+                   np.array(fp, dtype=np.int64), n_p, n_n, is_hull)
+
+    @classmethod
+    def _adopt(cls, thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray, n_p: int, n_n: int,
+               is_hull: bool = False) -> RocCurve:
+        """The curve over float64 thresholds and int64 counts that were built
+        for it and that nothing else references or views, taken without a
+        copy."""
+        curve = cls.__new__(cls)
+        curve._hold(thresholds, tp, fp, n_p, n_n, is_hull)
+        return curve
+
+    def _hold(self, thresholds, tp, fp, n_p, n_n, is_hull) -> None:
+        fields = {"thresholds": thresholds, "fprs": fp / n_n, "tprs": tp / n_p,
                   "tp": tp, "fp": fp, "n_p": n_p, "n_n": n_n, "is_hull": bool(is_hull)}
         for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
         self._validate()
 
     def _take(self, idx: np.ndarray, is_hull: bool) -> RocCurve:
         """The curve through the points at the given indices."""
-        return RocCurve(self.thresholds[idx], self.tp[idx], self.fp[idx],
-                        self.n_p, self.n_n, is_hull)
+        return RocCurve._adopt(self.thresholds[idx], self.tp[idx], self.fp[idx],
+                               self.n_p, self.n_n, is_hull)
 
     def _validate(self) -> None:
         x, y = self.fprs, self.tprs
@@ -223,7 +226,7 @@ def operating_points(data: Dataset) -> RocCurve:
     (1, 1) (the threshold at the minimum score classifies everything
     positive). Tied scores collapse into a single point.
     """
-    return RocCurve(*_count_table(data), data.n_p, data.n_n)
+    return RocCurve._adopt(*_count_table(data), data.n_p, data.n_n)
 
 
 def convex_hull(curve: RocCurve) -> RocCurve:

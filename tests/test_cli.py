@@ -1,4 +1,5 @@
 import errno
+import gc
 import json
 import os
 import re
@@ -664,6 +665,69 @@ def test_default_grids_are_the_library_defaults(argv, default):
     # the CLI writes its default grids as text, so that --help loads no numpy
     got, want = cli._parse_args(argv).grid.values, default().values
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+_ENTRY_RUNS = [
+    (["roc", "--input", "{csv}", "--csv", "{tmp}/r.csv", "--svg", "{tmp}/r.svg"], 0),
+    (["score", "--input", "{csv}", "--bogus"], 1),
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", _ENTRY_RUNS, ids=["roc", "usage error", "help"])
+def test_entry_exits_with_a_frozen_heap(toy_csv, tmp_path, argv, code):
+    # entry owns the process: the heap is frozen by the time the interpreter
+    # exits, the collector is still on, and the atexit handlers still run
+    argv = [a.format(csv=toy_csv, tmp=tmp_path) for a in argv]
+    child = ("import atexit, gc, sys\n"
+             "from opcurves.cli import entry\n"
+             "atexit.register(lambda: print('atexit', gc.isenabled(), gc.get_freeze_count() > 0,\n"
+             "                              file=sys.stderr))\n"
+             "entry()")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code
+    assert done.stderr.splitlines()[-1] == "atexit True True"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_main_leaves_the_collector_as_it_finds_it(toy_csv, tmp_path, capsys, enabled):
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["roc", "--input", toy_csv, "--csv", str(tmp_path / "r.csv")]) == 0
+        assert main(["score", "--input", toy_csv, "--bogus"]) == 1
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_run_without_the_collector_leaves_no_array_in_a_cycle(tmp_path, capsys):
+    # a command leaves no array in a reference cycle, so none waits for the
+    # collector, whether a caller runs it with the collector off or freezes
+    # the heap after it; arrays are not tracked by gc, so look at what the
+    # unreachable objects hold as well
+    sim = str(tmp_path / "sim.csv")
+    assert main(["simulate", "--n", "200000", "--seed", "7", "--out", sim]) == 0
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(["roc", "--input", sim, "--csv", str(tmp_path / "r.csv"),
+                     "--svg", str(tmp_path / "r.svg")]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        held = [o for o in gc.garbage + gc.get_referents(*gc.garbage)
+                if isinstance(o, np.ndarray)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was:
+            gc.enable()
+    assert held == []
 
 
 class TestUsage:

@@ -66,6 +66,20 @@ def test_series_drawn_alike_under_one_label_share_a_legend_row():
     assert legend(PlotSeries(data=_curve("a")), PlotSeries(data=_curve("a"))) == ["a", "a"]
 
 
+def test_legend_rows_stay_on_the_canvas():
+    # row k lies at y = 56 + 20k: 22 rows end at y = 476 on the 480 px
+    # canvas, and a 23rd would not fit, so 25 distinct labels are refused
+    def spec(rows):
+        return _spec(series=tuple(PlotSeries(data=_curve(f"s{k}")) for k in range(rows)))
+
+    right = render._WIDTH - render._MARGIN_RIGHT
+    rows = [float(e.get("y1")) for e in ET.fromstring(render_svg(spec(22))).iter()
+            if e.tag.endswith("line") and float(e.get("x1")) > right]
+    assert len(rows) == 22 and rows[-1] == 476 and max(rows) < render._HEIGHT
+    with pytest.raises(RenderError, match="the legend has 25 rows, and at most 22 fit"):
+        render_svg(spec(25))
+
+
 def test_default_palette_cycles():
     from opcurves.render import _PALETTE as PALETTE
     spec = _spec(series=(PlotSeries(data=_curve("a")),

@@ -305,8 +305,8 @@ def test_count_arrays_read_only(toy):
 
 def test_curve_built_from_views_keeps_its_points():
     # making a view read-only leaves the array it views writable, so a curve
-    # copies a view: a later write to that array moves no count, rate or
-    # threshold of the curve
+    # copies what it is handed: a later write to that array moves no count,
+    # rate or threshold of the curve
     counts = np.array([0, 5, 10, 99], dtype=np.int64)
     cuts = np.array([np.nan, 0.5, 0.0, 9.0], dtype=np.float64)
     curve = RocCurve(cuts[:3], counts[:3], np.array([0, 5, 10], dtype=np.int64), 10, 10)
@@ -314,3 +314,35 @@ def test_curve_built_from_views_keeps_its_points():
     assert curve.tp.tolist() == [0, 5, 10]
     assert curve.tprs.tolist() == [0.0, 0.5, 1.0]
     assert curve.thresholds[1] == 0.5
+
+
+def test_curve_leaves_the_callers_arrays_alone():
+    # a curve holds copies: the array it was handed stays writable, and a
+    # write through a view of it taken before the call moves no point
+    base = np.array([0, 5, 10])
+    view = base[:]
+    curve = RocCurve(np.array([np.nan, 0.7, 0.2]), base, np.array([0, 4, 10]), 10, 10)
+    assert base.flags.writeable
+    view[1] = 7
+    assert base.tolist() == [0, 7, 10]
+    assert curve.tp.tolist() == [0, 5, 10]
+    assert curve.tprs.tolist() == [0.0, 0.5, 1.0]
+
+
+def test_points_and_hull_hold_the_arrays_they_build(monkeypatch):
+    # operating_points and convex_hull build their arrays for the curve and
+    # copy none of them: neither goes through the copying constructor
+    built = []
+
+    def count_table(data, count_table=roc._count_table):
+        built.append(count_table(data))
+        return built[-1]
+
+    def copy(self, *args, **kwargs):
+        raise AssertionError("copied")
+
+    monkeypatch.setattr(roc, "_count_table", count_table)
+    monkeypatch.setattr(RocCurve, "__init__", copy)
+    curve = operating_points(make_random(3, n=500))
+    assert all(a is b for a, b in zip((curve.thresholds, curve.tp, curve.fp), built[0]))
+    assert convex_hull(curve).is_hull
