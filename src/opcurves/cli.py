@@ -54,9 +54,18 @@ class UsageError(Exception):
     """Bad flags or flag combinations; maps to exit code 1."""
 
 
+class _Exit(Exception):
+    """argparse is done, as after --help; main returns the status, args[0]."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse would exit(2); remap to 1
         raise UsageError(message)
+
+    def exit(self, status: int = 0, message: str | None = None):  # argparse would sys.exit
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 def _parse_range(text: str, what: str, build):
@@ -517,7 +526,10 @@ def _exit_code(exc: Exception) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Parse argv and run; returns the exit code instead of exiting."""
     try:
-        code = run(_parse_args(argv))
+        try:
+            code = run(_parse_args(argv))
+        except _Exit as exc:
+            code = exc.args[0]
         sys.stdout.flush()  # so a closed pipe shows here and not at exit
         return code
     except BrokenPipeError:
@@ -534,8 +546,6 @@ def entry() -> None:
     """Run main on the process's argv and exit with its code, with the heap
     frozen for the exit: the interpreter's teardown then walks none of the
     objects numpy keeps tracked."""
-    try:
-        code = main(sys.argv[1:])
-    finally:
-        gc.freeze()
+    code = main(sys.argv[1:])
+    gc.freeze()
     raise SystemExit(code)

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -166,33 +166,6 @@ class Dataset:
         return f"Dataset(n={self.n}, n_p={self.n_p}, n_n={self.n_n})"
 
 
-def _parse_records(records: Iterable[tuple[str, str]], lines: Sequence[int]) -> Dataset:
-    """Build a Dataset from (score_text, label_text) records, the record of
-    data row k on file line lines[k - 1].
-
-    Raises ParseError naming the offending 1-based row and its file line on
-    any malformed score or unknown label token.
-    """
-    scores: list[float] = []
-    labels: list[int] = []
-    for row, (score_text, label_text) in enumerate(records, start=1):
-        where = f"row {row} (line {lines[row - 1]})"
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ParseError(f"{where}: score {score_text!r} is not a decimal number") from None
-        if not math.isfinite(score) or not 0.0 <= score <= 1.0:
-            raise ParseError(f"{where}: score {score_text!r} is outside [0, 1]")
-        label = _LABEL_TOKENS.get(label_text.strip().casefold())
-        if label is None:
-            raise ParseError(f"{where}: unknown label {label_text!r} (expected 0/1 or N/P)")
-        scores.append(score)
-        labels.append(label)
-    if not scores:
-        raise EmptyInputError("no sample rows in input")
-    return Dataset(scores, labels)
-
-
 def _plain_header(line: str) -> bool:
     """Whether the first line is `score,label` up to case and padding, after
     any byte order mark, with no cell longer than csv.field_size_limit()."""
@@ -201,31 +174,47 @@ def _plain_header(line: str) -> bool:
             and max(map(len, cells)) <= csv.field_size_limit())
 
 
-def _from_csv_rows(text: str) -> Dataset:
-    """Row-by-row parse through csv.reader. It defines the accepted CSV
-    language (quoted cells, blank lines and N/P labels included) and every
-    error message; errors name the data row (counted from 1 after the
-    header, blank lines skipped) and the file line it ends on."""
-    # not the utf-8-sig codec in read_csv: it copies the whole file's bytes
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+def _from_csv_rows(lines: Iterable[str]) -> Dataset:
+    """Row-by-row parse of text lines through csv.reader, in one pass that
+    keeps only the scores and labels. It defines the accepted CSV language
+    (quoted cells, blank lines and N/P labels included) and every error
+    message. An error names the first offending row in file order: the
+    data row (counted from 1 after the header, blank lines skipped) and the
+    file line it ends on."""
+    reader = csv.reader(lines)
+    scores: list[float] = []
+    labels: list[int] = []
+
+    def fail(problem: str) -> NoReturn:
+        raise ParseError(f"row {len(scores) + 1} (line {reader.line_num}): {problem}") from None
+
+    rows = (row for row in reader if any(cell.strip() for cell in row))
     try:
-        rows = [(reader.line_num, row) for row in reader
-                if row and any(cell.strip() for cell in row)]
+        header = next(rows, None)
+        if header is None:
+            raise EmptyInputError("csv input is empty")
+        if tuple(cell.strip().casefold() for cell in header) != CSV_HEADER:
+            raise ParseError(f"expected header 'score,label', got {','.join(header)!r}")
+        for row in rows:
+            if len(row) != 2:
+                fail(f"expected 2 fields, got {len(row)}")
+            score_text, label_text = row
+            try:
+                score = float(score_text)
+            except ValueError:
+                fail(f"score {score_text!r} is not a decimal number")
+            if not 0.0 <= score <= 1.0:  # false for a NaN too
+                fail(f"score {score_text!r} is outside [0, 1]")
+            label = _LABEL_TOKENS.get(label_text.strip().casefold())
+            if label is None:
+                fail(f"unknown label {label_text!r} (expected 0/1 or N/P)")
+            scores.append(score)
+            labels.append(label)
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise EmptyInputError("csv input is empty")
-    header = rows[0][1]
-    if tuple(cell.strip().casefold() for cell in header) != CSV_HEADER:
-        raise ParseError(f"expected header 'score,label', got {','.join(header)!r}")
-    lines = []
-    records = []
-    for idx, (line, row) in enumerate(rows[1:], start=1):
-        if len(row) != 2:
-            raise ParseError(f"row {idx} (line {line}): expected 2 fields, got {len(row)}")
-        lines.append(line)
-        records.append((row[0], row[1]))
-    return _parse_records(records, lines)
+    if not scores:
+        raise EmptyInputError("no sample rows in input")
+    return Dataset(scores, labels)
 
 
 def _csv_chunks(data: Dataset) -> Iterator[str]:
@@ -240,33 +229,31 @@ def to_csv(data: Dataset) -> str:
 def read_csv(path: str) -> Dataset:
     """Read a `score,label` CSV file into a Dataset.
 
-    The file is read as bytes once and decoded by _from_csv_bytes; any file
-    it refuses is parsed by _from_csv_rows from the text open(path,
-    encoding="utf-8") would read. A file that is not UTF-8 raises
-    ParseError naming the line and the byte.
+    The file is read as bytes once and decoded by _from_csv_bytes. Any file
+    it refuses must be UTF-8, or ParseError names the line and the byte
+    before any row error; then its lines are decoded one at a time, as
+    open(path, encoding="utf-8-sig") reads them, for _from_csv_rows.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     data = _from_csv_bytes(raw)
     if data is not None:
         return data
-    text = _utf8_text(raw)
-    del raw  # the row parser never holds the file's bytes and its text at once
-    return _from_csv_rows(text)
+    lo = 0  # checked by pieces that end at a newline, which no character spans
+    while lo < len(raw):
+        hi = raw.find(b"\n", lo + _PIECE_BYTES) + 1 or len(raw)
+        try:
+            str(memoryview(raw)[lo:hi], "utf-8")
+        except UnicodeDecodeError as exc:
+            head = raw[:lo + exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            byte = raw[len(head)]
+            raise ParseError(f"line {line}: not UTF-8 text (byte 0x{byte:02x})") from None
+        lo = hi
+    return _from_csv_rows(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig"))
 
 
-def _utf8_text(raw: bytes) -> str:
-    """raw decoded as a file opened in text mode as UTF-8 reads: CRLF and
-    lone CR become LF, and a byte order mark is kept."""
-    try:
-        return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").read()
-    except UnicodeDecodeError as exc:
-        head = raw[:exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(f"line {line}: not UTF-8 text (byte 0x{raw[exc.start]:02x})") from None
-
-
-_PIECE_BYTES = 1 << 17  # bytes of the body decoded at a time, after the first 1 KB
+_PIECE_BYTES = 1 << 17  # bytes decoded at a time; the byte decoder's first piece is 1 KB
 _WIDEST = 25  # the widest field decoded, as "%.18e" writes a score below 1e-99
 _M_LIMIT = 1 << 58  # the digits form m < 2**58, so m * 10 + 9 fits in an int64
 _EXACT = 1 << 53  # every integer up to this is a double

@@ -61,7 +61,7 @@ def regular_values(start: float, stop: float, step: float) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdGrid:
     """Strictly increasing evaluation grid inside [0, 1].
 

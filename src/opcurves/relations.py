@@ -84,6 +84,8 @@ def compare_models(data_a: Dataset, data_b: Dataset,
     delta_nb = nb_a - nb_b
     delta_bc = bc_a - bc_b
     agree = _soft_sign(delta_nb) == -_soft_sign(delta_bc)
+    for arr in (delta_nb, delta_bc, agree):  # nb_* and bc_* are curves', read-only already
+        arr.flags.writeable = False
     return ComparisonReport(grid=grid, priors=priors, nb_a=nb_a, nb_b=nb_b,
                             bc_a=bc_a, bc_b=bc_b, delta_nb=delta_nb,
                             delta_bc=delta_bc, agree=agree)

@@ -1,11 +1,16 @@
 """Dataset builders and reference implementations shared by the test modules."""
 
+import csv
+import io
+import math
+
 import numpy as np
 from hypothesis import strategies as st
 
 from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
                       loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
-from opcurves.dataset import _from_csv_bytes, _from_csv_rows
+from opcurves.dataset import (_LABEL_TOKENS, CSV_HEADER, EmptyInputError, ParseError,
+                              _from_csv_bytes, _from_csv_rows)
 from opcurves.roc import _line
 
 # Nine samples with a tie at 0.70 and a miscalibrated top score; small
@@ -38,6 +43,12 @@ def make_random(seed: int, n: int = 200, pi_p: float = 0.5,
     return Dataset(scores, labels)
 
 
+def text_lines(text: str) -> io.StringIO:
+    """The lines of CSV text as _from_csv_rows reads a file's: after any
+    byte order mark, split at LF only."""
+    return io.StringIO(text.removeprefix("\ufeff"))
+
+
 def from_csv(text: str) -> Dataset:
     """The Dataset of `score,label` CSV text, through read_csv's two paths:
     the byte decoder on the text's UTF-8 bytes, then, for any text it
@@ -47,7 +58,45 @@ def from_csv(text: str) -> Dataset:
         data = _from_csv_bytes(text.encode("utf-8"))
     except UnicodeEncodeError:
         data = None
-    return data if data is not None else _from_csv_rows(text)
+    return data if data is not None else _from_csv_rows(text_lines(text))
+
+
+def two_pass_rows_oracle(text: str) -> Dataset:
+    """The row parser as it was before it became one pass: every row of the
+    text in a list first, then each score and label converted. A csv.Error,
+    a bad header or a row of the wrong field count anywhere outranks an
+    earlier bad score or label."""
+    reader = csv.reader(text_lines(text))
+    try:
+        rows = [(reader.line_num, row) for row in reader
+                if row and any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise EmptyInputError("csv input is empty")
+    header = rows[0][1]
+    if tuple(cell.strip().casefold() for cell in header) != CSV_HEADER:
+        raise ParseError(f"expected header 'score,label', got {','.join(header)!r}")
+    for idx, (line, row) in enumerate(rows[1:], start=1):
+        if len(row) != 2:
+            raise ParseError(f"row {idx} (line {line}): expected 2 fields, got {len(row)}")
+    scores, labels = [], []
+    for idx, (line, (score_text, label_text)) in enumerate(rows[1:], start=1):
+        where = f"row {idx} (line {line})"
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"{where}: score {score_text!r} is not a decimal number") from None
+        if not math.isfinite(score) or not 0.0 <= score <= 1.0:
+            raise ParseError(f"{where}: score {score_text!r} is outside [0, 1]")
+        label = _LABEL_TOKENS.get(label_text.strip().casefold())
+        if label is None:
+            raise ParseError(f"{where}: unknown label {label_text!r} (expected 0/1 or N/P)")
+        scores.append(score)
+        labels.append(label)
+    if not scores:
+        raise EmptyInputError("no sample rows in input")
+    return Dataset(scores, labels)
 
 
 def comparison_dict(report) -> dict:

@@ -625,10 +625,7 @@ def test_each_command_loads_only_the_modules_it_runs(toy_csv, tmp_path, argv, co
     argv = [a.format(csv=toy_csv, tmp=tmp_path) for a in argv]
     child = ("import json, sys, types\n"
              "from opcurves.cli import main\n"
-             "try:\n"
-             "    code = main(sys.argv[1:])\n"
-             "except SystemExit as exc:\n"
-             "    code = exc.code\n"
+             "code = main(sys.argv[1:])\n"
              "ran = [n for n, m in sys.modules.items() if type(m) is types.ModuleType\n"
              "       and (n == 'numpy' or n.startswith('opcurves.'))]\n"
              "print(json.dumps([code, sorted(ran)]), file=sys.stderr)")
@@ -698,8 +695,7 @@ def test_main_leaves_the_collector_as_it_finds_it(toy_csv, tmp_path, capsys, ena
     try:
         assert main(["roc", "--input", toy_csv, "--csv", str(tmp_path / "r.csv")]) == 0
         assert main(["score", "--input", toy_csv, "--bogus"]) == 1
-        with pytest.raises(SystemExit):
-            main(["--help"])
+        assert main(["--help"]) == 0
         assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
     finally:
         (gc.enable if was else gc.disable)()

@@ -8,7 +8,7 @@ from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError
                       Priors, SimulationSpec, SimulationSpecError, simulate_gaussian, to_csv,
                       write_csv)
 from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_bytes, _from_csv_rows
-from helpers import from_csv, make_random
+from helpers import from_csv, make_random, text_lines
 
 
 def test_basic_properties(toy):
@@ -156,7 +156,7 @@ HEADERS = ["score,label", " Score , LABEL ", '"score",label', "score,label,x", "
 
 def _assert_matches_row_parser(text):
     try:
-        want = _from_csv_rows(text)
+        want = _from_csv_rows(text_lines(text))
     except Exception as exc:
         assert _from_csv_bytes(text.encode()) is None
         with pytest.raises(type(exc)) as got:

@@ -96,6 +96,15 @@ class TestThresholdGrid:
         with pytest.raises(ValueError):
             g.values[0] = 0.5
 
+    def test_grids_compare_and_hash_by_identity(self):
+        # comparing the values array by value would raise, as numpy gives no
+        # single truth value for an array of them
+        a, b = ThresholdGrid.regular(0, 1, 0.5), ThresholdGrid.regular(0, 1, 0.5)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == hash(a) and hash(a) != hash(b)
+        assert a in {a} and b not in {a}
+
 
 class TestNetBenefit:
     def test_point_values_dca(self, toy):

@@ -13,6 +13,7 @@ for bit, and whatever they raise it must raise with the same message.
 
 import csv
 import re
+import tracemalloc
 from decimal import Decimal
 from unittest import mock
 
@@ -20,11 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from opcurves import DatasetError, ParseError, read_csv
+from opcurves import DatasetError, ParseError, read_csv, to_csv
 from opcurves import dataset
 from opcurves.cli import main
 from opcurves.dataset import _PIECE_BYTES, _WIDEST, _from_csv_bytes, _from_csv_rows
-from helpers import from_csv
+from helpers import from_csv, make_random, text_lines, two_pass_rows_oracle
 
 TWO_53 = 1 << 53
 TWO_58 = 1 << 58
@@ -94,6 +95,9 @@ def test_read_csv_matches_the_text_mode_read(tmp_path, raw):
     (b"score,label\r\n0.5,1\r\n\xfe0.2,0\r\n", 3, 0xfe),
     (b"score,label\r0.5,1\r\r0.2,0\xc3\n", 4, 0xc3),
     (b"\xffscore,label\n0.5,1\n", 1, 0xff),
+    (b"score,label\n0.5,maybe\n0.2,\xff\n", 3, 0xff),  # before an earlier row error
+    pytest.param(b"score,label\n0.5,p\n" + b"0.25,0\n" * 50_000 + b"0.2,\xe2\x82\n", 50_003, 0xe2,
+                 id="past-the-first-piece"),
 ])
 def test_a_file_that_is_not_utf8_names_the_line_and_byte(tmp_path, raw, line, byte):
     path = tmp_path / "bad.csv"
@@ -192,7 +196,7 @@ def test_a_field_float_refuses_keeps_the_row_parser_message(tmp_path, field):
         with pytest.raises(ParseError, match=message):
             read_csv(str(path))
         with pytest.raises(ParseError, match=message):
-            _from_csv_rows(path.read_text(encoding="utf-8"))
+            _from_csv_rows(text_lines(path.read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize("line", [b"0.5,2", b"0.5,01", b"0.5,", b"0.5", b"0.5,1,1",
@@ -272,7 +276,7 @@ def _assert_bytes_match_the_row_parser(raw):
     data = _from_csv_bytes(raw)
     text = raw.decode("utf-8")
     try:
-        want = _from_csv_rows(text)
+        want = _from_csv_rows(text_lines(text))
     except DatasetError:
         assert data is None
         return
@@ -345,7 +349,7 @@ def test_a_simulated_file_reads_as_the_row_parser_reads_it(tmp_path, final_newli
         raw = raw[:-1]
         path.write_bytes(raw)
     assert _from_csv_bytes(raw) is not None
-    assert _bits(read_csv(str(path))) == _bits(_from_csv_rows(raw.decode()))
+    assert _bits(read_csv(str(path))) == _bits(_from_csv_rows(text_lines(raw.decode())))
 
 
 def test_a_file_of_long_scores_is_refused_by_its_first_kilobyte():
@@ -432,8 +436,77 @@ def test_a_savetxt_file_with_scores_below_1e_99_is_decoded(tmp_path):
     assert b"\n9.999999999999999786e-121," in raw and b"\n4.940656458412465442e-324," in raw
     data = _from_csv_bytes(raw)
     assert data is not None
-    assert _bits(data) == _bits(_from_csv_rows(raw.decode())) == _bits(read_csv(str(path)))
+    assert (_bits(data) == _bits(_from_csv_rows(text_lines(raw.decode())))
+            == _bits(read_csv(str(path))))
     # a field of 26 bytes goes to the row parser
     wide = raw.replace(b"\n9.9", b"\n+9.9")
     assert _from_csv_bytes(wide) is None
     _assert_reads_as_text_mode(path, wide)
+
+
+# The one-pass row parser against the two-pass oracle it replaced: the same
+# Dataset, bit for bit, or the same error, on texts of no bad row or one;
+# on texts of two, the error of the earlier one.
+
+ROW_SCORES = st.one_of(st.floats(0.0, 1.0).map(repr),
+                       st.sampled_from(["0", "1", ".5", " 0.25 ", '"0.75"', "1e-3", "+0.5",
+                                        "-0.0", "\u0660.5", '"0.5\n"']))
+ROW_LABELS = st.sampled_from(["0", "1", "n", "P", " p ", '"N"', "1 "])
+GOOD_ROWS = (st.tuples(ROW_SCORES, ROW_LABELS).map(",".join)
+             | st.sampled_from(["", "   ", ",", '"",""']))
+BAD_ROWS = st.sampled_from(["x,0", "1.5,1", "nan,0", "-0.1,1", ",1", "0.5,maybe", "0.5,2",
+                            "0.5,", "0.5", "0.5,1,1", '"0.5,1"', "0.5\r,1", "1e,0"])
+HEADER_ROWS = st.sampled_from(["score,label", " Score , LABEL ", "\ufeffscore,label",
+                               '"score",label'])
+
+
+def _outcome(parse, text):
+    try:
+        return _bits(parse(text))
+    except DatasetError as exc:
+        return type(exc), str(exc)
+
+
+@given(HEADER_ROWS, st.lists(GOOD_ROWS, max_size=8),
+       st.lists(st.tuples(BAD_ROWS, st.integers(0, 10)), max_size=2),
+       st.sampled_from(["\n", "\r\n"]), st.booleans())
+@example("score,label", [], [("0.5,maybe", 0), ("0.5,1,1", 2)], "\n", True)
+@example("score,label", ["0.1,0"], [("x,0", 0), ("0.5\r,1", 3)], "\n", True)
+def test_the_row_parser_matches_the_two_pass_oracle(tmp_path_factory, header, good, bad,
+                                                    end, final_end):
+    rows = [(line, None) for line in ["0.25,0", "0.75,1", *good]]
+    for k, (line, at) in enumerate(bad):
+        rows.insert(at % (len(rows) + 1), (line, k))
+    later = [k for _, k in rows if k is not None][1:]  # the second bad row in file order
+
+    def text(skip):
+        return end.join([header] + [line for line, k in rows if k not in skip]) + end * final_end
+
+    full, want_text = text(()), text(later)
+    assert (_outcome(lambda t: _from_csv_rows(text_lines(t)), full)
+            == _outcome(two_pass_rows_oracle, want_text))
+    # read_csv of the file against the oracle of its text-mode read
+    folder = tmp_path_factory.mktemp("rows")
+    path, want_path = folder / "in.csv", folder / "want.csv"
+    path.write_bytes(full.encode())
+    want_path.write_bytes(want_text.encode())
+    with open(want_path, encoding="utf-8") as fh:
+        want = _outcome(two_pass_rows_oracle, fh.read())
+    assert _outcome(read_csv, str(path)) == want
+
+
+def test_the_row_path_holds_no_copy_of_the_file(tmp_path):
+    # the byte decoder refuses N/P labels; the row parser reads the file's
+    # lines as it goes, so the peak is the file's bytes, one float and two
+    # list slots a row, and the Dataset's arrays
+    text = to_csv(make_random(3, n=50_000)).replace(",0\n", ",N\n").replace(",1\n", ",P\n")
+    path = tmp_path / "np.csv"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        data = read_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bits(data) == _bits(two_pass_rows_oracle(text))
+    assert peak < 6 * path.stat().st_size, peak / path.stat().st_size

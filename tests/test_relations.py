@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -97,6 +98,18 @@ class TestCompareModels:
         np.testing.assert_allclose(report.nb_a, nb_a.ys, rtol=0, atol=0)
         np.testing.assert_allclose(report.delta_nb, report.nb_a - report.nb_b,
                                    rtol=0, atol=0)
+
+    def test_every_array_of_a_report_refuses_a_write(self, toy):
+        report = compare_models(toy, make_random(9, n=9, pi_p=1 / 3),
+                                ThresholdGrid.decision_default())
+        arrays = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+                  if isinstance(getattr(report, f.name), np.ndarray)}
+        assert sorted(arrays) == sorted(["nb_a", "nb_b", "bc_a", "bc_b", "delta_nb",
+                                         "delta_bc", "agree"])
+        arrays["grid.values"] = report.grid.values
+        for arr in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] = arr[0]
 
     def test_prior_mismatch_raises(self, toy):
         other = make_random(2, n=10, pi_p=0.5)
