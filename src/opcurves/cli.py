@@ -2,11 +2,12 @@
 
 Exit codes: 0 on success, 1 for usage problems (bad flags, bad grid
 specs), 2 for data problems (unreadable or malformed input, degenerate
-datasets), 141 (128 + SIGPIPE), with no message, when the reader of a
-pipe it writes to goes away, as in `opcurves ... | head -1`. Curve
-exports are CSV with header x,y,series; JSON outputs carry the priors and
-grid they were computed under, so they are self-describing. Identical
-invocations write identical bytes.
+datasets) and for running out of memory (one line names the command),
+141 (128 + SIGPIPE), with no message, when the reader of a pipe it writes
+to goes away, as in `opcurves ... | head -1`. Curve exports are CSV with
+header x,y,series; JSON outputs carry the priors and grid they were
+computed under, so they are self-describing. Identical invocations write
+identical bytes.
 
 Each command imports the modules it runs when it runs, and the package
 loads a module only on first use, so `--help` and the usage errors that
@@ -22,22 +23,27 @@ the library computes, and compare and isometrics write theirs to the file
 their flag names, or else to stdout, through _write_or_print.
 
 entry, which `python -m opcurves` and the console script run, owns the
-process: it freezes the heap once the run is over, so the cyclic garbage
-collector's passes at interpreter exit walk none of the objects numpy
-keeps tracked, and the exit still runs atexit handlers and flushes the
-streams. The collector stays on during the run: turned off, it left each
-command's cyclic garbage in place and raised peak RSS. main, which tests
-and library callers run, leaves gc as it finds it.
+process. It turns the cyclic garbage collector off while the flags are
+parsed and numpy loads, then freezes the heap and turns the collector back
+on right before the command runs, so the objects loading made are never
+walked again and the command's own cyclic garbage is still collected.
+Once main returns it runs the atexit handlers, flushes stdout and stderr
+and ends the process with os._exit, skipping the interpreter's teardown.
+Under a tracer, a profiler or a debugger, or when something other than the
+interpreter runs it, it exits as any program does. main, which tests and
+library callers run, leaves gc as it finds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import gc
 import itertools
 import os
 import sys
+from collections.abc import Callable
 
 from . import METRICS
 
@@ -318,7 +324,8 @@ def _write_curves(args: argparse.Namespace, data, curves: list, plot,
             from .render import PlotSeries, PlotSpec, SeriesStyle, render_svg
 
             title, x_label, y_label, drawn, x_range, (low, high) = plot()
-            series = [PlotSeries(data=Curve(*c), style=SeriesStyle(**style)) for c, style in drawn]
+            series = [PlotSeries(data=Curve._adopt(*c), style=SeriesStyle(**style))
+                      for c, style in drawn]
             top = max(max(float(s.data.ys.max()) for s in series), 1e-9)
             out.add(args.svg_path, render_svg(PlotSpec(
                 title=title, x_label=x_label, y_label=y_label, series=series,
@@ -507,7 +514,8 @@ def run(args: argparse.Namespace) -> int:
 
 # keyed by the qualified names of an error's classes, most derived first,
 # so that mapping an error loads no module: SimulationSpecError subclasses
-# DatasetError, and every DatasetError and PriorMismatchError is a ValueError
+# DatasetError, every DatasetError and PriorMismatchError is a ValueError,
+# and numpy's allocation error is a MemoryError
 _EXIT_CODES = {
     f"{__name__}.UsageError": EXIT_USAGE,
     "opcurves.dataset.SimulationSpecError": EXIT_USAGE,
@@ -515,6 +523,7 @@ _EXIT_CODES = {
     "opcurves.relations.PriorMismatchError": EXIT_DATA,
     "builtins.OSError": EXIT_DATA,
     "builtins.ValueError": EXIT_USAGE,
+    "builtins.MemoryError": EXIT_DATA,
 }
 
 
@@ -523,11 +532,15 @@ def _exit_code(exc: Exception) -> int:
     return next(_EXIT_CODES[name] for name in names if name in _EXIT_CODES)
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Parse argv and run; returns the exit code instead of exiting."""
+def main(argv: list[str] | None = None, ready: Callable[[], object] = lambda: None) -> int:
+    """Parse argv and run; returns the exit code instead of exiting. ready()
+    runs once the flags are checked, right before run."""
+    args = None
     try:
         try:
-            code = run(_parse_args(argv))
+            args = _parse_args(argv)
+            ready()
+            code = run(args)
         except _Exit as exc:
             code = exc.args[0]
         sys.stdout.flush()  # so a closed pipe shows here and not at exit
@@ -537,15 +550,63 @@ def main(argv: list[str] | None = None) -> int:
         # exit of what is still buffered for it stays silent
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
+        message = str(exc)
+        if isinstance(exc, MemoryError):  # numpy's names the allocation, Python's is empty
+            command = getattr(args, "command", "opcurves")
+            message = f"{command} ran out of memory" + (f": {message}" if message else "")
+        print(f"error: {message}", file=sys.stderr)
         return _exit_code(exc)
 
 
-def entry() -> None:
-    """Run main on the process's argv and exit with its code, with the heap
-    frozen for the exit: the interpreter's teardown then walks none of the
-    objects numpy keeps tracked."""
-    code = main(sys.argv[1:])
+def _owns_process() -> bool:
+    """Whether entry runs as the program and may end the process itself:
+    called from the top level of what the interpreter runs (through runpy
+    for -m), with no tracer, profiler or sys.monitoring tool set and no
+    interactive session to follow (-i). A profiler or a debugger reports,
+    or restarts the program, only once entry's SystemExit reaches it."""
+    frame = sys._getframe(2).f_back  # above entry's caller
+    while frame is not None and frame.f_globals.get("__name__") == "runpy":
+        frame = frame.f_back
+    # sys.monitoring (3.12 on) has six tool ids, 0 to 5
+    monitored = hasattr(sys, "monitoring") and any(map(sys.monitoring.get_tool, range(6)))
+    return (frame is None and sys.gettrace() is None and sys.getprofile() is None
+            and not monitored and not sys.flags.inspect)
+
+
+def _collect_from_here() -> None:
+    """Load numpy, as every command that gets to run does, then freeze the
+    heap and turn the collector on."""
+    import numpy  # noqa: F401
+
     gc.freeze()
+    gc.enable()
+
+
+def entry() -> None:
+    """Run main on the process's argv and end the process with its code.
+
+    The collector is off while the flags are parsed and numpy loads: main
+    calls _collect_from_here once the flags are checked, and it turns the
+    collector back on with the loaded heap frozen. --help and usage
+    errors keep it off until main returns. Then every atexit handler runs
+    once, with the collector on, stdout and stderr are flushed, and
+    os._exit ends the process without the interpreter's teardown. If a
+    flush fails, or entry does not own the process (_owns_process),
+    SystemExit takes the interpreter's own exit, as before.
+    """
+    gc.disable()
+    try:
+        code = main(sys.argv[1:], _collect_from_here)
+    finally:
+        gc.enable()
+    if _owns_process():
+        atexit._run_exitfuncs()
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):
+            pass  # the interpreter's exit reports it
+        else:
+            os._exit(code)
     raise SystemExit(code)

@@ -42,7 +42,7 @@ def cost_lines(curve: RocCurve, priors: Priors) -> list[Curve]:
     (series "line fpr=... tpr=..."), in the curve's point order."""
     cs = np.array([0.0, 1.0])
     ys = loss_cp(curve.tprs[:, None], curve.fprs[:, None], priors, cs)
-    return [Curve(xs=cs, ys=y, series=f"line fpr={fpr:g} tpr={tpr:g}")
+    return [Curve._adopt(cs, y, f"line fpr={fpr:g} tpr={tpr:g}")
             for y, fpr, tpr in zip(ys, curve.fprs.tolist(), curve.tprs.tolist())]
 
 
@@ -53,8 +53,8 @@ def baseline_cost_curves(priors: Priors, grid: ThresholdGrid) -> tuple[Curve, Cu
     and y = 2 pi_P (1 - c), crossing at c = pi_P with value 2 pi_P pi_N.
     """
     cs = grid.values
-    return (Curve(xs=cs, ys=loss_cp(1.0, 1.0, priors, cs), series="all_positive"),
-            Curve(xs=cs, ys=loss_cp(0.0, 0.0, priors, cs), series="all_negative"))
+    return (Curve._adopt(cs, loss_cp(1.0, 1.0, priors, cs), "all_positive"),
+            Curve._adopt(cs, loss_cp(0.0, 0.0, priors, cs), "all_negative"))
 
 
 def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve:
@@ -65,7 +65,7 @@ def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve
     slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
     idx = _envelope_vertices(hull, priors, grid.values)
     vals = intercepts[idx] + grid.values * slopes[idx]
-    return Curve(xs=grid.values, ys=np.min(vals, axis=0), series="lower_envelope")
+    return Curve._adopt(grid.values, np.min(vals, axis=0), "lower_envelope")
 
 
 def _brier_terms(tpr: np.ndarray, fpr: np.ndarray, priors: Priors,
@@ -87,7 +87,7 @@ def brier_curve(data: Dataset, grid: ThresholdGrid) -> Curve:
     """
     tpr, fpr = threshold_rates(data, grid.values)
     pos, neg = _brier_terms(tpr, fpr, data.priors, grid.values)
-    return Curve(xs=grid.values, ys=pos + neg, series="brier")
+    return Curve._adopt(grid.values, pos + neg, "brier")
 
 
 def per_class_components(data: Dataset, grid: ThresholdGrid) -> tuple[Curve, Curve]:
@@ -96,8 +96,8 @@ def per_class_components(data: Dataset, grid: ThresholdGrid) -> tuple[Curve, Cur
     bit-for-bit because all three share the same subexpressions."""
     tpr, fpr = threshold_rates(data, grid.values)
     pos, neg = _brier_terms(tpr, fpr, data.priors, grid.values)
-    return (Curve(xs=grid.values, ys=pos, series="positive_component"),
-            Curve(xs=grid.values, ys=neg, series="negative_component"))
+    return (Curve._adopt(grid.values, pos, "positive_component"),
+            Curve._adopt(grid.values, neg, "negative_component"))
 
 
 # segments per block of brier_score's integral, so its temporaries stay small

@@ -258,18 +258,23 @@ _WIDEST = 25  # the widest field decoded, as "%.18e" writes a score below 1e-99
 _M_LIMIT = 1 << 58  # the digits form m < 2**58, so m * 10 + 9 fits in an int64
 _EXACT = 1 << 53  # every integer up to this is a double
 _DOUBT = 2.0 ** -20  # rows whose correction lies this near a rounding tie are re-read
+# a line's last byte to its label, as _LABEL_TOKENS reads it; 255 for a
+# byte that is no label
+_LABEL_BYTES = np.full(256, 255, dtype=np.uint8)
+_LABEL_BYTES[list(b"0nN")] = NEGATIVE
+_LABEL_BYTES[list(b"1pP")] = POSITIVE
 
 
 def _from_csv_bytes(raw: bytes) -> Dataset | None:
     """The Dataset of a file whose header passes _plain_header and whose body
-    lines are all `<field>,0` or `<field>,1`, ended by LF or CRLF (the last
-    one optional), or None. A field is 1 to 24 bytes of ASCII digits and at
-    most one dot, whose digits form an integer m < 2**58 with f <= 22 digits
-    after the dot, decoded as m / 10**f; or 1 to 25 bytes of digits, dots
-    and a sign or an exponent (`+`, `-`, `e`, `E`), read by float(), as
-    "%.18e" writes a score below 1e-99 in 25. _decode_lines gives every
-    score bit for bit as float() reads it, so _from_csv_rows reads the file
-    to the same Dataset."""
+    lines are all `<field>,<label>`, the label one byte of 0, 1, N, P, n or
+    p, ended by LF or CRLF (the last one optional), or None. A field is 1 to
+    24 bytes of ASCII digits and at most one dot, whose digits form an
+    integer m < 2**58 with f <= 22 digits after the dot, decoded as
+    m / 10**f; or 1 to 25 bytes of digits, dots and a sign or an exponent
+    (`+`, `-`, `e`, `E`), read by float(), as "%.18e" writes a score below
+    1e-99 in 25. _decode_lines gives every score bit for bit as float()
+    reads it, so _from_csv_rows reads the file to the same Dataset."""
     body = raw.find(b"\n") + 1
     if not body:
         return None
@@ -308,8 +313,9 @@ def _decode_lines(a: np.ndarray, widest: int,
                   crlf: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
     """Scores and labels of the lines in the bytes a, or None unless each is
     a field _from_csv_bytes takes, of at most `widest` bytes (24 for a
-    decimal field), and `,0` or `,1`, ended by LF, by CRLF when `crlf`, or
-    by the end of a. The scores are float() of the fields, bit for bit.
+    decimal field), then a comma and a one-byte label (0, 1, N, P, n or p),
+    ended by LF, by CRLF when `crlf`, or by the end of a. The scores are
+    float() of the fields, bit for bit.
 
     A field holding a sign or an exponent is read by float(), and one that
     float() refuses refuses a. In the others, when every m <= 2**53, m and
@@ -336,16 +342,19 @@ def _decode_lines(a: np.ndarray, widest: int,
         crs = np.count_nonzero(cr)
         stops, width = ends - cr, width - cr
     comma = stops - 2
-    labels = a[stops - 1] - 48
+    label_bytes = a[stops - 1]
+    labels = _LABEL_BYTES[label_bytes]
     dots = np.count_nonzero(a == 46)
-    # one comma a line, left of a 0/1 label: every other byte is a digit, a
-    # dot, or a sign or an exponent of a field float() reads
+    # one comma a line, left of a 0/1/N/P label: every other byte is a
+    # digit, a dot, or a sign or an exponent of a field float() reads
     if (width.min() < 1 or width.max() > widest or np.any(labels > 1)
             or np.count_nonzero(a == 44) != ends.size or np.any(a[comma] != 44)):
         return None
     # bytes of no class counted here must be signs or exponents; so must any
     # CR that does not end a line, which refuses a
-    signs = a.size - np.count_nonzero(a - 48 < 10) - dots - ends.size - newlines - crs
+    letters = np.count_nonzero(label_bytes > 57)
+    signs = (a.size - np.count_nonzero(a - 48 < 10) - dots - ends.size - newlines - crs
+             - letters)
     by_float, reach = False, width  # rows read by float(); widths Horner's rule reads
     if signs:
         odd = np.flatnonzero((a == 43) | (a == 45) | (a == 69) | (a == 101))  # + - E e

@@ -100,18 +100,6 @@ class ThresholdGrid:
         return int(self.values.size)
 
 
-def _read_only(values) -> np.ndarray:
-    """values as a read-only float64 array. One that already is such an
-    array and owns its data is taken as it is, so the curves on a grid
-    share its values instead of each holding a copy."""
-    if (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and values.base is None and not values.flags.writeable):
-        return values
-    arr = np.array(values, dtype=np.float64)
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Curve:
     """Vertices (xs[i], ys[i]) with a series label, drawn in order. A
@@ -119,18 +107,35 @@ class Curve:
     them. It unpacks as (xs, ys, series). Labels in use: model, treat_all,
     treat_none, upper_envelope, brier, lower_envelope, all_positive,
     all_negative, positive_component, negative_component, points, hull,
-    chance."""
+    chance.
+
+    A curve holds read-only float64 copies of the xs and ys it is given, so
+    no array of the caller's, or view of one, can move a vertex."""
 
     xs: np.ndarray
     ys: np.ndarray
     series: str
 
     def __post_init__(self) -> None:
-        xs, ys = _read_only(self.xs), _read_only(self.ys)
+        self._hold(np.array(self.xs, dtype=np.float64), np.array(self.ys, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, xs, ys, series: str) -> Curve:
+        """The curve over arrays the package built for it, or holds read-only
+        and never writes (a grid's values, a RocCurve's rates, another
+        curve's arrays), taken without a copy; so the curves on a grid share
+        its values."""
+        curve = cls.__new__(cls)
+        object.__setattr__(curve, "series", series)
+        curve._hold(np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64))
+        return curve
+
+    def _hold(self, xs: np.ndarray, ys: np.ndarray) -> None:
         if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
             raise ValueError("xs and ys must be equal-length non-empty 1-d arrays")
         if not self.series:
             raise ValueError("series label must be non-empty")
+        xs.flags.writeable = ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
@@ -164,7 +169,7 @@ def decision_curve(data: Dataset, grid: ThresholdGrid, scheme: str = "dca") -> C
     """The model's net benefit across the grid (series "model")."""
     tpr, fpr = threshold_rates(data, grid.values)
     ys = net_benefit(tpr, fpr, data.priors, grid.values, scheme)
-    return Curve(xs=grid.values, ys=ys, series="model")
+    return Curve._adopt(grid.values, ys, "model")
 
 
 def baseline_decision_curves(priors: Priors, grid: ThresholdGrid,
@@ -177,8 +182,7 @@ def baseline_decision_curves(priors: Priors, grid: ThresholdGrid,
     ts = grid.values
     all_ys = net_benefit(1.0, 1.0, priors, ts, scheme)
     none_ys = net_benefit(0.0, 0.0, priors, ts, scheme)
-    return (Curve(xs=ts, ys=all_ys, series="treat_all"),
-            Curve(xs=ts, ys=none_ys, series="treat_none"))
+    return Curve._adopt(ts, all_ys, "treat_all"), Curve._adopt(ts, none_ys, "treat_none")
 
 
 def upper_envelope_decision_curve(hull: RocCurve, priors: Priors,
@@ -194,7 +198,7 @@ def upper_envelope_decision_curve(hull: RocCurve, priors: Priors,
     _require_hull(hull)
     idx = _envelope_vertices(hull, priors, grid.values)
     nb = net_benefit(hull.tprs[idx], hull.fprs[idx], priors, grid.values, scheme)
-    return Curve(xs=grid.values, ys=np.max(nb, axis=0), series="upper_envelope")
+    return Curve._adopt(grid.values, np.max(nb, axis=0), "upper_envelope")
 
 
 def standardized_net_benefit(curve_or_value: Curve | ArrayLike,
@@ -204,5 +208,5 @@ def standardized_net_benefit(curve_or_value: Curve | ArrayLike,
         raise ValueError("prevalence must be positive")
     if isinstance(curve_or_value, Curve):
         c = curve_or_value
-        return Curve(xs=c.xs, ys=c.ys / pi_p, series=c.series)
+        return Curve._adopt(c.xs, c.ys / pi_p, c.series)
     return _unwrap(np.asarray(curve_or_value) / pi_p)

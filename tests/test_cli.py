@@ -665,27 +665,132 @@ def test_default_grids_are_the_library_defaults(argv, default):
 
 
 _ENTRY_RUNS = [
-    (["roc", "--input", "{csv}", "--csv", "{tmp}/r.csv", "--svg", "{tmp}/r.svg"], 0),
-    (["score", "--input", "{csv}", "--bogus"], 1),
-    (["--help"], 0),
+    (["roc", "--input", "{csv}", "--csv", "{tmp}/r.csv", "--svg", "{tmp}/r.svg"], 0, True),
+    (["score", "--input", "{csv}", "--bogus"], 1, False),
+    (["--help"], 0, False),
 ]
 
 
-@pytest.mark.parametrize("argv, code", _ENTRY_RUNS, ids=["roc", "usage error", "help"])
-def test_entry_exits_with_a_frozen_heap(toy_csv, tmp_path, argv, code):
-    # entry owns the process: the heap is frozen by the time the interpreter
-    # exits, the collector is still on, and the atexit handlers still run
+def _child_env(**extra):
+    """The environment of a child that runs this checkout's package, with
+    extra's variables set, or unset where their value is None."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)), **extra}
+    return {k: v for k, v in env.items() if v is not None}
+
+
+@pytest.mark.parametrize("argv, code, ran", _ENTRY_RUNS, ids=["roc", "usage error", "help"])
+def test_entry_exits_with_a_frozen_heap(toy_csv, tmp_path, argv, code, ran):
+    # entry owns the process: a command runs with numpy loaded, the heap
+    # frozen and the collector on; --help and usage errors load no numpy and
+    # freeze nothing. The atexit handlers run with the collector on
     argv = [a.format(csv=toy_csv, tmp=tmp_path) for a in argv]
     child = ("import atexit, gc, sys\n"
-             "from opcurves.cli import entry\n"
+             "from opcurves import cli\n"
+             "def run(args, run=cli.run):\n"
+             "    print('run', gc.isenabled(), gc.get_freeze_count() > 0, 'numpy' in sys.modules,\n"
+             "          file=sys.stderr)\n"
+             "    return run(args)\n"
+             "cli.run = run\n"
              "atexit.register(lambda: print('atexit', gc.isenabled(), gc.get_freeze_count() > 0,\n"
              "                              file=sys.stderr))\n"
-             "entry()")
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, cwd=tmp_path,
+             "cli.entry()")
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=_child_env(), cwd=tmp_path,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == code
-    assert done.stderr.splitlines()[-1] == "atexit True True"
+    lines = done.stderr.splitlines()
+    assert lines[-1] == f"atexit True {ran}"
+    assert [line for line in lines if line.startswith("run ")] == ["run True True True"] * ran
+
+
+def test_entry_runs_each_atexit_handler_once_then_ends_the_process(toy_csv, tmp_path):
+    # handlers registered before entry and during the command each run once,
+    # with the collector on; then os._exit ends the process, block-buffered
+    # stdout included
+    child = ("import atexit, gc, os, sys\n"
+             "from opcurves import cli\n"
+             "def say(what):\n"
+             "    print(what, gc.isenabled(), flush=True)\n"
+             "atexit.register(say, 'before')\n"
+             "def run(args, run=cli.run):\n"
+             "    atexit.register(say, 'during')\n"
+             "    return run(args)\n"
+             "cli.run = run\n"
+             "def end(code, end=os._exit):\n"
+             "    say(f'os._exit({code})')\n"
+             "    end(code)\n"
+             "os._exit = end\n"
+             "cli.entry()")
+    for argv, code in [(["score", "--input", toy_csv], 0), (["score", "--input", "no.csv"], 2)]:
+        done = subprocess.run([sys.executable, "-c", child, *argv], cwd=tmp_path, timeout=60,
+                              env=_child_env(PYTHONUNBUFFERED=None), capture_output=True,
+                              text=True)
+        assert done.returncode == code
+        assert done.stdout.splitlines()[-3:] == ["during True", "before True",
+                                                 f"os._exit({code}) True"]
+
+
+@pytest.mark.parametrize("sink", ["file", "pipe"])
+def test_a_report_on_stdout_is_complete_at_exit(toy_csv, tmp_path, sink):
+    # block-buffered stdout, as without PYTHONUNBUFFERED: the report printed
+    # is byte for byte the one --json writes
+    argv = [sys.executable, "-m", "opcurves", "compare", "--input-a", toy_csv,
+            "--input-b", toy_csv, "--grid", "0:0.99:0.0001"]
+    env = _child_env(PYTHONUNBUFFERED=None)
+    subprocess.run([*argv, "--json", "want.json"], env=env, cwd=tmp_path, check=True,
+                   capture_output=True, timeout=60)
+    want = (tmp_path / "want.json").read_bytes()
+    assert len(want) > 1 << 20
+    if sink == "file":
+        with open(tmp_path / "got.json", "wb") as out:
+            subprocess.run(argv, env=env, cwd=tmp_path, check=True, stdout=out, timeout=60)
+        got = (tmp_path / "got.json").read_bytes()
+    else:
+        got = subprocess.run(argv, env=env, cwd=tmp_path, check=True, capture_output=True,
+                             timeout=60).stdout
+    assert got == want
+
+
+@pytest.mark.parametrize("runner, stdin, report", [
+    (["-m", "cProfile"], "", "function calls"),
+    (["-m", "pdb"], "c\nq\n", "The program exited via sys.exit(). Exit status: 0"),
+], ids=["cProfile", "pdb"])
+def test_a_profiled_or_debugged_run_keeps_its_report(toy_csv, tmp_path, runner, stdin, report):
+    # the profiler and the debugger report once the program's SystemExit
+    # reaches them, so entry takes the interpreter's exit under them
+    done = subprocess.run([sys.executable, *runner, "-m", "opcurves", "score", "--input", toy_csv],
+                          env=_child_env(), cwd=tmp_path, input=stdin, capture_output=True,
+                          text=True, timeout=60)
+    assert '"command": "score"' in done.stdout
+    assert report in done.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmSize")
+def test_running_out_of_memory_is_a_data_error(toy_csv, tmp_path):
+    # the child limits its address space once numpy is loaded (below about
+    # 90 MB, import numpy itself fails) to 48 MB more than it holds; brier
+    # on a 10^6-point grid needs more than that
+    child = ("import resource, sys\n"
+             "import numpy\n"
+             "from opcurves.cli import entry\n"
+             "held = [int(l.split()[1]) << 10 for l in open('/proc/self/status')\n"
+             "        if l.startswith('VmSize:')][0]\n"
+             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (held + (48 << 20), hard))\n"
+             "try:\n"
+             "    bytearray(64 << 20)\n"
+             "except MemoryError:\n"
+             "    entry()\n"
+             "sys.exit(99)\n")
+    argv = ["brier", "--input", toy_csv, "--grid", "0:0.999999:0.000001",
+            "--csv", "b.csv", "--json", "b.json"]
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=_child_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    if done.returncode == 99:
+        pytest.skip("RLIMIT_AS is not enforced here")
+    assert done.returncode == cli.EXIT_DATA == 2
+    assert done.stderr.startswith("error: brier ran out of memory")
+    assert len(done.stderr.splitlines()) == 1
+    assert sorted(os.listdir(tmp_path)) == ["toy.csv"]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])

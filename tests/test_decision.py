@@ -251,3 +251,14 @@ def test_curves_on_a_grid_share_its_values():
     xs[0] = -1.0  # a writable array is copied
     assert curve.xs[0] == 0.0
     assert not curve.xs.flags.writeable and not curve.ys.flags.writeable
+
+
+def test_a_curve_holds_a_copy_of_a_read_only_array():
+    # a view taken before the array was made read-only can still write it
+    xs = np.array([0.0, 0.5, 1.0])
+    view = xs[:]
+    xs.flags.writeable = False
+    curve = Curve(xs=xs, ys=np.array([0.0, 0.2, 0.3]), series="model")
+    view[1] = 0.9
+    assert curve.xs is not xs and curve.xs.tolist() == [0.0, 0.5, 1.0]
+    assert not curve.xs.flags.writeable

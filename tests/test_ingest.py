@@ -200,10 +200,21 @@ def test_a_field_float_refuses_keeps_the_row_parser_message(tmp_path, field):
 
 
 @pytest.mark.parametrize("line", [b"0.5,2", b"0.5,01", b"0.5,", b"0.5", b"0.5,1,1",
-                                  b",1", b"0.5;1", b"0.5,p", b"0.5,\xff", b"\n"])
+                                  b",1", b"0.5;1", b"0.5,x", b"0.5,e", b"0.5, p", b"0.5,pP",
+                                  b"0.5N,1", b"0.5,\xff", b"\n"])
 def test_lines_the_decoder_refuses(line):
     for body in (line + b"\n", b"0.25,0\n" + line + b"\n0.75,1\n", b"0.25,0\n" + line):
         assert dataset._decode_lines(np.frombuffer(body, dtype=np.uint8), _WIDEST) is None
+
+
+@pytest.mark.parametrize("line", [b"0.5,p", b"0.5,P", b"0.5,n", b"0.5,N", b"1e-5,p",
+                                  b"-0.0,N"])
+def test_lines_the_decoder_takes(line):
+    # a one-byte N/P label in either case, as the row parser reads it
+    for end in (b"\n", b"\r\n"):
+        raw = end.join([b"score,label", b"0.25,0", line, b"0.75,1", b""])
+        assert _from_csv_bytes(raw) is not None
+        _assert_bytes_match_the_row_parser(raw)
 
 
 def test_every_six_digit_decimal_is_float_bit_for_bit():
@@ -287,7 +298,7 @@ def _assert_bytes_match_the_row_parser(raw):
 
 
 @given(st.lists(st.tuples(st.one_of(decimal_fields(), st.sampled_from(["0.5", "1", "0"])),
-                          st.sampled_from("01")), min_size=1, max_size=8),
+                          st.sampled_from("01NPnp")), min_size=1, max_size=8),
        st.booleans())
 def test_files_of_decimal_fields_match_the_row_parser(rows, final_newline):
     lines = [f"{f},{y}" for f, y in rows] + ["0.25,0", "0.75,1"]
@@ -412,7 +423,7 @@ repr_and_exponent_fields = st.floats(0.0, 1.0).flatmap(lambda x: st.sampled_from
     [repr(x), f"{x:.18e}", f"{x:.6E}"]) | _signed(x))
 
 
-@given(st.lists(st.tuples(repr_and_exponent_fields, st.sampled_from("01")), max_size=12),
+@given(st.lists(st.tuples(repr_and_exponent_fields, st.sampled_from("01NPnp")), max_size=12),
        st.sampled_from(["\n", "\r\n"]), st.booleans())
 @example([(repr(5e-324), "1"), (f"{2.0 ** -1074:.18e}", "0"), ("1.000000E+00", "1"),
           (repr(2.65516383690656e-05), "0"), ("+" + repr(0.49999999999999994), "1")], "\r\n", False)
@@ -496,12 +507,14 @@ def test_the_row_parser_matches_the_two_pass_oracle(tmp_path_factory, header, go
 
 
 def test_the_row_path_holds_no_copy_of_the_file(tmp_path):
-    # the byte decoder refuses N/P labels; the row parser reads the file's
+    # the byte decoder refuses a blank line; the row parser reads the file's
     # lines as it goes, so the peak is the file's bytes, one float and two
     # list slots a row, and the Dataset's arrays
     text = to_csv(make_random(3, n=50_000)).replace(",0\n", ",N\n").replace(",1\n", ",P\n")
+    text = text.replace("\n", "\n\n", 1)
     path = tmp_path / "np.csv"
     path.write_text(text, encoding="utf-8")
+    assert _from_csv_bytes(path.read_bytes()) is None
     tracemalloc.start()
     try:
         data = read_csv(str(path))
