@@ -34,7 +34,7 @@ METRICS = ("accuracy", "net_benefit", "brier_loss")
 _EXPORTS = {
     "dataset": ("NEGATIVE", "POSITIVE", "Dataset", "DatasetError", "DegenerateClassError",
                 "EmptyInputError", "ParseError", "Priors", "SimulationSpec",
-                "SimulationSpecError", "read_csv", "simulate_gaussian", "to_csv", "write_csv"),
+                "SimulationSpecError", "read_csv", "simulate_gaussian", "write_csv"),
     "roc": ("OperatingPoint", "RocCurve", "convex_hull", "dominance", "operating_points",
             "threshold_rates"),
     "decision": ("Curve", "ThresholdGrid", "baseline_decision_curves", "decision_curve",

@@ -114,10 +114,21 @@ def _parse_levels(text: str) -> tuple[float, ...]:
         raise UsageError(f"levels must be numbers or start:stop:step, got {text!r}") from None
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser, with every command, and the arguments of the command
+    argv names, or of every command when it names none that exists: each
+    add_argument call leaves argparse garbage that entry freezes with the
+    heap. --help and an unknown command's message list every command."""
     parser = _Parser(prog="opcurves",
                      description="Evaluate binary classifiers across operating conditions.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the top level has only -h, so the first word that is no option names the command
+    named = next((a for a in argv if not a.startswith("-")), None)
+
+    def command(name: str, help_: str) -> _Parser | None:
+        """The subparser of name, or None when argv names another command."""
+        p = sub.add_parser(name, help=help_)
+        return p if named == name or named not in _HANDLERS else None
 
     def add_input(p):
         p.add_argument("--input", required=True, help="score,label CSV file")
@@ -130,55 +141,56 @@ def _build_parser() -> _Parser:
         if js:
             p.add_argument("--json", dest="json_path", help="write a JSON report")
 
-    p = sub.add_parser("dca", help="decision curves with baselines")
-    add_input(p)
-    p.add_argument("--grid", default=_DCA_GRID, help=f"threshold grid (default {_DCA_GRID})")
-    p.add_argument("--scheme", choices=["dca", "brier_scaled"], default="dca")
-    p.add_argument("--upper-envelope", action="store_true",
-                   help="include the best-attainable envelope")
-    add_outputs(p, js=True)
+    if p := command("dca", "decision curves with baselines"):
+        add_input(p)
+        p.add_argument("--grid", default=_DCA_GRID, help=f"threshold grid (default {_DCA_GRID})")
+        p.add_argument("--scheme", choices=["dca", "brier_scaled"], default="dca")
+        p.add_argument("--upper-envelope", action="store_true",
+                       help="include the best-attainable envelope")
+        add_outputs(p, js=True)
 
-    p = sub.add_parser("cost", help="cost lines and their lower envelope")
-    add_input(p)
-    p.add_argument("--grid", default=_COST_GRID, help=f"cost proportion grid (default {_COST_GRID})")
-    add_outputs(p)
+    if p := command("cost", "cost lines and their lower envelope"):
+        add_input(p)
+        p.add_argument("--grid", default=_COST_GRID,
+                       help=f"cost proportion grid (default {_COST_GRID})")
+        add_outputs(p)
 
-    p = sub.add_parser("brier", help="Brier curve, envelope and loss decomposition")
-    add_input(p)
-    p.add_argument("--grid", default=_COST_GRID, help=f"threshold grid (default {_COST_GRID})")
-    add_outputs(p, js=True)
+    if p := command("brier", "Brier curve, envelope and loss decomposition"):
+        add_input(p)
+        p.add_argument("--grid", default=_COST_GRID, help=f"threshold grid (default {_COST_GRID})")
+        add_outputs(p, js=True)
 
-    p = sub.add_parser("roc", help="operating points and convex hull")
-    add_input(p)
-    add_outputs(p)
+    if p := command("roc", "operating points and convex hull"):
+        add_input(p)
+        add_outputs(p)
 
-    p = sub.add_parser("score", help="Brier score and its decomposition as JSON")
-    add_input(p)
-    add_outputs(p, csv=False, svg=False, js=True)
+    if p := command("score", "Brier score and its decomposition as JSON"):
+        add_input(p)
+        add_outputs(p, csv=False, svg=False, js=True)
 
-    p = sub.add_parser("compare", help="two models at every threshold, both spaces")
-    p.add_argument("--input-a", required=True, dest="input")
-    p.add_argument("--input-b", required=True, dest="input_b")
-    p.add_argument("--grid", default=_DCA_GRID, help=f"threshold grid (default {_DCA_GRID})")
-    add_outputs(p, csv=False, svg=False, js=True)
+    if p := command("compare", "two models at every threshold, both spaces"):
+        p.add_argument("--input-a", required=True, dest="input")
+        p.add_argument("--input-b", required=True, dest="input_b")
+        p.add_argument("--grid", default=_DCA_GRID, help=f"threshold grid (default {_DCA_GRID})")
+        add_outputs(p, csv=False, svg=False, js=True)
 
-    p = sub.add_parser("isometrics", help="constant-metric line coefficients")
-    p.add_argument("--metric", required=True, choices=list(METRICS))
-    p.add_argument("--levels", required=True, help="comma list or start:stop:step")
-    p.add_argument("--t", type=float, help="threshold for net_benefit/brier_loss")
-    p.add_argument("--pi-p", type=float, dest="pi_p", help="positive prevalence")
-    p.add_argument("--input", help="derive the prevalence from this CSV instead")
-    p.add_argument("--csv", dest="csv_path", help="write coefficients CSV")
+    if p := command("isometrics", "constant-metric line coefficients"):
+        p.add_argument("--metric", required=True, choices=list(METRICS))
+        p.add_argument("--levels", required=True, help="comma list or start:stop:step")
+        p.add_argument("--t", type=float, help="threshold for net_benefit/brier_loss")
+        p.add_argument("--pi-p", type=float, dest="pi_p", help="positive prevalence")
+        p.add_argument("--input", help="derive the prevalence from this CSV instead")
+        p.add_argument("--csv", dest="csv_path", help="write coefficients CSV")
 
-    p = sub.add_parser("simulate", help="draw a two-Gaussian dataset")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--pi-p", type=float, default=0.2, dest="pi_p")
-    p.add_argument("--mu-n", type=float, default=0.4, dest="mu_n")
-    p.add_argument("--sd-n", type=float, default=0.12, dest="sd_n")
-    p.add_argument("--mu-p", type=float, default=0.6, dest="mu_p")
-    p.add_argument("--sd-p", type=float, default=0.12, dest="sd_p")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True, dest="out_path", help="output CSV path")
+    if p := command("simulate", "draw a two-Gaussian dataset"):
+        p.add_argument("--n", type=int, default=10000)
+        p.add_argument("--pi-p", type=float, default=0.2, dest="pi_p")
+        p.add_argument("--mu-n", type=float, default=0.4, dest="mu_n")
+        p.add_argument("--sd-n", type=float, default=0.12, dest="sd_n")
+        p.add_argument("--mu-p", type=float, default=0.6, dest="mu_p")
+        p.add_argument("--sd-p", type=float, default=0.12, dest="sd_p")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True, dest="out_path", help="output CSV path")
 
     return parser
 
@@ -187,7 +199,9 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """The argparse namespace, with every usage error that the flags show
     refused: the output paths first, then the grid or the levels (a range
     of them is built in numpy) and the isometrics flags."""
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     _check_output_names(args)
     if args.command in ("dca", "compare"):
         args.grid = _threshold_grid(args.grid)

@@ -222,10 +222,6 @@ def _csv_chunks(data: Dataset) -> Iterator[str]:
     yield from rows([data.scores, data.labels], ["", ",", "\n"])
 
 
-def to_csv(data: Dataset) -> str:
-    return "".join(_csv_chunks(data))
-
-
 def read_csv(path: str) -> Dataset:
     """Read a `score,label` CSV file into a Dataset.
 

@@ -48,49 +48,42 @@ def isometric_gradient(t: float, priors: Priors) -> float:
 
 def isometric_line(metric: str, level: float, priors: Priors,
                    t: float | None = None) -> RocLine:
-    """The ROC-space line along which `metric` equals `level`.
-
-    accuracy takes no threshold (pass t=None); net_benefit and brier_loss
-    need t strictly inside (0, 1). The level must be attainable for the
-    metric at the given priors and threshold.
-    """
-    if metric == "accuracy":
-        if t is not None:
-            raise ValueError("accuracy isometrics take no threshold")
-        if not 0.0 <= level <= 1.0:
-            raise ValueError("accuracy level must lie in [0, 1]")
-        gradient = priors.pi_n / priors.pi_p
-        intercept = (level - priors.pi_n) / priors.pi_p
-        return RocLine(gradient=gradient, intercept=intercept,
-                       metric=metric, level=level)
-    if metric in ("net_benefit", "brier_loss") and t is None:
-        raise ValueError(f"{metric} isometrics need a threshold t")
-    if metric == "net_benefit":
-        gradient = isometric_gradient(t, priors)
-        if not -(t / (1.0 - t)) * priors.pi_n <= level <= priors.pi_p:
-            raise ValueError("net benefit level outside its range at this t")
-        return RocLine(gradient=gradient, intercept=level / priors.pi_p,
-                       metric=metric, level=level, t=t)
-    if metric == "brier_loss":
-        gradient = isometric_gradient(t, priors)
-        if not 0.0 <= level <= 2.0 * ((1.0 - t) * priors.pi_p + t * priors.pi_n):
-            raise ValueError("brier loss level outside its range at this t")
-        intercept = 1.0 - level / (2.0 * (1.0 - t) * priors.pi_p)
-        return RocLine(gradient=gradient, intercept=intercept,
-                       metric=metric, level=level, t=t)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    """The ROC-space line along which `metric` equals `level`:
+    isometric_lines at that one level, which raises for the same input."""
+    gradient, intercepts = isometric_lines(metric, np.array([level], dtype=np.float64),
+                                           priors, t)
+    return RocLine(gradient=gradient, intercept=float(intercepts[0]), metric=metric,
+                   level=level, t=t)
 
 
 def isometric_lines(metric: str, levels: np.ndarray, priors: Priors,
                     t: float | None = None) -> tuple[float, np.ndarray]:
-    """isometric_line's gradient, the same at every level, and its intercept
-    at each of a 1-d float array of levels, bit for bit; raises as
-    isometric_line does for any level it refuses."""
-    # each metric takes an interval of levels, so its ends stand for all of them
-    gradient = isometric_line(metric, float(levels.min()), priors, t).gradient
-    isometric_line(metric, float(levels.max()), priors, t)
+    """The gradient of the ROC-space lines along which `metric` equals each
+    of a 1-d float array of levels, the same for every level, and the
+    intercept of each.
+
+    accuracy takes no threshold (pass t=None); net_benefit and brier_loss
+    need t strictly inside (0, 1). Every level must be attainable for the
+    metric at the given priors and threshold.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    # each metric takes an interval of levels, so its ends stand for all of
+    # them; a NaN level fails every comparison
+    low, high = float(levels.min()), float(levels.max())
     if metric == "accuracy":
-        return gradient, (levels - priors.pi_n) / priors.pi_p
+        if t is not None:
+            raise ValueError("accuracy isometrics take no threshold")
+        if not 0.0 <= low <= high <= 1.0:
+            raise ValueError("accuracy level must lie in [0, 1]")
+        return priors.pi_n / priors.pi_p, (levels - priors.pi_n) / priors.pi_p
+    if t is None:
+        raise ValueError(f"{metric} isometrics need a threshold t")
+    gradient = isometric_gradient(t, priors)
     if metric == "net_benefit":
+        if not -(t / (1.0 - t)) * priors.pi_n <= low <= high <= priors.pi_p:
+            raise ValueError("net benefit level outside its range at this t")
         return gradient, levels / priors.pi_p
+    if not 0.0 <= low <= high <= 2.0 * ((1.0 - t) * priors.pi_p + t * priors.pi_n):
+        raise ValueError("brier loss level outside its range at this t")
     return gradient, 1.0 - levels / (2.0 * (1.0 - t) * priors.pi_p)

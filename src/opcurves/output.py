@@ -9,7 +9,12 @@ the whole column (see _float_words), each row's bytes go into a frame of
 uint32 words where NUL bytes mark unused places, and deleting the NULs
 leaves the text. json_text writes a JSON array, or the rows of a Records,
 through rows() too, and each scalar as json.dumps writes it; both yield
-the text chunk by chunk for write_text to stream.
+the text chunk by chunk for write_text to stream. While an Outputs block
+is open, a read-only float column that fits in one chunk is encoded once
+for the whole block and its words reused by every table that writes it
+(see _memo_words): the threshold grid of a curve run is one array, the x
+of every series and the grid of its report (and the t of compare's
+per_t rows).
 
 write_text puts a new or plain file under a temporary name in the target
 directory and moves it into place with os.replace, so a reader never sees
@@ -22,6 +27,7 @@ does the same for the several files of one run, all or none.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import itertools
 import json
@@ -243,6 +249,43 @@ def _column_words(column: np.ndarray, fallback: Callable[[float], str]) -> np.nd
     return _float_words(values[heads], fallback)[np.cumsum(heads) - 1]
 
 
+# the words of the columns encoded in the open Outputs block, by
+# (id(column), fallback or None): {key: (column, words)}; None outside one
+_memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_memo", default=None)
+
+
+def _frozen(a: np.ndarray) -> bool:
+    """Whether a and every array down its .base chain are read-only, and
+    the last owns its data: no view of a writable array can change it."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return a is None
+
+
+def _memo_words(column: np.ndarray, fallback: Callable[[float], str],
+                lo: int, size: int) -> np.ndarray:
+    """_column_words(column[lo:lo + size], fallback). In an Outputs block a
+    read-only float column of at most size rows is encoded whole once, and
+    every later table that writes it, in one chunk or in several, takes
+    its rows of those words; a longer column that no table wrote whole is
+    encoded a chunk at a time and not held. The memo holds the column, so
+    its id names it for the whole block, and keys a column that holds NaN
+    or an infinity by fallback too: only those rows differ in text between
+    the CSV and the JSON fallbacks."""
+    memo = _memo.get()
+    if memo is None or column.dtype.kind != "f" or not _frozen(column):
+        return _column_words(column[lo:lo + size], fallback)
+    held = memo.get((id(column), None)) or memo.get((id(column), fallback))
+    if held is None:
+        if len(column) > size:
+            return _column_words(column[lo:lo + size], fallback)
+        key = (id(column), None if np.isfinite(column).all() else fallback)
+        held = memo[key] = (column, _column_words(column, fallback))
+    return held[1][lo:lo + size]
+
+
 def rows(columns: list[np.ndarray], pieces: list[str],
          fallback: Callable[[float], str] = float.__repr__) -> Iterator[str]:
     """The text of a table, in chunks: row i is pieces[0], the text of
@@ -254,15 +297,23 @@ def rows(columns: list[np.ndarray], pieces: list[str],
         raise ValueError("rows need one more piece than columns, and no NUL in a piece")
     piece_words = [np.frombuffer(p.encode() + b"\0" * (-len(p.encode()) % 4), dtype=np.uint32)
                    for p in pieces]
+    columns = [np.asarray(c) for c in columns]
     size = max(1, _CHUNK // len(columns))
     for lo in range(0, len(columns[0]), size):
-        blocks = [_column_words(np.asarray(c)[lo:lo + size], fallback) for c in columns]
-        parts = [piece_words[0]]
-        for block, piece in zip(blocks, piece_words[1:]):
-            parts += [block, piece]
-        m = len(blocks[0])
-        frame = np.concatenate([np.broadcast_to(p, (m, p.shape[-1])) for p in parts], axis=1)
-        yield frame.tobytes().translate(None, b"\0").decode()
+        yield _frame_text([_memo_words(c, fallback, lo, size) for c in columns], piece_words)
+
+
+def _frame_text(blocks: list[np.ndarray], piece_words: list[np.ndarray]) -> str:
+    """The text of rows of blocks' words between the pieces' words. The
+    frame is freed once its bytes are copied, before the NULs go."""
+    parts = [piece_words[0]]
+    for block, piece in zip(blocks, piece_words[1:]):
+        parts += [block, piece]
+    m = len(blocks[0])
+    frame = np.concatenate([np.broadcast_to(p, (m, p.shape[-1])) for p in parts], axis=1)
+    data = frame.tobytes()
+    del frame
+    return data.translate(None, b"\0").decode()
 
 
 def _key_text(key) -> str:
@@ -362,13 +413,16 @@ class Outputs:
     the computing between two, every temporary file is removed and every
     target is left as it was. A path that replaces() refuses is written in
     place, so its text is kept unread until the block ends and written
-    before the first os.replace. paths lists the targets as added.
+    before the first os.replace. paths lists the targets as added. While
+    the block is open, rows() encodes each read-only float column that fits
+    in one chunk once (see _memo_words); the memo goes when the block ends.
     """
 
     def __init__(self) -> None:
         self.paths: list[str] = []
         self._staged: list[tuple[str, str]] = []  # (temporary file, target)
         self._in_place: list[tuple[str, Iterable[str]]] = []
+        self._memo_token: contextvars.Token | None = None
 
     def add(self, path: str, text: str | Iterable[str]) -> None:
         chunks = [text] if isinstance(text, str) else text
@@ -379,6 +433,7 @@ class Outputs:
         self.paths.append(path)
 
     def __enter__(self) -> Outputs:
+        self._memo_token = _memo.set({})
         return self
 
     def __exit__(self, kind, exc, tb) -> None:
@@ -396,6 +451,7 @@ class Outputs:
                         raise
                     del self._staged[0]
         finally:
+            _memo.reset(self._memo_token)
             for tmp, _ in self._staged:
                 with contextlib.suppress(OSError):
                     os.unlink(tmp)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
                       loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
 from opcurves.dataset import (_LABEL_TOKENS, CSV_HEADER, EmptyInputError, ParseError,
-                              _from_csv_bytes, _from_csv_rows)
+                              _csv_chunks, _from_csv_bytes, _from_csv_rows)
 from opcurves.roc import _line
 
 # Nine samples with a tie at 0.70 and a miscalibrated top score; small
@@ -47,6 +47,11 @@ def text_lines(text: str) -> io.StringIO:
     """The lines of CSV text as _from_csv_rows reads a file's: after any
     byte order mark, split at LF only."""
     return io.StringIO(text.removeprefix("\ufeff"))
+
+
+def to_csv(data: Dataset) -> str:
+    """The `score,label` CSV text of a Dataset, as write_csv writes it."""
+    return "".join(_csv_chunks(data))
 
 
 def from_csv(text: str) -> Dataset:

@@ -8,17 +8,18 @@ import sys
 import threading
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from opcurves import (Dataset, DatasetError, ParseError, Priors, PriorMismatchError,
                       SimulationSpecError, ThresholdGrid, compare_models, isometric_line,
-                      operating_points, to_csv)
-from opcurves import cli, render
+                      operating_points)
+from opcurves import cli, output, render
 from opcurves.cli import UsageError, main
 from helpers import (assert_decimated, comparison_dict, make_random, make_toy,
-                     path_data_oracle)
+                     path_data_oracle, to_csv)
 
 
 @pytest.fixture
@@ -102,6 +103,24 @@ class TestDca:
         assert len(obj["grid"]) == 199
         assert {s["series"] for s in obj["series"]} == {
             "model", "treat_all", "treat_none"}
+
+    def test_a_run_encodes_each_array_once(self, tmp_path):
+        # the grid is the x of every series and the JSON grid, and each y
+        # goes to the CSV and the JSON: 5 arrays, written 17 times
+        data = tmp_path / "in.csv"
+        data.write_text(to_csv(make_random(4, n=2000)), encoding="utf-8")
+        csv_out, json_out = tmp_path / "dca.csv", tmp_path / "dca.json"
+        with mock.patch.object(output, "_float_words", wraps=output._float_words) as enc:
+            assert main(["dca", "--input", str(data), "--grid", "0:0.9999:0.0001",
+                         "--upper-envelope", "--csv", str(csv_out), "--json", str(json_out)]) == 0
+        assert enc.call_count == 5
+        report = json.loads(json_out.read_text(encoding="utf-8"))
+        series = _read_series(csv_out)
+        assert len(report["grid"]) == 10**4
+        assert [s["series"] for s in report["series"]] == list(series)
+        for s in report["series"]:
+            assert s["x"] == report["grid"]
+            assert list(zip(s["x"], s["y"])) == series[s["series"]]
 
     def test_svg_written(self, toy_csv, tmp_path):
         out = tmp_path / "dca.svg"
@@ -916,6 +935,29 @@ class TestUsage:
 
     def test_no_command(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["dca", "--help"], ["bogus"], ["dca"], [],
+                                      ["--help", "dca"], ["isometrics", "--help"],
+                                      ["simulate", "--out"], ["-x", "score"]])
+    def test_help_and_usage_errors_read_as_with_every_argument_built(self, capsys, argv):
+        # a run builds only the arguments of the command it names; what it
+        # prints and its exit code are those of the parser that has them all
+        got = main(argv), *capsys.readouterr()
+        build = cli._build_parser
+        with mock.patch.object(cli, "_build_parser", lambda _: build([])):
+            assert got == (main(argv), *capsys.readouterr())
+
+    def test_only_the_named_command_gets_its_arguments(self):
+        def options(argv):
+            (commands,) = cli._build_parser(argv)._subparsers._group_actions
+            return {name: len(p._actions) - 1 for name, p in commands.choices.items()}
+
+        every = options([])
+        assert list(every) == list(cli._HANDLERS) and min(every.values()) > 0
+        assert options(["bogus"]) == options(["--help"]) == every
+        for name in every:
+            assert options(["--help", name, "--input", "x"]) == {
+                n: every[n] if n == name else 0 for n in every}
 
     def test_idempotent_outputs(self, toy_csv, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

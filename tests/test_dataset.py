@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError,
-                      Priors, SimulationSpec, SimulationSpecError, simulate_gaussian, to_csv,
-                      write_csv)
+                      Priors, SimulationSpec, SimulationSpecError, simulate_gaussian, write_csv)
 from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_bytes, _from_csv_rows
-from helpers import from_csv, make_random, text_lines
+from helpers import from_csv, make_random, text_lines, to_csv
 
 
 def test_basic_properties(toy):

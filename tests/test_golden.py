@@ -15,9 +15,8 @@ import hashlib
 
 import pytest
 
-from opcurves import to_csv
 from opcurves.cli import main
-from helpers import make_toy
+from helpers import make_toy, to_csv
 
 COMMANDS = {
     "dca": ["dca", "--input", "a.csv", "--upper-envelope", "--csv", "dca.csv",

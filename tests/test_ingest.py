@@ -21,11 +21,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from opcurves import DatasetError, ParseError, read_csv, to_csv
+from opcurves import DatasetError, ParseError, read_csv
 from opcurves import dataset
 from opcurves.cli import main
 from opcurves.dataset import _PIECE_BYTES, _WIDEST, _from_csv_bytes, _from_csv_rows
-from helpers import from_csv, make_random, text_lines, two_pass_rows_oracle
+from helpers import from_csv, make_random, text_lines, to_csv, two_pass_rows_oracle
 
 TWO_53 = 1 << 53
 TWO_58 = 1 << 58

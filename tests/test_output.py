@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import stat
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -203,6 +205,116 @@ def test_json_arrays_and_records_encode_run_heads_once():
     # zeros in the y of k = 0; 3 in other
     sizes = [call.args[0].size for call in enc.call_args_list]
     assert sizes == [41, 41, 1, 41, 41, 41, 41, 41, 41, 3]
+
+
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+def _encoded(run) -> list[np.ndarray]:
+    """The arrays run() hands _float_words."""
+    with mock.patch.object(output, "_float_words", wraps=output._float_words) as enc:
+        run()
+    return [call.args[0] for call in enc.call_args_list]
+
+
+def test_an_outputs_block_encodes_each_read_only_column_once(tmp_path):
+    grid = _frozen(np.arange(100) / 99)
+    ys = [_frozen(grid * (k + 1)) for k in range(3)]
+    series = [(grid, y, f"s{k}") for k, y in enumerate(ys)]
+    doc = {"grid": grid, "series": [{"x": x, "y": y} for x, y, _ in series]}
+
+    def run():
+        with Outputs() as out:
+            out.add(str(tmp_path / "a.csv"), xy_csv(series))
+            out.add(str(tmp_path / "a.json"), json_text(doc))
+
+    # the grid once and each y once, across the CSV and the JSON
+    assert [a.size for a in _encoded(run)] == [100] * 4
+    assert (tmp_path / "a.csv").read_text() == "x,y,series\n" + "".join(
+        f"{x!r},{y!r},s{k}\n" for k, y in enumerate(ys) for x, y in zip(grid.tolist(), y.tolist()))
+    assert json.loads((tmp_path / "a.json").read_text()) == {
+        "grid": grid.tolist(), "series": [{"x": grid.tolist(), "y": y.tolist()} for y in ys]}
+    assert output._memo.get() is None
+
+
+def test_a_shared_column_keeps_each_writers_text_for_nan_and_infinities(tmp_path):
+    odd = _frozen([np.nan, 0.25, np.inf, -np.inf, -0.0, 0.0, 1e300, 2.0 ** -30])
+    plain = _frozen([0.5, -0.0, 1.0])
+
+    def run():
+        with Outputs() as out:
+            out.add(str(tmp_path / "a.csv"), xy_csv([(odd, odd, "odd"), (plain, plain, "plain")]))
+            out.add(str(tmp_path / "a.json"), json_text({"odd": odd, "plain": plain}))
+            out.add(str(tmp_path / "b.csv"), xy_csv([(odd, odd, "odd")]))
+
+    # odd once for repr and once for JSON's NaN and Infinity; plain once
+    assert [a.size for a in _encoded(run)] == [8, 3, 8]
+    assert (tmp_path / "a.csv").read_text() == "x,y,series\n" + "".join(
+        f"{v!r},{v!r},{tag}\n" for arr, tag in ((odd, "odd"), (plain, "plain"))
+        for v in arr.tolist())
+    assert (tmp_path / "b.csv").read_text() == "x,y,series\n" + "".join(
+        f"{v!r},{v!r},odd\n" for v in odd.tolist())
+    assert (tmp_path / "a.json").read_text() == json.dumps(
+        {"odd": odd.tolist(), "plain": plain.tolist()}, indent=2)
+
+
+def test_a_column_that_may_change_is_encoded_each_time(tmp_path):
+    writable = np.linspace(0.0, 1.0, 50)
+    view = writable[:]
+    view.flags.writeable = False  # read-only, but a view of a writable array
+
+    def run():
+        with Outputs() as out:
+            for k, column in enumerate([writable, writable, view, view]):
+                out.add(str(tmp_path / f"{k}.csv"), rows([column], ["", "\n"]))
+
+    assert len(_encoded(run)) == 4
+
+
+def test_a_column_longer_than_a_chunk_streams_and_nothing_is_held(tmp_path):
+    c = 1 << 14  # the rows of a chunk of two columns
+    long, short = _frozen(np.arange(c + 5) / 7), _frozen(np.arange(10) / 7)
+    refs = [weakref.ref(long), weakref.ref(short)]
+
+    def run():
+        with Outputs() as out:
+            for name in ("a.csv", "b.csv"):
+                out.add(str(tmp_path / name), xy_csv([(long, long, "l"), (short, short, "s")]))
+            held = {id(column) for column, _ in output._memo.get().values()}
+            assert held == {id(short)}
+            with Outputs() as inner:  # a block inside keeps its own memo
+                inner.add(str(tmp_path / "c.csv"), xy_csv([(short, short, "s")]))
+            assert {id(column) for column, _ in output._memo.get().values()} == held
+
+    # two chunks of each long column per file; the short one once a block
+    assert [a.size for a in _encoded(run)] == [c, c, 5, 5, 10, c, c, 5, 5, 10]
+    want = "x,y,series\n" + "".join(f"{v!r},{v!r},{tag}\n" for arr, tag in ((long, "l"), (short, "s"))
+                                   for v in arr.tolist())
+    assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text() == want
+    assert output._memo.get() is None
+    del long, short
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_a_held_column_gives_its_words_to_a_table_of_several_chunks(tmp_path):
+    # compare writes the grid whole, then as the t of per_t's chunked rows
+    grid = _frozen(np.arange(20_000) / 19_999)
+    v = -grid  # writable, so encoded a chunk at a time
+    doc = {"grid": grid, "per_t": Records({"t": grid, "v": v, "ok": grid > 0.5})}
+
+    def run():
+        with Outputs() as out:
+            out.add(str(tmp_path / "a.json"), json_text(doc))
+
+    size = (1 << 15) // 3  # the rows of a chunk of three columns
+    assert [a.size for a in _encoded(run)] == [20_000, size, 20_000 - size]
+    assert (tmp_path / "a.json").read_text() == json.dumps(
+        {"grid": grid.tolist(), "per_t": [{"t": t, "v": -t, "ok": t > 0.5}
+                                          for t in grid.tolist()]}, indent=2)
 
 
 class TestWriteText:

@@ -53,7 +53,7 @@ def test_import_runs_no_module_until_one_is_used():
                                   "lower_envelope_support", "upper_envelope_support",
                                   "serialize_dataset", "UtilityScheme", "Polyline",
                                   "CostLine", "cost_line", "baseline_cost_lines",
-                                  "from_csv", "parse_dataset", "PALETTE"])
+                                  "from_csv", "parse_dataset", "PALETTE", "to_csv"])
 def test_removed_names_are_not_in_the_package(name):
     assert not hasattr(opcurves, name)
     assert name not in opcurves.__all__

@@ -7,9 +7,9 @@ import pytest
 
 from opcurves import (PriorMismatchError, ThresholdGrid, brier_curve, compare_models,
                       convex_hull, decision_curve, lower_envelope, nb_from_brier_loss,
-                      net_benefit, operating_points, to_csv, upper_envelope_decision_curve)
+                      net_benefit, operating_points, upper_envelope_decision_curve)
 from opcurves.cli import main
-from helpers import comparison_dict, envelope_oracle, make_random
+from helpers import comparison_dict, envelope_oracle, make_random, to_csv
 
 
 def compare_output(data_a, data_b, grid: str, tmp_path, capsys) -> str:
