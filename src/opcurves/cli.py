@@ -9,8 +9,9 @@ header x,y,series; JSON outputs carry the priors and grid they were
 computed under, so they are self-describing. Identical invocations write
 identical bytes.
 
-Each command imports the modules it runs when it runs, and the package
-loads a module only on first use, so `--help` and the usage errors that
+The library's modules are bound here as the package's lazy submodules,
+each of which runs only when one of its names is first read, so a command
+loads only the modules it runs, and `--help` and the usage errors that
 the flags show load no numpy, up to the grid or level range: numpy
 builds those, and the isometrics flags are checked after them.
 
@@ -45,7 +46,7 @@ import os
 import sys
 from collections.abc import Callable
 
-from . import METRICS
+from . import METRICS, cost, dataset, decision, isometrics, output, relations, render, roc
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -89,9 +90,7 @@ def _parse_range(text: str, what: str, build):
 
 
 def _parse_grid(text: str):
-    from .decision import ThresholdGrid
-
-    return _parse_range(text, "grid", ThresholdGrid.regular)
+    return _parse_range(text, "grid", decision.ThresholdGrid.regular)
 
 
 def _threshold_grid(text: str):
@@ -105,30 +104,17 @@ def _parse_levels(text: str) -> tuple[float, ...]:
     # a level range is not a grid: brier_loss levels exceed 1, net benefit
     # levels go below 0, and the metric checks each level itself
     if ":" in text:
-        from .decision import regular_values
-
-        return tuple(_parse_range(text, "level range", regular_values).tolist())
+        return tuple(_parse_range(text, "level range", decision.regular_values).tolist())
     try:
         return tuple(float(p) for p in text.split(","))
     except ValueError:
         raise UsageError(f"levels must be numbers or start:stop:step, got {text!r}") from None
 
 
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser, with every command, and the arguments of the command
-    argv names, or of every command when it names none that exists: each
-    add_argument call leaves argparse garbage that entry freezes with the
-    heap. --help and an unknown command's message list every command."""
+def _build_parser() -> _Parser:
     parser = _Parser(prog="opcurves",
                      description="Evaluate binary classifiers across operating conditions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the top level has only -h, so the first word that is no option names the command
-    named = next((a for a in argv if not a.startswith("-")), None)
-
-    def command(name: str, help_: str) -> _Parser | None:
-        """The subparser of name, or None when argv names another command."""
-        p = sub.add_parser(name, help=help_)
-        return p if named == name or named not in _HANDLERS else None
 
     def add_input(p):
         p.add_argument("--input", required=True, help="score,label CSV file")
@@ -141,56 +127,56 @@ def _build_parser(argv: list[str]) -> _Parser:
         if js:
             p.add_argument("--json", dest="json_path", help="write a JSON report")
 
-    if p := command("dca", "decision curves with baselines"):
-        add_input(p)
-        p.add_argument("--grid", default=_DCA_GRID, help=f"threshold grid (default {_DCA_GRID})")
-        p.add_argument("--scheme", choices=["dca", "brier_scaled"], default="dca")
-        p.add_argument("--upper-envelope", action="store_true",
-                       help="include the best-attainable envelope")
-        add_outputs(p, js=True)
+    p = sub.add_parser("dca", help="decision curves with baselines")
+    add_input(p)
+    p.add_argument("--grid", default=_DCA_GRID, help=f"threshold grid (default {_DCA_GRID})")
+    p.add_argument("--scheme", choices=["dca", "brier_scaled"], default="dca")
+    p.add_argument("--upper-envelope", action="store_true",
+                   help="include the best-attainable envelope")
+    add_outputs(p, js=True)
 
-    if p := command("cost", "cost lines and their lower envelope"):
-        add_input(p)
-        p.add_argument("--grid", default=_COST_GRID,
-                       help=f"cost proportion grid (default {_COST_GRID})")
-        add_outputs(p)
+    p = sub.add_parser("cost", help="cost lines and their lower envelope")
+    add_input(p)
+    p.add_argument("--grid", default=_COST_GRID,
+                   help=f"cost proportion grid (default {_COST_GRID})")
+    add_outputs(p)
 
-    if p := command("brier", "Brier curve, envelope and loss decomposition"):
-        add_input(p)
-        p.add_argument("--grid", default=_COST_GRID, help=f"threshold grid (default {_COST_GRID})")
-        add_outputs(p, js=True)
+    p = sub.add_parser("brier", help="Brier curve, envelope and loss decomposition")
+    add_input(p)
+    p.add_argument("--grid", default=_COST_GRID, help=f"threshold grid (default {_COST_GRID})")
+    add_outputs(p, js=True)
 
-    if p := command("roc", "operating points and convex hull"):
-        add_input(p)
-        add_outputs(p)
+    p = sub.add_parser("roc", help="operating points and convex hull")
+    add_input(p)
+    add_outputs(p)
 
-    if p := command("score", "Brier score and its decomposition as JSON"):
-        add_input(p)
-        add_outputs(p, csv=False, svg=False, js=True)
+    p = sub.add_parser("score", help="Brier score and its decomposition as JSON")
+    add_input(p)
+    add_outputs(p, csv=False, svg=False, js=True)
 
-    if p := command("compare", "two models at every threshold, both spaces"):
-        p.add_argument("--input-a", required=True, dest="input")
-        p.add_argument("--input-b", required=True, dest="input_b")
-        p.add_argument("--grid", default=_DCA_GRID, help=f"threshold grid (default {_DCA_GRID})")
-        add_outputs(p, csv=False, svg=False, js=True)
+    p = sub.add_parser("compare", help="two models at every threshold, both spaces")
+    p.add_argument("--input-a", required=True, dest="input")
+    p.add_argument("--input-b", required=True, dest="input_b")
+    p.add_argument("--grid", default=_DCA_GRID, help=f"threshold grid (default {_DCA_GRID})")
+    add_outputs(p, csv=False, svg=False, js=True)
 
-    if p := command("isometrics", "constant-metric line coefficients"):
-        p.add_argument("--metric", required=True, choices=list(METRICS))
-        p.add_argument("--levels", required=True, help="comma list or start:stop:step")
-        p.add_argument("--t", type=float, help="threshold for net_benefit/brier_loss")
-        p.add_argument("--pi-p", type=float, dest="pi_p", help="positive prevalence")
-        p.add_argument("--input", help="derive the prevalence from this CSV instead")
-        p.add_argument("--csv", dest="csv_path", help="write coefficients CSV")
+    p = sub.add_parser("isometrics", help="constant-metric line coefficients")
+    p.add_argument("--metric", required=True, choices=list(METRICS))
+    p.add_argument("--levels", required=True, help="comma list or start:stop:step")
+    p.add_argument("--t", type=float, help="threshold for net_benefit/brier_loss")
+    p.add_argument("--pi-p", type=float, dest="pi_p", help="positive prevalence")
+    p.add_argument("--input", help="derive the prevalence from this CSV instead")
+    p.add_argument("--csv", dest="csv_path", help="write coefficients CSV")
 
-    if p := command("simulate", "draw a two-Gaussian dataset"):
-        p.add_argument("--n", type=int, default=10000)
-        p.add_argument("--pi-p", type=float, default=0.2, dest="pi_p")
-        p.add_argument("--mu-n", type=float, default=0.4, dest="mu_n")
-        p.add_argument("--sd-n", type=float, default=0.12, dest="sd_n")
-        p.add_argument("--mu-p", type=float, default=0.6, dest="mu_p")
-        p.add_argument("--sd-p", type=float, default=0.12, dest="sd_p")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", required=True, dest="out_path", help="output CSV path")
+    p = sub.add_parser("simulate", help="draw a two-Gaussian dataset")
+    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--pi-p", type=float, default=0.2, dest="pi_p")
+    p.add_argument("--mu-n", type=float, default=0.4, dest="mu_n")
+    p.add_argument("--sd-n", type=float, default=0.12, dest="sd_n")
+    p.add_argument("--mu-p", type=float, default=0.6, dest="mu_p")
+    p.add_argument("--sd-p", type=float, default=0.12, dest="sd_p")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", required=True, dest="out_path", help="output CSV path")
 
     return parser
 
@@ -199,9 +185,7 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """The argparse namespace, with every usage error that the flags show
     refused: the output paths first, then the grid or the levels (a range
     of them is built in numpy) and the isometrics flags."""
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     _check_output_names(args)
     if args.command in ("dca", "compare"):
         args.grid = _threshold_grid(args.grid)
@@ -244,12 +228,20 @@ def _given_outputs(args: argparse.Namespace) -> dict[str, str]:
             if getattr(args, name, None) is not None}
 
 
+def _given_inputs(args: argparse.Namespace) -> dict[str, str]:
+    first = "--input-a" if args.command == "compare" else "--input"
+    inputs = {first: getattr(args, "input", None), "--input-b": getattr(args, "input_b", None)}
+    return {flag: path for flag, path in inputs.items() if path}
+
+
 def _check_output_names(args: argparse.Namespace) -> None:
-    """Refuse an empty output path, or two outputs that are one file (the
-    later file would replace the earlier): one real path, or for paths that
-    exist one device and inode (hard links). Each is a usage error."""
+    """Refuse an empty output path, or an output that is an input file or
+    another output's file (it would replace what the run reads, or the
+    earlier file): one real path, or for paths that exist one device and
+    inode (hard links). Each is a usage error; two inputs may be one file."""
     seen: dict[object, str] = {}
-    for flag, path in _given_outputs(args).items():
+    inputs = _given_inputs(args)
+    for flag, path in [*inputs.items(), *_given_outputs(args).items()]:
         if not path:
             raise UsageError(f"{flag} needs a file path, got an empty one")
         real = os.path.realpath(path)
@@ -258,9 +250,9 @@ def _check_output_names(args: argparse.Namespace) -> None:
             st = os.stat(path)
             keys.append((st.st_dev, st.st_ino))
         for key in keys:
-            if key in seen:
+            if key in seen and flag not in inputs:
                 raise UsageError(f"{seen[key]} and {flag} name the same file {real}")
-        seen.update(dict.fromkeys(keys, flag))
+            seen.setdefault(key, flag)
 
 
 def _check_writable(args: argparse.Namespace) -> None:
@@ -269,12 +261,10 @@ def _check_writable(args: argparse.Namespace) -> None:
     A path write_text replaces needs a writable directory; an existing path
     it writes through (a device, a FIFO, a symlink) needs to be writable.
     """
-    from .output import replaces
-
     for path in _given_outputs(args).values():
         if os.path.isdir(path):
             raise OSError(f"cannot write {path}: it is a directory")
-        if os.path.exists(path) and not replaces(path):
+        if os.path.exists(path) and not output.replaces(path):
             if not os.access(path, os.W_OK):
                 raise OSError(f"cannot write {path}: it is not writable")
             continue
@@ -290,9 +280,7 @@ def _check_writable(args: argparse.Namespace) -> None:
 def _outputs():
     """An Outputs for the files of one run, each reported once all of them
     are in place."""
-    from .output import Outputs
-
-    with Outputs() as out:
+    with output.Outputs() as out:
         yield out
     for path in out.paths:
         print(f"wrote {path}")
@@ -300,9 +288,7 @@ def _outputs():
 
 def _json_report(report: dict):
     """The report's JSON text and a final newline, in chunks for Outputs.add."""
-    from .output import _json_chunks
-
-    return itertools.chain(_json_chunks(report), ["\n"])
+    return itertools.chain(output._json_chunks(report), ["\n"])
 
 
 def _write_or_print(path: str | None, chunks, summary: str | None = None) -> None:
@@ -328,20 +314,15 @@ def _write_curves(args: argparse.Namespace, data, curves: list, plot,
     y range is y_span times the highest point drawn. --json writes the
     command, input, priors and grid, then report's keys, then the curves.
     """
-    from .output import xy_csv
-
     with _outputs() as out:
         if args.csv_path:
-            out.add(args.csv_path, xy_csv(curves))
+            out.add(args.csv_path, output.xy_csv(curves))
         if args.svg_path:
-            from .decision import Curve
-            from .render import PlotSeries, PlotSpec, SeriesStyle, render_svg
-
             title, x_label, y_label, drawn, x_range, (low, high) = plot()
-            series = [PlotSeries(data=Curve._adopt(*c), style=SeriesStyle(**style))
-                      for c, style in drawn]
+            series = [render.PlotSeries(data=decision.Curve._adopt(*c),
+                                        style=render.SeriesStyle(**style)) for c, style in drawn]
             top = max(max(float(s.data.ys.max()) for s in series), 1e-9)
-            out.add(args.svg_path, render_svg(PlotSpec(
+            out.add(args.svg_path, render.render_svg(render.PlotSpec(
                 title=title, x_label=x_label, y_label=y_label, series=series,
                 x_range=x_range, y_range=(low * top, high * top))))
         if report is not None and args.json_path:
@@ -352,16 +333,13 @@ def _write_curves(args: argparse.Namespace, data, curves: list, plot,
 
 
 def _run_dca(args: argparse.Namespace) -> int:
-    from .dataset import read_csv
-    from .decision import baseline_decision_curves, decision_curve, upper_envelope_decision_curve
-    from .roc import convex_hull, operating_points
-
-    data = read_csv(args.input)
-    curves = [decision_curve(data, args.grid, args.scheme)]
-    curves.extend(baseline_decision_curves(data.priors, args.grid, args.scheme))
+    data = dataset.read_csv(args.input)
+    curves = [decision.decision_curve(data, args.grid, args.scheme)]
+    curves.extend(decision.baseline_decision_curves(data.priors, args.grid, args.scheme))
     if args.upper_envelope:
-        hull = convex_hull(operating_points(data))
-        curves.append(upper_envelope_decision_curve(hull, data.priors, args.grid, args.scheme))
+        hull = roc.convex_hull(roc.operating_points(data))
+        curves.append(decision.upper_envelope_decision_curve(hull, data.priors, args.grid,
+                                                             args.scheme))
     model = curves[0]
     peak = int(model.ys.argmax())
     print(f"model net benefit peaks at t={float(model.xs[peak]):.6g} "
@@ -377,14 +355,10 @@ def _run_dca(args: argparse.Namespace) -> int:
 
 
 def _run_cost(args: argparse.Namespace) -> int:
-    from .cost import baseline_cost_curves, cost_lines, lower_envelope
-    from .dataset import read_csv
-    from .roc import convex_hull, operating_points
-
-    data = read_csv(args.input)
-    hull = convex_hull(operating_points(data))
-    env = lower_envelope(hull, data.priors, args.grid)
-    all_positive, all_negative = baseline_cost_curves(data.priors, args.grid)
+    data = dataset.read_csv(args.input)
+    hull = roc.convex_hull(roc.operating_points(data))
+    env = cost.lower_envelope(hull, data.priors, args.grid)
+    all_positive, all_negative = cost.baseline_cost_curves(data.priors, args.grid)
     print(f"lower envelope peaks at {float(env.ys.max()):.6g} "
           f"over {hull.tp.size} hull points")
     grey = {"color": "#b0b0b0", "width": 1.0}
@@ -392,19 +366,16 @@ def _run_cost(args: argparse.Namespace) -> int:
         "Cost curves", "cost proportion c", "normalized expected loss",
         [(env, {"width": 2.4}), (all_positive, {"dash": "6,3"}), (all_negative, {"dash": "2,3"}),
          *(((line.xs, line.ys, "hull point cost lines"), grey)
-           for line in cost_lines(hull, data.priors))],
+           for line in cost.cost_lines(hull, data.priors))],
         (0.0, 1.0), (0.0, 1.06)))
     return EXIT_OK
 
 
 def _run_brier(args: argparse.Namespace) -> int:
-    from .cost import baseline_cost_curves, loss_decomposition
-    from .dataset import read_csv
-
-    data = read_csv(args.input)
-    dec = loss_decomposition(data, args.grid)
+    data = dataset.read_csv(args.input)
+    dec = cost.loss_decomposition(data, args.grid)
     curves = [dec.brier_curve, dec.lower_envelope,
-              *baseline_cost_curves(data.priors, args.grid)]
+              *cost.baseline_cost_curves(data.priors, args.grid)]
     print(f"brier_score={dec.brier_score:.6f} refinement={dec.refinement:.6f} "
           f"calibration={dec.calibration:.6f}")
     styles = {"brier": {"width": 2.0}, "lower_envelope": {"width": 2.0},
@@ -419,12 +390,9 @@ def _run_brier(args: argparse.Namespace) -> int:
 
 
 def _run_roc(args: argparse.Namespace) -> int:
-    from .dataset import read_csv
-    from .roc import convex_hull, operating_points
-
-    data = read_csv(args.input)
-    curve = operating_points(data)
-    hull = convex_hull(curve)
+    data = dataset.read_csv(args.input)
+    curve = roc.operating_points(data)
+    hull = roc.convex_hull(curve)
     print(f"{curve.tp.size} operating points, {hull.tp.size} on the hull, "
           f"hull area {hull.auc():.6f}")
     points = (curve.fprs, curve.tprs, "points")
@@ -439,19 +407,14 @@ def _run_roc(args: argparse.Namespace) -> int:
 
 
 def _run_score(args: argparse.Namespace) -> int:
-    from .cost import loss_decomposition
-    from .dataset import read_csv
-    from .decision import ThresholdGrid
-    from .output import json_text
-
-    data = read_csv(args.input)
-    dec = loss_decomposition(data, ThresholdGrid.cost_default())
+    data = dataset.read_csv(args.input)
+    dec = cost.loss_decomposition(data, decision.ThresholdGrid.cost_default())
     report = {"command": "score", "input": args.input, "n": data.n,
               "priors": {"pi_p": data.pi_p, "pi_n": data.pi_n},
               "brier_score": dec.brier_score,
               "refinement_loss": dec.refinement,
               "calibration_loss": dec.calibration}
-    text = json_text(report)
+    text = output.json_text(report)
     print(text)
     if args.json_path:
         with _outputs() as out:
@@ -460,15 +423,13 @@ def _run_score(args: argparse.Namespace) -> int:
 
 
 def _run_compare(args: argparse.Namespace) -> int:
-    from .dataset import read_csv
-    from .output import Records
-    from .relations import compare_models
-
-    report = compare_models(read_csv(args.input), read_csv(args.input_b), args.grid)
+    report = relations.compare_models(dataset.read_csv(args.input),
+                                      dataset.read_csv(args.input_b), args.grid)
     # per_t as columns: one JSON object a grid point, written without a dict a row
-    per_t = Records({"t": args.grid.values, "nb_a": report.nb_a, "nb_b": report.nb_b,
-                     "bc_a": report.bc_a, "bc_b": report.bc_b, "delta_nb": report.delta_nb,
-                     "delta_bc": report.delta_bc, "agree": report.agree})
+    per_t = output.Records({"t": args.grid.values, "nb_a": report.nb_a, "nb_b": report.nb_b,
+                            "bc_a": report.bc_a, "bc_b": report.bc_b,
+                            "delta_nb": report.delta_nb, "delta_bc": report.delta_bc,
+                            "agree": report.agree})
     _write_or_print(args.json_path, _json_report({
         "priors": {"pi_p": report.priors.pi_p, "pi_n": report.priors.pi_n},
         "grid": args.grid.values, "per_t": per_t, "agree_at_all_t": report.agree_at_all_t}),
@@ -479,30 +440,24 @@ def _run_compare(args: argparse.Namespace) -> int:
 def _run_isometrics(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .dataset import Priors, read_csv
-    from .isometrics import isometric_lines
-    from .output import rows
-
     if args.input is not None:
-        priors = read_csv(args.input).priors
+        priors = dataset.read_csv(args.input).priors
     else:
-        priors = Priors(pi_p=args.pi_p, pi_n=1.0 - args.pi_p)
+        priors = dataset.Priors(pi_p=args.pi_p, pi_n=1.0 - args.pi_p)
     levels = np.array(args.levels, dtype=np.float64)
-    gradient, intercepts = isometric_lines(args.metric, levels, priors, args.t)
+    gradient, intercepts = isometrics.isometric_lines(args.metric, levels, priors, args.t)
     t_text = "" if args.t is None else repr(float(args.t))
-    _write_or_print(args.csv_path, itertools.chain(["metric,level,t,gradient,intercept\n"], rows(
-        [levels, np.full(levels.size, gradient), intercepts],
-        [args.metric + ",", "," + t_text + ",", ",", "\n"])))
+    table = output.rows([levels, np.full(levels.size, gradient), intercepts],
+                        [args.metric + ",", "," + t_text + ",", ",", "\n"])
+    _write_or_print(args.csv_path, itertools.chain(["metric,level,t,gradient,intercept\n"], table))
     return EXIT_OK
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
-    from .dataset import SimulationSpec, simulate_gaussian, write_csv
-
-    spec = SimulationSpec(n=args.n, pi_p=args.pi_p, mu_n=args.mu_n, sigma_n=args.sd_n,
-                          mu_p=args.mu_p, sigma_p=args.sd_p, seed=args.seed)
-    data = simulate_gaussian(spec)
-    write_csv(data, args.out_path)
+    spec = dataset.SimulationSpec(n=args.n, pi_p=args.pi_p, mu_n=args.mu_n, sigma_n=args.sd_n,
+                                  mu_p=args.mu_p, sigma_p=args.sd_p, seed=args.seed)
+    data = dataset.simulate_gaussian(spec)
+    dataset.write_csv(data, args.out_path)
     print(f"wrote {args.out_path} ({data.n} samples, {data.n_p} positive, seed {args.seed})")
     return EXIT_OK
 

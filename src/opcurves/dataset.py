@@ -160,7 +160,8 @@ class Dataset:
                 and np.array_equal(self._labels, other._labels))
 
     def __hash__(self) -> int:
-        return hash((self._scores.tobytes(), self._labels.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which == takes for equal
+        return hash(((self._scores + 0.0).tobytes(), self._labels.tobytes()))
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, n_p={self.n_p}, n_n={self.n_n})"

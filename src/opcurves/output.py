@@ -42,7 +42,6 @@ import numpy as np
 from ._exact import POW10, times_pow10
 
 _INDENT = "  "
-_INF = float("inf")
 _CHUNK = 1 << 15  # rows times columns a chunk, so its frame stays near 1 MB
 
 
@@ -55,14 +54,6 @@ class Records:
         if len(sizes) != 1 or len(next(iter(sizes))) != 1:
             raise ValueError("records need at least one column, all 1-d and of one length")
         self.columns = columns
-
-
-def _float_text(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == _INF or v == -_INF:
-        return "Infinity" if v > 0 else "-Infinity"
-    return float.__repr__(v)
 
 
 @functools.cache  # built on first use, so a run that writes no array never holds it
@@ -345,7 +336,7 @@ def _array_items(columns: list[np.ndarray], pieces: list[str],
             raise TypeError(f"arrays of dtype {column.dtype} are not JSON serializable")
     sep = ",\n" + _INDENT * (level + 1)
     pieces = [*pieces[:-1], pieces[-1] + sep]
-    return ([chunk[:-len(sep)]] for chunk in rows(columns, pieces, _float_text))
+    return ([chunk[:-len(sep)]] for chunk in rows(columns, pieces, json.dumps))
 
 
 def _records_items(rec: Records, level: int) -> Iterator[list[str]]:

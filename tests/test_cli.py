@@ -1,3 +1,4 @@
+import ast
 import errno
 import gc
 import json
@@ -499,6 +500,37 @@ class TestOutputs:
         assert first.read_text(encoding="utf-8") == "old"
         assert os.stat(first).st_ino == os.stat(second).st_ino
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["score", "--input", "{a}", "--json", "{a}"], ("--input", "--json")),
+        (["dca", "--input", "{a}", "--csv", "{a}"], ("--input", "--csv")),
+        (["compare", "--input-a", "{a}", "--input-b", "{b}", "--json", "{b}"],
+         ("--input-b", "--json")),
+        (["compare", "--input-a", "{a}", "--input-b", "{a}", "--json", "{a}"],
+         ("--input-a", "--json")),
+        (["isometrics", "--input", "{a}", "--metric", "accuracy", "--levels", "0.5",
+          "--csv", "{a}"], ("--input", "--csv")),
+        (["roc", "--input", "{a}", "--svg", "{link}"], ("--input", "--svg")),
+    ], ids=["score", "dca", "compare-b", "compare-a", "isometrics", "hard-link"])
+    def test_an_output_that_is_an_input_is_usage_error(self, toy_csv, tmp_path, capsys,
+                                                      argv, flags):
+        b, link = tmp_path / "b.csv", tmp_path / "link.svg"
+        b.write_bytes(Path(toy_csv).read_bytes())
+        os.link(toy_csv, link)
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = [arg.format(a=toy_csv, b=b, link=link) for arg in argv]
+        assert main(argv) == 1
+        real = os.path.realpath(argv[-1])
+        assert capsys.readouterr() == (
+            "", f"error: {flags[0]} and {flags[1]} name the same file {real}\n")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_an_output_that_is_an_input_is_refused_before_numpy_loads(self, toy_csv):
+        child = ("import sys; from opcurves.cli import main\n"
+                 "assert main(sys.argv[1:]) == 1 and 'numpy' not in sys.modules")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        subprocess.run([sys.executable, "-c", child, "score", "--input", toy_csv,
+                        "--json", toy_csv], env=env, capture_output=True, check=True, timeout=60)
+
     def test_output_path_that_is_a_directory(self, toy_csv, tmp_path, capsys):
         assert main(["roc", "--input", toy_csv, "--csv", str(tmp_path)]) == 2
         assert "is a directory" in capsys.readouterr().err
@@ -655,6 +687,19 @@ def test_each_command_loads_only_the_modules_it_runs(toy_csv, tmp_path, argv, co
     assert got_code == code
     want = sorted({f"opcurves.{m}" for m in modules | {"cli"}} | ({"numpy"} if modules else set()))
     assert ran == want
+
+
+def test_no_function_imports_a_module_of_the_package():
+    # cli reads the library through the package's lazy submodules, bound once
+    # at its top; a function may import numpy, which is not one of them
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    functions = [n for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    imports = [n for fn in functions for n in ast.walk(fn)
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    names = [alias.name if isinstance(node, ast.Import) else "." * node.level + (node.module or "")
+             for node in imports for alias in node.names]
+    assert names and all(name.split(".")[0] == "numpy" for name in names), names
 
 
 def test_import_registers_every_module_the_tracer_wraps():
@@ -850,6 +895,60 @@ def test_a_run_without_the_collector_leaves_no_array_in_a_cycle(tmp_path, capsys
     assert held == []
 
 
+# the commands as the invalid-choice message lists them: some Python releases'
+# argparse writes each choice with repr(), others with str()
+_CHOICES = ", ".join(f"'?{name}'?" for name in cli._HANDLERS)
+_TOP_HELP = """\
+usage: opcurves [-h]
+                {dca,cost,brier,roc,score,compare,isometrics,simulate} ...
+
+Evaluate binary classifiers across operating conditions.
+
+positional arguments:
+  {dca,cost,brier,roc,score,compare,isometrics,simulate}
+    dca                 decision curves with baselines
+    cost                cost lines and their lower envelope
+    brier               Brier curve, envelope and loss decomposition
+    roc                 operating points and convex hull
+    score               Brier score and its decomposition as JSON
+    compare             two models at every threshold, both spaces
+    isometrics          constant-metric line coefficients
+    simulate            draw a two-Gaussian dataset
+
+options:
+  -h, --help            show this help message and exit
+"""
+_DCA_HELP = """\
+usage: opcurves dca [-h] --input INPUT [--grid GRID]
+                    [--scheme {dca,brier_scaled}] [--upper-envelope]
+                    [--csv CSV_PATH] [--svg SVG_PATH] [--json JSON_PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --input INPUT         score,label CSV file
+  --grid GRID           threshold grid (default 0:0.99:0.005)
+  --scheme {dca,brier_scaled}
+  --upper-envelope      include the best-attainable envelope
+  --csv CSV_PATH        write curves as x,y,series CSV
+  --svg SVG_PATH        write an SVG plot
+  --json JSON_PATH      write a JSON report
+"""
+_ISOMETRICS_HELP = """\
+usage: opcurves isometrics [-h] --metric {accuracy,net_benefit,brier_loss}
+                           --levels LEVELS [--t T] [--pi-p PI_P]
+                           [--input INPUT] [--csv CSV_PATH]
+
+options:
+  -h, --help            show this help message and exit
+  --metric {accuracy,net_benefit,brier_loss}
+  --levels LEVELS       comma list or start:stop:step
+  --t T                 threshold for net_benefit/brier_loss
+  --pi-p PI_P           positive prevalence
+  --input INPUT         derive the prevalence from this CSV instead
+  --csv CSV_PATH        write coefficients CSV
+"""
+
+
 class TestUsage:
     def test_python_m_opcurves_exit_codes(self, tmp_path):
         # the console entry point: the process exit code is main's
@@ -936,28 +1035,28 @@ class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 1
 
-    @pytest.mark.parametrize("argv", [["--help"], ["dca", "--help"], ["bogus"], ["dca"], [],
-                                      ["--help", "dca"], ["isometrics", "--help"],
-                                      ["simulate", "--out"], ["-x", "score"]])
-    def test_help_and_usage_errors_read_as_with_every_argument_built(self, capsys, argv):
-        # a run builds only the arguments of the command it names; what it
-        # prints and its exit code are those of the parser that has them all
+    @pytest.mark.parametrize("argv, code, out, err", [
+        (["--help"], 0, _TOP_HELP, ""),
+        (["dca", "--help"], 0, _DCA_HELP, ""),
+        (["bogus"], 1, "", re.compile(r"error: argument command: invalid choice: 'bogus' "
+                                      r"\(choose from " + _CHOICES + r"\)\n")),
+        (["dca"], 1, "", "error: the following arguments are required: --input\n"),
+        ([], 1, "", "error: the following arguments are required: command\n"),
+        (["--help", "dca"], 0, _TOP_HELP, ""),
+        (["isometrics", "--help"], 0, _ISOMETRICS_HELP, ""),
+        (["simulate", "--out"], 1, "", "error: argument --out: expected one argument\n"),
+        (["-x", "score"], 1, "", "error: the following arguments are required: --input\n"),
+    ], ids=[f"argv{i}" for i in range(9)])
+    def test_help_and_usage_errors_read_as_with_every_argument_built(self, monkeypatch, capsys,
+                                                                     argv, code, out, err):
+        # every command's arguments are built on every run, so this pins --help and the
+        # parser's own messages
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
         got = main(argv), *capsys.readouterr()
-        build = cli._build_parser
-        with mock.patch.object(cli, "_build_parser", lambda _: build([])):
-            assert got == (main(argv), *capsys.readouterr())
-
-    def test_only_the_named_command_gets_its_arguments(self):
-        def options(argv):
-            (commands,) = cli._build_parser(argv)._subparsers._group_actions
-            return {name: len(p._actions) - 1 for name, p in commands.choices.items()}
-
-        every = options([])
-        assert list(every) == list(cli._HANDLERS) and min(every.values()) > 0
-        assert options(["bogus"]) == options(["--help"]) == every
-        for name in every:
-            assert options(["--help", name, "--input", "x"]) == {
-                n: every[n] if n == name else 0 for n in every}
+        if isinstance(err, re.Pattern):
+            assert err.fullmatch(got[2]), got[2]
+            err = got[2]
+        assert got == (code, out, err)
 
     def test_idempotent_outputs(self, toy_csv, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

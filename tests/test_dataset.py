@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError,
-                      Priors, SimulationSpec, SimulationSpecError, simulate_gaussian, write_csv)
+                      Priors, SimulationSpec, SimulationSpecError, read_csv, simulate_gaussian,
+                      write_csv)
 from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_bytes, _from_csv_rows
 from helpers import from_csv, make_random, text_lines, to_csv
 
@@ -33,6 +34,16 @@ def test_equality_and_hash(toy):
     assert hash(toy) == hash(twin)
     other = Dataset(np.array([0.1, 0.9]), np.array([0, 1]))
     assert toy != other
+
+
+def test_a_negative_zero_score_hashes_as_zero(tmp_path):
+    # -0.0 is a valid score and == 0.0, so the datasets are equal and one set member
+    minus, plus = tmp_path / "minus.csv", tmp_path / "plus.csv"
+    minus.write_text("score,label\n-0.0,0\n0.5,1\n", encoding="utf-8")
+    plus.write_text("score,label\n0.0,0\n0.5,1\n", encoding="utf-8")
+    a, b = read_csv(str(minus)), read_csv(str(plus))
+    assert np.signbit(a.scores[0]) and not np.signbit(b.scores[0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
 
 
 def test_rejects_empty():
