@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
+import stat
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -85,26 +87,31 @@ class Dataset:
 
     def __init__(self, scores: Sequence[float] | np.ndarray,
                  labels: Sequence[int] | np.ndarray, *, _owned: bool = False) -> None:
-        # _owned: float64 and int64 arrays that nothing else holds, taken
+        # _owned: a float64 and an int8 array that nothing else holds, taken
         # without the copy that keeps a caller's arrays apart from these
-        take = np.asarray if _owned else np.array
-        scores = take(scores, dtype=np.float64)
-        labels = take(labels, dtype=np.int64)
-        if scores.ndim != 1 or labels.ndim != 1 or scores.shape != labels.shape:
+        scores = (np.asarray if _owned else np.array)(scores, dtype=np.float64)
+        given = np.asarray(labels)
+        if scores.ndim != 1 or given.ndim != 1 or scores.shape != given.shape:
             raise DatasetError("scores and labels must be 1-d and equal length")
         if scores.size == 0:
             raise EmptyInputError("dataset has no samples")
-        if not np.all(np.isfinite(scores)) or scores.min() < 0.0 or scores.max() > 1.0:
+        if not (scores.min() >= 0.0 and scores.max() <= 1.0):  # false for a NaN too
             raise DatasetError("scores must be finite and within [0, 1]")
-        if not np.all((labels == NEGATIVE) | (labels == POSITIVE)):
+        # checked as given, before a cast could wrap a label into 0 or 1
+        if not np.all((given == NEGATIVE) | (given == POSITIVE)):
             raise DatasetError("labels must be 0 or 1")
-        n_p = int(np.count_nonzero(labels))
+        labels = given.astype(np.int8, copy=not _owned)
+        positive = labels.view(np.bool_)  # the labels are 0 or 1
+        n_p = int(np.count_nonzero(positive))
         if n_p == 0 or n_p == scores.size:
             raise DegenerateClassError("dataset must contain both classes")
+        # gathered copies of our own, sorted where they are
+        self._pos_sorted = scores[positive]
+        self._neg_sorted = scores[~positive]
+        self._pos_sorted.sort()
+        self._neg_sorted.sort()
         self._scores = scores
         self._labels = labels
-        self._pos_sorted = np.sort(scores[labels == POSITIVE])
-        self._neg_sorted = np.sort(scores[labels == NEGATIVE])
         for arr in (self._scores, self._labels, self._pos_sorted, self._neg_sorted):
             arr.flags.writeable = False
 
@@ -226,16 +233,27 @@ def _csv_chunks(data: Dataset) -> Iterator[str]:
 def read_csv(path: str) -> Dataset:
     """Read a `score,label` CSV file into a Dataset.
 
-    The file is read as bytes once and decoded by _from_csv_bytes. Any file
-    it refuses must be UTF-8, or ParseError names the line and the byte
-    before any row error; then its lines are decoded one at a time, as
-    open(path, encoding="utf-8-sig") reads them, for _from_csv_rows.
+    A regular file is read in pieces and decoded by _from_csv_file, and
+    read again whole if it refuses it; any other file (a pipe, a FIFO), or
+    one whose size reads 0, is read whole once and decoded from its bytes.
+    Bytes the decoder refuses must be UTF-8, or ParseError names the line
+    and the byte before any row error; then their lines are decoded one at
+    a time, as open(path, encoding="utf-8-sig") reads them, for
+    _from_csv_rows.
     """
+    raw = None
     with open(path, "rb") as fh:
-        raw = fh.read()
-    data = _from_csv_bytes(raw)
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size > 0:
+            data = _from_csv_file(fh, st.st_size)
+        else:  # no size bounds the rows, and the bytes can be read only once
+            raw = fh.read()
+            data = _from_csv_file(io.BytesIO(raw), len(raw))
     if data is not None:
         return data
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
     lo = 0  # checked by pieces that end at a newline, which no character spans
     while lo < len(raw):
         hi = raw.find(b"\n", lo + _PIECE_BYTES) + 1 or len(raw)
@@ -250,58 +268,79 @@ def read_csv(path: str) -> Dataset:
     return _from_csv_rows(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig"))
 
 
-_PIECE_BYTES = 1 << 17  # bytes decoded at a time; the byte decoder's first piece is 1 KB
+_PIECE_BYTES = 1 << 17  # bytes read and decoded at a time; the byte decoder's first piece is 1 KB
 _WIDEST = 25  # the widest field decoded, as "%.18e" writes a score below 1e-99
 _M_LIMIT = 1 << 58  # the digits form m < 2**58, so m * 10 + 9 fits in an int64
 _EXACT = 1 << 53  # every integer up to this is a double
 _DOUBT = 2.0 ** -20  # rows whose correction lies this near a rounding tie are re-read
-# a line's last byte to its label, as _LABEL_TOKENS reads it; 255 for a
+# a line's last byte to its label, as _LABEL_TOKENS reads it; -1 for a
 # byte that is no label
-_LABEL_BYTES = np.full(256, 255, dtype=np.uint8)
+_LABEL_BYTES = np.full(256, -1, dtype=np.int8)
 _LABEL_BYTES[list(b"0nN")] = NEGATIVE
 _LABEL_BYTES[list(b"1pP")] = POSITIVE
 
 
-def _from_csv_bytes(raw: bytes) -> Dataset | None:
-    """The Dataset of a file whose header passes _plain_header and whose body
-    lines are all `<field>,<label>`, the label one byte of 0, 1, N, P, n or
-    p, ended by LF or CRLF (the last one optional), or None. A field is 1 to
-    24 bytes of ASCII digits and at most one dot, whose digits form an
-    integer m < 2**58 with f <= 22 digits after the dot, decoded as
-    m / 10**f; or 1 to 25 bytes of digits, dots and a sign or an exponent
-    (`+`, `-`, `e`, `E`), read by float(), as "%.18e" writes a score below
-    1e-99 in 25. _decode_lines gives every score bit for bit as float()
-    reads it, so _from_csv_rows reads the file to the same Dataset."""
-    body = raw.find(b"\n") + 1
-    if not body:
+def _from_csv_file(fh: BinaryIO, size: int) -> Dataset | None:
+    """The Dataset of a file of `size` bytes, read from fh, whose header
+    passes _plain_header and whose body lines are all `<field>,<label>`, the
+    label one byte of 0, 1, N, P, n or p, ended by LF or CRLF (the last one
+    optional), or None. A field is 1 to 24 bytes of ASCII digits and at most
+    one dot, whose digits form an integer m < 2**58 with f <= 22 digits
+    after the dot, decoded as m / 10**f; or 1 to 25 bytes of digits, dots
+    and a sign or an exponent (`+`, `-`, `e`, `E`), read by float(), as
+    "%.18e" writes a score below 1e-99 in 25. _decode_lines gives every
+    score bit for bit as float() reads it, so _from_csv_rows reads the file
+    to the same Dataset.
+
+    The body is read in pieces of at most _PIECE_BYTES into one buffer, and
+    each piece's whole lines are decoded into arrays sized for the most
+    rows the file can hold (a line of at least 4 bytes but the last), which
+    are cut to the rows read at the end; pages of them never written are
+    never mapped."""
+    line = fh.readline()
+    if not line.endswith(b"\n"):
         return None
-    header = raw[:body - 1].removesuffix(b"\r")
+    header = line[:-1].removesuffix(b"\r")
     try:
         if b"\r" in header or not _plain_header(header.decode("utf-8")):
             return None
     except UnicodeDecodeError:
         return None
-    crlf = raw.find(b"\r", body) >= 0
-    buf = np.frombuffer(raw, dtype=np.uint8)
     widest = min(_WIDEST, csv.field_size_limit())
-    scores = labels = None
-    row = 0
-    # the first piece is small, so a file of long scores is refused early
-    lo, size = body, 1 << 10
-    while lo < len(raw):
-        hi = raw.find(b"\n", lo + size) + 1 or len(raw)
-        part = _decode_lines(buf[lo:hi], widest, crlf)
-        if part is None:
+    most = max(size - len(line), 0) // 4 + 1
+    scores, labels = np.empty(most), np.empty(most, dtype=np.int8)
+    buf = bytearray(_PIECE_BYTES)
+    view, a = memoryview(buf), np.frombuffer(buf, dtype=np.uint8)
+    row = held = 0  # held: the bytes of an unended line, at the front of buf
+    piece = 1 << 10  # the first piece is small, so a file of long scores is refused early
+    while True:
+        got = fh.readinto(view[held:piece])
+        end = held + got
+        stop = buf.rfind(b"\n", 0, end) + 1 if got else end  # the whole lines
+        if not stop:
+            if not end:
+                break
+            if end == piece:  # a line longer than a piece
+                return None
+            held = end
+            continue
+        part = _decode_lines(a[:stop], widest, buf.find(b"\r", 0, stop) >= 0)
+        if part is None or row + part[0].size > most:
             return None
-        if scores is None:
-            n = np.count_nonzero(buf[body:] == 10) + (raw[-1] != 10)
-            scores, labels = np.empty(n), np.empty(n, dtype=np.int64)
         rows = part[0].size
         scores[row:row + rows], labels[row:row + rows] = part
         row += rows
-        lo, size = hi, _PIECE_BYTES
+        held = end - stop
+        a[:held] = a[stop:end]
+        piece = _PIECE_BYTES
+        if not got:
+            break
+    if not row:
+        return None
+    scores.resize(row, refcheck=False)
+    labels.resize(row, refcheck=False)
     try:
-        return None if scores is None else Dataset(scores, labels, _owned=True)
+        return Dataset(scores, labels, _owned=True)
     except DatasetError:
         return None
 
@@ -309,7 +348,7 @@ def _from_csv_bytes(raw: bytes) -> Dataset | None:
 def _decode_lines(a: np.ndarray, widest: int,
                   crlf: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
     """Scores and labels of the lines in the bytes a, or None unless each is
-    a field _from_csv_bytes takes, of at most `widest` bytes (24 for a
+    a field _from_csv_file takes, of at most `widest` bytes (24 for a
     decimal field), then a comma and a one-byte label (0, 1, N, P, n or p),
     ended by LF, by CRLF when `crlf`, or by the end of a. The scores are
     float() of the fields, bit for bit.
@@ -344,7 +383,7 @@ def _decode_lines(a: np.ndarray, widest: int,
     dots = np.count_nonzero(a == 46)
     # one comma a line, left of a 0/1/N/P label: every other byte is a
     # digit, a dot, or a sign or an exponent of a field float() reads
-    if (width.min() < 1 or width.max() > widest or np.any(labels > 1)
+    if (width.min() < 1 or width.max() > widest or labels.min() < 0
             or np.count_nonzero(a == 44) != ends.size or np.any(a[comma] != 44)):
         return None
     # bytes of no class counted here must be signs or exponents; so must any
@@ -468,8 +507,9 @@ def simulate_gaussian(spec: SimulationSpec) -> Dataset:
     if n_p < 1 or n_n < 1:
         raise SimulationSpecError("requested prevalence rounds one class to zero samples")
     rng = np.random.default_rng(spec.seed)
-    neg = np.clip(rng.normal(spec.mu_n, spec.sigma_n, n_n), 0.0, 1.0)
-    pos = np.clip(rng.normal(spec.mu_p, spec.sigma_p, n_p), 0.0, 1.0)
-    scores = np.concatenate([neg, pos])
-    labels = np.concatenate([np.full(n_n, NEGATIVE), np.full(n_p, POSITIVE)])
-    return Dataset(scores, labels)
+    scores = np.concatenate([rng.normal(spec.mu_n, spec.sigma_n, n_n),
+                             rng.normal(spec.mu_p, spec.sigma_p, n_p)])
+    np.clip(scores, 0.0, 1.0, out=scores)
+    labels = np.zeros(spec.n, dtype=np.int8)
+    labels[n_n:] = POSITIVE
+    return Dataset(scores, labels, _owned=True)

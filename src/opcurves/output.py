@@ -229,7 +229,9 @@ def _column_words(column: np.ndarray, fallback: Callable[[float], str]) -> np.nd
     if kind in "iu":
         if column.size and (column.min() < 0 or column.max() >= 10**4):
             raise ValueError("integer columns must lie in [0, 10000)")
-        return _digit_words()[_LEAD1 + column][:, None]
+        # a slice of the table, indexed by the column as it is: _LEAD1 + column
+        # would not fit a narrow integer dtype
+        return _digit_words()[_LEAD1:_LEAD1 + 10**4][column][:, None]
     values = np.ascontiguousarray(column, dtype=np.float64)
     bits = values.view(np.int64)
     heads = np.empty(values.size, dtype=bool)

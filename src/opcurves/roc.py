@@ -55,24 +55,25 @@ class RocCurve:
     Every field is a read-only array over the points, or a scalar.
     thresholds is NaN where a point has none (the (0, 0) anchor). The
     points carry integer tp and fp counts over the class totals n_p and
-    n_n, and their rates are fprs = fp / n_n and tprs = tp / n_p. `points`
-    builds an OperatingPoint only for the entries a caller reads.
+    n_n, and their rates are fprs = fp / n_n and tprs = tp / n_p, derived
+    on first read and kept. `points` builds an OperatingPoint only for the
+    entries a caller reads.
     """
 
     thresholds: np.ndarray
-    fprs: np.ndarray
-    tprs: np.ndarray
     tp: np.ndarray
     fp: np.ndarray
     n_p: int
     n_n: int
     is_hull: bool
+    _fprs: np.ndarray | None
+    _tprs: np.ndarray | None
 
     def __init__(self, thresholds, tp, fp, n_p: int, n_n: int, is_hull: bool = False) -> None:
         """The curve through the points of the given thresholds (NaN for
-        none) and integer counts, the rates from the counts. The curve holds
-        read-only copies of thresholds, tp and fp, so no array of the
-        caller's, or view of one, can move a point after the checks."""
+        none) and integer counts. The curve holds read-only copies of
+        thresholds, tp and fp, so no array of the caller's, or view of one,
+        can move a point after the checks."""
         self._hold(np.array(thresholds, dtype=np.float64), np.array(tp, dtype=np.int64),
                    np.array(fp, dtype=np.int64), n_p, n_n, is_hull)
 
@@ -87,13 +88,33 @@ class RocCurve:
         return curve
 
     def _hold(self, thresholds, tp, fp, n_p, n_n, is_hull) -> None:
-        fields = {"thresholds": thresholds, "fprs": fp / n_n, "tprs": tp / n_p,
-                  "tp": tp, "fp": fp, "n_p": n_p, "n_n": n_n, "is_hull": bool(is_hull)}
+        fields = {"thresholds": thresholds, "tp": tp, "fp": fp, "n_p": n_p, "n_n": n_n,
+                  "is_hull": bool(is_hull), "_fprs": None, "_tprs": None}
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
         self._validate()
+
+    def __reduce__(self):
+        # rebuilt through the checks, so the copy's arrays are read-only too
+        return RocCurve, (self.thresholds, self.tp, self.fp, self.n_p, self.n_n, self.is_hull)
+
+    def _rate(self, name: str, counts: np.ndarray, total: int) -> np.ndarray:
+        rate = getattr(self, name)
+        if rate is None:
+            rate = counts / total
+            rate.flags.writeable = False
+            object.__setattr__(self, name, rate)
+        return rate
+
+    @property
+    def fprs(self) -> np.ndarray:
+        return self._rate("_fprs", self.fp, self.n_n)
+
+    @property
+    def tprs(self) -> np.ndarray:
+        return self._rate("_tprs", self.tp, self.n_p)
 
     def _take(self, idx: np.ndarray, is_hull: bool) -> RocCurve:
         """The curve through the points at the given indices."""
@@ -101,20 +122,25 @@ class RocCurve:
                                self.n_p, self.n_n, is_hull)
 
     def _validate(self) -> None:
-        x, y = self.fprs, self.tprs
+        """The checks on the integer counts. Over class totals below 2**52
+        they refuse what the same checks on the rates would refuse, with the
+        same messages: dividing by a positive total keeps the order of the
+        counts, and distinct counts in [0, total] stay distinct rates."""
+        x, y = self.fp, self.tp
+        if self.n_p < 1 or self.n_n < 1:
+            raise ValueError("a curve needs at least one sample of each class")
         if not 2 <= x.size == y.size == self.thresholds.size:
             raise ValueError("a curve needs one threshold, tp and fp a point, and "
                              "at least the (0, 0) and (1, 1) anchors")
-        if (x[0], y[0]) != (0.0, 0.0):
+        if x[0] != 0 or y[0] != 0:
             raise ValueError("curve must start at (0, 0)")
-        if (x[-1], y[-1]) != (1.0, 1.0):
+        if x[-1] != self.n_n or y[-1] != self.n_p:
             raise ValueError("curve must end at (1, 1)")
         dx, dy = np.diff(x), np.diff(y)
-        if not np.all((dx > 0.0) | ((dx == 0.0) & (dy > 0.0))):
+        if not np.all((dx > 0) | ((dx == 0) & (dy > 0))):
             raise ValueError("points must strictly increase in (fpr, tpr) order")
         if self.is_hull:
-            kx, ky = self.fp, self.tp
-            ox, oy, ax, ay, bx, by = kx[:-2], ky[:-2], kx[1:-1], ky[1:-1], kx[2:], ky[2:]
+            ox, oy, ax, ay, bx, by = x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]
             if np.any((ax - ox) * (by - oy) - (ay - oy) * (bx - ox) >= 0):
                 raise ValueError("hull points must be in strictly convex position")
 

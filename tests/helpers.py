@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
                       loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
 from opcurves.dataset import (_LABEL_TOKENS, CSV_HEADER, EmptyInputError, ParseError,
-                              _csv_chunks, _from_csv_bytes, _from_csv_rows)
+                              _csv_chunks, _from_csv_file, _from_csv_rows)
 from opcurves.roc import _line
 
 # Nine samples with a tie at 0.70 and a miscalibrated top score; small
@@ -54,13 +54,18 @@ def to_csv(data: Dataset) -> str:
     return "".join(_csv_chunks(data))
 
 
+def from_csv_bytes(raw: bytes) -> Dataset | None:
+    """The byte decoder's Dataset of a file holding the bytes raw, or None."""
+    return _from_csv_file(io.BytesIO(raw), len(raw))
+
+
 def from_csv(text: str) -> Dataset:
     """The Dataset of `score,label` CSV text, through read_csv's two paths:
     the byte decoder on the text's UTF-8 bytes, then, for any text it
     refuses (or that has no UTF-8 form, as a lone surrogate), the row
     parser."""
     try:
-        data = _from_csv_bytes(text.encode("utf-8"))
+        data = from_csv_bytes(text.encode("utf-8"))
     except UnicodeEncodeError:
         data = None
     return data if data is not None else _from_csv_rows(text_lines(text))
@@ -141,6 +146,44 @@ def operating_points_oracle(data: Dataset) -> tuple[tuple, ...]:
     fp = data.n_n - np.searchsorted(data.negative_scores, distinct, side="left")
     return ((None, 0, 0),) + tuple((float(t), int(tpk), int(fpk))
                                    for t, tpk, fpk in zip(distinct, tp, fp))
+
+
+def sorted_classes_oracle(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The positive and the negative scores, each sorted by np.sort of a
+    boolean-mask gather: what Dataset's positive_scores and
+    negative_scores must equal bit for bit, signed zeros included."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    return np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
+
+
+def assert_sorted_classes(data: Dataset) -> None:
+    """data's sorted class arrays are sorted_classes_oracle's, bit for bit."""
+    pos, neg = sorted_classes_oracle(data.scores, data.labels)
+    assert data.positive_scores.view(np.int64).tolist() == pos.view(np.int64).tolist()
+    assert data.negative_scores.view(np.int64).tolist() == neg.view(np.int64).tolist()
+
+
+def check_rates_oracle(thresholds, tp, fp, n_p: int, n_n: int, is_hull: bool) -> None:
+    """RocCurve's checks as they ran on the rates fp / n_n and tp / n_p
+    before they moved to the integer counts: raises the ValueError
+    RocCurve raises for the same arrays, for class totals of at least 1."""
+    thresholds = np.array(thresholds, dtype=np.float64)
+    tp, fp = np.array(tp, dtype=np.int64), np.array(fp, dtype=np.int64)
+    x, y = fp / n_n, tp / n_p
+    if not 2 <= x.size == y.size == thresholds.size:
+        raise ValueError("a curve needs one threshold, tp and fp a point, and "
+                         "at least the (0, 0) and (1, 1) anchors")
+    if (x[0], y[0]) != (0.0, 0.0):
+        raise ValueError("curve must start at (0, 0)")
+    if (x[-1], y[-1]) != (1.0, 1.0):
+        raise ValueError("curve must end at (1, 1)")
+    dx, dy = np.diff(x), np.diff(y)
+    if not np.all((dx > 0.0) | ((dx == 0.0) & (dy > 0.0))):
+        raise ValueError("points must strictly increase in (fpr, tpr) order")
+    if is_hull:
+        ox, oy, ax, ay, bx, by = fp[:-2], tp[:-2], fp[1:-1], tp[1:-1], fp[2:], tp[2:]
+        if np.any((ax - ox) * (by - oy) - (ay - oy) * (bx - ox) >= 0):
+            raise ValueError("hull points must be in strictly convex position")
 
 
 def brier_score_oracle(data: Dataset) -> float:

@@ -3,12 +3,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from opcurves import (Dataset, DegenerateClassError, EmptyInputError, ParseError,
+from opcurves import (Dataset, DatasetError, DegenerateClassError, EmptyInputError, ParseError,
                       Priors, SimulationSpec, SimulationSpecError, read_csv, simulate_gaussian,
                       write_csv)
-from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_bytes, _from_csv_rows
-from helpers import from_csv, make_random, text_lines, to_csv
+from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_rows
+from helpers import (THOUSANDTHS, UNIT_FLOATS, assert_sorted_classes, datasets, from_csv,
+                     from_csv_bytes, make_random, text_lines, to_csv)
 
 
 def test_basic_properties(toy):
@@ -68,6 +70,113 @@ def test_rejects_bad_labels():
         Dataset(np.array([0.2, 0.4]), np.array([1, 2]))
 
 
+@pytest.mark.parametrize("labels", [
+    [0.5, 1.0], np.array([0.7, 1.2]), [0.0, 1.5], np.array([0.0, np.nan]),
+    # as int8 these would wrap to 1, 0 and 1
+    np.array([0, 2**32 + 1]), np.array([1, 256]), np.array([0, 257], dtype=np.uint16),
+    [-1, 1], np.array([0, 255], dtype=np.uint8), np.array([0, -1], dtype=np.int8),
+    np.array(["0", "1"])])
+def test_labels_are_checked_as_given(labels):
+    with pytest.raises(DatasetError, match="^labels must be 0 or 1$"):
+        Dataset([0.2, 0.8], labels)
+
+
+@pytest.mark.parametrize("labels", [
+    [0, 1], [False, True], np.array([False, True]), [0.0, 1.0], np.array([-0.0, 1.0]),
+    np.array([0, 1], dtype=np.uint8), np.array([0, 1], dtype=np.int8),
+    np.array([0, 1], dtype=np.uint64), np.array([0, True], dtype=object)])
+def test_labels_of_any_binary_kind_are_held_as_int8(labels):
+    data = Dataset([0.2, 0.8], labels)
+    assert data.labels.dtype == np.int8
+    assert data.labels.tolist() == [0, 1]
+    assert data.positive_scores.tolist() == [0.8] and data.negative_scores.tolist() == [0.2]
+
+
+def test_a_dataset_keeps_no_array_of_the_callers():
+    scores, labels = np.array([0.2, 0.8]), np.array([0, 1], dtype=np.int8)
+    data = Dataset(scores, labels)
+    assert scores.flags.writeable and labels.flags.writeable
+    scores[0], labels[:] = 0.9, (1, 0)
+    assert data.scores.tolist() == [0.2, 0.8] and data.labels.tolist() == [0, 1]
+
+
+# as the row parser and the byte decoder (which reads 1e999 by float()) see them
+NOT_FINITE = st.sampled_from(["nan", "-nan", "inf", "-inf", "1e999", "-1e999", "NaN"])
+EDGE_SCORES = st.sampled_from([-0.0, 0.0, 1.0])
+
+
+@given(st.lists(st.one_of(THOUSANDTHS, UNIT_FLOATS, EDGE_SCORES), min_size=1, max_size=20),
+       NOT_FINITE, st.data())
+def test_a_score_that_is_not_finite_is_refused(scores, bad, data):
+    at = data.draw(st.integers(0, len(scores)))
+    fields = [repr(s) for s in scores[:at]] + [bad] + [repr(s) for s in scores[at:]]
+    labels = [i % 2 for i in range(len(fields))]
+    with pytest.raises(DatasetError, match=r"^scores must be finite and within \[0, 1\]$"):
+        Dataset(list(map(float, fields)), labels)
+    text = "score,label\n" + "".join(f"{f},{k}\n" for f, k in zip(fields, labels))
+    with pytest.raises(ParseError, match=rf"^row {at + 1} \(line {at + 2}\): score '{bad}' is "
+                                         r"outside \[0, 1\]$"):
+        from_csv(text)
+
+
+@given(st.lists(EDGE_SCORES, min_size=2, max_size=20), st.data())
+def test_negative_zero_zero_and_one_are_scores(scores, data):
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    labels[:2] = [0, 1]
+    want = np.array(scores).view(np.int64).tolist()
+    text = "score,label\n" + "".join(f"{s!r},{k}\n" for s, k in zip(scores, labels))
+    for got in (Dataset(scores, labels), from_csv(text), _from_csv_rows(text_lines(text))):
+        assert got.scores.view(np.int64).tolist() == want
+        assert got.labels.tolist() == labels
+        assert_sorted_classes(got)
+
+
+@given(datasets())
+def test_the_sorted_classes_are_np_sort_of_each_class(data):
+    assert_sorted_classes(data)
+    assert_sorted_classes(from_csv(to_csv(data)))
+
+
+@given(st.one_of(THOUSANDTHS, UNIT_FLOATS, EDGE_SCORES), st.integers(1, 50), st.integers(1, 50))
+def test_one_distinct_score_sorts_as_np_sort(score, n_p, n_n):
+    data = Dataset([score] * (n_p + n_n), [1] * n_p + [0] * n_n)
+    assert_sorted_classes(data)
+    assert data.positive_scores.size == n_p and data.negative_scores.size == n_n
+
+
+@given(st.one_of(THOUSANDTHS, UNIT_FLOATS, EDGE_SCORES),
+       st.one_of(THOUSANDTHS, UNIT_FLOATS, EDGE_SCORES))
+def test_two_samples_sort_as_np_sort(pos, neg):
+    data = Dataset([neg, pos], [0, 1])
+    assert_sorted_classes(data)
+    assert data.n == 2 and data.labels.tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_one_positive_in_a_hundred_thousand_sorts_as_np_sort(tied, tmp_path):
+    rng = np.random.default_rng(5)
+    scores = rng.random(10**5)
+    if tied:
+        scores = np.round(scores, 3)
+    labels = np.zeros(10**5, dtype=np.int64)
+    labels[rng.integers(10**5)] = 1
+    path = tmp_path / "one.csv"
+    write_csv(Dataset(scores, labels), str(path))
+    for data in (Dataset(scores, labels), read_csv(str(path))):
+        assert data.n_p == 1
+        assert_sorted_classes(data)
+
+
+@given(datasets(st.one_of(THOUSANDTHS, EDGE_SCORES)))
+def test_a_class_swap_swaps_the_sorted_classes(data):
+    swapped = Dataset(data.scores, 1 - data.labels)
+    assert_sorted_classes(swapped)
+    assert swapped.positive_scores.view(np.int64).tolist() == \
+        data.negative_scores.view(np.int64).tolist()
+    assert swapped.negative_scores.view(np.int64).tolist() == \
+        data.positive_scores.view(np.int64).tolist()
+
+
 def test_parse_accepts_letter_labels():
     data = from_csv("score,label\n0.2,p\n0.4,N\n0.6,1\n0.8,0\n")
     assert data.labels.tolist() == [1, 0, 1, 0]
@@ -125,8 +234,8 @@ def test_score_cell_longer_than_the_csv_field_limit():
     for size in (limit, limit + 1):
         cell = "0." + "1" * (size - 2)
         first = f"score,label\n{cell},1\n0.2,0\n"
-        assert _from_csv_bytes(first.encode()) is None
-        assert _from_csv_bytes(f"{lead}{cell},0\n".encode()) is None
+        assert from_csv_bytes(first.encode()) is None
+        assert from_csv_bytes(f"{lead}{cell},0\n".encode()) is None
         for text in (first, f"{lead}{cell},0\n",
                      f"score{' ' * (size - 5)},label\n0.2,0\n0.8,1\n"):
             _assert_matches_row_parser(text)
@@ -136,15 +245,15 @@ def test_score_cell_longer_than_the_csv_field_limit():
 
 def test_letter_labels_parse_through_the_row_parser():
     text = "score,label\n0.2,n\n0.8, P \n0.6,1\n"
-    assert _from_csv_bytes(text.encode()) is None
+    assert from_csv_bytes(text.encode()) is None
     assert from_csv(text).labels.tolist() == [0, 1, 1]
 
 
 def test_plain_files_take_the_vectorized_path(toy):
     for text in (to_csv(toy), to_csv(toy).rstrip("\n"), "\ufeff" + to_csv(toy),
                  " Score , LABEL \n0.25,0\n1e-1,1\n", to_csv(toy).replace("\n", "\r\n")):
-        assert _from_csv_bytes(text.encode()) is not None
-    assert _from_csv_bytes(to_csv(toy).encode()) == toy
+        assert from_csv_bytes(text.encode()) is not None
+    assert from_csv_bytes(to_csv(toy).encode()) == toy
 
 
 # Differential ingest test: from_csv, and its byte decoder alone, must
@@ -168,13 +277,13 @@ def _assert_matches_row_parser(text):
     try:
         want = _from_csv_rows(text_lines(text))
     except Exception as exc:
-        assert _from_csv_bytes(text.encode()) is None
+        assert from_csv_bytes(text.encode()) is None
         with pytest.raises(type(exc)) as got:
             from_csv(text)
         assert type(got.value) is type(exc)
         assert str(got.value) == str(exc)
         return
-    fast = _from_csv_bytes(text.encode())
+    fast = from_csv_bytes(text.encode())
     for got in (from_csv(text),) if fast is None else (from_csv(text), fast):
         assert got == want
         assert got.scores.tobytes() == want.scores.tobytes()
@@ -238,11 +347,11 @@ def test_bodies_longer_than_one_piece_match_the_row_parser():
     body = [f"{rng.choice(cells)},{rng.choice('01')}" for _ in range(60_000)]
     text = "score,label\n" + "\n".join(["0.2,0", "0.8,1"] + body) + "\n"
     assert len(text) > 4 * _PIECE_BYTES
-    assert _from_csv_bytes(text.encode()) is not None
+    assert from_csv_bytes(text.encode()) is not None
     _assert_matches_row_parser(text)
     # padded cells, which float() reads, are the row parser's alone
     padded = text + "\xa00.25,0\n0.3\u2003,1\n 1e-1,0\n"
-    assert _from_csv_bytes(padded.encode()) is None
+    assert from_csv_bytes(padded.encode()) is None
     _assert_matches_row_parser(padded)
     for cell in ("\u0661", "é", "0.5#", "1e"):  # refused by the decoder late in the body
         _assert_matches_row_parser(text + f"{cell},1\n")

@@ -1,4 +1,4 @@
-"""Bytes-first ingest: read_csv reads a file's bytes once and decodes plain
+"""Bytes-first ingest: read_csv reads a file's bytes and decodes plain
 files (LF or CRLF line ends) of scores of up to 24 bytes, or 25 with a sign
 or an exponent, in numpy. Decimal
 fields are decoded by integer arithmetic and re-read with float() only where
@@ -12,7 +12,11 @@ for bit, and whatever they raise it must raise with the same message.
 """
 
 import csv
+import io
+import os
 import re
+import stat
+import threading
 import tracemalloc
 from decimal import Decimal
 from unittest import mock
@@ -24,8 +28,8 @@ from hypothesis import example, given, strategies as st
 from opcurves import DatasetError, ParseError, read_csv
 from opcurves import dataset
 from opcurves.cli import main
-from opcurves.dataset import _PIECE_BYTES, _WIDEST, _from_csv_bytes, _from_csv_rows
-from helpers import from_csv, make_random, text_lines, to_csv, two_pass_rows_oracle
+from opcurves.dataset import _PIECE_BYTES, _WIDEST, _from_csv_file, _from_csv_rows
+from helpers import from_csv, from_csv_bytes, make_random, text_lines, to_csv, two_pass_rows_oracle
 
 TWO_53 = 1 << 53
 TWO_58 = 1 << 58
@@ -213,7 +217,7 @@ def test_lines_the_decoder_takes(line):
     # a one-byte N/P label in either case, as the row parser reads it
     for end in (b"\n", b"\r\n"):
         raw = end.join([b"score,label", b"0.25,0", line, b"0.75,1", b""])
-        assert _from_csv_bytes(raw) is not None
+        assert from_csv_bytes(raw) is not None
         _assert_bytes_match_the_row_parser(raw)
 
 
@@ -221,7 +225,7 @@ def test_every_six_digit_decimal_is_float_bit_for_bit():
     fields = [f"0.{i:06d}" for i in range(10**6)]
     want = np.array(list(map(float, fields)))
     raw = ("score,label\n" + "".join(f"{f},{i & 1}\n" for i, f in enumerate(fields))).encode()
-    data = _from_csv_bytes(raw)
+    data = from_csv_bytes(raw)
     assert data is not None
     assert np.array_equal(data.scores.view(np.int64), want.view(np.int64))
     assert np.array_equal(data.labels, np.arange(10**6) & 1)
@@ -284,7 +288,7 @@ def test_fields_near_a_rounding_tie_are_reread(field):
 # Whole files: what the decoder takes equals the row parser, bit for bit.
 
 def _assert_bytes_match_the_row_parser(raw):
-    data = _from_csv_bytes(raw)
+    data = from_csv_bytes(raw)
     text = raw.decode("utf-8")
     try:
         want = _from_csv_rows(text_lines(text))
@@ -311,7 +315,7 @@ def test_files_of_decimal_fields_match_the_row_parser(rows, final_newline):
                                   "0.9007199254740993,1\n0,0\n"])
 def test_files_the_decoder_takes(body):
     raw = ("score,label\n" + body).encode()
-    assert _from_csv_bytes(raw) is not None
+    assert from_csv_bytes(raw) is not None
     _assert_bytes_match_the_row_parser(raw)
 
 
@@ -319,7 +323,7 @@ def test_files_the_decoder_takes(body):
                                   "0.288230376151711744,1\n0,0\n", "0,0\n0,0\n"])
 def test_files_the_decoder_leaves_to_the_text_path(tmp_path, body):
     raw = ("score,label\n" + body).encode()
-    assert _from_csv_bytes(raw) is None
+    assert from_csv_bytes(raw) is None
     _assert_bytes_match_the_row_parser(raw)
     _assert_reads_as_text_mode(tmp_path / "in.csv", raw)
 
@@ -337,17 +341,112 @@ def test_bodies_of_many_pieces_match_the_row_parser():
     body = "".join(f"{f},{y}\n" for f, y in zip(fields, rng.integers(0, 2, 60_000)))
     assert len(body) > 4 * _PIECE_BYTES
     for raw in (("score,label\n" + body).encode(), ("score,label\n" + body[:-1]).encode()):
-        assert _from_csv_bytes(raw) is not None
+        assert from_csv_bytes(raw) is not None
         _assert_bytes_match_the_row_parser(raw)
     # a late piece of 17-digit scores is refined and stays on the decoded path
     raw = ("score,label\n" + body + "0.12345678901234567,1\n").encode()
-    assert _from_csv_bytes(raw) is not None
+    assert from_csv_bytes(raw) is not None
     _assert_bytes_match_the_row_parser(raw)
     # refused late in the body (m >= 2**58 in the first): the text path reads it
     for tail in ("0.1234567890123456789,1\n", "1.5,0\n", "0.5,1,0\n"):
         raw = ("score,label\n" + body + tail).encode()
-        assert _from_csv_bytes(raw) is None
+        assert from_csv_bytes(raw) is None
         _assert_bytes_match_the_row_parser(raw)
+
+
+class _Pieces(io.BytesIO):
+    """A file that may be read only by readline and by readinto of at most
+    _PIECE_BYTES; it records the size of each readinto."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.sizes = []
+
+    def read(self, size=-1):
+        raise AssertionError("read the file whole")
+
+    def readinto(self, buffer):
+        self.sizes.append(len(buffer))
+        assert len(buffer) <= _PIECE_BYTES
+        return super().readinto(buffer)
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_the_decoder_reads_the_body_in_pieces_into_arrays_of_its_rows(final_newline):
+    data = make_random(9, n=40_000)
+    raw = to_csv(data).encode()[:None if final_newline else -1]
+    fh = _Pieces(raw)
+    got = _from_csv_file(fh, len(raw))
+    assert _bits(got) == _bits(data)
+    assert len(fh.sizes) > 4 and fh.sizes[0] == 1 << 10
+    # cut to the rows read: each array owns its memory, no view of a larger one
+    for arr in (got.scores, got.labels):
+        assert arr.base is None and arr.size == 40_000
+
+
+def test_a_file_longer_than_its_size_said_goes_to_the_row_parser(tmp_path):
+    # the arrays hold the most rows `size` bytes can; a file that grew after
+    # its size was read is refused, and read_csv reads it again whole
+    raw = to_csv(make_random(4, n=2_000)).encode()
+    assert _from_csv_file(io.BytesIO(raw), len(raw) // 10) is None
+    assert _from_csv_file(io.BytesIO(raw), 1) is None  # shorter than its header
+    assert _bits(_from_csv_file(io.BytesIO(raw), len(raw))) == _bits(from_csv_bytes(raw))
+    with mock.patch.object(dataset.os, "fstat", return_value=mock.Mock(st_size=len(raw) // 10,
+                                                                 st_mode=stat.S_IFREG | 0o644)):
+        path = tmp_path / "grown.csv"
+        path.write_bytes(raw)
+        with mock.patch.object(dataset, "_from_csv_rows", wraps=dataset._from_csv_rows) as rows:
+            assert _bits(read_csv(str(path))) == _bits(from_csv_bytes(raw))
+    assert rows.call_count == 1
+
+
+def _outcome(read, path):
+    try:
+        return _bits(read(path))
+    except DatasetError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("case", ["decoded", "row parser", "not utf-8", "empty"])
+def test_a_fifo_is_read_once_as_a_file_of_its_bytes_is_read(tmp_path, case):
+    # a pipe has no size to bound the rows and its bytes can be read only
+    # once, so read_csv reads it whole and gives both parsers those bytes
+    raw = to_csv(make_random(5, n=3_000)).encode()
+    raw = {"decoded": raw, "row parser": raw.replace(b"\n", b"\n\n", 1),  # a blank line
+           "not utf-8": raw + b"0.5,\xff\n", "empty": b""}[case]
+    assert (from_csv_bytes(raw) is not None) == (case == "decoded")
+    path = tmp_path / "plain.csv"
+    path.write_bytes(raw)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+
+    def read():
+        try:
+            got.append(_outcome(read_csv, str(fifo)))
+        except Exception as exc:  # reported below
+            got.append(exc)
+
+    with mock.patch.object(dataset, "_from_csv_rows", wraps=dataset._from_csv_rows) as rows:
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        fifo.write_bytes(raw)
+        reader.join(timeout=10)
+        if reader.is_alive():  # it opened the pipe again: end it with an empty write
+            fifo.write_bytes(b"")
+            reader.join()
+    assert got == [_outcome(read_csv, str(path))]
+    assert rows.call_count == (case in ("row parser", "empty"))
+
+
+def test_a_regular_file_whose_size_reads_0_is_read_whole(tmp_path):
+    # as files under /proc report themselves
+    raw = to_csv(make_random(6, n=500)).encode()
+    path = tmp_path / "sizeless.csv"
+    path.write_bytes(raw)
+    with mock.patch.object(dataset.os, "fstat",
+                           return_value=mock.Mock(st_size=0, st_mode=stat.S_IFREG | 0o644)):
+        assert _bits(read_csv(str(path))) == _bits(from_csv_bytes(raw))
 
 
 @pytest.mark.parametrize("final_newline", [True, False])
@@ -359,7 +458,7 @@ def test_a_simulated_file_reads_as_the_row_parser_reads_it(tmp_path, final_newli
     if not final_newline:
         raw = raw[:-1]
         path.write_bytes(raw)
-    assert _from_csv_bytes(raw) is not None
+    assert from_csv_bytes(raw) is not None
     assert _bits(read_csv(str(path))) == _bits(_from_csv_rows(text_lines(raw.decode())))
 
 
@@ -368,7 +467,7 @@ def test_a_file_of_long_scores_is_refused_by_its_first_kilobyte():
     raw = ("score,label\n0.3000000000000000444089209850062616169452667236328125,0\n"
            + "0.25,0\n0.75,1\n" * 50_000).encode()
     with mock.patch.object(dataset, "_decode_lines", wraps=dataset._decode_lines) as decode:
-        assert _from_csv_bytes(raw) is None
+        assert from_csv_bytes(raw) is None
     assert decode.call_count == 1
     assert decode.call_args.args[0].size <= 1100
 
@@ -378,7 +477,7 @@ def test_a_file_with_an_exponent_is_decoded_and_only_that_field_is_reread():
     raw = ("score,label\n" + "0.30000000000000004,0\n0.75,1\n" * 50_000
            + repr(2.65516383690656e-05) + ",0\n").encode()
     with mock.patch.object(dataset, "_reread", wraps=dataset._reread) as reread:
-        assert _from_csv_bytes(raw) is not None
+        assert from_csv_bytes(raw) is not None
     assert reread.call_count == 1
     a, starts, stops = reread.call_args.args
     assert [a[i:j].tobytes() for i, j in zip(starts, stops)] == [b"2.65516383690656e-05"]
@@ -403,7 +502,7 @@ CRLF_FILES = ("crlf", "crlf-header", "crlf-body", "bom-crlf-no-final-newline", "
 @pytest.mark.parametrize("name", CRLF_FILES + ("lone-cr", "cr-in-header", "final-cr"))
 def test_crlf_line_ends_are_decoded_and_a_lone_cr_is_not(name):
     raw = TEXT_MODE_FILES[name]
-    assert (_from_csv_bytes(raw) is not None) == (name in CRLF_FILES)
+    assert (from_csv_bytes(raw) is not None) == (name in CRLF_FILES)
 
 
 @pytest.mark.parametrize("body", [b"0.5,1\r\r\n", b"0.5\r,1\r\n", b"\r0.5,1\r\n", b"0.5,1\r",
@@ -431,7 +530,7 @@ def test_files_of_repr_exponent_and_signed_fields_are_decoded(rows, end, final_e
     lines = ["score,label", "0.25,0", "0.75,1"] + [f"{f},{y}" for f, y in rows]
     raw = (end.join(lines) + end * final_end).encode()
     # every such field has at most 25 bytes, as "%.18e" of a value below 1e-99
-    assert _from_csv_bytes(raw) is not None
+    assert from_csv_bytes(raw) is not None
     _assert_bytes_match_the_row_parser(raw)
 
 
@@ -445,13 +544,13 @@ def test_a_savetxt_file_with_scores_below_1e_99_is_decoded(tmp_path):
                delimiter=",", header="score,label", comments="")
     raw = path.read_bytes()
     assert b"\n9.999999999999999786e-121," in raw and b"\n4.940656458412465442e-324," in raw
-    data = _from_csv_bytes(raw)
+    data = from_csv_bytes(raw)
     assert data is not None
     assert (_bits(data) == _bits(_from_csv_rows(text_lines(raw.decode())))
             == _bits(read_csv(str(path))))
     # a field of 26 bytes goes to the row parser
     wide = raw.replace(b"\n9.9", b"\n+9.9")
-    assert _from_csv_bytes(wide) is None
+    assert from_csv_bytes(wide) is None
     _assert_reads_as_text_mode(path, wide)
 
 
@@ -514,7 +613,7 @@ def test_the_row_path_holds_no_copy_of_the_file(tmp_path):
     text = text.replace("\n", "\n\n", 1)
     path = tmp_path / "np.csv"
     path.write_text(text, encoding="utf-8")
-    assert _from_csv_bytes(path.read_bytes()) is None
+    assert from_csv_bytes(path.read_bytes()) is None
     tracemalloc.start()
     try:
         data = read_csv(str(path))

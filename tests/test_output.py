@@ -96,6 +96,21 @@ def test_rows_refuse_what_they_cannot_write():
                         ["", ",", "\n"])) == "0,true\n7,false\n9999,true\n"
 
 
+def test_integer_columns_of_every_width_write_the_same_text():
+    # an int8 column indexes the digit table as it is: no integer is added
+    # to it, which under NEP 50 would not fit its dtype
+    values = [0, 1, 9, 10, 99, 100, 127, 0, 1]
+    want = "".join(f"{v},{v % 2}\n" for v in values)
+    for dtype in (np.int8, np.uint8, np.int16, np.int64, np.uint64):
+        column = np.array(values, dtype=dtype)
+        labels = np.array(values, dtype=dtype) % 2
+        assert "".join(rows([column, labels], ["", ",", "\n"])) == want, dtype
+    # a bool column of the same 0/1 values is written as JSON's booleans
+    flags = np.array(values) % 2
+    assert "".join(rows([flags.astype(np.int8), flags.astype(bool)], ["", ",", "\n"])) == \
+        "".join(f"{v},{'true' if v else 'false'}\n" for v in flags.tolist())
+
+
 def _repr_lines(values) -> str:
     return "".join(f"{v!r}\n" for v in np.asarray(values, dtype=np.float64).tolist())
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -8,8 +10,9 @@ from hypothesis import strategies as st
 from opcurves import (Dataset, OperatingPoint, RocCurve, convex_hull, dominance,
                       operating_points, threshold_rates)
 from opcurves import roc
-from helpers import (THOUSANDTHS, UNIT_FLOATS, convex_hull_oracle, datasets, make_random,
-                     operating_points_oracle)
+from opcurves.cost import brier_score
+from helpers import (THOUSANDTHS, UNIT_FLOATS, check_rates_oracle, convex_hull_oracle, datasets,
+                     make_random, operating_points_oracle)
 
 TOY_POINTS = [(0.0, 0.0), (0.0, 1 / 3), (1 / 6, 2 / 3), (1 / 2, 2 / 3),
               (1 / 2, 1.0), (2 / 3, 1.0), (5 / 6, 1.0), (1.0, 1.0)]
@@ -119,6 +122,82 @@ def test_hull_validation_refuses_points_not_in_strictly_convex_position():
         with pytest.raises(ValueError, match="strictly convex"):
             curve_of([(0, 0), (6, 2), inner, (10, 10)], is_hull=True)
         assert not curve_of([(0, 0), (6, 2), inner, (10, 10)]).is_hull
+
+
+def test_a_curve_needs_both_classes():
+    for n_p, n_n in ((0, 10), (10, 0), (-10, 10)):
+        with pytest.raises(ValueError, match="each class"):
+            RocCurve([np.nan, 0.5], [0, n_p], [0, n_n], n_p, n_n)
+
+
+@st.composite
+def curve_arrays(draw):
+    """Class totals of at least 1 and count arrays around [0, total]: some
+    staircases from (0, 0) to the totals, some of them convex, and some
+    arrays of any counts."""
+    n_p, n_n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=6))
+        fp, tp = (np.cumsum([0, *col]).tolist() for col in zip(*steps)) if steps else ([0], [0])
+        dx, dy = draw(st.sampled_from([(0, 0)] * 4 + [(1, 0), (0, -1)]))  # the end, or near it
+        fp, tp = fp + [n_n + dx], tp + [n_p + dy]
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(-1, n_n + 1), st.integers(-1, n_p + 1)),
+                              max_size=7))
+        fp, tp = ([a for a, _ in pairs], [b for _, b in pairs])
+    size = len(fp) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+    thresholds = np.linspace(1.0, 0.0, max(size, 0))
+    return thresholds, tp, fp, n_p, n_n, draw(st.booleans())
+
+
+def _refusal(check, *args):
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(curve_arrays())
+def test_the_count_checks_refuse_what_the_rate_checks_refuse(args):
+    assert _refusal(RocCurve, *args) == _refusal(check_rates_oracle, *args)
+
+
+def test_rates_are_derived_on_first_read_and_kept(toy):
+    curve = operating_points(toy)
+    # the Brier score reads only the counts
+    brier_score(toy, points=curve)
+    assert curve._fprs is None and curve._tprs is None
+    fprs, tprs = curve.fprs, curve.tprs
+    assert curve.fprs is fprs and curve.tprs is tprs
+    assert fprs.tolist() == (curve.fp / curve.n_n).tolist()
+    assert tprs.tolist() == (curve.tp / curve.n_p).tolist()
+    assert not fprs.flags.writeable and not tprs.flags.writeable
+
+
+def test_a_curve_is_read_only(toy):
+    curve = operating_points(toy)
+    for name in ("tp", "fp", "thresholds", "n_p", "is_hull", "fprs", "_fprs"):
+        with pytest.raises(AttributeError):
+            setattr(curve, name, None)
+        with pytest.raises(AttributeError):
+            delattr(curve, name)
+    assert curve.tp.tolist() == operating_points(toy).tp.tolist()
+
+
+@pytest.mark.parametrize("copy_of", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy,
+                                     copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_a_curve_survives_pickle_and_copy(toy, copy_of):
+    for curve in (operating_points(toy), convex_hull(operating_points(toy))):
+        curve.fprs  # a derived rate is rebuilt, not carried
+        got = copy_of(curve)
+        assert type(got) is RocCurve and got.is_hull == curve.is_hull
+        for name in ("thresholds", "tp", "fp", "fprs", "tprs"):
+            assert np.array_equal(getattr(got, name), getattr(curve, name), equal_nan=True)
+            assert not getattr(got, name).flags.writeable
+        assert (got.n_p, got.n_n) == (curve.n_p, curve.n_n)
+        with pytest.raises(AttributeError):
+            got.tp = None
 
 
 def test_operating_point_validation():
