@@ -414,11 +414,11 @@ def _run_score(args: argparse.Namespace) -> int:
               "brier_score": dec.brier_score,
               "refinement_loss": dec.refinement,
               "calibration_loss": dec.calibration}
-    text = output.json_text(report)
-    print(text)
+    text = "".join(_json_report(report))
+    sys.stdout.write(text)
     if args.json_path:
         with _outputs() as out:
-            out.add(args.json_path, text + "\n")
+            out.add(args.json_path, text)
     return EXIT_OK
 
 

@@ -13,12 +13,13 @@ import io
 import math
 import os
 import stat
+from array import array
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from ._exact import POW10, times_pow10
+from ._exact import DOUBT, POW10, near_power_of_two, times_pow10
 from .output import rows, write_text
 
 NEGATIVE = 0
@@ -184,14 +185,13 @@ def _plain_header(line: str) -> bool:
 
 def _from_csv_rows(lines: Iterable[str]) -> Dataset:
     """Row-by-row parse of text lines through csv.reader, in one pass that
-    keeps only the scores and labels. It defines the accepted CSV language
-    (quoted cells, blank lines and N/P labels included) and every error
-    message. An error names the first offending row in file order: the
-    data row (counted from 1 after the header, blank lines skipped) and the
-    file line it ends on."""
+    keeps only the scores and labels, in arrays the Dataset takes without a
+    copy. It defines the accepted CSV language (quoted cells, blank lines
+    and N/P labels included) and every error message. An error names the
+    first offending row in file order: the data row (counted from 1 after
+    the header, blank lines skipped) and the file line it ends on."""
     reader = csv.reader(lines)
-    scores: list[float] = []
-    labels: list[int] = []
+    scores, labels = array("d"), array("b")
 
     def fail(problem: str) -> NoReturn:
         raise ParseError(f"row {len(scores) + 1} (line {reader.line_num}): {problem}") from None
@@ -222,7 +222,7 @@ def _from_csv_rows(lines: Iterable[str]) -> Dataset:
         raise ParseError(f"line {reader.line_num}: {exc}") from None
     if not scores:
         raise EmptyInputError("no sample rows in input")
-    return Dataset(scores, labels)
+    return Dataset(np.frombuffer(scores), np.frombuffer(labels, dtype=np.int8), _owned=True)
 
 
 def _csv_chunks(data: Dataset) -> Iterator[str]:
@@ -233,46 +233,42 @@ def _csv_chunks(data: Dataset) -> Iterator[str]:
 def read_csv(path: str) -> Dataset:
     """Read a `score,label` CSV file into a Dataset.
 
-    A regular file is read in pieces and decoded by _from_csv_file, and
-    read again whole if it refuses it; any other file (a pipe, a FIFO), or
-    one whose size reads 0, is read whole once and decoded from its bytes.
-    Bytes the decoder refuses must be UTF-8, or ParseError names the line
-    and the byte before any row error; then their lines are decoded one at
-    a time, as open(path, encoding="utf-8-sig") reads them, for
-    _from_csv_rows.
+    The file is opened once. A regular file is read in pieces and decoded
+    by _from_csv_file; any other file (a pipe, a FIFO), or one whose size
+    reads 0, is read whole once and decoded from its bytes. If the decoder
+    refuses them, the bytes are read again from the start of the same
+    handle: they must be UTF-8, or ParseError names the line and the byte
+    before any row error; then their lines are decoded one at a time, as
+    open(path, encoding="utf-8-sig") reads them, for _from_csv_rows.
     """
-    raw = None
-    with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
+    with open(path, "rb") as file:
+        st = os.fstat(file.fileno())
         if stat.S_ISREG(st.st_mode) and st.st_size > 0:
-            data = _from_csv_file(fh, st.st_size)
+            fh, size = file, st.st_size
         else:  # no size bounds the rows, and the bytes can be read only once
-            raw = fh.read()
-            data = _from_csv_file(io.BytesIO(raw), len(raw))
-    if data is not None:
-        return data
-    if raw is None:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    lo = 0  # checked by pieces that end at a newline, which no character spans
-    while lo < len(raw):
-        hi = raw.find(b"\n", lo + _PIECE_BYTES) + 1 or len(raw)
-        try:
-            str(memoryview(raw)[lo:hi], "utf-8")
-        except UnicodeDecodeError as exc:
-            head = raw[:lo + exc.start]
-            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-            byte = raw[len(head)]
-            raise ParseError(f"line {line}: not UTF-8 text (byte 0x{byte:02x})") from None
-        lo = hi
-    return _from_csv_rows(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig"))
+            raw = file.read()
+            fh, size = io.BytesIO(raw), len(raw)
+        data = _from_csv_file(fh, size)
+        if data is not None:
+            return data
+        fh.seek(0)
+        line = 1  # checked by pieces that end at a newline, which no character or CRLF spans
+        for piece in iter(lambda: fh.read(_PIECE_BYTES) + fh.readline(), b""):
+            try:
+                str(piece, "utf-8")
+            except UnicodeDecodeError as exc:
+                head, byte = piece[:exc.start], piece[exc.start]
+                line += head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                raise ParseError(f"line {line}: not UTF-8 text (byte 0x{byte:02x})") from None
+            line += piece.count(b"\n") + piece.count(b"\r") - piece.count(b"\r\n")
+        fh.seek(0)
+        return _from_csv_rows(io.TextIOWrapper(fh, encoding="utf-8-sig"))
 
 
 _PIECE_BYTES = 1 << 17  # bytes read and decoded at a time; the byte decoder's first piece is 1 KB
 _WIDEST = 25  # the widest field decoded, as "%.18e" writes a score below 1e-99
 _M_LIMIT = 1 << 58  # the digits form m < 2**58, so m * 10 + 9 fits in an int64
 _EXACT = 1 << 53  # every integer up to this is a double
-_DOUBT = 2.0 ** -20  # rows whose correction lies this near a rounding tie are re-read
 # a line's last byte to its label, as _LABEL_TOKENS reads it; -1 for a
 # byte that is no label
 _LABEL_BYTES = np.full(256, -1, dtype=np.int8)
@@ -433,10 +429,9 @@ def _decode_lines(a: np.ndarray, widest: int,
         ph, pl = times_pow10(q, f)  # q * scale, exactly
         c = ((hi - ph - pl) + lo) / scale
         units = c / np.spacing(q)
-        mantissa = np.frexp(q)[0]  # in [0.5, 1), in steps of 2**-53
-        by_float = by_float | (big & ((np.abs(units - np.floor(units) - 0.5) < _DOUBT)
-                                      | (mantissa <= 0.5 + 2.0 ** -53)
-                                      | (mantissa >= 1.0 - 2.0 ** -53)))
+        mantissa = np.frexp(q)[0]
+        by_float = by_float | (big & ((np.abs(units - np.floor(units) - 0.5) < DOUBT)
+                                      | near_power_of_two(mantissa)))
         scores = np.where(big, q + c, q)
     rows = np.flatnonzero(by_float)
     if rows.size:

@@ -7,14 +7,14 @@ So rows() writes a whole table of array columns at once: each float
 becomes the text float.__repr__ gives it, found with numpy arithmetic on
 the whole column (see _float_words), each row's bytes go into a frame of
 uint32 words where NUL bytes mark unused places, and deleting the NULs
-leaves the text. json_text writes a JSON array, or the rows of a Records,
-through rows() too, and each scalar as json.dumps writes it; both yield
-the text chunk by chunk for write_text to stream. While an Outputs block
-is open, a read-only float column that fits in one chunk is encoded once
-for the whole block and its words reused by every table that writes it
-(see _memo_words): the threshold grid of a curve run is one array, the x
-of every series and the grid of its report (and the t of compare's
-per_t rows).
+leaves the text. _json_chunks writes a JSON array, or the rows of a
+Records, through rows() too, and each scalar as json.dumps writes it;
+both yield the text chunk by chunk for write_text to stream. While an
+Outputs block is open, a read-only float column that fits in one chunk is
+encoded once for the whole block and its words reused by every table that
+writes it (see _memo_words): the threshold grid of a curve run is one
+array, the x of every series and the grid of its report (and the t of
+compare's per_t rows).
 
 write_text puts a new or plain file under a temporary name in the target
 directory and moves it into place with os.replace, so a reader never sees
@@ -39,7 +39,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
-from ._exact import POW10, times_pow10
+from ._exact import DOUBT, POW10, near_power_of_two, times_pow10
 
 _INDENT = "  "
 _CHUNK = 1 << 15  # rows times columns a chunk, so its frame stays near 1 MB
@@ -47,7 +47,7 @@ _CHUNK = 1 << 15  # rows times columns a chunk, so its frame stays near 1 MB
 
 class Records:
     """A JSON array of objects that all have the same keys, held as one
-    1-d numpy column per key; json_text writes it like the list of dicts."""
+    1-d numpy column per key; _json_chunks writes it like the list of dicts."""
 
     def __init__(self, columns: dict[str, np.ndarray]) -> None:
         sizes = {np.shape(c) for c in columns.values()}
@@ -97,7 +97,6 @@ _TENS = np.array([float(f"1e{e}") for e in range(-4, 17)])
 # floor(log10(2**(E - 1))) for the binary exponents E = -14 to 50 of
 # doubles in [1e-4, 1e15) as np.frexp gives them, offset by 14
 _DECADE = np.array([math.floor(k * math.log10(2.0)) for k in range(-15, 50)])
-_DOUBT = 2.0 ** -20
 
 
 def _float_words(x: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
@@ -126,7 +125,7 @@ def _float_words(x: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
         doubt = ~((mag >= 1e-4) & (mag < 1e15))
     mag[doubt] = 1.0
     mantissa, binary = np.frexp(mag)
-    doubt |= (mantissa <= 0.5 + 2.0 ** -53) | (mantissa >= 1.0 - 2.0 ** -53)
+    doubt |= near_power_of_two(mantissa)
     e = _DECADE.take(binary + 14)
     e += mag >= _TENS.take(e + 5)  # |v| lies in [10**e, 10**(e + 1))
     p = 16 - e
@@ -145,9 +144,9 @@ def _float_words(x: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
     c16 = np.rint(u / 10) * 10
     d15, d16, d17 = np.abs(u - c15), np.abs(u - c16), np.abs(r)
     # a tie of N15 lies 50 from both candidates, beyond any h
-    doubt |= ((np.abs(d15 - h) <= _DOUBT) | (np.abs(d16 - h) <= _DOUBT)
-              | (np.abs(d17 - h) <= _DOUBT) | (np.abs(d16 - 5.0) <= _DOUBT)
-              | (np.abs(d17 - 0.5) <= _DOUBT) | (d17 >= h))
+    doubt |= ((np.abs(d15 - h) <= DOUBT) | (np.abs(d16 - h) <= DOUBT)
+              | (np.abs(d17 - h) <= DOUBT) | (np.abs(d16 - 5.0) <= DOUBT)
+              | (np.abs(d17 - 0.5) <= DOUBT) | (d17 >= h))
     chosen = last2.astype(np.float64)
     np.copyto(chosen, c16, where=d16 < h)
     np.copyto(chosen, c15, where=d15 < h)
@@ -350,8 +349,11 @@ def _records_items(rec: Records, level: int) -> Iterator[list[str]]:
 
 
 def _json_chunks(o, level: int = 0) -> Iterator[str]:
-    """The text of json_text(o) in chunks: an array or a Records yields one
-    chunk of rows() at a time, so no text of a whole array is held."""
+    """Exactly the text of json.dumps(o, indent=2), NaN, Infinity and -0.0
+    included, in chunks, for objects whose dict keys are all strings. A 1-d
+    float or bool numpy array is written as the list of its elements and a
+    Records as its list of objects, one chunk of rows() at a time, so no
+    text of a whole array is held."""
     if isinstance(o, (list, tuple)):
         yield from _block("[", (_json_chunks(v, level + 1) for v in o), "]", level)
     elif isinstance(o, dict):
@@ -364,16 +366,6 @@ def _json_chunks(o, level: int = 0) -> Iterator[str]:
         yield from _block("[", _records_items(o, level), "]", level)
     else:
         yield json.dumps(o)
-
-
-def json_text(obj) -> str:
-    """Exactly json.dumps(obj, indent=2), NaN, Infinity and -0.0 included,
-    for objects whose dict keys are all strings.
-
-    A 1-d float or bool numpy array is written as the list of its elements
-    and a Records as its list of objects, each in one pass.
-    """
-    return "".join(_json_chunks(obj))
 
 
 def xy_csv(series: list[tuple[np.ndarray, np.ndarray, str]]) -> Iterator[str]:

@@ -31,9 +31,7 @@ class OperatingPoint:
     """One point in ROC space.
 
     threshold is None for the synthetic (0, 0) anchor, which corresponds to
-    a threshold above every score and so has no single value in [0, 1],
-    and for points that carry rates only (for example the duals of the
-    fixed baseline lines, which have no backing dataset).
+    a threshold above every score and so has no single value in [0, 1].
     """
 
     fpr: float

@@ -11,6 +11,7 @@ from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, Threshol
                       loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
 from opcurves.dataset import (_LABEL_TOKENS, CSV_HEADER, EmptyInputError, ParseError,
                               _csv_chunks, _from_csv_file, _from_csv_rows)
+from opcurves.output import _json_chunks
 from opcurves.roc import _line
 
 # Nine samples with a tie at 0.70 and a miscalibrated top score; small
@@ -52,6 +53,13 @@ def text_lines(text: str) -> io.StringIO:
 def to_csv(data: Dataset) -> str:
     """The `score,label` CSV text of a Dataset, as write_csv writes it."""
     return "".join(_csv_chunks(data))
+
+
+def json_text(obj) -> str:
+    """The JSON text of obj as the report writer writes it, whole: exactly
+    json.dumps(obj, indent=2) for objects whose dict keys are all strings,
+    numpy arrays and Records written as lists."""
+    return "".join(_json_chunks(obj))
 
 
 def from_csv_bytes(raw: bytes) -> Dataset | None:

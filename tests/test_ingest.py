@@ -386,7 +386,7 @@ def test_the_decoder_reads_the_body_in_pieces_into_arrays_of_its_rows(final_newl
 
 def test_a_file_longer_than_its_size_said_goes_to_the_row_parser(tmp_path):
     # the arrays hold the most rows `size` bytes can; a file that grew after
-    # its size was read is refused, and read_csv reads it again whole
+    # its size was read is refused, and read_csv reads it again from its start
     raw = to_csv(make_random(4, n=2_000)).encode()
     assert _from_csv_file(io.BytesIO(raw), len(raw) // 10) is None
     assert _from_csv_file(io.BytesIO(raw), 1) is None  # shorter than its header
@@ -606,19 +606,71 @@ def test_the_row_parser_matches_the_two_pass_oracle(tmp_path_factory, header, go
 
 
 def test_the_row_path_holds_no_copy_of_the_file(tmp_path):
-    # the byte decoder refuses a blank line; the row parser reads the file's
-    # lines as it goes, so the peak is the file's bytes, one float and two
-    # list slots a row, and the Dataset's arrays
+    # the byte decoder refuses a blank line. Until then it holds arrays for
+    # the most rows the file's size allows, 9 bytes for each 4 of the file,
+    # which tracemalloc counts though their pages are never written: that
+    # is the peak. The row parser then reads the file's lines through the
+    # same handle as it goes, into an array of doubles and one of bytes
+    # that the Dataset takes, so its own peak is those arrays and the
+    # Dataset's sorted class copies, under the file's size
     text = to_csv(make_random(3, n=50_000)).replace(",0\n", ",N\n").replace(",1\n", ",P\n")
     text = text.replace("\n", "\n\n", 1)
     path = tmp_path / "np.csv"
     path.write_text(text, encoding="utf-8")
+    size = path.stat().st_size
     assert from_csv_bytes(path.read_bytes()) is None
+    decode, decoder_peak = dataset._from_csv_file, []
+
+    def decode_then_reset_the_peak(fh, n):
+        got = decode(fh, n)
+        decoder_peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return got
+
     tracemalloc.start()
     try:
-        data = read_csv(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
+        with mock.patch.object(dataset, "_from_csv_file", side_effect=decode_then_reset_the_peak):
+            data = read_csv(str(path))
+        rows_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert _bits(data) == _bits(two_pass_rows_oracle(text))
-    assert peak < 6 * path.stat().st_size, peak / path.stat().st_size
+    assert decoder_peak[0] < 3 * size, decoder_peak[0] / size
+    assert rows_peak < 1.5 * size, rows_peak / size
+
+
+@pytest.mark.parametrize("case", ["row parser", "not utf-8"])
+def test_the_row_parser_reads_the_file_the_decoder_refused(tmp_path, case):
+    # read_csv seeks back in the handle it opened, so a file moved into the
+    # path's place in between is not read
+    text = to_csv(make_random(7, n=2_000)).replace("\n", "\n\n", 1)  # a blank line
+    raw = {"row parser": text.encode(), "not utf-8": text.encode() + b"0.5,\xff\n"}[case]
+    path, other = tmp_path / "in.csv", tmp_path / "other.csv"
+    path.write_bytes(raw)
+    other.write_bytes(to_csv(make_random(8, n=500)).replace("\n", "\n\n", 1).encode())
+    decode = dataset._from_csv_file
+
+    def decode_then_replace(fh, size):
+        got = decode(fh, size)
+        os.replace(other, path)
+        return got
+
+    with mock.patch.object(dataset, "_from_csv_file", side_effect=decode_then_replace):
+        got = _outcome(read_csv, str(path))
+    assert not other.exists()
+    if case == "row parser":
+        assert got == _bits(two_pass_rows_oracle(text))
+    else:
+        assert got == (ParseError, "line 2003: not UTF-8 text (byte 0xff)")
+
+
+@pytest.mark.parametrize("case", ["decoded", "row parser", "not utf-8", "empty"])
+def test_read_csv_opens_its_input_once(tmp_path, case):
+    raw = to_csv(make_random(9, n=2_000)).encode()
+    raw = {"decoded": raw, "row parser": raw.replace(b"\n", b"\n\n", 1),
+           "not utf-8": raw + b"0.5,\xff\n", "empty": b""}[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(raw)
+    with mock.patch.object(dataset, "open", wraps=open, create=True) as opened:
+        _outcome(read_csv, str(path))
+    assert opened.call_args_list == [mock.call(str(path), "rb")]

@@ -12,7 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from opcurves import output
-from opcurves.output import Outputs, Records, json_text, replaces, rows, write_text, xy_csv
+from opcurves.output import Outputs, Records, replaces, rows, write_text, xy_csv
+from helpers import json_text
 
 FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, float("nan"),
                                                  float("inf"), float("-inf")]))
