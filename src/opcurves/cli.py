@@ -332,7 +332,7 @@ def _write_curves(args: argparse.Namespace, data, curves: list, plot,
                 **report, "series": [{"series": s, "x": x, "y": y} for x, y, s in curves]}))
 
 
-def _run_dca(args: argparse.Namespace) -> int:
+def _run_dca(args: argparse.Namespace) -> None:
     data = dataset.read_csv(args.input)
     curves = [decision.decision_curve(data, args.grid, args.scheme)]
     curves.extend(decision.baseline_decision_curves(data.priors, args.grid, args.scheme))
@@ -351,10 +351,9 @@ def _run_dca(args: argparse.Namespace) -> int:
         [(c, styles.get(c.series, {})) for c in curves],
         (float(args.grid.values[0]), float(args.grid.values[-1])), (-0.15, 1.08)),
         {"scheme": args.scheme})
-    return EXIT_OK
 
 
-def _run_cost(args: argparse.Namespace) -> int:
+def _run_cost(args: argparse.Namespace) -> None:
     data = dataset.read_csv(args.input)
     hull = roc.convex_hull(roc.operating_points(data))
     env = cost.lower_envelope(hull, data.priors, args.grid)
@@ -368,10 +367,9 @@ def _run_cost(args: argparse.Namespace) -> int:
          *(((line.xs, line.ys, "hull point cost lines"), grey)
            for line in cost.cost_lines(hull, data.priors))],
         (0.0, 1.0), (0.0, 1.06)))
-    return EXIT_OK
 
 
-def _run_brier(args: argparse.Namespace) -> int:
+def _run_brier(args: argparse.Namespace) -> None:
     data = dataset.read_csv(args.input)
     dec = cost.loss_decomposition(data, args.grid)
     curves = [dec.brier_curve, dec.lower_envelope,
@@ -386,10 +384,9 @@ def _run_brier(args: argparse.Namespace) -> int:
         (float(args.grid.values[0]), float(args.grid.values[-1])), (0.0, 1.06)),
         {"brier_score": dec.brier_score, "refinement_loss": dec.refinement,
          "calibration_loss": dec.calibration})
-    return EXIT_OK
 
 
-def _run_roc(args: argparse.Namespace) -> int:
+def _run_roc(args: argparse.Namespace) -> None:
     data = dataset.read_csv(args.input)
     curve = roc.operating_points(data)
     hull = roc.convex_hull(curve)
@@ -403,10 +400,9 @@ def _run_roc(args: argparse.Namespace) -> int:
         [(points, {}), (edge, {"width": 2.2}),
          (([0.0, 1.0], [0.0, 1.0], "chance"), {"color": "#999999", "dash": "4,4"})],
         (-0.02, 1.02), (-0.02, 1.02)))
-    return EXIT_OK
 
 
-def _run_score(args: argparse.Namespace) -> int:
+def _run_score(args: argparse.Namespace) -> None:
     data = dataset.read_csv(args.input)
     dec = cost.loss_decomposition(data, decision.ThresholdGrid.cost_default())
     report = {"command": "score", "input": args.input, "n": data.n,
@@ -419,10 +415,9 @@ def _run_score(args: argparse.Namespace) -> int:
     if args.json_path:
         with _outputs() as out:
             out.add(args.json_path, text)
-    return EXIT_OK
 
 
-def _run_compare(args: argparse.Namespace) -> int:
+def _run_compare(args: argparse.Namespace) -> None:
     report = relations.compare_models(dataset.read_csv(args.input),
                                       dataset.read_csv(args.input_b), args.grid)
     # per_t as columns: one JSON object a grid point, written without a dict a row
@@ -434,10 +429,9 @@ def _run_compare(args: argparse.Namespace) -> int:
         "priors": {"pi_p": report.priors.pi_p, "pi_n": report.priors.pi_n},
         "grid": args.grid.values, "per_t": per_t, "agree_at_all_t": report.agree_at_all_t}),
         f"agree_at_all_t={str(report.agree_at_all_t).lower()}")
-    return EXIT_OK
 
 
-def _run_isometrics(args: argparse.Namespace) -> int:
+def _run_isometrics(args: argparse.Namespace) -> None:
     import numpy as np
 
     if args.input is not None:
@@ -450,16 +444,14 @@ def _run_isometrics(args: argparse.Namespace) -> int:
     table = output.rows([levels, np.full(levels.size, gradient), intercepts],
                         [args.metric + ",", "," + t_text + ",", ",", "\n"])
     _write_or_print(args.csv_path, itertools.chain(["metric,level,t,gradient,intercept\n"], table))
-    return EXIT_OK
 
 
-def _run_simulate(args: argparse.Namespace) -> int:
+def _run_simulate(args: argparse.Namespace) -> None:
     spec = dataset.SimulationSpec(n=args.n, pi_p=args.pi_p, mu_n=args.mu_n, sigma_n=args.sd_n,
                                   mu_p=args.mu_p, sigma_p=args.sd_p, seed=args.seed)
     data = dataset.simulate_gaussian(spec)
     dataset.write_csv(data, args.out_path)
     print(f"wrote {args.out_path} ({data.n} samples, {data.n_p} positive, seed {args.seed})")
-    return EXIT_OK
 
 
 _HANDLERS = {
@@ -478,7 +470,8 @@ def run(args: argparse.Namespace) -> int:
     """Check that the output paths can be written, then run the command of
     a namespace from _parse_args."""
     _check_writable(args)
-    return _HANDLERS[args.command](args)
+    _HANDLERS[args.command](args)
+    return EXIT_OK
 
 
 # keyed by the qualified names of an error's classes, most derived first,

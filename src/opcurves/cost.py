@@ -68,14 +68,6 @@ def lower_envelope(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> Curve
     return Curve._adopt(grid.values, np.min(vals, axis=0), "lower_envelope")
 
 
-def _brier_terms(tpr: np.ndarray, fpr: np.ndarray, priors: Priors,
-                 t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class halves of the Brier curve; their sum is the curve."""
-    pos = 2.0 * (1.0 - t) * priors.pi_p * (1.0 - tpr)
-    neg = 2.0 * t * priors.pi_n * fpr
-    return pos, neg
-
-
 def brier_curve(data: Dataset, grid: ThresholdGrid) -> Curve:
     """Loss of thresholding at t, charged at cost proportion c = t:
 
@@ -85,19 +77,18 @@ def brier_curve(data: Dataset, grid: ThresholdGrid) -> Curve:
     false positives are free there; BC(1) = 0 likewise when no score
     reaches 1.
     """
-    tpr, fpr = threshold_rates(data, grid.values)
-    pos, neg = _brier_terms(tpr, fpr, data.priors, grid.values)
-    return Curve._adopt(grid.values, pos + neg, "brier")
+    pos, neg = per_class_components(data, grid)
+    return Curve._adopt(grid.values, pos.ys + neg.ys, "brier")
 
 
 def per_class_components(data: Dataset, grid: ThresholdGrid) -> tuple[Curve, Curve]:
     """Positive and negative halves of the Brier curve (series
-    "positive_component" and "negative_component"); they sum to it
-    bit-for-bit because all three share the same subexpressions."""
+    "positive_component" and "negative_component"), 2(1 - t) pi_P (1 - TPR_t)
+    and 2t pi_N FPR_t; brier_curve adds the two."""
     tpr, fpr = threshold_rates(data, grid.values)
-    pos, neg = _brier_terms(tpr, fpr, data.priors, grid.values)
-    return (Curve._adopt(grid.values, pos, "positive_component"),
-            Curve._adopt(grid.values, neg, "negative_component"))
+    t, priors = grid.values, data.priors
+    return (Curve._adopt(t, 2.0 * (1.0 - t) * priors.pi_p * (1.0 - tpr), "positive_component"),
+            Curve._adopt(t, 2.0 * t * priors.pi_n * fpr, "negative_component"))
 
 
 # segments per block of brier_score's integral, so its temporaries stay small

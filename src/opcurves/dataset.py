@@ -272,8 +272,8 @@ _EXACT = 1 << 53  # every integer up to this is a double
 # a line's last byte to its label, as _LABEL_TOKENS reads it; -1 for a
 # byte that is no label
 _LABEL_BYTES = np.full(256, -1, dtype=np.int8)
-_LABEL_BYTES[list(b"0nN")] = NEGATIVE
-_LABEL_BYTES[list(b"1pP")] = POSITIVE
+for _token, _label in _LABEL_TOKENS.items():
+    _LABEL_BYTES[[ord(_token), ord(_token.upper())]] = _label
 
 
 def _from_csv_file(fh: BinaryIO, size: int) -> Dataset | None:
@@ -292,7 +292,8 @@ def _from_csv_file(fh: BinaryIO, size: int) -> Dataset | None:
     each piece's whole lines are decoded into arrays sized for the most
     rows the file can hold (a line of at least 4 bytes but the last), which
     are cut to the rows read at the end; pages of them never written are
-    never mapped."""
+    never mapped. The arrays are made once the first piece has decoded, so
+    a file refused there reserves none."""
     line = fh.readline()
     if not line.endswith(b"\n"):
         return None
@@ -304,7 +305,6 @@ def _from_csv_file(fh: BinaryIO, size: int) -> Dataset | None:
         return None
     widest = min(_WIDEST, csv.field_size_limit())
     most = max(size - len(line), 0) // 4 + 1
-    scores, labels = np.empty(most), np.empty(most, dtype=np.int8)
     buf = bytearray(_PIECE_BYTES)
     view, a = memoryview(buf), np.frombuffer(buf, dtype=np.uint8)
     row = held = 0  # held: the bytes of an unended line, at the front of buf
@@ -323,6 +323,8 @@ def _from_csv_file(fh: BinaryIO, size: int) -> Dataset | None:
         part = _decode_lines(a[:stop], widest, buf.find(b"\r", 0, stop) >= 0)
         if part is None or row + part[0].size > most:
             return None
+        if not row:  # the first piece has decoded: reserve the most rows
+            scores, labels = np.empty(most), np.empty(most, dtype=np.int8)
         rows = part[0].size
         scores[row:row + rows], labels[row:row + rows] = part
         row += rows
