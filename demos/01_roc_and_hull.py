@@ -10,8 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (Curve, Dataset, PlotSeries, PlotSpec, SeriesStyle, convex_hull,
-                      dominance, operating_points, write_svg)
+from opcurves import Curve, Dataset, convex_hull, dominance, operating_points, write_svg
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -39,18 +38,17 @@ rival = Dataset(np.array([0.5, 0.5, 0.5, 0.95, 0.5, 0.5, 0.95, 0.5, 0.05]),
 verdict = dominance(curve, operating_points(rival))
 print(f"model vs rival: {verdict}")
 
-spec = PlotSpec(
+write_svg(
     title="Operating points and convex hull",
     x_label="false positive rate",
     y_label="true positive rate",
-    series=(
+    series=[
         # the raw staircases: tied false positive rates draw vertical steps
-        PlotSeries(data=Curve(xs=curve.fprs, ys=curve.tprs, series="points")),
-        PlotSeries(data=Curve(xs=hull.fprs, ys=hull.tprs, series="hull"),
-                   style=SeriesStyle(width=2.4)),
-    ),
+        (Curve(xs=curve.fprs, ys=curve.tprs, series="points"), {}),
+        (Curve(xs=hull.fprs, ys=hull.tprs, series="hull"), {"width": 2.4}),
+    ],
     x_range=(-0.02, 1.02),
     y_range=(-0.02, 1.02),
+    path=str(OUT / "roc_hull.svg"),
 )
-write_svg(spec, str(OUT / "roc_hull.svg"))
 print(f"\nwrote {OUT / 'roc_hull.svg'}")

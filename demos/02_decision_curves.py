@@ -12,8 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (PlotSeries, PlotSpec, SeriesStyle, SimulationSpec,
-                      ThresholdGrid, baseline_decision_curves, convex_hull,
+from opcurves import (ThresholdGrid, baseline_decision_curves, convex_hull,
                       decision_curve, operating_points, simulate_gaussian,
                       standardized_net_benefit, upper_envelope_decision_curve,
                       write_svg)
@@ -21,9 +20,8 @@ from opcurves import (PlotSeries, PlotSpec, SeriesStyle, SimulationSpec,
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-data = simulate_gaussian(SimulationSpec(
-    n=10_000, pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6, sigma_p=0.12,
-    seed=7))
+data = simulate_gaussian(n=10_000, pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6,
+                         sigma_p=0.12, seed=7)
 grid = ThresholdGrid.decision_default()
 
 model = decision_curve(data, grid)
@@ -49,19 +47,19 @@ std = standardized_net_benefit(model, data.pi_p)
 print(f"standardized net benefit at t={model.xs[edge]:.3f}: "
       f"{std.ys[edge]:.3f} (1.0 would be a perfect classifier)")
 
-spec = PlotSpec(
+write_path = OUT / "decision_curves.svg"
+write_svg(
     title="Decision curves",
     x_label="threshold t",
     y_label="net benefit",
-    series=(
-        PlotSeries(data=model),
-        PlotSeries(data=treat_all, style=SeriesStyle(dash="6,3")),
-        PlotSeries(data=treat_none, style=SeriesStyle(dash="2,3")),
-        PlotSeries(data=envelope, style=SeriesStyle(width=2.2)),
-    ),
+    series=[
+        (model, {}),
+        (treat_all, {"dash": "6,3"}),
+        (treat_none, {"dash": "2,3"}),
+        (envelope, {"width": 2.2}),
+    ],
     x_range=(0.0, 0.99),
     y_range=(-0.05, 0.24),
+    path=str(write_path),
 )
-write_path = OUT / "decision_curves.svg"
-write_svg(spec, str(write_path))
 print(f"wrote {write_path}")

@@ -12,17 +12,15 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (PlotSeries, PlotSpec, SeriesStyle, SimulationSpec, ThresholdGrid,
-                      baseline_cost_curves, brier_curve, convex_hull, cost_lines,
-                      loss_cp, lower_envelope, operating_points, simulate_gaussian,
-                      write_svg)
+from opcurves import (Curve, ThresholdGrid, baseline_cost_curves, brier_curve, convex_hull,
+                      cost_lines, loss_cp, lower_envelope, operating_points,
+                      simulate_gaussian, write_svg)
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-data = simulate_gaussian(SimulationSpec(
-    n=10_000, pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6, sigma_p=0.12,
-    seed=7))
+data = simulate_gaussian(n=10_000, pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6,
+                         sigma_p=0.12, seed=7)
 grid = ThresholdGrid.cost_default()
 priors = data.priors
 
@@ -44,23 +42,23 @@ print(f"Brier curve sits {gap.max():.4f} above the envelope at worst "
       f"(c={brier.xs[int(np.argmax(gap))]:.3f})")
 
 
-hull_lines = tuple(
-    PlotSeries(data=line, label="hull point cost lines",
-               style=SeriesStyle(color="#c9c9c9", width=0.9))
-    for line in cost_lines(hull, priors))
+# one legend row for all the hull's lines: each is drawn alike under one label
+hull_lines = [(Curve(xs=line.xs, ys=line.ys, series="hull point cost lines"),
+               {"color": "#c9c9c9", "width": 0.9})
+              for line in cost_lines(hull, priors)]
 
-spec = PlotSpec(
+write_svg(
     title="Cost lines, lower envelope and Brier curve",
     x_label="cost proportion c",
     y_label="normalized expected loss",
-    series=hull_lines + (
-        PlotSeries(data=envelope, style=SeriesStyle(width=2.4)),
-        PlotSeries(data=brier, style=SeriesStyle(width=2.0)),
-        PlotSeries(data=all_pos, style=SeriesStyle(dash="6,3")),
-        PlotSeries(data=all_neg, style=SeriesStyle(dash="2,3")),
-    ),
+    series=hull_lines + [
+        (envelope, {"width": 2.4}),
+        (brier, {"width": 2.0}),
+        (all_pos, {"dash": "6,3"}),
+        (all_neg, {"dash": "2,3"}),
+    ],
     x_range=(0.0, 1.0),
     y_range=(0.0, 0.45),
+    path=str(OUT / "cost_brier.svg"),
 )
-write_svg(spec, str(OUT / "cost_brier.svg"))
 print(f"wrote {OUT / 'cost_brier.svg'}")

@@ -12,10 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (Dataset, PlotSeries, PlotSpec, SeriesStyle, ThresholdGrid,
-                      brier_curve, convex_hull, loss_decomposition,
-                      lower_envelope, operating_points, per_class_components,
-                      write_svg)
+from opcurves import (Curve, Dataset, ThresholdGrid, brier_curve, convex_hull,
+                      loss_decomposition, lower_envelope, operating_points,
+                      per_class_components, write_svg)
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -50,20 +49,24 @@ print(f"at c=0.5 the squashed model's loss is {pos.ys[100] + neg.ys[100]:.4f}, "
 
 env = lower_envelope(convex_hull(operating_points(squashed)),
                      squashed.priors, grid)
-spec = PlotSpec(
+
+
+def labelled(curve, label):
+    """The curve under another legend label."""
+    return Curve(xs=curve.xs, ys=curve.ys, series=label)
+
+
+write_svg(
     title="Miscalibration as a visible gap",
     x_label="cost proportion c",
     y_label="normalized expected loss",
-    series=(
-        PlotSeries(data=brier_curve(squashed, grid), label="squashed scores",
-                   style=SeriesStyle(width=2.0)),
-        PlotSeries(data=brier_curve(calibrated, grid), label="calibrated scores",
-                   style=SeriesStyle(width=2.0)),
-        PlotSeries(data=env, label="lower envelope",
-                   style=SeriesStyle(dash="5,3")),
-    ),
+    series=[
+        (labelled(brier_curve(squashed, grid), "squashed scores"), {"width": 2.0}),
+        (labelled(brier_curve(calibrated, grid), "calibrated scores"), {"width": 2.0}),
+        (labelled(env, "lower envelope"), {"dash": "5,3"}),
+    ],
     x_range=(0.0, 1.0),
     y_range=(0.0, 0.8),
+    path=str(OUT / "decomposition.svg"),
 )
-write_svg(spec, str(OUT / "decomposition.svg"))
 print(f"wrote {OUT / 'decomposition.svg'}")

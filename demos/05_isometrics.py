@@ -11,8 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from opcurves import (Curve, PlotSeries, PlotSpec, Priors, SeriesStyle,
-                      isometric_gradient, isometric_line, write_svg)
+from opcurves import Curve, Priors, isometric_gradient, isometric_lines, write_svg
 
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -31,33 +30,29 @@ print("the slope is 1 exactly at t = prevalence, where both error "
 
 def drawn(metric, level, t=None):
     """The isometric across the plot's fpr range, as a two-vertex Curve."""
-    line = isometric_line(metric, level, priors, t)
+    gradient, intercepts = isometric_lines(metric, np.array([level]), priors, t)
     fprs = np.array([0.0, 1.0])
     label = f"{metric}={level:g}" + ("" if t is None else f" t={t:g}")
-    return Curve(xs=fprs, ys=line.tpr_at(fprs), series=label)
+    return Curve(xs=fprs, ys=gradient * fprs + intercepts[0], series=label)
 
 
-acc_lines = tuple(
-    PlotSeries(data=drawn("accuracy", level),
-               style=SeriesStyle(color="#888888", dash="4,3"))
-    for level in (0.7, 0.8, 0.9))
-nb_lines = tuple(
-    PlotSeries(data=drawn("net_benefit", level, t=0.25))
-    for level in (0.0, 0.1, 0.2))
+acc_lines = [(drawn("accuracy", level), {"color": "#888888", "dash": "4,3"})
+             for level in (0.7, 0.8, 0.9)]
+nb_lines = [(drawn("net_benefit", level, t=0.25), {}) for level in (0.0, 0.1, 0.2)]
 
-spec = PlotSpec(
+write_svg(
     title="Metric isometrics in ROC space",
     x_label="false positive rate",
     y_label="true positive rate",
     series=acc_lines + nb_lines,
     x_range=(0.0, 1.0),
     y_range=(0.0, 1.0),
+    path=str(OUT / "isometrics.svg"),
 )
-write_svg(spec, str(OUT / "isometrics.svg"))
 print(f"wrote {OUT / 'isometrics.svg'}")
 
 # the brier_loss isometric through a point reports that point's loss
-line = isometric_line("brier_loss", 0.2, priors, t=0.25)
+gradient, intercepts = isometric_lines("brier_loss", np.array([0.2]), priors, t=0.25)
 fpr = 0.3
 print(f"\nbrier_loss=0.2 isometric at t=0.25 passes through "
-      f"(fpr={fpr}, tpr={line.tpr_at(fpr):.3f})")
+      f"(fpr={fpr}, tpr={gradient * fpr + intercepts[0]:.3f})")

@@ -15,15 +15,15 @@ Brier loss differences are.
 
 import numpy as np
 
-from opcurves import (Priors, SimulationSpec, ThresholdGrid, brier_curve, compare_models,
+from opcurves import (Priors, ThresholdGrid, brier_curve, compare_models,
                       convex_hull, decision_curve, loss_cp, lower_envelope,
                       nb_from_brier_loss, net_benefit, operating_points,
                       simulate_gaussian, upper_envelope_decision_curve)
 
 grid = ThresholdGrid.decision_default()
 base = dict(n=4000, mu_n=0.4, sigma_n=0.12, mu_p=0.6, sigma_p=0.12)
-a = simulate_gaussian(SimulationSpec(pi_p=0.2, seed=1, **base))
-b = simulate_gaussian(SimulationSpec(pi_p=0.2, seed=2, **base))
+a = simulate_gaussian(pi_p=0.2, seed=1, **base)
+b = simulate_gaussian(pi_p=0.2, seed=2, **base)
 
 # identity 1: the curves transform into each other pointwise
 nb = decision_curve(a, grid).ys

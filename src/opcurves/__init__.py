@@ -33,8 +33,8 @@ METRICS = ("accuracy", "net_benefit", "brier_loss")
 
 _EXPORTS = {
     "dataset": ("NEGATIVE", "POSITIVE", "Dataset", "DatasetError", "DegenerateClassError",
-                "EmptyInputError", "ParseError", "Priors", "SimulationSpec",
-                "SimulationSpecError", "read_csv", "simulate_gaussian", "write_csv"),
+                "EmptyInputError", "ParseError", "Priors", "SimulationSpecError", "read_csv",
+                "simulate_gaussian", "write_csv"),
     "roc": ("OperatingPoint", "RocCurve", "convex_hull", "dominance", "operating_points",
             "threshold_rates"),
     "decision": ("Curve", "ThresholdGrid", "baseline_decision_curves", "decision_curve",
@@ -42,11 +42,10 @@ _EXPORTS = {
     "cost": ("LossDecomposition", "baseline_cost_curves", "brier_curve", "brier_score",
              "cost_lines", "loss_cp", "loss_decomposition", "lower_envelope",
              "per_class_components", "refinement_loss"),
-    "isometrics": ("RocLine", "isometric_gradient", "isometric_line"),
+    "isometrics": ("isometric_gradient", "isometric_lines"),
     "relations": ("ComparisonReport", "PriorMismatchError", "compare_models",
                   "nb_from_brier_loss"),
-    "render": ("PlotSeries", "PlotSpec", "RenderError", "SeriesStyle", "render_svg",
-               "write_svg"),
+    "render": ("RenderError", "render_svg", "write_svg"),
 }
 _OWNERS = {name: module for module, names in _EXPORTS.items() for name in names}
 

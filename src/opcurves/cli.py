@@ -310,21 +310,18 @@ def _write_curves(args: argparse.Namespace, data, curves: list, plot,
 
     --csv writes the curves as x,y,series rows. --svg draws what plot()
     returns, (title, x_label, y_label, drawn, x_range, y_span): drawn pairs
-    each curve to draw with its SeriesStyle fields, in legend order, and the
-    y range is y_span times the highest point drawn. --json writes the
-    command, input, priors and grid, then report's keys, then the curves.
+    each Curve to draw with its style, in legend order, and the y range is
+    y_span times the highest point drawn. --json writes the command, input,
+    priors and grid, then report's keys, then the curves.
     """
     with _outputs() as out:
         if args.csv_path:
             out.add(args.csv_path, output.xy_csv(curves))
         if args.svg_path:
             title, x_label, y_label, drawn, x_range, (low, high) = plot()
-            series = [render.PlotSeries(data=decision.Curve._adopt(*c),
-                                        style=render.SeriesStyle(**style)) for c, style in drawn]
-            top = max(max(float(s.data.ys.max()) for s in series), 1e-9)
-            out.add(args.svg_path, render.render_svg(render.PlotSpec(
-                title=title, x_label=x_label, y_label=y_label, series=series,
-                x_range=x_range, y_range=(low * top, high * top))))
+            top = max(max(float(c.ys.max()) for c, _ in drawn), 1e-9)
+            out.add(args.svg_path, render.render_svg(title, x_label, y_label, drawn, x_range,
+                                                     (low * top, high * top)))
         if report is not None and args.json_path:
             out.add(args.json_path, _json_report({
                 "command": args.command, "input": args.input,
@@ -364,7 +361,7 @@ def _run_cost(args: argparse.Namespace) -> None:
     _write_curves(args, data, [env, all_positive, all_negative], lambda: (
         "Cost curves", "cost proportion c", "normalized expected loss",
         [(env, {"width": 2.4}), (all_positive, {"dash": "6,3"}), (all_negative, {"dash": "2,3"}),
-         *(((line.xs, line.ys, "hull point cost lines"), grey)
+         *((decision.Curve._adopt(line.xs, line.ys, "hull point cost lines"), grey)
            for line in cost.cost_lines(hull, data.priors))],
         (0.0, 1.0), (0.0, 1.06)))
 
@@ -397,8 +394,9 @@ def _run_roc(args: argparse.Namespace) -> None:
     # every ROC curve ends at (1, 1), so y_span is the y range itself
     _write_curves(args, data, [points, edge], lambda: (
         "ROC", "false positive rate", "true positive rate",
-        [(points, {}), (edge, {"width": 2.2}),
-         (([0.0, 1.0], [0.0, 1.0], "chance"), {"color": "#999999", "dash": "4,4"})],
+        [(decision.Curve._adopt(*points), {}), (decision.Curve._adopt(*edge), {"width": 2.2}),
+         (decision.Curve._adopt([0.0, 1.0], [0.0, 1.0], "chance"),
+          {"color": "#999999", "dash": "4,4"})],
         (-0.02, 1.02), (-0.02, 1.02)))
 
 
@@ -447,9 +445,8 @@ def _run_isometrics(args: argparse.Namespace) -> None:
 
 
 def _run_simulate(args: argparse.Namespace) -> None:
-    spec = dataset.SimulationSpec(n=args.n, pi_p=args.pi_p, mu_n=args.mu_n, sigma_n=args.sd_n,
-                                  mu_p=args.mu_p, sigma_p=args.sd_p, seed=args.seed)
-    data = dataset.simulate_gaussian(spec)
+    data = dataset.simulate_gaussian(n=args.n, pi_p=args.pi_p, mu_n=args.mu_n, sigma_n=args.sd_n,
+                                     mu_p=args.mu_p, sigma_p=args.sd_p, seed=args.seed)
     dataset.write_csv(data, args.out_path)
     print(f"wrote {args.out_path} ({data.n} samples, {data.n_p} positive, seed {args.seed})")
 

@@ -48,7 +48,7 @@ class DegenerateClassError(DatasetError):
 
 
 class SimulationSpecError(DatasetError):
-    """A simulation spec violates its own constraints."""
+    """simulate_gaussian was given arguments it cannot draw from."""
 
 
 @dataclass(frozen=True)
@@ -461,52 +461,40 @@ def write_csv(data: Dataset, path: str) -> None:
     write_text(path, _csv_chunks(data))
 
 
-# SimulationSpec refuses a larger n, so a huge one fails with a message
+# simulate_gaussian refuses a larger n, so a huge one fails with a message
 # instead of numpy's allocation error
 MAX_SIMULATED_ROWS = 10**8
 
 
-@dataclass(frozen=True)
-class SimulationSpec:
-    """Two-Gaussian score model: one component per class, clipped to [0, 1]."""
-
-    n: int
-    pi_p: float
-    mu_n: float
-    sigma_n: float
-    mu_p: float
-    sigma_p: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise SimulationSpecError("n must be at least 2")
-        if self.n > MAX_SIMULATED_ROWS:
-            raise SimulationSpecError(f"n must be at most {MAX_SIMULATED_ROWS}")
-        if not 0.0 < self.pi_p < 1.0:
-            raise SimulationSpecError("pi_p must lie strictly inside (0, 1)")
-        for name in ("mu_n", "sigma_n", "mu_p", "sigma_p"):
-            if not math.isfinite(getattr(self, name)):
-                raise SimulationSpecError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.sigma_n <= 0.0 or self.sigma_p <= 0.0:
-            raise SimulationSpecError("class standard deviations must be positive")
-
-
-def simulate_gaussian(spec: SimulationSpec) -> Dataset:
-    """Draw a dataset from the spec's class-conditional Gaussians.
+def simulate_gaussian(*, n: int, pi_p: float, mu_n: float, sigma_n: float, mu_p: float,
+                      sigma_p: float, seed: int) -> Dataset:
+    """Draw a dataset from a two-Gaussian score model: one component per
+    class, N(mu_n, sigma_n) for negatives and N(mu_p, sigma_p) for
+    positives, clipped to [0, 1].
 
     round(n * pi_p) samples are positive. Draws falling outside [0, 1] are
     clipped to the boundary, so extreme parameters pile mass at 0 and 1.
-    Identical specs (seed included) produce identical datasets.
+    Identical arguments (seed included) produce identical datasets. The
+    arguments are checked before anything is drawn (SimulationSpecError).
     """
-    n_p = round(spec.n * spec.pi_p)
-    n_n = spec.n - n_p
+    if n < 2:
+        raise SimulationSpecError("n must be at least 2")
+    if n > MAX_SIMULATED_ROWS:
+        raise SimulationSpecError(f"n must be at most {MAX_SIMULATED_ROWS}")
+    if not 0.0 < pi_p < 1.0:
+        raise SimulationSpecError("pi_p must lie strictly inside (0, 1)")
+    for name, value in dict(mu_n=mu_n, sigma_n=sigma_n, mu_p=mu_p, sigma_p=sigma_p).items():
+        if not math.isfinite(value):
+            raise SimulationSpecError(f"{name} must be finite, got {value!r}")
+    if sigma_n <= 0.0 or sigma_p <= 0.0:
+        raise SimulationSpecError("class standard deviations must be positive")
+    n_p = round(n * pi_p)
+    n_n = n - n_p
     if n_p < 1 or n_n < 1:
         raise SimulationSpecError("requested prevalence rounds one class to zero samples")
-    rng = np.random.default_rng(spec.seed)
-    scores = np.concatenate([rng.normal(spec.mu_n, spec.sigma_n, n_n),
-                             rng.normal(spec.mu_p, spec.sigma_p, n_p)])
+    rng = np.random.default_rng(seed)
+    scores = np.concatenate([rng.normal(mu_n, sigma_n, n_n), rng.normal(mu_p, sigma_p, n_p)])
     np.clip(scores, 0.0, 1.0, out=scores)
-    labels = np.zeros(spec.n, dtype=np.int8)
+    labels = np.zeros(n, dtype=np.int8)
     labels[n_n:] = POSITIVE
     return Dataset(scores, labels, _owned=True)

@@ -9,32 +9,10 @@ threshold selects the same operating points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import METRICS
 from .dataset import Priors
-from .decision import ArrayLike, _unwrap
-
-
-@dataclass(frozen=True)
-class RocLine:
-    """A line TPR = gradient * FPR + intercept tagged with its meaning.
-
-    t is None for accuracy, which does not depend on a threshold.
-    Coefficients are returned unclipped; the line may leave the unit square.
-    """
-
-    gradient: float
-    intercept: float
-    metric: str
-    level: float
-    t: float | None = None
-
-    def tpr_at(self, fpr: ArrayLike) -> ArrayLike:
-        return _unwrap(np.asarray(self.gradient * np.asarray(fpr, dtype=np.float64)
-                                  + self.intercept))
 
 
 def isometric_gradient(t: float, priors: Priors) -> float:
@@ -44,16 +22,6 @@ def isometric_gradient(t: float, priors: Priors) -> float:
     if not 0.0 < t < 1.0:
         raise ValueError("threshold metrics need t strictly inside (0, 1)")
     return priors.pi_n * t / (priors.pi_p * (1.0 - t))
-
-
-def isometric_line(metric: str, level: float, priors: Priors,
-                   t: float | None = None) -> RocLine:
-    """The ROC-space line along which `metric` equals `level`:
-    isometric_lines at that one level, which raises for the same input."""
-    gradient, intercepts = isometric_lines(metric, np.array([level], dtype=np.float64),
-                                           priors, t)
-    return RocLine(gradient=gradient, intercept=float(intercepts[0]), metric=metric,
-                   level=level, t=t)
 
 
 def isometric_lines(metric: str, levels: np.ndarray, priors: Priors,

@@ -14,7 +14,8 @@ Outputs block is open, a read-only float column that fits in one chunk is
 encoded once for the whole block and its words reused by every table that
 writes it (see _memo_words): the threshold grid of a curve run is one
 array, the x of every series and the grid of its report (and the t of
-compare's per_t rows).
+compare's per_t rows); the x of every series, a JSON array at one
+indentation, is framed once too.
 
 write_text puts a new or plain file under a temporary name in the target
 directory and moves it into place with os.replace, so a reader never sees
@@ -241,8 +242,9 @@ def _column_words(column: np.ndarray, fallback: Callable[[float], str]) -> np.nd
     return _float_words(values[heads], fallback)[np.cumsum(heads) - 1]
 
 
-# the words of the columns encoded in the open Outputs block, by
-# (id(column), fallback or None): {key: (column, words)}; None outside one
+# the words of the columns encoded in the open Outputs block, by (id(column),
+# fallback or None), and the text of a one-column table of one, by
+# (id(column), fallback, *pieces): {key: (column, words or text)}; None outside one
 _memo: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_memo", default=None)
 
 
@@ -291,7 +293,17 @@ def rows(columns: list[np.ndarray], pieces: list[str],
                    for p in pieces]
     columns = [np.asarray(c) for c in columns]
     size = max(1, _CHUNK // len(columns))
-    for lo in range(0, len(columns[0]), size):
+    memo, column = _memo.get(), columns[0]
+    if (memo is not None and len(columns) == 1 and 0 < len(column) <= size
+            and column.dtype.kind == "f" and _frozen(column)):
+        # a column _memo_words holds: the text, for a JSON array at one indentation
+        key = (id(column), fallback, *pieces)
+        if key not in memo:
+            memo[key] = (column, _frame_text([_memo_words(column, fallback, 0, size)],
+                                             piece_words))
+        yield memo[key][1]
+        return
+    for lo in range(0, len(column), size):
         yield _frame_text([_memo_words(c, fallback, lo, size) for c in columns], piece_words)
 
 
@@ -337,7 +349,12 @@ def _array_items(columns: list[np.ndarray], pieces: list[str],
             raise TypeError(f"arrays of dtype {column.dtype} are not JSON serializable")
     sep = ",\n" + _INDENT * (level + 1)
     pieces = [*pieces[:-1], pieces[-1] + sep]
-    return ([chunk[:-len(sep)]] for chunk in rows(columns, pieces, json.dumps))
+    return ([chunk[:-len(sep)]] for chunk in rows(columns, pieces, _json_float))
+
+
+def _json_float(v: float) -> str:
+    """json.dumps(v) for a float; repr's text where v is finite."""
+    return float.__repr__(v) if math.isfinite(v) else json.dumps(v)
 
 
 def _records_items(rec: Records, level: int) -> Iterator[list[str]]:

@@ -1,7 +1,7 @@
 """Deterministic SVG rendering for curves.
 
 No plotting dependency: the writer emits plain SVG 1.1 text and the same
-PlotSpec always produces byte-identical output, so rendered files can be
+arguments always produce byte-identical output, so rendered files can be
 diffed and cached. Every series is a Curve (sampled, an ROC staircase
 whose x repeats, or a two-vertex line), drawn through its vertices in
 order and clipped to the axes box. A path vertex that the 0.01 px output
@@ -10,7 +10,7 @@ resolution cannot tell apart from the path without it is left out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from math import ceil, floor, isfinite, log10
 
 import numpy as np
@@ -34,34 +34,12 @@ _LEGEND_ROWS = (_HEIGHT - _LEGEND_TOP) // _LEGEND_PITCH + 1
 
 
 class RenderError(ValueError):
-    """The plot spec cannot be rendered faithfully."""
+    """The plot cannot be rendered faithfully."""
 
 
-@dataclass(frozen=True)
-class SeriesStyle:
-    color: str | None = None     # palette slot by position when None
-    width: float = 1.6
-    dash: str | None = None      # SVG dasharray, e.g. "6,3"
-
-
-@dataclass(frozen=True)
-class PlotSeries:
-    data: Curve
-    label: str = ""              # the curve's series when empty
-    style: SeriesStyle = field(default_factory=SeriesStyle)
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    title: str
-    x_label: str
-    y_label: str
-    series: tuple[PlotSeries, ...]
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "series", tuple(self.series))
+# the style keys a series may set, and their defaults: a palette slot by
+# position when color is None, and dash an SVG dasharray such as "6,3"
+_STYLE = {"color": None, "width": 1.6, "dash": None}
 
 
 def _escape(text: str) -> str:
@@ -73,13 +51,17 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _series_vertices(entry: PlotSeries) -> tuple[str, np.ndarray, np.ndarray]:
-    """The entry's legend label and its curve's vertices, checked for drawing."""
-    data = entry.data
-    if not isinstance(data, Curve):
-        raise RenderError(f"cannot plot object of type {type(data).__name__}")
-    label = entry.label or data.series
-    xs, ys = data.xs, data.ys
+def _series_vertices(curve: Curve, style: Mapping[str, object],
+                     slot: str) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The series' legend row, (label, color, color given, width, dash),
+    and its curve's vertices, checked for drawing. A style that gives no
+    color takes the palette's color slot."""
+    if not isinstance(curve, Curve):
+        raise RenderError(f"cannot plot object of type {type(curve).__name__}")
+    unknown = style.keys() - _STYLE.keys()
+    if unknown:
+        raise RenderError(f"unknown style key {min(unknown)!r}; expected color, width or dash")
+    label, xs, ys = curve.series, curve.xs, curve.ys
     bad = ~(np.isfinite(xs) & np.isfinite(ys))
     if np.any(bad):
         raise RenderError(f"series {label!r} has a non-finite value at x={float(xs[bad][0])!r}")
@@ -87,7 +69,8 @@ def _series_vertices(entry: PlotSeries) -> tuple[str, np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         if not (np.all(np.isfinite(np.diff(xs))) and np.all(np.isfinite(np.diff(ys)))):
             raise RenderError(f"series {label!r} has a segment whose dx or dy overflows")
-    return label, xs, ys
+    color, width, dash = {**_STYLE, **style}.values()
+    return (label, color or slot, color, width, dash), xs, ys
 
 
 _CHUNK = 1 << 14  # segments clipped per pass; bounds the clip's temporaries
@@ -235,14 +218,18 @@ def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     return out
 
 
-def render_svg(spec: PlotSpec) -> str:
-    """Render the spec to SVG text. Raises RenderError on an empty series
-    list, unusable ranges, a series that is not a Curve, non-finite curve
-    values, or more legend rows than fit on the canvas (_LEGEND_ROWS)."""
-    if not spec.series:
+def render_svg(title: str, x_label: str, y_label: str,
+               series: Sequence[tuple[Curve, Mapping[str, object]]],
+               x_range: tuple[float, float], y_range: tuple[float, float]) -> str:
+    """The SVG text of series, (Curve, style) pairs drawn in order under the
+    curve's series as label. Raises RenderError on an empty series list,
+    unusable ranges, a series that is not a Curve, a style key not in
+    _STYLE, non-finite curve values, or more legend rows than fit on the
+    canvas (_LEGEND_ROWS)."""
+    if not series:
         raise RenderError("nothing to plot: series list is empty")
-    x0, x1 = spec.x_range
-    y0, y1 = spec.y_range
+    x0, x1 = x_range
+    y0, y1 = y_range
     if not all(isfinite(v) for v in (x0, x1, y0, y1)) or x0 >= x1 or y0 >= y1:
         raise RenderError("plot ranges must be finite and increasing")
     if not (isfinite(x1 - x0) and isfinite(y1 - y0)):
@@ -264,7 +251,7 @@ def render_svg(spec: PlotSpec) -> str:
     lines.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
     lines.append(
         f'<text x="{_fmt(_MARGIN_LEFT + pw / 2)}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="#222222">{_escape(spec.title)}</text>')
+        f'font-family="sans-serif" font-size="15" fill="#222222">{_escape(title)}</text>')
 
     for tx in _ticks(x0, x1):
         gx = _fmt(px(tx))
@@ -283,35 +270,36 @@ def render_svg(spec: PlotSpec) -> str:
                  f'fill="none" stroke="#333333" stroke-width="1"/>')
     lines.append(f'<text x="{_fmt(_MARGIN_LEFT + pw / 2)}" y="{_HEIGHT - 12}" '
                  f'text-anchor="middle" font-family="sans-serif" font-size="13" '
-                 f'fill="#222222">{_escape(spec.x_label)}</text>')
+                 f'fill="#222222">{_escape(x_label)}</text>')
     ylab_x, ylab_y = 17, _MARGIN_TOP + ph / 2
     lines.append(f'<text x="{ylab_x}" y="{_fmt(ylab_y)}" text-anchor="middle" '
                  f'font-family="sans-serif" font-size="13" fill="#222222" '
-                 f'transform="rotate(-90 {ylab_x} {_fmt(ylab_y)})">{_escape(spec.y_label)}</text>')
+                 f'transform="rotate(-90 {ylab_x} {_fmt(ylab_y)})">{_escape(y_label)}</text>')
 
-    legend: list[tuple[str, str, SeriesStyle]] = []
-    polylines = []
-    for idx, entry in enumerate(spec.series):
-        label, xs, ys = _series_vertices(entry)
-        legend.append((label, entry.style.color or _PALETTE[idx % len(_PALETTE)], entry.style))
+    legend, polylines = [], []
+    for idx, (curve, style) in enumerate(series):
+        row, xs, ys = _series_vertices(curve, style, _PALETTE[idx % len(_PALETTE)])
+        legend.append(row)
         polylines.append((xs, ys))
-    # a series drawn like an earlier one under the same label shares its row
+    # a series given the style of an earlier one under the same label, and
+    # so drawn alike, shares its row
     rows = dict.fromkeys(legend)
     if len(rows) > _LEGEND_ROWS:
         raise RenderError(f"the legend has {len(rows)} rows, and at most {_LEGEND_ROWS} "
                           "fit on the canvas")
-    for d, (_, color, style) in zip(_path_data(polylines, (x0, x1, y0, y1), px, py), legend):
+    for d, (_, color, _, width, dash) in zip(_path_data(polylines, (x0, x1, y0, y1), px, py),
+                                             legend):
         if d:
-            dash = f' stroke-dasharray="{style.dash}"' if style.dash else ""
+            dash = f' stroke-dasharray="{dash}"' if dash else ""
             lines.append(f'<path d="{d}" fill="none" stroke="{color}" '
-                         f'stroke-width="{style.width:g}"{dash}/>')
+                         f'stroke-width="{width:g}"{dash}/>')
 
     lx = _MARGIN_LEFT + pw + 16
-    for row, (label, color, style) in enumerate(rows):
+    for row, (label, color, _, width, dash) in enumerate(rows):
         ly = _LEGEND_TOP + row * _LEGEND_PITCH
-        dash = f' stroke-dasharray="{style.dash}"' if style.dash else ""
+        dash = f' stroke-dasharray="{dash}"' if dash else ""
         lines.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
-                     f'stroke="{color}" stroke-width="{style.width:g}"{dash}/>')
+                     f'stroke="{color}" stroke-width="{width:g}"{dash}/>')
         lines.append(f'<text x="{lx + 32}" y="{ly}" dy="4" font-family="sans-serif" '
                      f'font-size="11" fill="#222222">{_escape(label)}</text>')
 
@@ -319,5 +307,8 @@ def render_svg(spec: PlotSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_svg(spec: PlotSpec, path: str) -> None:
-    write_text(path, render_svg(spec))
+def write_svg(title: str, x_label: str, y_label: str,
+              series: Sequence[tuple[Curve, Mapping[str, object]]],
+              x_range: tuple[float, float], y_range: tuple[float, float], path: str) -> None:
+    """Write render_svg's text for the same arguments to path."""
+    write_text(path, render_svg(title, x_label, y_label, series, x_range, y_range))

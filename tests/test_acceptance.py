@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from opcurves import (Dataset, Priors, SimulationSpec, ThresholdGrid, baseline_cost_curves,
+from opcurves import (Dataset, Priors, ThresholdGrid, baseline_cost_curves,
                       baseline_decision_curves, brier_curve, brier_score, compare_models,
                       convex_hull, decision_curve,
                       loss_cp, loss_decomposition, lower_envelope, net_benefit,
@@ -120,9 +120,8 @@ def test_criterion_05_area_is_brier_score():
     tied = Dataset(scores, labels)
     mse = float(np.mean((tied.scores - tied.labels) ** 2))
     assert abs(brier_score(tied) - mse) <= 1e-9
-    big = simulate_gaussian(SimulationSpec(n=10_000, pi_p=0.2, mu_n=0.4,
-                                           sigma_n=0.12, mu_p=0.6, sigma_p=0.12,
-                                           seed=1))
+    big = simulate_gaussian(n=10_000, pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6,
+                            sigma_p=0.12, seed=1)
     start = time.perf_counter()
     val = brier_score(big)
     elapsed = time.perf_counter() - start
@@ -222,9 +221,8 @@ def _contiguous_runs(mask: np.ndarray) -> list[tuple[int, int]]:
                "contiguous interior band, same band in both spaces")
 def test_criterion_10_simulated_band():
     start = time.perf_counter()
-    spec = SimulationSpec(n=10_000, pi_p=0.2, mu_n=0.4, sigma_n=0.12,
-                          mu_p=0.6, sigma_p=0.12, seed=7)
-    data = simulate_gaussian(spec)
+    data = simulate_gaussian(n=10_000, pi_p=0.2, mu_n=0.4, sigma_n=0.12,
+                             mu_p=0.6, sigma_p=0.12, seed=7)
     grid = ThresholdGrid.decision_default()
     model = decision_curve(data, grid).ys
     treat_all, treat_none = (c.ys for c in baseline_decision_curves(data.priors, grid))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from opcurves import (Dataset, DatasetError, ParseError, Priors, PriorMismatchError,
-                      SimulationSpecError, ThresholdGrid, compare_models, isometric_line,
+                      SimulationSpecError, ThresholdGrid, compare_models, isometric_lines,
                       operating_points)
 from opcurves import cli, output, render
 from opcurves.cli import UsageError, main
@@ -427,11 +427,11 @@ class TestIsometrics:
         assert main(argv + ([] if t is None else ["--t", str(t)])) == 0
         priors = Priors(pi_p=0.25, pi_n=0.75)
         want = ["metric,level,t,gradient,intercept"]
+        t_text = "" if t is None else repr(float(t))
         for level in cli._parse_levels(levels):
-            line = isometric_line(metric, float(level), priors, t)
-            t_text = "" if line.t is None else repr(float(line.t))
-            want.append(f"{line.metric},{float(line.level)!r},{t_text},"
-                        f"{float(line.gradient)!r},{float(line.intercept)!r}")
+            gradient, intercepts = isometric_lines(metric, np.array([float(level)]), priors, t)
+            want.append(f"{metric},{float(level)!r},{t_text},"
+                        f"{float(gradient)!r},{float(intercepts[0])!r}")
         assert out.read_text(encoding="utf-8") == "\n".join(want) + "\n"
 
     def test_level_out_of_the_metric_range_is_usage_error(self, capsys):
@@ -566,7 +566,7 @@ class TestOutputs:
         csv_out.write_text("old csv", encoding="utf-8")
         svg_out.write_text("old svg", encoding="utf-8")
 
-        def full_disk(spec):
+        def full_disk(*args):
             yield "<svg"
             raise OSError(errno.ENOSPC, "No space left on device")
 

@@ -1,13 +1,14 @@
 import csv
 import random
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from opcurves import (Dataset, DatasetError, DegenerateClassError, EmptyInputError, ParseError,
-                      Priors, SimulationSpec, SimulationSpecError, read_csv, simulate_gaussian,
-                      write_csv)
+                      Priors, SimulationSpecError, read_csv, simulate_gaussian, write_csv)
 from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_rows
 from helpers import (THOUSANDTHS, UNIT_FLOATS, assert_sorted_classes, datasets, from_csv,
                      from_csv_bytes, make_random, text_lines, to_csv)
@@ -378,11 +379,12 @@ def test_priors_validation():
     assert p.pi_n == 6 / 9
 
 
+SIMULATION = dict(n=500, pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6, sigma_p=0.12, seed=11)
+
+
 def test_simulation_is_deterministic():
-    spec = SimulationSpec(n=500, pi_p=0.2, mu_n=0.4, sigma_n=0.12,
-                          mu_p=0.6, sigma_p=0.12, seed=11)
-    a = simulate_gaussian(spec)
-    b = simulate_gaussian(spec)
+    a = simulate_gaussian(**SIMULATION)
+    b = simulate_gaussian(**SIMULATION)
     assert a == b
     assert a.n == 500
     assert a.n_p == 100
@@ -393,32 +395,44 @@ def test_simulation_is_deterministic():
 
 
 def test_simulation_seed_changes_data():
-    base = dict(n=500, pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6, sigma_p=0.12)
-    a = simulate_gaussian(SimulationSpec(seed=1, **base))
-    b = simulate_gaussian(SimulationSpec(seed=2, **base))
+    a = simulate_gaussian(**{**SIMULATION, "seed": 1})
+    b = simulate_gaussian(**{**SIMULATION, "seed": 2})
     assert a != b
 
 
-def test_simulation_spec_validation():
-    with pytest.raises(SimulationSpecError):
-        SimulationSpec(n=1, pi_p=0.2, mu_n=0.4, sigma_n=0.12,
-                       mu_p=0.6, sigma_p=0.12, seed=0)
-    with pytest.raises(SimulationSpecError):
-        SimulationSpec(n=100, pi_p=0.0, mu_n=0.4, sigma_n=0.12,
-                       mu_p=0.6, sigma_p=0.12, seed=0)
-    with pytest.raises(SimulationSpecError):
-        SimulationSpec(n=100, pi_p=0.2, mu_n=0.4, sigma_n=0.0,
-                       mu_p=0.6, sigma_p=0.12, seed=0)
-    # checked on construction, before anything is drawn
-    base = dict(pi_p=0.2, mu_n=0.4, sigma_n=0.12, mu_p=0.6, sigma_p=0.12, seed=0)
-    assert SimulationSpec(n=MAX_SIMULATED_ROWS, **base).n == 10**8
-    for n in (MAX_SIMULATED_ROWS + 1, 10**15):
-        with pytest.raises(SimulationSpecError, match="^n must be at most 100000000$"):
-            SimulationSpec(n=n, **base)
+REFUSALS = [
+    ({"n": 1}, "n must be at least 2"),
+    ({"n": -5}, "n must be at least 2"),
+    ({"n": MAX_SIMULATED_ROWS + 1}, "n must be at most 100000000"),
+    ({"n": 10**15}, "n must be at most 100000000"),
+    ({"pi_p": 0.0}, "pi_p must lie strictly inside (0, 1)"),
+    ({"pi_p": 1.0}, "pi_p must lie strictly inside (0, 1)"),
+    ({"pi_p": float("nan")}, "pi_p must lie strictly inside (0, 1)"),
+    ({"mu_n": float("nan")}, "mu_n must be finite, got nan"),
+    ({"sigma_n": float("inf")}, "sigma_n must be finite, got inf"),
+    ({"mu_p": float("-inf")}, "mu_p must be finite, got -inf"),
+    ({"sigma_p": float("nan")}, "sigma_p must be finite, got nan"),
+    ({"sigma_n": 0.0}, "class standard deviations must be positive"),
+    ({"sigma_p": -0.1}, "class standard deviations must be positive"),
+]
+
+
+@pytest.mark.parametrize("changes, message", REFUSALS,
+                         ids=["-".join(f"{k}={v}" for k, v in c.items()) for c, _ in REFUSALS])
+def test_simulation_spec_validation(changes, message):
+    with pytest.raises(SimulationSpecError, match=f"^{re.escape(message)}$"):
+        simulate_gaussian(**{**SIMULATION, **changes})
+
+
+def test_simulation_checks_pass_at_the_largest_n():
+    # and run before anything is drawn
+    with mock.patch.object(np.random, "default_rng", side_effect=RuntimeError("drawn")):
+        with pytest.raises(RuntimeError, match="^drawn$"):
+            simulate_gaussian(**{**SIMULATION, "n": MAX_SIMULATED_ROWS})
 
 
 def test_simulation_rejects_empty_class():
-    spec = SimulationSpec(n=10, pi_p=0.01, mu_n=0.4, sigma_n=0.12,
-                          mu_p=0.6, sigma_p=0.12, seed=0)
-    with pytest.raises(SimulationSpecError):
-        simulate_gaussian(spec)
+    for pi_p in (0.01, 0.99):
+        with pytest.raises(SimulationSpecError,
+                           match="^requested prevalence rounds one class to zero samples$"):
+            simulate_gaussian(**{**SIMULATION, "n": 10, "pi_p": pi_p})

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from opcurves import (METRICS, Priors, RocLine, isometric_gradient, isometric_line,
-                      loss_cp, net_benefit)
+from opcurves import METRICS, Priors, isometric_gradient, isometric_lines, loss_cp, net_benefit
 
 PRIORS = Priors(pi_p=0.25, pi_n=0.75)
+
+
+def _line(metric, level, t=None):
+    """isometric_lines at the one level: the line's gradient and intercept."""
+    gradient, intercepts = isometric_lines(metric, np.array([level]), PRIORS, t)
+    assert intercepts.shape == (1,)
+    return gradient, float(intercepts[0])
 
 
 def test_metric_names():
@@ -29,77 +35,70 @@ class TestGradient:
 
 class TestAccuracyLines:
     def test_level_holds_along_line(self):
-        line = isometric_line("accuracy", 0.8, PRIORS)
-        assert line.t is None
+        gradient, intercept = _line("accuracy", 0.8)
         for fpr in (0.0, 0.1, 0.2):
-            tpr = line.tpr_at(fpr)
+            tpr = gradient * fpr + intercept
             acc = PRIORS.pi_p * tpr + PRIORS.pi_n * (1.0 - fpr)
             assert acc == pytest.approx(0.8, abs=1e-12)
 
     def test_gradient_is_prior_ratio(self):
-        line = isometric_line("accuracy", 0.8, PRIORS)
-        assert line.gradient == pytest.approx(3.0, abs=1e-12)
+        gradient, _ = _line("accuracy", 0.8)
+        assert gradient == pytest.approx(3.0, abs=1e-12)
 
     def test_rejects_threshold(self):
         with pytest.raises(ValueError):
-            isometric_line("accuracy", 0.8, PRIORS, t=0.5)
+            _line("accuracy", 0.8, t=0.5)
 
     def test_rejects_out_of_range_level(self):
         with pytest.raises(ValueError):
-            isometric_line("accuracy", 1.2, PRIORS)
+            _line("accuracy", 1.2)
 
 
 class TestNetBenefitLines:
     def test_level_holds_along_line(self):
-        line = isometric_line("net_benefit", 0.1, PRIORS, t=0.3)
-        assert line.t == 0.3
+        gradient, intercept = _line("net_benefit", 0.1, t=0.3)
         for fpr in (0.0, 0.2, 0.5):
-            tpr = line.tpr_at(fpr)
+            tpr = gradient * fpr + intercept
             assert net_benefit(tpr, fpr, PRIORS, 0.3) == pytest.approx(
                 0.1, abs=1e-12)
 
     def test_zero_level_passes_through_origin(self):
-        line = isometric_line("net_benefit", 0.0, PRIORS, t=0.4)
-        assert line.intercept == pytest.approx(0.0, abs=1e-15)
+        _, intercept = _line("net_benefit", 0.0, t=0.4)
+        assert intercept == pytest.approx(0.0, abs=1e-15)
 
     def test_shares_gradient_with_brier(self):
-        nb = isometric_line("net_benefit", 0.05, PRIORS, t=0.3)
-        bl = isometric_line("brier_loss", 0.2, PRIORS, t=0.3)
-        assert nb.gradient == pytest.approx(bl.gradient, abs=0)
-        assert nb.gradient == pytest.approx(isometric_gradient(0.3, PRIORS), abs=0)
+        nb, _ = _line("net_benefit", 0.05, t=0.3)
+        bl, _ = _line("brier_loss", 0.2, t=0.3)
+        assert nb == pytest.approx(bl, abs=0)
+        assert nb == pytest.approx(isometric_gradient(0.3, PRIORS), abs=0)
 
     def test_requires_threshold(self):
         with pytest.raises(ValueError):
-            isometric_line("net_benefit", 0.1, PRIORS)
+            _line("net_benefit", 0.1)
 
     def test_rejects_unreachable_level(self):
         with pytest.raises(ValueError):
-            isometric_line("net_benefit", 0.3, PRIORS, t=0.3)  # above pi_p
+            _line("net_benefit", 0.3, t=0.3)  # above pi_p
 
 
 class TestBrierLossLines:
     def test_level_holds_along_line(self):
-        line = isometric_line("brier_loss", 0.2, PRIORS, t=0.3)
+        gradient, intercept = _line("brier_loss", 0.2, t=0.3)
         for fpr in (0.0, 0.2, 0.5):
-            tpr = line.tpr_at(fpr)
+            tpr = gradient * fpr + intercept
             assert loss_cp(tpr, fpr, PRIORS, 0.3) == pytest.approx(0.2, abs=1e-12)
 
     def test_zero_loss_passes_through_perfection(self):
         # zero loss forces the (fpr 0, tpr 1) corner
-        line = isometric_line("brier_loss", 0.0, PRIORS, t=0.3)
-        assert line.tpr_at(0.0) == pytest.approx(1.0, abs=1e-12)
+        _, intercept = _line("brier_loss", 0.0, t=0.3)
+        assert intercept == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_unreachable_level(self):
         bound = 2 * (0.7 * 0.25 + 0.3 * 0.75)
         with pytest.raises(ValueError):
-            isometric_line("brier_loss", bound + 0.01, PRIORS, t=0.3)
+            _line("brier_loss", bound + 0.01, t=0.3)
 
 
 def test_unknown_metric():
     with pytest.raises(ValueError, match="metric"):
-        isometric_line("f1", 0.5, PRIORS, t=0.5)
-
-
-def test_line_container():
-    line = RocLine(gradient=2.0, intercept=0.1, metric="accuracy", level=0.8)
-    assert line.tpr_at(0.2) == pytest.approx(0.5, abs=1e-15)
+        _line("f1", 0.5, t=0.5)

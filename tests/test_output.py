@@ -223,6 +223,18 @@ def test_json_arrays_and_records_encode_run_heads_once():
     assert sizes == [41, 41, 1, 41, 41, 41, 41, 41, 41, 3]
 
 
+def test_json_writes_a_finite_float_in_doubt_with_repr():
+    # every value here is in doubt for the encoder: zeros, the least
+    # subnormal, one below 1e-4, one at 1e15 or more, NaN and the infinities
+    values = [0.0, -0.0, 5e-324, 1e-5, 1e16, float("nan"), float("inf"), float("-inf")]
+    want = json.dumps(values, indent=2)
+    with mock.patch.object(output.json, "dumps", wraps=json.dumps) as dumps:
+        got = "".join(output._json_chunks(np.array(values)))
+    assert got == want
+    reached = [call.args[0] for call in dumps.call_args_list]
+    assert len(reached) == 3 and np.isnan(reached[0]) and reached[1:] == [np.inf, -np.inf]
+
+
 def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=np.float64)
     arr.flags.writeable = False
@@ -254,6 +266,24 @@ def test_an_outputs_block_encodes_each_read_only_column_once(tmp_path):
     assert json.loads((tmp_path / "a.json").read_text()) == {
         "grid": grid.tolist(), "series": [{"x": grid.tolist(), "y": y.tolist()} for y in ys]}
     assert output._memo.get() is None
+
+
+def test_an_outputs_block_frames_a_held_column_once_per_indentation(tmp_path):
+    # a.json has the grid at one indentation and the x of two series at
+    # another, b.json two arrays at a third: three frames, or five for a
+    # grid that may change
+    grid = _frozen(np.arange(100) / 99)
+    for column, frames in ((grid, 3), (grid.copy(), 5)):
+        doc = {"grid": column, "series": [{"x": column}, {"x": column}]}
+        with mock.patch.object(output, "_frame_text", wraps=output._frame_text) as frame:
+            with Outputs() as out:
+                out.add(str(tmp_path / "a.json"), json_text(doc))
+                out.add(str(tmp_path / "b.json"), json_text({"x": [column, column]}))
+        assert frame.call_count == frames
+        want = {"grid": grid.tolist(), "series": [{"x": grid.tolist()}] * 2}
+        assert (tmp_path / "a.json").read_text() == json.dumps(want, indent=2)
+        assert (tmp_path / "b.json").read_text() == json.dumps({"x": [grid.tolist()] * 2},
+                                                                indent=2)
 
 
 def test_a_shared_column_keeps_each_writers_text_for_nan_and_infinities(tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from opcurves import (Curve, PlotSeries, PlotSpec, Priors, RenderError, RocCurve,
-                      SeriesStyle, cost_lines, isometric_line, render_svg, write_svg)
+from opcurves import (Curve, Priors, RenderError, RocCurve, cost_lines, isometric_lines,
+                      render_svg, write_svg)
 from opcurves import render
 from helpers import assert_decimated, path_data_oracle
 
@@ -22,79 +22,85 @@ def _curve(series="model"):
 
 
 def _spec(**overrides):
-    base = dict(title="demo", x_label="x", y_label="y",
-                series=(PlotSeries(data=_curve()),),
+    """render_svg's arguments, by keyword."""
+    base = dict(title="demo", x_label="x", y_label="y", series=[(_curve(), {})],
                 x_range=(0.0, 1.0), y_range=(0.0, 1.0))
     base.update(overrides)
-    return PlotSpec(**base)
+    return base
 
 
 def test_output_is_well_formed_svg():
-    text = render_svg(_spec())
+    text = render_svg(**_spec())
     root = ET.fromstring(text)
     assert root.tag.endswith("svg")
     assert "demo" in text
 
 
 def test_deterministic():
-    assert render_svg(_spec()) == render_svg(_spec())
+    assert render_svg(**_spec()) == render_svg(**_spec())
 
 
 def test_legend_lists_every_series():
-    spec = _spec(series=(PlotSeries(data=_curve("model")),
-                         PlotSeries(data=_curve("treat_all"))))
-    text = render_svg(spec)
+    text = render_svg(**_spec(series=[(_curve("model"), {}), (_curve("treat_all"), {})]))
     assert "model" in text
     assert "treat_all" in text
 
 
 def test_series_drawn_alike_under_one_label_share_a_legend_row():
     def legend(*series):
-        text = render_svg(_spec(series=series))
+        text = render_svg(**_spec(series=series))
         assert text.count("<path") == len(series)
         return re.findall(r'dy="4" font-family="sans-serif" font-size="11" '
                           r'fill="#222222">([^<]*)</text>', text)
 
-    grey = SeriesStyle(color="#b0b0b0", width=1.0)
-    assert legend(PlotSeries(data=_curve("line"), style=grey),
-                  PlotSeries(data=_curve("model")),
-                  PlotSeries(data=_curve("other"), label="line", style=grey)) == ["line", "model"]
+    grey = {"color": "#b0b0b0", "width": 1.0}
+    assert legend((_curve("line"), grey), (_curve("model"), {}),
+                  (_curve("line"), dict(grey))) == ["line", "model"]
     # a different style, or a palette slot by position, gets a row of its own
-    assert legend(PlotSeries(data=_curve("line"), style=grey),
-                  PlotSeries(data=_curve("line"), style=SeriesStyle(color="#b0b0b0"))) == [
+    assert legend((_curve("line"), grey), (_curve("line"), {"color": "#b0b0b0"})) == [
         "line", "line"]
-    assert legend(PlotSeries(data=_curve("a")), PlotSeries(data=_curve("a"))) == ["a", "a"]
+    assert legend((_curve("a"), {}), (_curve("a"), {})) == ["a", "a"]
+    # a key given its default is a key left out; a color named is not the
+    # palette slot of that color
+    assert legend((_curve("line"), {"color": "#b0b0b0", "width": 1.6, "dash": None}),
+                  (_curve("line"), {"color": "#b0b0b0"})) == ["line"]
+    assert legend((_curve("a"), {}), (_curve("a"), {"color": render._PALETTE[0]})) == ["a", "a"]
 
 
 def test_legend_rows_stay_on_the_canvas():
     # row k lies at y = 56 + 20k: 22 rows end at y = 476 on the 480 px
     # canvas, and a 23rd would not fit, so 25 distinct labels are refused
     def spec(rows):
-        return _spec(series=tuple(PlotSeries(data=_curve(f"s{k}")) for k in range(rows)))
+        return _spec(series=[(_curve(f"s{k}"), {}) for k in range(rows)])
 
     right = render._WIDTH - render._MARGIN_RIGHT
-    rows = [float(e.get("y1")) for e in ET.fromstring(render_svg(spec(22))).iter()
+    rows = [float(e.get("y1")) for e in ET.fromstring(render_svg(**spec(22))).iter()
             if e.tag.endswith("line") and float(e.get("x1")) > right]
     assert len(rows) == 22 and rows[-1] == 476 and max(rows) < render._HEIGHT
     with pytest.raises(RenderError, match="the legend has 25 rows, and at most 22 fit"):
-        render_svg(spec(25))
+        render_svg(**spec(25))
 
 
 def test_default_palette_cycles():
     from opcurves.render import _PALETTE as PALETTE
-    spec = _spec(series=(PlotSeries(data=_curve("a")),
-                         PlotSeries(data=_curve("b"))))
-    text = render_svg(spec)
+    text = render_svg(**_spec(series=[(_curve("a"), {}), (_curve("b"), {})]))
     assert PALETTE[0] in text
     assert PALETTE[1] in text
 
 
 def test_explicit_style_wins():
-    spec = _spec(series=(PlotSeries(data=_curve(), style=SeriesStyle(
-        color="#123456", width=3.0, dash="4,2")),))
-    text = render_svg(spec)
+    text = render_svg(**_spec(series=[(_curve(), {"color": "#123456", "width": 3.0,
+                                                  "dash": "4,2"})]))
     assert "#123456" in text
     assert 'stroke-dasharray="4,2"' in text
+
+
+@pytest.mark.parametrize("style", [{"colour": "#123456"}, {"width": 2.0, "label": "x"}])
+def test_unknown_style_key_is_refused(style):
+    key = next(k for k in style if k not in ("color", "width", "dash"))
+    with pytest.raises(RenderError, match=f"^unknown style key {key!r}; expected color, "
+                                          "width or dash$"):
+        render_svg(**_spec(series=[(_curve(), {}), (_curve("b"), style)]))
 
 
 def test_lines_are_sampled_and_clipped():
@@ -103,11 +109,9 @@ def test_lines_are_sampled_and_clipped():
     points = RocCurve([np.nan, 0.5, 0.1], [0, 7, 10], [0, 1, 5], n_p=10, n_n=5)
     line = cost_lines(points, PRIORS)[1]
     fprs = np.array([0.0, 1.0])
-    iso = Curve(xs=fprs, ys=isometric_line("accuracy", 0.8, PRIORS).tpr_at(fprs),
-                series="accuracy=0.8")
-    spec = _spec(series=(PlotSeries(data=line), PlotSeries(data=iso)),
-                 y_range=(0.0, 0.5))
-    text = render_svg(spec)
+    gradient, intercepts = isometric_lines("accuracy", np.array([0.8]), PRIORS)
+    iso = Curve(xs=fprs, ys=gradient * fprs + intercepts[0], series="accuracy=0.8")
+    text = render_svg(**_spec(series=[(line, {}), (iso, {})], y_range=(0.0, 0.5)))
     root = ET.fromstring(text)
     assert ">line fpr=0.2 tpr=0.7<" in text and ">accuracy=0.8<" in text
     paths = [e.get("d") for e in root.iter() if e.tag.endswith("path")]
@@ -120,49 +124,48 @@ def test_lines_are_sampled_and_clipped():
         assert all(render._MARGIN_TOP <= y <= bottom for y in nums[1::2])
 
 
-@pytest.mark.parametrize("label", ["", "named"])
-@pytest.mark.parametrize("data", [isometric_line("accuracy", 0.8, PRIORS),
+@pytest.mark.parametrize("key", ["", "named"])
+@pytest.mark.parametrize("data", [(np.zeros(2), np.ones(2), "triple"),
                                   (np.zeros(2), np.ones(2)), None])
-def test_non_curve_series_is_refused(data, label):
-    spec = _spec(series=(PlotSeries(data=_curve()), PlotSeries(data=data, label=label)))
+def test_non_curve_series_is_refused(data, key):
+    # before its style is read: an unknown key there does not hide it
+    style = {key: 1} if key else {}
     with pytest.raises(RenderError, match=f"cannot plot object of type {type(data).__name__}$"):
-        render_svg(spec)
+        render_svg(**_spec(series=[(_curve(), {}), (data, style)]))
 
 
 def test_out_of_range_series_is_dropped_not_drawn():
     # a curve entirely above the window contributes no path segment
     xs = np.linspace(0.0, 1.0, 5)
     high = Curve(xs=xs, ys=xs + 5.0, series="high")
-    base = render_svg(_spec())
-    both = render_svg(_spec(series=(PlotSeries(data=_curve()),
-                                    PlotSeries(data=high))))
+    base = render_svg(**_spec())
+    both = render_svg(**_spec(series=[(_curve(), {}), (high, {})]))
     assert both.count("<path") == base.count("<path") + 0
 
 
 def test_escapes_markup_in_labels():
-    spec = _spec(title="a < b & c")
-    text = render_svg(spec)
+    text = render_svg(**_spec(title="a < b & c"))
     assert "a &lt; b &amp; c" in text
     ET.fromstring(text)
 
 
 def test_rejects_empty_series():
     with pytest.raises(RenderError):
-        render_svg(_spec(series=()))
+        render_svg(**_spec(series=[]))
 
 
 def test_rejects_bad_ranges():
     with pytest.raises(RenderError):
-        render_svg(_spec(x_range=(1.0, 0.0)))
+        render_svg(**_spec(x_range=(1.0, 0.0)))
     with pytest.raises(RenderError):
-        render_svg(_spec(y_range=(0.0, float("nan"))))
+        render_svg(**_spec(y_range=(0.0, float("nan"))))
 
 
 def test_rejects_overflowing_range_span():
     # finite ends whose difference overflows would reach the ticks as inf
     for ranges in (dict(x_range=(-1e308, 1e308)), dict(y_range=(-1e308, 1e308))):
         with pytest.raises(RenderError, match="plot range spans must be finite"):
-            render_svg(_spec(**ranges))
+            render_svg(**_spec(**ranges))
 
 
 def test_rejects_non_finite_curve():
@@ -170,14 +173,14 @@ def test_rejects_non_finite_curve():
     ys = np.array([0.0, np.inf, 1.0])
     bad = Curve(xs=xs, ys=ys, series="model")
     with pytest.raises(RenderError, match="non-finite"):
-        render_svg(_spec(series=(PlotSeries(data=bad),)))
+        render_svg(**_spec(series=[(bad, {})]))
 
 
 def test_curve_x_may_repeat_and_go_back():
     # an ROC staircase, say: drawn vertex by vertex, in order, with the path
     # and file bytes the former separate staircase type gave
     stairs = Curve(xs=[0.0, 0.0, 0.5, 0.5, 0.2], ys=[0.0, 0.4, 0.4, 0.9, 0.9], series="stairs")
-    text = render_svg(_spec(series=(PlotSeries(data=stairs),)))
+    text = render_svg(**_spec(series=[(stairs, {})]))
     ET.fromstring(text)
     assert "stairs" in text
     assert re.findall(r'<path d="([^"]*)"', text) == [
@@ -189,13 +192,13 @@ def test_curve_x_may_repeat_and_go_back():
 def test_rejects_non_finite_x():
     bad = Curve(xs=[0.0, np.inf], ys=[0.0, 1.0], series="stairs")
     with pytest.raises(RenderError, match="non-finite value at x=inf"):
-        render_svg(_spec(series=(PlotSeries(data=bad),)))
+        render_svg(**_spec(series=[(bad, {})]))
 
 
 def test_write_svg(tmp_path):
     path = tmp_path / "plot.svg"
-    write_svg(_spec(), str(path))
-    assert path.read_text(encoding="utf-8").startswith("<svg")
+    write_svg(**_spec(), path=str(path))
+    assert path.read_text(encoding="utf-8") == render_svg(**_spec())
 
 
 # The vectorised path builder against the one-segment-at-a-time oracle:
@@ -315,7 +318,7 @@ def test_overflowing_segment_is_refused():
     for xs, ys in (([-1e308, 1e308, 0.5], [0.5, 0.5, 0.2]), ([0.5, 0.5], [1e308, -1e308])):
         wide = Curve(xs=xs, ys=ys, series="wide")
         with pytest.raises(RenderError, match="'wide' has a segment whose dx or dy overflows"):
-            render_svg(_spec(series=(PlotSeries(data=_curve()), PlotSeries(data=wide))))
+            render_svg(**_spec(series=[(_curve(), {}), (wide, {})]))
 
 
 @given(st.lists(st.one_of(st.floats(0.0, 1e5), st.integers(0, 8 * 10**7).map(lambda k: k / 800),
