@@ -267,8 +267,12 @@ def read_csv(path: str) -> Dataset:
 
 _PIECE_BYTES = 1 << 17  # bytes read and decoded at a time; the byte decoder's first piece is 1 KB
 _WIDEST = 25  # the widest field decoded, as "%.18e" writes a score below 1e-99
-_M_LIMIT = 1 << 58  # the digits form m < 2**58, so m * 10 + 9 fits in an int64
+_M_LIMIT = 1 << 58  # a decimal field's digits form m < 2**58
+_M_GUARD = (2**63 - 10) // 10  # m * 10 + 9 fits in an int64 while m <= this
 _EXACT = 1 << 53  # every integer up to this is a double
+# by the column k of a field's dot, 10**(k - 1): the loop's m exceeds it iff
+# the field has a nonzero digit left of the dot (never with k = 0 or k > 19)
+_WHOLE = np.array([10**(k - 1) if 0 < k < 20 else 2**63 - 1 for k in range(_WIDEST)])
 # a line's last byte to its label, as _LABEL_TOKENS reads it; -1 for a
 # byte that is no label
 _LABEL_BYTES = np.full(256, -1, dtype=np.int8)
@@ -351,6 +355,13 @@ def _decode_lines(a: np.ndarray, widest: int,
     ended by LF, by CRLF when `crlf`, or by the end of a. The scores are
     float() of the fields, bit for bit.
 
+    The digits of a decimal field form m by Horner's rule over the byte
+    columns left of the commas, the columns left of a field and its dot
+    read as 0 digits. So the dot puts one 0 digit too many into a field
+    with a nonzero digit left of it (1., 1.0, 12.25), which is taken out
+    after the loop. After the 18th column m < 10**18; a later column is
+    refused once some m > (2**63 - 10) // 10, so m * 10 + 9 never overflows.
+
     A field holding a sign or an exponent is read by float(), and one that
     float() refuses refuses a. In the others, when every m <= 2**53, m and
     10**f are exact doubles and one IEEE division is the correctly rounded
@@ -399,28 +410,35 @@ def _decode_lines(a: np.ndarray, widest: int,
         # the dots of these fields are float()'s to check
         dots -= np.count_nonzero(by_float[np.searchsorted(ends, np.flatnonzero(a == 46))])
         reach = np.where(by_float, 0, width)
-    # Horner's rule over the columns j bytes left of the commas, widest first,
-    # skipping each field's dot and the columns left of a field's start
+    # Horner's rule over the columns j bytes left of the commas, widest first
     m = np.zeros(ends.size, dtype=np.int64)
-    point = np.zeros(ends.size, dtype=np.int64)  # the j of the dot, 0 for none
+    point = np.zeros(ends.size, dtype=np.uint8)  # the j of the dot, 0 for none
     span = int(reach.max())
     if span == _WIDEST:  # a decimal field has at most 24 bytes
         return None
+    reach = reach.astype(np.uint8)
     at = comma - span - 1
     for j in range(span, 0, -1):
         at += 1
         digit = a.take(at, mode="clip") - 48  # a dot reads 254
-        outside = reach < j
-        skip = outside | (digit > 9)
-        # m < 10**18 after 18 columns; from then on m >= 2**58 is refused
-        # before m * 10 can overflow
-        if span - j > 17 and np.any(m >= _M_LIMIT):
+        inside = reach >= j
+        # m < 10**18 after 18 columns; from then on m * 10 + 9 must fit
+        if span - j > 17 and m.max() > _M_GUARD:
             return None
-        m = np.where(skip, m, m * 10 + digit)
-        point = np.where(skip ^ outside, j, point)  # skipped inside: the dot
-    f = np.maximum(point - 1, 0)  # digits after the dot
-    if (np.count_nonzero(point) != dots or np.any((width == 1) & (point == 1))
-            or np.any(m >= _M_LIMIT) or f.max() >= POW10.size):
+        keep = (digit < 10) & inside
+        np.maximum(point, (inside ^ keep) * np.uint8(j), out=point)  # inside, no digit: the dot
+        digit *= keep
+        m *= 10
+        m += digit
+    if np.count_nonzero(point) != dots or np.any((width == 1) & (point == 1)):
+        return None
+    # a field I.F with f digits F has m = I * 10**(f + 1) + F, and I * 10**f + F is wanted
+    whole = np.flatnonzero(m > _WHOLE.take(point))
+    if whole.size:
+        scale = POW10.take(point[whole] - 1).astype(np.int64)
+        m[whole] = m[whole] // (scale * 10) * scale + m[whole] % scale
+    f = np.maximum(point, 1) - 1  # digits after the dot
+    if np.any(m >= _M_LIMIT) or f.max() >= POW10.size:
         return None
     scale = POW10[f]
     hi = m.astype(np.float64)

@@ -15,6 +15,7 @@ from math import ceil, floor, isfinite, log10
 
 import numpy as np
 
+from ._exact import times_pow10
 from .decision import Curve
 from .output import write_text
 
@@ -80,13 +81,15 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
                box: tuple[float, float, float, float], px, py) -> list[str]:
     """The d attribute of each polyline (xs, ys), clipped to the box.
 
-    Each segment is Liang-Barsky clipped on its own; a segment that starts
-    where the previous kept one ended continues the subpath ("L"), any other
-    kept segment opens a new one ("M"). All polylines go through one pass
-    over their concatenated vertices, in chunks of up to _CHUNK segments; the
-    segments that join one polyline to the next are dropped. The clip does
-    the float operations of the one-segment-at-a-time version in the same
-    order, so every vertex drawn has the same text. Vertices that change
+    Only a segment with an end outside the box is clipped, Liang-Barsky, on
+    its own; one with both ends inside is drawn whole, as the clip would
+    draw it (t0 = 0, t1 = 1). A segment that starts where the previous kept
+    one ended continues the subpath ("L"), any other kept segment opens a
+    new one ("M"). All polylines go through one pass over their
+    concatenated vertices, in chunks of up to _CHUNK segments; the segments
+    that join one polyline to the next are dropped. The clip does the float
+    operations of the one-segment-at-a-time version in the same order, so
+    every vertex drawn has the same text. Vertices that change
     nothing at the 0.01 px resolution of that text are left out (_kept).
     A vertex is carried as its centipixels from the clip on, and its text
     is written from them (_path_texts).
@@ -104,15 +107,20 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
         dx, dy = x2 - x1, y2 - y1
         t0, t1 = np.zeros(hi - lo), np.ones(hi - lo)
         ok = drawn[lo:hi].copy()
+        # the segments with an end outside the box; the others keep t0 = 0, t1 = 1
+        vx, vy = xs[lo:hi + 1], ys[lo:hi + 1]
+        inside = (vx >= xmin) & (vx <= xmax) & (vy >= ymin) & (vy <= ymax)
+        out = np.flatnonzero(~(inside[:-1] & inside[1:]))
+        c0, c1, cok, cx, cy, cdx, cdy = (v[out] for v in (t0, t1, ok, x1, y1, dx, dy))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for p, q in ((-dx, x1 - xmin), (dx, xmax - x1), (-dy, y1 - ymin), (dy, ymax - y1)):
+            for p, q in ((-cdx, cx - xmin), (cdx, xmax - cx), (-cdy, cy - ymin), (cdy, ymax - cy)):
                 flat, enters = p == 0.0, p < 0.0
-                ok &= ~(flat & (q < 0.0))
+                cok &= ~(flat & (q < 0.0))
                 r = q / p
                 # max(t0, r) and min(t1, r) keep t0 and t1 unless r is strictly beyond
-                t0 = np.where(enters & (r > t0), r, t0)
-                t1 = np.where(~flat & ~enters & (r < t1), r, t1)
-        ok &= ~(t0 > t1)
+                c0 = np.where(enters & (r > c0), r, c0)
+                c1 = np.where(~flat & ~enters & (r < c1), r, c1)
+        t0[out], t1[out], ok[out] = c0, c1, cok & ~(c0 > c1)
         ax, ay, bx, by = x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy
         after_ok = np.concatenate(([prev_ok], ok[:-1]))
         joins = (after_ok & (ax == np.concatenate(([prev_bx], bx[:-1])))
@@ -169,15 +177,17 @@ def _path_centipixels(v: np.ndarray) -> np.ndarray:
 
 
 def _centipixels(v: np.ndarray) -> np.ndarray:
-    """The integer that f"{x:.2f}" writes for each finite x in v, without
-    its decimal point. rint(100 x) is that integer unless 100 x lies within
-    its rounding error of a half (1e-6 covers coordinates below 10^7 px);
-    there the text itself decides."""
+    """The integer that f"{x:.2f}" writes for each x in v, |100 x| < 2**52,
+    without its decimal point: 100 x = h + e exactly (Dekker's product),
+    rounded half to even. h's distance from any half that h is not is a
+    multiple of its ulp, more than |e|, so rint(h) rounds 100 x right unless
+    h is a half and e is not 0; e's sign then decides."""
     h = v * 100.0
-    unsure = np.flatnonzero(~(np.abs(h - np.floor(h) - 0.5) > 1e-6))
-    k = np.rint(h).astype(np.int64)
-    k[unsure] = [int(f"{x:.2f}".replace(".", "")) for x in v[unsure].tolist()]
-    return k
+    k = np.rint(h)
+    half = np.flatnonzero(h - np.floor(h) == 0.5)
+    e = times_pow10(v[half], 2)[1]
+    k[half] = np.where(e == 0, k[half], np.floor(h[half]) + (e > 0))
+    return k.astype(np.int64)
 
 
 def _kept(gx: np.ndarray, gy: np.ndarray, heads: np.ndarray) -> np.ndarray:

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
                       loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
-from opcurves.dataset import (_LABEL_TOKENS, CSV_HEADER, EmptyInputError, ParseError,
-                              _csv_chunks, _from_csv_file, _from_csv_rows)
+from opcurves import render
+from opcurves._exact import DOUBT, POW10, near_power_of_two, times_pow10
+from opcurves.dataset import (_EXACT, _LABEL_BYTES, _LABEL_TOKENS, _M_LIMIT, _WIDEST, CSV_HEADER,
+                              EmptyInputError, ParseError, _csv_chunks, _from_csv_file,
+                              _from_csv_rows, _reread)
 from opcurves.output import _json_chunks
 from opcurves.roc import _line
 
@@ -447,3 +450,141 @@ def _on_segment(a, b, c) -> bool:
     """b lies on the closed segment from a to c (integer points)."""
     ab, bc = (b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1])
     return ab[0] * bc[1] == ab[1] * bc[0] and ab[0] * bc[0] + ab[1] * bc[1] >= 0
+
+
+def decode_lines_oracle(a: np.ndarray, widest: int,
+                          crlf: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
+    """dataset._decode_lines as it was before its Horner loop lost its
+    np.where selects: each column skips a field's dot and the columns left
+    of a field's start, and m >= 2**58 is refused before m * 10 can
+    overflow. Scores and labels of the lines in the bytes a, or None."""
+    ends = np.flatnonzero(a == 10)
+    newlines = ends.size
+    if a[-1] != 10:
+        ends = np.append(ends, a.size)
+    width = np.diff(ends, prepend=-1) - 3
+    stops, crs = ends, 0
+    if crlf:  # a CR right before a newline is part of the line end
+        cr = np.zeros(ends.size, dtype=np.int64)
+        cr[:newlines] = a[ends[:newlines] - 1] == 13
+        crs = np.count_nonzero(cr)
+        stops, width = ends - cr, width - cr
+    comma = stops - 2
+    label_bytes = a[stops - 1]
+    labels = _LABEL_BYTES[label_bytes]
+    dots = np.count_nonzero(a == 46)
+    # one comma a line, left of a 0/1/N/P label: every other byte is a
+    # digit, a dot, or a sign or an exponent of a field float() reads
+    if (width.min() < 1 or width.max() > widest or labels.min() < 0
+            or np.count_nonzero(a == 44) != ends.size or np.any(a[comma] != 44)):
+        return None
+    # bytes of no class counted here must be signs or exponents; so must any
+    # CR that does not end a line, which refuses a
+    letters = np.count_nonzero(label_bytes > 57)
+    signs = (a.size - np.count_nonzero(a - 48 < 10) - dots - ends.size - newlines - crs
+             - letters)
+    by_float, reach = False, width  # rows read by float(); widths Horner's rule reads
+    if signs:
+        odd = np.flatnonzero((a == 43) | (a == 45) | (a == 69) | (a == 101))  # + - E e
+        if odd.size != signs:
+            return None
+        by_float = np.zeros(ends.size, dtype=bool)
+        by_float[np.searchsorted(ends, odd)] = True
+        # the dots of these fields are float()'s to check
+        dots -= np.count_nonzero(by_float[np.searchsorted(ends, np.flatnonzero(a == 46))])
+        reach = np.where(by_float, 0, width)
+    # Horner's rule over the columns j bytes left of the commas, widest first,
+    # skipping each field's dot and the columns left of a field's start
+    m = np.zeros(ends.size, dtype=np.int64)
+    point = np.zeros(ends.size, dtype=np.int64)  # the j of the dot, 0 for none
+    span = int(reach.max())
+    if span == _WIDEST:  # a decimal field has at most 24 bytes
+        return None
+    at = comma - span - 1
+    for j in range(span, 0, -1):
+        at += 1
+        digit = a.take(at, mode="clip") - 48  # a dot reads 254
+        outside = reach < j
+        skip = outside | (digit > 9)
+        # m < 10**18 after 18 columns; from then on m >= 2**58 is refused
+        # before m * 10 can overflow
+        if span - j > 17 and np.any(m >= _M_LIMIT):
+            return None
+        m = np.where(skip, m, m * 10 + digit)
+        point = np.where(skip ^ outside, j, point)  # skipped inside: the dot
+    f = np.maximum(point - 1, 0)  # digits after the dot
+    if (np.count_nonzero(point) != dots or np.any((width == 1) & (point == 1))
+            or np.any(m >= _M_LIMIT) or f.max() >= POW10.size):
+        return None
+    scale = POW10[f]
+    hi = m.astype(np.float64)
+    scores = hi / scale
+    big = m > _EXACT
+    if big.any():
+        q, lo = scores, m - hi.astype(np.int64)
+        ph, pl = times_pow10(q, f)  # q * scale, exactly
+        c = ((hi - ph - pl) + lo) / scale
+        units = c / np.spacing(q)
+        mantissa = np.frexp(q)[0]
+        by_float = by_float | (big & ((np.abs(units - np.floor(units) - 0.5) < DOUBT)
+                                      | near_power_of_two(mantissa)))
+        scores = np.where(big, q + c, q)
+    rows = np.flatnonzero(by_float)
+    if rows.size:
+        try:
+            scores[rows] = _reread(a, comma[rows] - width[rows], comma[rows])
+        except ValueError:
+            return None
+    return scores, labels
+
+
+def path_data_clip_all_oracle(polylines: list[tuple[np.ndarray, np.ndarray]],
+                               box: tuple[float, float, float, float], px, py) -> list[str]:
+    """render._path_data as it was before it clipped only the segments with
+    an end outside the box: every segment goes through the Liang-Barsky
+    updates, in chunks of render._CHUNK segments as it is at the call."""
+    xmin, xmax, ymin, ymax = box
+    xs = np.concatenate([x for x, _ in polylines])
+    ys = np.concatenate([y for _, y in polylines])
+    ids = np.repeat(np.arange(len(polylines)), [x.size for x, _ in polylines])
+    owner, drawn = ids[:-1], ids[:-1] == ids[1:]  # a segment's polyline; not a bridge
+    kept = []  # per chunk: (gx, gy, heads, polyline) of the vertices _kept keeps
+    prev_ok, prev_bx, prev_by = False, 0.0, 0.0
+    for lo in range(0, xs.size - 1, render._CHUNK):
+        hi = min(lo + render._CHUNK, xs.size - 1)
+        x1, y1, x2, y2 = xs[lo:hi], ys[lo:hi], xs[lo + 1:hi + 1], ys[lo + 1:hi + 1]
+        dx, dy = x2 - x1, y2 - y1
+        t0, t1 = np.zeros(hi - lo), np.ones(hi - lo)
+        ok = drawn[lo:hi].copy()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for p, q in ((-dx, x1 - xmin), (dx, xmax - x1), (-dy, y1 - ymin), (dy, ymax - y1)):
+                flat, enters = p == 0.0, p < 0.0
+                ok &= ~(flat & (q < 0.0))
+                r = q / p
+                # max(t0, r) and min(t1, r) keep t0 and t1 unless r is strictly beyond
+                t0 = np.where(enters & (r > t0), r, t0)
+                t1 = np.where(~flat & ~enters & (r < t1), r, t1)
+        ok &= ~(t0 > t1)
+        ax, ay, bx, by = x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy
+        after_ok = np.concatenate(([prev_ok], ok[:-1]))
+        joins = (after_ok & (ax == np.concatenate(([prev_bx], bx[:-1])))
+                 & (ay == np.concatenate(([prev_by], by[:-1]))))
+        prev_ok, prev_bx, prev_by = bool(ok[-1]), bx[-1], by[-1]
+        # the vertices in drawing order: a segment's start when it opens a
+        # subpath, then its end when it is kept
+        pick = np.column_stack((ok & ~joins, ok)).ravel()
+        if not pick.any():
+            continue
+        vertices = (render._path_centipixels(px(np.column_stack((ax, bx)).ravel()[pick])),
+                    render._path_centipixels(py(np.column_stack((ay, by)).ravel()[pick])),
+                    np.tile((True, False), hi - lo)[pick], np.repeat(owner[lo:hi], 2)[pick])
+        # here the chunk's last vertex passes for the end of its subpath;
+        # the _kept over what every chunk kept settles it
+        keep = render._kept(*vertices[:3])
+        kept.append([v[keep] for v in vertices])
+    if not kept:
+        return [""] * len(polylines)
+    gx, gy, heads, owners = map(np.concatenate, zip(*kept))
+    keep = render._kept(gx, gy, heads)
+    bounds = np.searchsorted(owners[keep], np.arange(len(polylines) + 1)).tolist()
+    return render._path_texts(gx[keep], gy[keep], heads[keep], bounds)

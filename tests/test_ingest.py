@@ -28,8 +28,9 @@ from hypothesis import example, given, strategies as st
 from opcurves import DatasetError, ParseError, read_csv
 from opcurves import dataset
 from opcurves.cli import main
-from opcurves.dataset import _PIECE_BYTES, _WIDEST, _from_csv_file, _from_csv_rows
-from helpers import from_csv, from_csv_bytes, make_random, text_lines, to_csv, two_pass_rows_oracle
+from opcurves.dataset import _M_GUARD, _PIECE_BYTES, _WIDEST, _from_csv_file, _from_csv_rows
+from helpers import (decode_lines_oracle, from_csv, from_csv_bytes, make_random, text_lines,
+                     to_csv, two_pass_rows_oracle)
 
 TWO_53 = 1 << 53
 TWO_58 = 1 << 58
@@ -547,6 +548,68 @@ def test_files_of_repr_exponent_and_signed_fields_are_decoded(rows, end, final_e
     # every such field has at most 25 bytes, as "%.18e" of a value below 1e-99
     assert from_csv_bytes(raw) is not None
     _assert_bytes_match_the_row_parser(raw)
+
+
+# The decoder against its Horner loop as it was with np.where selects
+# (helpers.decode_lines_oracle): the same scores bit for bit and the same
+# labels, or the same refusal, piece by piece.
+
+EDGE_DIGITS = st.sampled_from([TWO_53 - 1, TWO_53, TWO_53 + 1, TWO_58 - 1, TWO_58,
+                               _M_GUARD - 1, _M_GUARD, _M_GUARD + 1]).map(str)
+
+
+@st.composite
+def oracle_fields(draw):
+    """Fields of digits and dots: integer digits, leading zeros, no digit
+    before the dot, a lone or a second dot, up to 24 digits after it, and
+    the digits of m at 2**53, 2**58 and the loop's overflow guard, each
+    with a digit or two more; or a field with a sign or an exponent."""
+    digits = draw(st.one_of(st.text("0123456789", max_size=24),
+                            st.tuples(st.text("0", max_size=3), EDGE_DIGITS,
+                                      st.text("0123456789", max_size=2)).map("".join)))
+    form = draw(st.sampled_from(["none", "one", "one", "fraction", "two", "lone", "signed"]))
+    if form == "fraction":
+        return draw(st.sampled_from(["0.", ".", "1.", "00."])) + draw(
+            st.text("0123456789", min_size=18, max_size=22))
+    if form == "lone":
+        return "."
+    if form == "signed":
+        return draw(repr_and_exponent_fields)
+    for _ in range({"none": 0, "one": 1, "two": 2}[form]):
+        at = draw(st.integers(0, len(digits)))
+        digits = digits[:at] + "." + digits[at:]
+    return digits
+
+
+@given(st.lists(st.tuples(oracle_fields(), st.sampled_from("01NPnp"),
+                          st.sampled_from(["\n", "\r\n"])), min_size=1, max_size=8),
+       st.booleans())
+@example([("12.25", "1", "\n"), ("1.", "0", "\n"), ("1.0", "P", "\n"), ("00.125", "n", "\n"),
+          (".5", "1", "\n")], True)
+@example([("0." + "1" * 18, "1", "\r\n"), ("1." + "0" * 17, "0", "\r\n"),
+          (".0" + "9" * 21, "1", "\r\n"), ("-0.5", "0", "\r\n"), ("1e-3", "1", "\r\n")], False)
+@example([(str(TWO_53 + 1), "1", "\n"), ("2" + str(TWO_58 - 1)[:17] + ".", "0", "\n")], True)
+@example([(str(_M_GUARD) + "1", "1", "\n")], True)
+@example([(str(_M_GUARD + 1) + "0", "1", "\n"), (str(_M_GUARD + 1) + "9", "0", "\n")], True)
+@example([("1" + "0" * 18 + ".5", "1", "\n")], True)
+@example([("0.5", "1", "\n"), (".", "0", "\n")], True)
+@example([("0.5", "1", "\n"), ("1.2.5", "0", "\n")], True)
+def test_the_decoder_matches_its_np_where_loop(rows, final_end):
+    lines = [f"{f},{y}{end}" for f, y, end in rows]
+    # the piece, and each line as a piece of its own, so that a field the
+    # decoder refuses does not hide the others
+    for body in ["".join(lines)] + lines:
+        if not final_end:
+            body = body.removesuffix("\r\n").removesuffix("\n")
+        raw = body.encode()
+        a, crlf = np.frombuffer(raw, dtype=np.uint8), b"\r" in raw
+        got, want = dataset._decode_lines(a, _WIDEST, crlf), decode_lines_oracle(a, _WIDEST, crlf)
+        if want is None:
+            assert got is None, body
+            continue
+        assert got is not None, body
+        assert got[0].view(np.int64).tolist() == want[0].view(np.int64).tolist(), body
+        assert got[1].tolist() == want[1].tolist()
 
 
 def test_a_savetxt_file_with_scores_below_1e_99_is_decoded(tmp_path):

@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from opcurves import (Curve, Priors, RenderError, RocCurve, cost_lines, isometric_lines,
                       render_svg, write_svg)
 from opcurves import render
-from helpers import assert_decimated, path_data_oracle
+from helpers import assert_decimated, path_data_clip_all_oracle, path_data_oracle
 
 PRIORS = Priors(pi_p=0.25, pi_n=0.75)
 
@@ -221,6 +221,9 @@ def _same_paths(polylines, box=BOX):
                  for xs, ys in polylines]
     got = render._path_data(polylines, box, _px, _py)
     assert len(got) == len(polylines)
+    # clipping only the segments with an end outside the box leaves every
+    # text as clipping them all did
+    assert got == path_data_clip_all_oracle(polylines, box, _px, _py)
     for (xs, ys), path in zip(polylines, got):
         assert_decimated(path, path_data_oracle(xs, ys, box, _px, _py))
     return got
@@ -286,12 +289,17 @@ def test_many_short_polylines_in_one_pass():
     assert 0 < sum(p == "" for p in paths) < len(paths)
 
 
-VERTEX = st.tuples(st.sampled_from([-0.5, -0.02, 0.0, 0.3, 0.3, 1.0, 1.02, 1.7]),
-                   st.sampled_from([-0.5, -0.02, 0.0, 0.6, 1.0, 1.02, 2.0]))
+# inside the box, on its edges, just beyond them and far out; repeated
+# values make flat segments (dx == 0 or dy == 0)
+VERTEX = st.tuples(st.sampled_from([-0.5, -0.025, -0.02, 0.0, 0.3, 0.3, 1.0, 1.02, 1.025, 1.7])
+                   | st.floats(-0.6, 1.6),
+                   st.sampled_from([-0.5, -0.025, -0.02, 0.0, 0.6, 1.0, 1.02, 1.025, 2.0])
+                   | st.floats(-0.6, 1.6))
 
 
 @given(st.lists(st.lists(VERTEX, min_size=1, max_size=12), min_size=1, max_size=4),
        st.integers(1, 4))
+@example([[(0.5, 0.5), (1.025, 0.5), (0.5, -0.025), (-0.025, 0.5), (-0.025, 1.025)]], 2)
 def test_path_matches_oracle_across_small_chunks(polylines, chunk):
     polylines = [tuple(np.array(v, dtype=np.float64) for v in zip(*vs)) for vs in polylines]
     whole = render._path_data(polylines, BOX, _px, _py)
@@ -321,10 +329,16 @@ def test_overflowing_segment_is_refused():
             render_svg(**_spec(series=[(_curve(), {}), (wide, {})]))
 
 
-@given(st.lists(st.one_of(st.floats(0.0, 1e5), st.integers(0, 8 * 10**7).map(lambda k: k / 800),
+@given(st.lists(st.one_of(st.floats(-4.5e13, 4.5e13),
+                          st.integers(0, 8 * 10**7).map(lambda k: k / 800),
+                          st.integers(-10**6, 10**6).map(lambda k: (2 * k + 1) / 200),
                           st.integers(0, 10**7).map(lambda k: k / 200 + 1e-12)), min_size=1))
+@example([0.125, 0.375, -0.125, 2.675, -2.675, 1.005, 0.015, 1.115, 8.345, 0.285,
+          0.0, -0.0, -0.001, 5e-324, 4.5e13])
 def test_centipixels_are_the_printed_digits(values):
-    # k / 800 and k / 200 hit the halves of a centipixel exactly or nearly
+    # k / 800 and k / 200 hit the halves of a centipixel exactly or nearly:
+    # 100 x rounds to a half as a double where x is not one, so 2.675
+    # prints as 2.67 and 8.345 as 8.35, and 0.125, a half, goes to even
     v = np.array(values)
     want = [int(f"{x:.2f}".replace(".", "")) for x in values]
     assert render._centipixels(v).tolist() == want
