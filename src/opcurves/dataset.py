@@ -106,7 +106,8 @@ class Dataset:
         n_p = int(np.count_nonzero(positive))
         if n_p == 0 or n_p == scores.size:
             raise DegenerateClassError("dataset must contain both classes")
-        # gathered copies of our own, sorted where they are
+        # gathered copies of our own, sorted where they are; a boolean index
+        # gathers without the int64 index of the rows that np.compress makes
         self._pos_sorted = scores[positive]
         self._neg_sorted = scores[~positive]
         self._pos_sorted.sort()
@@ -265,7 +266,10 @@ def read_csv(path: str) -> Dataset:
         return _from_csv_rows(io.TextIOWrapper(fh, encoding="utf-8-sig"))
 
 
-_PIECE_BYTES = 1 << 17  # bytes read and decoded at a time; the byte decoder's first piece is 1 KB
+_PIECE_BYTES = 1 << 17  # bytes checked as UTF-8 at a time, and the byte decoder's least piece
+_FIRST_PIECE = 1 << 10  # the byte decoder's first piece, so a file of long scores is refused early
+_PIECE_ROWS = 1 << 14  # the lines of each later piece, at the first piece's bytes per line,
+_PIECE_CAP = 1 << 19  # and at most this many bytes
 _WIDEST = 25  # the widest field decoded, as "%.18e" writes a score below 1e-99
 _M_LIMIT = 1 << 58  # a decimal field's digits form m < 2**58
 _M_GUARD = (2**63 - 10) // 10  # m * 10 + 9 fits in an int64 while m <= this
@@ -292,12 +296,16 @@ def _from_csv_file(fh: BinaryIO, size: int) -> Dataset | None:
     score bit for bit as float() reads it, so _from_csv_rows reads the file
     to the same Dataset.
 
-    The body is read in pieces of at most _PIECE_BYTES into one buffer, and
-    each piece's whole lines are decoded into arrays sized for the most
-    rows the file can hold (a line of at least 4 bytes but the last), which
-    are cut to the rows read at the end; pages of them never written are
-    never mapped. The arrays are made once the first piece has decoded, so
-    a file refused there reserves none."""
+    The body is read into one buffer in pieces: the first of _FIRST_PIECE
+    bytes, each later one of about _PIECE_ROWS lines of the first piece's
+    mean width, at least _PIECE_BYTES and at most _PIECE_CAP bytes. Each
+    piece's whole lines are decoded into arrays sized, once the first
+    piece has decoded, for the rows the rest of the file holds at that
+    piece's bytes per line, with a sixteenth to spare; a piece that would
+    overflow them grows them for the rest at the mean width of the lines
+    read so far. They are cut to the rows read at the end. A file refused
+    in its first piece reserves no arrays, and one that holds more bytes
+    than `size` is refused."""
     line = fh.readline()
     if not line.endswith(b"\n"):
         return None
@@ -308,33 +316,44 @@ def _from_csv_file(fh: BinaryIO, size: int) -> Dataset | None:
     except UnicodeDecodeError:
         return None
     widest = min(_WIDEST, csv.field_size_limit())
-    most = max(size - len(line), 0) // 4 + 1
-    buf = bytearray(_PIECE_BYTES)
-    view, a = memoryview(buf), np.frombuffer(buf, dtype=np.uint8)
-    row = held = 0  # held: the bytes of an unended line, at the front of buf
-    piece = 1 << 10  # the first piece is small, so a file of long scores is refused early
+    body = left = size - len(line)  # left: the bytes of the body not yet read
+    buf = bytearray(_FIRST_PIECE)
+    row = held = room = 0  # held: the bytes of an unended line, at the front of buf
     while True:
-        got = fh.readinto(view[held:piece])
-        end = held + got
+        view, a = memoryview(buf), np.frombuffer(buf, dtype=np.uint8)
+        got = fh.readinto(view[held:])
+        end, left = held + got, left - got
+        if left < 0:  # the file holds more than its size said
+            return None
         stop = buf.rfind(b"\n", 0, end) + 1 if got else end  # the whole lines
         if not stop:
             if not end:
                 break
-            if end == piece:  # a line longer than a piece
+            if end == len(buf):  # a line longer than a piece
                 return None
             held = end
             continue
         part = _decode_lines(a[:stop], widest, buf.find(b"\r", 0, stop) >= 0)
-        if part is None or row + part[0].size > most:
+        if part is None:
             return None
-        if not row:  # the first piece has decoded: reserve the most rows
-            scores, labels = np.empty(most), np.empty(most, dtype=np.int8)
         rows = part[0].size
+        held = end - stop
+        if row:
+            a[:held] = a[stop:end]
+        else:  # the first piece has decoded: later ones hold _PIECE_ROWS lines as wide
+            buf = bytearray(min(_PIECE_CAP, max(_PIECE_BYTES, round(stop / rows * _PIECE_ROWS)),
+                                held + left + 1))  # one byte more shows a file that grew
+            buf[:held] = view[stop:end]
+        if row + rows > room:  # room for the rest at the lines' mean width, and a sixteenth
+            room = row + rows + round((left + held) * (row + rows) / (body - left - held)
+                                      * 17 / 16)
+            if row:  # numpy's resize keeps the rows and zeroes only the new room
+                scores.resize(room, refcheck=False)
+                labels.resize(room, refcheck=False)
+            else:  # pages never written are never mapped
+                scores, labels = np.empty(room), np.empty(room, dtype=np.int8)
         scores[row:row + rows], labels[row:row + rows] = part
         row += rows
-        held = end - stop
-        a[:held] = a[stop:end]
-        piece = _PIECE_BYTES
         if not got:
             break
     if not row:
@@ -363,17 +382,18 @@ def _decode_lines(a: np.ndarray, widest: int,
     refused once some m > (2**63 - 10) // 10, so m * 10 + 9 never overflows.
 
     A field holding a sign or an exponent is read by float(), and one that
-    float() refuses refuses a. In the others, when every m <= 2**53, m and
-    10**f are exact doubles and one IEEE division is the correctly rounded
-    m / 10**f (Clinger 1990). Otherwise hi + lo = m with hi = float(m) and
-    |lo| <= 16, q = hi / 10**f, and Dekker's (1971) exact product
-    q * 10**f = ph + pl gives the division's remainder hi - ph - pl exactly,
-    so c = (remainder + lo) / 10**f is the exact m / 10**f - q with a
-    relative error of at most 2**-52, under 2**-51 units in the last place
-    of q. fl(q + c) is then the correctly rounded m / 10**f unless c / ulp(q)
-    lies within 2**-20 of a half-integer (a rounding tie) or q lies within
-    one ulp of a power of two (where the spacing of doubles halves); those
-    rows are re-read with float().
+    float() refuses refuses a. In the others, where m <= 2**53, m and 10**f
+    are exact doubles and one IEEE division is the correctly rounded
+    m / 10**f (Clinger 1990). The rows where m > 2**53 are gathered, and
+    on them alone hi + lo = m with hi = float(m) and |lo| <= 16,
+    q = hi / 10**f, and Dekker's (1971) exact product q * 10**f = ph + pl
+    gives the division's remainder hi - ph - pl exactly, so
+    c = (remainder + lo) / 10**f is the exact m / 10**f - q with a relative
+    error of at most 2**-52, under 2**-51 units in the last place of q.
+    fl(q + c) is then the correctly rounded m / 10**f unless c / ulp(q) lies
+    within 2**-20 of a half-integer (a rounding tie) or q lies within one
+    ulp of a power of two (where the spacing of doubles halves); those rows
+    are re-read with float().
     """
     ends = np.flatnonzero(a == 10)
     newlines = ends.size
@@ -444,16 +464,17 @@ def _decode_lines(a: np.ndarray, widest: int,
     hi = m.astype(np.float64)
     scores = hi / scale
     big = m > _EXACT
-    if big.any():
-        q, lo = scores, m - hi.astype(np.int64)
-        ph, pl = times_pow10(q, f)  # q * scale, exactly
-        c = ((hi - ph - pl) + lo) / scale
-        units = c / np.spacing(q)
-        mantissa = np.frexp(q)[0]
-        by_float = by_float | (big & ((np.abs(units - np.floor(units) - 0.5) < DOUBT)
-                                      | near_power_of_two(mantissa)))
-        scores = np.where(big, q + c, q)
     rows = np.flatnonzero(by_float)
+    if big.any():  # on the rows where m and so the division may be inexact
+        big = np.flatnonzero(big)
+        m, f, hi, q, scale = m[big], f[big], hi[big], scores[big], scale[big]
+        ph, pl = times_pow10(q, f)  # q * scale, exactly
+        c = ((hi - ph - pl) + (m - hi.astype(np.int64))) / scale
+        units = c / np.spacing(q)
+        doubt = ((np.abs(units - np.floor(units) - 0.5) < DOUBT)
+                 | near_power_of_two(np.frexp(q)[0]))
+        scores[big] = q + c
+        rows = np.append(rows, big[doubt])
     if rows.size:
         try:
             scores[rows] = _reread(a, comma[rows] - width[rows], comma[rows])

@@ -457,7 +457,9 @@ def decode_lines_oracle(a: np.ndarray, widest: int,
     """dataset._decode_lines as it was before its Horner loop lost its
     np.where selects: each column skips a field's dot and the columns left
     of a field's start, and m >= 2**58 is refused before m * 10 can
-    overflow. Scores and labels of the lines in the bytes a, or None."""
+    overflow; and before its exact-division tail ran on the gathered rows
+    with m > 2**53 alone: here it runs on every row once one has
+    m > 2**53. Scores and labels of the lines in the bytes a, or None."""
     ends = np.flatnonzero(a == 10)
     newlines = ends.size
     if a[-1] != 10:

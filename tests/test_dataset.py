@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 
 from opcurves import (Dataset, DatasetError, DegenerateClassError, EmptyInputError, ParseError,
                       Priors, SimulationSpecError, read_csv, simulate_gaussian, write_csv)
-from opcurves.dataset import MAX_SIMULATED_ROWS, _PIECE_BYTES, _from_csv_rows
+from opcurves import dataset
+from opcurves.dataset import MAX_SIMULATED_ROWS, _from_csv_rows
 from helpers import (THOUSANDTHS, UNIT_FLOATS, assert_sorted_classes, datasets, from_csv,
                      from_csv_bytes, make_random, text_lines, to_csv)
 
@@ -341,14 +342,15 @@ def test_fuzzed_csv_matches_row_parser():
 
 
 def test_bodies_longer_than_one_piece_match_the_row_parser():
-    # the byte decoder reads the body in pieces of _PIECE_BYTES
+    # the byte decoder reads the body in pieces of about _PIECE_ROWS lines
     rng = random.Random(7)
     cells = ["0.5", "1", ".75", "1e-1", "+0.25", "-0.0", "2.65516383690656e-05",
              "0.30000000000000004"]
     body = [f"{rng.choice(cells)},{rng.choice('01')}" for _ in range(60_000)]
     text = "score,label\n" + "\n".join(["0.2,0", "0.8,1"] + body) + "\n"
-    assert len(text) > 4 * _PIECE_BYTES
-    assert from_csv_bytes(text.encode()) is not None
+    with mock.patch.object(dataset, "_decode_lines", wraps=dataset._decode_lines) as decode:
+        assert from_csv_bytes(text.encode()) is not None
+    assert decode.call_count > 4
     _assert_matches_row_parser(text)
     # padded cells, which float() reads, are the row parser's alone
     padded = text + "\xa00.25,0\n0.3\u2003,1\n 1e-1,0\n"

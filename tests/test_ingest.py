@@ -28,7 +28,8 @@ from hypothesis import example, given, strategies as st
 from opcurves import DatasetError, ParseError, read_csv
 from opcurves import dataset
 from opcurves.cli import main
-from opcurves.dataset import _M_GUARD, _PIECE_BYTES, _WIDEST, _from_csv_file, _from_csv_rows
+from opcurves.dataset import (_FIRST_PIECE, _M_GUARD, _PIECE_BYTES, _PIECE_CAP, _PIECE_ROWS,
+                              _WIDEST, _from_csv_file, _from_csv_rows)
 from helpers import (decode_lines_oracle, from_csv, from_csv_bytes, make_random, text_lines,
                      to_csv, two_pass_rows_oracle)
 
@@ -351,11 +352,19 @@ def test_an_out_of_range_score_keeps_the_row_parser_message(tmp_path):
         read_csv(str(path))
 
 
+def _pieces_decoded(raw):
+    """The Dataset the byte decoder makes of raw, and the rows of each
+    piece it decoded."""
+    with mock.patch.object(dataset, "_decode_lines", wraps=dataset._decode_lines) as decode:
+        data = from_csv_bytes(raw)
+    return data, [call.args[0].tobytes().count(b"\n") for call in decode.call_args_list]
+
+
 def test_bodies_of_many_pieces_match_the_row_parser():
     rng = np.random.default_rng(5)
     fields = [f"{x:.{k}f}" for x, k in zip(rng.random(60_000), rng.integers(0, 12, 60_000))]
     body = "".join(f"{f},{y}\n" for f, y in zip(fields, rng.integers(0, 2, 60_000)))
-    assert len(body) > 4 * _PIECE_BYTES
+    assert len(_pieces_decoded(("score,label\n" + body).encode())[1]) > 4
     for raw in (("score,label\n" + body).encode(), ("score,label\n" + body[:-1]).encode()):
         assert from_csv_bytes(raw) is not None
         _assert_bytes_match_the_row_parser(raw)
@@ -372,7 +381,7 @@ def test_bodies_of_many_pieces_match_the_row_parser():
 
 class _Pieces(io.BytesIO):
     """A file that may be read only by readline and by readinto of at most
-    _PIECE_BYTES; it records the size of each readinto."""
+    _PIECE_CAP; it records the size of each readinto."""
 
     def __init__(self, raw):
         super().__init__(raw)
@@ -383,7 +392,7 @@ class _Pieces(io.BytesIO):
 
     def readinto(self, buffer):
         self.sizes.append(len(buffer))
-        assert len(buffer) <= _PIECE_BYTES
+        assert len(buffer) <= _PIECE_CAP
         return super().readinto(buffer)
 
 
@@ -394,15 +403,26 @@ def test_the_decoder_reads_the_body_in_pieces_into_arrays_of_its_rows(final_newl
     fh = _Pieces(raw)
     got = _from_csv_file(fh, len(raw))
     assert _bits(got) == _bits(data)
-    assert len(fh.sizes) > 4 and fh.sizes[0] == 1 << 10
+    assert len(fh.sizes) > 4 and fh.sizes[0] == _FIRST_PIECE == 1 << 10
     # cut to the rows read: each array owns its memory, no view of a larger one
     for arr in (got.scores, got.labels):
         assert arr.base is None and arr.size == 40_000
 
 
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_a_body_about_as_long_as_the_first_piece_is_decoded(final_newline):
+    # the first piece, 1 KB, ends before, inside or after the last line; the
+    # rest of the body then fills a piece sized for it with a byte to spare
+    for lines in range(120, 132):
+        body = "0.125,1\n" * lines + "0.1234567,0" + "\n" * final_newline
+        raw = ("score,label\n" + body).encode()
+        assert from_csv_bytes(raw) is not None, lines
+        _assert_bytes_match_the_row_parser(raw)
+
+
 def test_a_file_longer_than_its_size_said_goes_to_the_row_parser(tmp_path):
-    # the arrays hold the most rows `size` bytes can; a file that grew after
-    # its size was read is refused, and read_csv reads it again from its start
+    # the decoder reads no more bytes than `size`; a file that grew after its
+    # size was read is refused, and read_csv reads it again from its start
     raw = to_csv(make_random(4, n=2_000)).encode()
     assert _from_csv_file(io.BytesIO(raw), len(raw) // 10) is None
     assert _from_csv_file(io.BytesIO(raw), 1) is None  # shorter than its header
@@ -468,9 +488,9 @@ def test_a_regular_file_whose_size_reads_0_is_read_whole(tmp_path):
 @pytest.mark.parametrize("final_newline", [True, False])
 def test_a_simulated_file_reads_as_the_row_parser_reads_it(tmp_path, final_newline):
     path = tmp_path / "sim.csv"
-    assert main(["simulate", "--n", "30000", "--seed", "11", "--out", str(path)]) == 0
+    assert main(["simulate", "--n", "70000", "--seed", "11", "--out", str(path)]) == 0
     raw = path.read_bytes()
-    assert len(raw) > 4 * _PIECE_BYTES
+    assert len(_pieces_decoded(raw)[1]) > 4
     if not final_newline:
         raw = raw[:-1]
         path.write_bytes(raw)
@@ -550,12 +570,27 @@ def test_files_of_repr_exponent_and_signed_fields_are_decoded(rows, end, final_e
     _assert_bytes_match_the_row_parser(raw)
 
 
-# The decoder against its Horner loop as it was with np.where selects
-# (helpers.decode_lines_oracle): the same scores bit for bit and the same
-# labels, or the same refusal, piece by piece.
+# The decoder against its Horner loop with np.where selects and its
+# exact-division tail on every row, as they were (helpers.decode_lines_oracle):
+# the same scores bit for bit and the same labels, or the same refusal, piece
+# by piece.
 
 EDGE_DIGITS = st.sampled_from([TWO_53 - 1, TWO_53, TWO_53 + 1, TWO_58 - 1, TWO_58,
                                _M_GUARD - 1, _M_GUARD, _M_GUARD + 1]).map(str)
+
+
+def _assert_decoded_as_the_oracle(raw):
+    """_decode_lines of the bytes raw gives what the oracle gives, or
+    refuses what it refuses; the decoded scores, or None."""
+    a, crlf = np.frombuffer(raw, dtype=np.uint8), b"\r" in raw
+    got, want = dataset._decode_lines(a, _WIDEST, crlf), decode_lines_oracle(a, _WIDEST, crlf)
+    if want is None:
+        assert got is None, raw
+        return None
+    assert got is not None, raw
+    assert got[0].view(np.int64).tolist() == want[0].view(np.int64).tolist(), raw
+    assert got[1].tolist() == want[1].tolist()
+    return got[0]
 
 
 @st.composite
@@ -601,15 +636,91 @@ def test_the_decoder_matches_its_np_where_loop(rows, final_end):
     for body in ["".join(lines)] + lines:
         if not final_end:
             body = body.removesuffix("\r\n").removesuffix("\n")
-        raw = body.encode()
-        a, crlf = np.frombuffer(raw, dtype=np.uint8), b"\r" in raw
-        got, want = dataset._decode_lines(a, _WIDEST, crlf), decode_lines_oracle(a, _WIDEST, crlf)
-        if want is None:
-            assert got is None, body
-            continue
-        assert got is not None, body
-        assert got[0].view(np.int64).tolist() == want[0].view(np.int64).tolist(), body
-        assert got[1].tolist() == want[1].tolist()
+        _assert_decoded_as_the_oracle(body.encode())
+
+
+def _float_bits(fields):
+    return np.array(list(map(float, fields))).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("big", ["none", "one", "every"])
+def test_the_exact_tail_runs_on_the_gathered_rows_alone(big):
+    # fields of 17 digits after the dot, the first not 0, have m > 10**16 > 2**53
+    # (repr(0.1 + 0.2) is one); those of 6 do not
+    rng = np.random.default_rng(3)
+    fields = [f"{x:.6f}" for x in rng.random(500)]
+    many = {"none": 0, "one": 1, "every": len(fields)}[big]
+    for i in rng.permutation(len(fields))[:many]:
+        fields[i] = f"0.{rng.integers(10**16, 10**17)}"
+    raw = "".join(f"{f},{i % 2}\n" for i, f in enumerate(fields)).encode()
+    with mock.patch.object(dataset, "times_pow10", wraps=dataset.times_pow10) as product:
+        scores = _assert_decoded_as_the_oracle(raw)
+    assert scores.view(np.int64).tolist() == _float_bits(fields)
+    assert product.call_count == (many > 0)
+    if many:
+        assert product.call_args.args[0].size == many
+
+
+@pytest.mark.parametrize("span", range(1, 25))
+def test_odd_and_even_spans_decode_as_the_oracle(span):
+    # the widest field sets the columns Horner's rule reads, 1 to 24
+    rng = np.random.default_rng(span)
+    fields = []
+    for width in [span] + rng.integers(1, span + 1, 60).tolist():
+        digits = "".join(map(str, rng.integers(0, 10, width)))
+        at = int(rng.integers(0, width)) if width > 1 and rng.random() < 0.8 else None
+        fields.append(digits if at is None else digits[:at] + "." + digits[at + 1:])
+    # and the same fields cut to what the decoder takes (m < 2**58, f <= 22),
+    # the widest still `span` bytes
+    fitted = [f if _decodable(f) else ("0." + f.replace(".", ""))[:17] for f in fields]
+    fitted[0] = fitted[0] if _decodable(fields[0]) else ("0." + "0" * span)[:span]
+    for chosen in (fields, fitted):
+        raw = "".join(f"{f},{i % 2}\n" for i, f in enumerate(chosen)).encode()
+        scores = _assert_decoded_as_the_oracle(raw)
+        if all(map(_decodable, chosen)):
+            assert scores.view(np.int64).tolist() == _float_bits(chosen)
+        else:
+            assert scores is None
+
+
+@pytest.mark.parametrize("width", range(4, 26))
+def test_lines_of_4_to_25_bytes_are_read_in_pieces_of_rows(width):
+    # the first piece is 1 KB; each later one holds _PIECE_ROWS lines as wide
+    # as the first piece's, or _PIECE_BYTES of lines narrower than 8 bytes,
+    # the last what is left
+    rng = np.random.default_rng(width)
+    k = width - 3  # the field's bytes
+    n = 2 * _PIECE_ROWS + 777
+    if k == 1:
+        fields = rng.integers(0, 2, n).astype(str).tolist()
+    else:  # at most 17 significant digits after the dot, so m < 2**58
+        zeros = "0." + "0" * max(0, k - 2 - 17)
+        fields = [zeros + "".join(map(str, d)) for d in rng.integers(0, 10, (n, k - len(zeros)))]
+    labels = rng.integers(0, 2, n)
+    raw = ("score,label\n" + "".join(f"{f},{y}\n" for f, y in zip(fields, labels))).encode()
+    assert len(raw) - len(b"score,label\n") == width * n
+    data, pieces = _pieces_decoded(raw)
+    first, per = _FIRST_PIECE // width, max(_PIECE_BYTES, width * _PIECE_ROWS) // width
+    full, last = divmod(n - first, per)
+    assert pieces == [first] + [per] * full + [last] * (last > 0)
+    assert per == (_PIECE_ROWS if width >= 8 else _PIECE_BYTES // width)
+    assert data.scores.view(np.int64).tolist() == _float_bits(fields)
+    assert data.labels.tolist() == labels.tolist()
+
+
+@pytest.mark.parametrize("case", ["narrower", "wider"])
+def test_the_arrays_grow_or_are_cut_to_the_rows_read(case):
+    # the arrays are sized by the first piece's bytes per line: later lines
+    # of 4 bytes outnumber that room, which grows for them; later lines of 25
+    # leave rows unused, which are cut at the end
+    wide = [repr(0.1 + i / 7e4) for i in range(60)]  # 19 and 20 bytes
+    short = [str(i % 2) for i in range(50_000)]
+    fields = wide + short if case == "narrower" else short[:60] + ["0.000" + "1" * 17] * 20_000
+    raw = ("score,label\n" + "".join(f"{f},{i % 2}\n" for i, f in enumerate(fields))).encode()
+    data = from_csv_bytes(raw)
+    assert data.scores.view(np.int64).tolist() == _float_bits(fields)
+    for arr in (data.scores, data.labels):
+        assert arr.base is None and arr.size == len(fields)
 
 
 def test_a_savetxt_file_with_scores_below_1e_99_is_decoded(tmp_path):
@@ -685,8 +796,8 @@ def test_the_row_parser_matches_the_two_pass_oracle(tmp_path_factory, header, go
 
 def test_the_row_path_holds_no_copy_of_the_file(tmp_path):
     # the byte decoder refuses a blank line in its first piece, before it
-    # reserves arrays for the most rows the file's size allows, so its peak
-    # is its piece buffer and that piece's temporaries. The row parser then
+    # makes arrays for the rows, so its peak is its piece buffer and that
+    # piece's temporaries. The row parser then
     # reads the file's lines through the same handle as it goes, into an
     # array of doubles and one of bytes that the Dataset takes, so its own
     # peak is those arrays and the Dataset's sorted class copies, under the
@@ -715,6 +826,26 @@ def test_the_row_path_holds_no_copy_of_the_file(tmp_path):
     assert _bits(data) == _bits(two_pass_rows_oracle(text))
     assert decoder_peak[0] < 0.5 * size, decoder_peak[0] / size
     assert rows_peak < 1.5 * size, rows_peak / size
+
+
+def test_an_accepted_file_holds_arrays_of_its_rows(tmp_path):
+    # the byte decoder sizes its arrays by the rows the first piece's width
+    # gives, not by the most rows the file's size allows (9 bytes for each 4
+    # of the file), so read_csv's peak is 17 bytes a row (the scores, the
+    # labels and the Dataset's sorted class copies) and one piece's
+    # temporaries
+    n = 100_000
+    path = tmp_path / "in.csv"
+    path.write_text(to_csv(make_random(3, n=n)), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        with mock.patch.object(dataset, "_from_csv_rows") as rows:
+            data = read_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.call_count == 0 and data.n == n
+    assert peak < 17 * n + 4 * _PIECE_CAP, (peak, path.stat().st_size)
 
 
 @pytest.mark.parametrize("case", ["row parser", "not utf-8"])
