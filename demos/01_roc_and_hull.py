@@ -23,13 +23,14 @@ curve = operating_points(data)
 hull = convex_hull(curve)
 
 print(f"{data.n} samples, prevalence {data.pi_p:.3f}")
-print(f"{len(curve.points)} operating points (one per distinct score, "
+print(f"{curve.tp.size} operating points (one per distinct score, "
       "plus the predict-nothing anchor):")
-for p in curve.points:
-    t = "    -" if p.threshold is None else f"{p.threshold:.2f}"
-    print(f"  t >= {t}   fpr={p.fpr:.3f}  tpr={p.tpr:.3f}")
+# the (0, 0) anchor has no threshold: NaN
+for threshold, fpr, tpr in zip(curve.thresholds, curve.fprs, curve.tprs):
+    t = "    -" if np.isnan(threshold) else f"{threshold:.2f}"
+    print(f"  t >= {t}   fpr={fpr:.3f}  tpr={tpr:.3f}")
 
-print(f"\nhull keeps {len(hull.points)} of them; area under the points "
+print(f"\nhull keeps {hull.tp.size} of them; area under the points "
       f"{curve.auc():.4f}, under the hull {hull.auc():.4f}")
 
 # a second scorer that ranks the same samples differently

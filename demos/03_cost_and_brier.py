@@ -29,8 +29,8 @@ envelope = lower_envelope(hull, priors, grid)
 brier = brier_curve(data, grid)
 all_pos, all_neg = baseline_cost_curves(priors, grid)
 
-print(f"hull has {len(hull.points)} operating points, so the envelope "
-      f"has at most {len(hull.points)} linear pieces")
+print(f"hull has {hull.tp.size} operating points, so the envelope "
+      f"has at most {hull.tp.size} linear pieces")
 worst = int(np.argmax(envelope.ys))
 print(f"envelope peaks at c={envelope.xs[worst]:.3f} "
       f"with loss {envelope.ys[worst]:.4f}")

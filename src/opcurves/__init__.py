@@ -35,8 +35,7 @@ _EXPORTS = {
     "dataset": ("NEGATIVE", "POSITIVE", "Dataset", "DatasetError", "DegenerateClassError",
                 "EmptyInputError", "ParseError", "Priors", "SimulationSpecError", "read_csv",
                 "simulate_gaussian", "write_csv"),
-    "roc": ("OperatingPoint", "RocCurve", "convex_hull", "dominance", "operating_points",
-            "threshold_rates"),
+    "roc": ("RocCurve", "convex_hull", "dominance", "operating_points", "threshold_rates"),
     "decision": ("Curve", "ThresholdGrid", "baseline_decision_curves", "decision_curve",
                  "net_benefit", "standardized_net_benefit", "upper_envelope_decision_curve"),
     "cost": ("LossDecomposition", "baseline_cost_curves", "brier_curve", "brier_score",

@@ -305,8 +305,7 @@ def _write_or_print(path: str | None, chunks, summary: str | None = None) -> Non
 
 def _write_curves(args: argparse.Namespace, data, curves: list, plot,
                   report: dict | None = None) -> None:
-    """Write the files a curve command's flags name; curves are Curves or
-    (xs, ys, series) triples.
+    """Write the files a curve command's flags name; curves are Curves.
 
     --csv writes the curves as x,y,series rows. --svg draws what plot()
     returns, (title, x_label, y_label, drawn, x_range, y_span): drawn pairs
@@ -389,12 +388,12 @@ def _run_roc(args: argparse.Namespace) -> None:
     hull = roc.convex_hull(curve)
     print(f"{curve.tp.size} operating points, {hull.tp.size} on the hull, "
           f"hull area {hull.auc():.6f}")
-    points = (curve.fprs, curve.tprs, "points")
-    edge = (hull.fprs, hull.tprs, "hull")
+    points = decision.Curve._adopt(curve.fprs, curve.tprs, "points")
+    edge = decision.Curve._adopt(hull.fprs, hull.tprs, "hull")
     # every ROC curve ends at (1, 1), so y_span is the y range itself
     _write_curves(args, data, [points, edge], lambda: (
         "ROC", "false positive rate", "true positive rate",
-        [(decision.Curve._adopt(*points), {}), (decision.Curve._adopt(*edge), {"width": 2.2}),
+        [(points, {}), (edge, {"width": 2.2}),
          (decision.Curve._adopt([0.0, 1.0], [0.0, 1.0], "chance"),
           {"color": "#999999", "dash": "4,4"})],
         (-0.02, 1.02), (-0.02, 1.02)))
@@ -471,24 +470,18 @@ def run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# keyed by the qualified names of an error's classes, most derived first,
-# so that mapping an error loads no module: SimulationSpecError subclasses
-# DatasetError, every DatasetError and PriorMismatchError is a ValueError,
-# and numpy's allocation error is a MemoryError
-_EXIT_CODES = {
-    f"{__name__}.UsageError": EXIT_USAGE,
-    "opcurves.dataset.SimulationSpecError": EXIT_USAGE,
-    "opcurves.dataset.DatasetError": EXIT_DATA,
-    "opcurves.relations.PriorMismatchError": EXIT_DATA,
-    "builtins.OSError": EXIT_DATA,
-    "builtins.ValueError": EXIT_USAGE,
-    "builtins.MemoryError": EXIT_DATA,
-}
-
-
 def _exit_code(exc: Exception) -> int:
-    names = (f"{kind.__module__}.{kind.__qualname__}" for kind in type(exc).__mro__)
-    return next(_EXIT_CODES[name] for name in names if name in _EXIT_CODES)
+    # OSError and MemoryError (numpy's allocation error too) are mapped before
+    # dataset is read, so an unwritable output loads no numpy
+    if isinstance(exc, UsageError):
+        return EXIT_USAGE
+    if isinstance(exc, (OSError, MemoryError)):
+        return EXIT_DATA
+    if isinstance(exc, dataset.SimulationSpecError):
+        return EXIT_USAGE
+    if isinstance(exc, dataset.DatasetError):
+        return EXIT_DATA
+    return EXIT_USAGE
 
 
 def main(argv: list[str] | None = None, ready: Callable[[], object] = lambda: None) -> int:

@@ -41,9 +41,10 @@ def cost_lines(curve: RocCurve, priors: Priors) -> list[Curve]:
     """Each point's cost line over c in [0, 1] as a two-vertex Curve
     (series "line fpr=... tpr=..."), in the curve's point order."""
     cs = np.array([0.0, 1.0])
-    ys = loss_cp(curve.tprs[:, None], curve.fprs[:, None], priors, cs)
+    fprs, tprs = curve.fprs, curve.tprs
+    ys = loss_cp(tprs[:, None], fprs[:, None], priors, cs)
     return [Curve._adopt(cs, y, f"line fpr={fpr:g} tpr={tpr:g}")
-            for y, fpr, tpr in zip(ys, curve.fprs.tolist(), curve.tprs.tolist())]
+            for y, fpr, tpr in zip(ys, fprs.tolist(), tprs.tolist())]
 
 
 def baseline_cost_curves(priors: Priors, grid: ThresholdGrid) -> tuple[Curve, Curve]:

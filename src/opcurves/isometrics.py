@@ -36,6 +36,8 @@ def isometric_lines(metric: str, levels: np.ndarray, priors: Priors,
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    if levels.ndim != 1 or levels.size == 0:
+        raise ValueError(f"levels must be a non-empty 1-d array, got shape {levels.shape}")
     # each metric takes an interval of levels, so its ends stand for all of
     # them; a NaN level fails every comparison
     low, high = float(levels.min()), float(levels.max())

@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import brier_curve
-from .dataset import Dataset, Priors
+from .dataset import Dataset, DatasetError, Priors
 from .decision import ArrayLike, ThresholdGrid, _unwrap, decision_curve
 from .roc import _TOL
 
 
-class PriorMismatchError(ValueError):
+class PriorMismatchError(DatasetError):
     """Two datasets under comparison have different class priors."""
 
 

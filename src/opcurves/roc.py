@@ -5,14 +5,12 @@ is greater than or equal to the threshold. Each distinct score therefore
 induces one operating point, and a synthetic (0, 0) point stands for any
 threshold above the top score.
 
-Curves are held as arrays of thresholds and integer counts; OperatingPoint
-objects are built only when a caller reads RocCurve.points.
+Curves are held as arrays of thresholds and integer counts, and their
+rates are derived from the counts on each read.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Literal
 
@@ -26,25 +24,6 @@ Dominance = Literal["first", "second", "equal", "neither"]
 _TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class OperatingPoint:
-    """One point in ROC space.
-
-    threshold is None for the synthetic (0, 0) anchor, which corresponds to
-    a threshold above every score and so has no single value in [0, 1].
-    """
-
-    fpr: float
-    tpr: float
-    threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.fpr <= 1.0 and 0.0 <= self.tpr <= 1.0):
-            raise ValueError("rates must lie in [0, 1]")
-        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
-
-
 @dataclass(frozen=True, eq=False, init=False, repr=False)
 class RocCurve:
     """Operating points ordered by increasing (fpr, tpr), anchored at
@@ -53,9 +32,8 @@ class RocCurve:
     Every field is a read-only array over the points, or a scalar.
     thresholds is NaN where a point has none (the (0, 0) anchor). The
     points carry integer tp and fp counts over the class totals n_p and
-    n_n, and their rates are fprs = fp / n_n and tprs = tp / n_p, derived
-    on first read and kept. `points` builds an OperatingPoint only for the
-    entries a caller reads.
+    n_n, and their rates fprs = fp / n_n and tprs = tp / n_p are derived
+    on each read. tp.size counts the points.
     """
 
     thresholds: np.ndarray
@@ -64,8 +42,6 @@ class RocCurve:
     n_p: int
     n_n: int
     is_hull: bool
-    _fprs: np.ndarray | None
-    _tprs: np.ndarray | None
 
     def __init__(self, thresholds, tp, fp, n_p: int, n_n: int, is_hull: bool = False) -> None:
         """The curve through the points of the given thresholds (NaN for
@@ -87,7 +63,7 @@ class RocCurve:
 
     def _hold(self, thresholds, tp, fp, n_p, n_n, is_hull) -> None:
         fields = {"thresholds": thresholds, "tp": tp, "fp": fp, "n_p": n_p, "n_n": n_n,
-                  "is_hull": bool(is_hull), "_fprs": None, "_tprs": None}
+                  "is_hull": bool(is_hull)}
         for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -98,21 +74,20 @@ class RocCurve:
         # rebuilt through the checks, so the copy's arrays are read-only too
         return RocCurve, (self.thresholds, self.tp, self.fp, self.n_p, self.n_n, self.is_hull)
 
-    def _rate(self, name: str, counts: np.ndarray, total: int) -> np.ndarray:
-        rate = getattr(self, name)
-        if rate is None:
-            rate = counts / total
-            rate.flags.writeable = False
-            object.__setattr__(self, name, rate)
-        return rate
-
     @property
     def fprs(self) -> np.ndarray:
-        return self._rate("_fprs", self.fp, self.n_n)
+        return _read_only(self.fp / self.n_n)
 
     @property
     def tprs(self) -> np.ndarray:
-        return self._rate("_tprs", self.tp, self.n_p)
+        return _read_only(self.tp / self.n_p)
+
+    @property
+    def points(self) -> np.ndarray:
+        """The read-only (n, 2) array of (fpr, tpr) rows, built on each read.
+        Kept only because bench/tracer.py counts its rows; tp.size counts
+        the points without building it."""
+        return _read_only(np.column_stack((self.fprs, self.tprs)))
 
     def _take(self, idx: np.ndarray, is_hull: bool) -> RocCurve:
         """The curve through the points at the given indices."""
@@ -142,17 +117,6 @@ class RocCurve:
             if np.any((ax - ox) * (by - oy) - (ay - oy) * (bx - ox) >= 0):
                 raise ValueError("hull points must be in strictly convex position")
 
-    def _point(self, i: int) -> OperatingPoint:
-        t = float(self.thresholds[i])
-        return OperatingPoint(fpr=int(self.fp[i]) / self.n_n, tpr=int(self.tp[i]) / self.n_p,
-                              threshold=None if math.isnan(t) else t)
-
-    @property
-    def points(self) -> Sequence[OperatingPoint]:
-        """The points as OperatingPoint objects, built as they are read;
-        len() is O(1) and builds none."""
-        return _Points(self)
-
     def auc(self) -> float:
         return float(np.trapezoid(self.tprs, self.fprs))
 
@@ -160,24 +124,9 @@ class RocCurve:
         return f"RocCurve({self.thresholds.size} points, is_hull={self.is_hull})"
 
 
-class _Points(Sequence):
-    """Read-only sequence view of a curve's points."""
-
-    __slots__ = ("_curve",)
-
-    def __init__(self, curve: RocCurve) -> None:
-        self._curve = curve
-
-    def __len__(self) -> int:
-        return self._curve.thresholds.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(self._curve._point, range(len(self))[index]))
-        return self._curve._point(range(len(self))[index])
-
-    def __iter__(self):
-        return map(self._curve._point, range(len(self)))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _require_hull(hull: RocCurve) -> None:
@@ -337,13 +286,12 @@ def _envelope_vertices(hull: RocCurve, priors: Priors, xs: np.ndarray) -> np.nda
     return np.clip((active - 1, active, active + 1), 0, last)
 
 
-def _upper_boundary(curve: RocCurve, at: np.ndarray) -> np.ndarray:
-    """Piecewise-linear height of the curve at the given fpr values,
-    taking the top of any vertical segment."""
-    x = curve.fprs
+def _upper_boundary(x: np.ndarray, y: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Piecewise-linear height of the curve with rates (x, y) at the given
+    fpr values, taking the top of any vertical segment."""
     # points are sorted by (fpr, tpr), so the last of each fpr run is its top
     top = np.append(x[1:] != x[:-1], True)
-    return np.interp(at, x[top], curve.tprs[top])
+    return np.interp(at, x[top], y[top])
 
 
 def dominance(a: RocCurve, b: RocCurve) -> Dominance:
@@ -357,9 +305,10 @@ def dominance(a: RocCurve, b: RocCurve) -> Dominance:
     """
     if a.n_p * (b.n_p + b.n_n) != b.n_p * (a.n_p + a.n_n):
         raise ValueError("curves are over different class priors")
-    pooled = np.sort(np.concatenate([a.fprs, b.fprs]))
+    ax, bx = a.fprs, b.fprs
+    pooled = np.sort(np.concatenate([ax, bx]))
     grid = pooled[_run_starts(pooled)]
-    diff = _upper_boundary(a, grid) - _upper_boundary(b, grid)
+    diff = _upper_boundary(ax, a.tprs, grid) - _upper_boundary(bx, b.tprs, grid)
     a_ge = bool(np.all(diff >= -_TOL))
     b_ge = bool(np.all(diff <= _TOL))
     if a_ge and b_ge:

@@ -3,11 +3,12 @@
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
-from opcurves import (Curve, Dataset, OperatingPoint, Priors, RocCurve, ThresholdGrid,
+from opcurves import (Curve, Dataset, Priors, RocCurve, ThresholdGrid,
                       loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
 from opcurves import render
 from opcurves._exact import DOUBT, POW10, near_power_of_two, times_pow10
@@ -159,6 +160,24 @@ def operating_points_oracle(data: Dataset) -> tuple[tuple, ...]:
                                    for t, tpk, fpk in zip(distinct, tp, fp))
 
 
+@dataclass(frozen=True)
+class OperatingPoint:
+    """One point in ROC space; threshold is None for the (0, 0) anchor."""
+
+    fpr: float
+    tpr: float
+    threshold: float | None = None
+
+
+def point_view(curve: RocCurve) -> tuple[OperatingPoint, ...]:
+    """The curve's points as OperatingPoint objects, each rate a Python int
+    count over its class total, for tests that read points one by one."""
+    return tuple(OperatingPoint(fpr=fp / curve.n_n, tpr=tp / curve.n_p,
+                                threshold=None if math.isnan(t) else t)
+                 for t, tp, fp in zip(curve.thresholds.tolist(), curve.tp.tolist(),
+                                      curve.fp.tolist()))
+
+
 def sorted_classes_oracle(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """The positive and the negative scores, each sorted by np.sort of a
     boolean-mask gather: what Dataset's positive_scores and
@@ -242,7 +261,7 @@ def envelope_oracle(points, priors: Priors, grid: ThresholdGrid, which: str,
     (min normalized loss per grid c). This is an independent check of the
     hull-based envelopes; it never looks at convexity.
     """
-    pts = list(points.points) if isinstance(points, RocCurve) else list(points)
+    pts = point_view(points) if isinstance(points, RocCurve) else list(points)
     if not pts:
         raise ValueError("oracle needs at least one operating point")
     if which not in ("upper_decision", "lower_cost"):
@@ -270,7 +289,8 @@ def envelope_support(hull: RocCurve, priors: Priors, c: float) -> tuple[Operatin
     weighting the same points attain the upper envelope of net benefit."""
     slopes, intercepts = _line(hull.tprs, hull.fprs, priors)
     vals = intercepts + float(c) * slopes
-    return tuple(hull.points[i] for i in np.flatnonzero(vals <= vals.min() + 1e-12))
+    view = point_view(hull)
+    return tuple(view[i] for i in np.flatnonzero(vals <= vals.min() + 1e-12))
 
 
 def lower_envelope_oracle(hull: RocCurve, priors: Priors, grid: ThresholdGrid) -> np.ndarray:

@@ -16,7 +16,8 @@ from opcurves import (Dataset, Priors, ThresholdGrid, baseline_cost_curves,
                       loss_cp, loss_decomposition, lower_envelope, net_benefit,
                       nb_from_brier_loss, operating_points, simulate_gaussian,
                       upper_envelope_decision_curve)
-from helpers import envelope_oracle, envelope_support, make_calibrated, make_random, make_toy
+from helpers import (envelope_oracle, envelope_support, make_calibrated, make_random, make_toy,
+                     point_view)
 
 THIRD = 1 / 3
 PI_CYCLE = (0.1, 0.33, 0.5)
@@ -51,7 +52,7 @@ def _best_of(fn, repeats: int = 20) -> float:
 def test_criterion_01_toy_hull():
     curve = operating_points(make_toy())
     hull = convex_hull(curve)
-    interior = [(p.fpr, p.tpr) for p in hull.points[1:-1]]
+    interior = [(p.fpr, p.tpr) for p in point_view(hull)[1:-1]]
     want = [(0.0, 1 / 3), (1 / 6, 2 / 3), (1 / 2, 1.0)]
     assert len(interior) == len(want)
     for got, expect in zip(interior, want):

@@ -531,6 +531,16 @@ class TestOutputs:
         subprocess.run([sys.executable, "-c", child, "score", "--input", toy_csv,
                         "--json", toy_csv], env=env, capture_output=True, check=True, timeout=60)
 
+    def test_an_output_in_a_missing_directory_is_refused_before_numpy_loads(self, toy_csv,
+                                                                            tmp_path):
+        # an OSError maps to its exit code before the dataset module is read
+        child = ("import sys; from opcurves.cli import main\n"
+                 "assert main(sys.argv[1:]) == 2 and 'numpy' not in sys.modules")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        subprocess.run([sys.executable, "-c", child, "score", "--input", toy_csv,
+                        "--json", str(tmp_path / "missing" / "s.json")], env=env,
+                       capture_output=True, check=True, timeout=60)
+
     def test_output_path_that_is_a_directory(self, toy_csv, tmp_path, capsys):
         assert main(["roc", "--input", toy_csv, "--csv", str(tmp_path)]) == 2
         assert "is a directory" in capsys.readouterr().err
@@ -659,7 +669,8 @@ _LOADED = [
     (["dca", "--input", "{csv}", "--svg", "{tmp}/d.svg"], 0, _READ | {"decision", "render"}),
     (["cost", "--input", "{csv}", "--svg", "{tmp}/c.svg"], 0,
      _READ | {"decision", "cost", "render"}),
-    (["roc", "--input", "{csv}", "--csv", "{tmp}/r.csv"], 0, _READ),
+    # roc writes its CSV from the Curves it also plots
+    (["roc", "--input", "{csv}", "--csv", "{tmp}/r.csv"], 0, _READ | {"decision"}),
     (["compare", "--input-a", "{csv}", "--input-b", "{csv}"], 0,
      _READ | {"decision", "cost", "relations"}),
     (["isometrics", "--metric", "accuracy", "--levels", "0:1:0.5", "--input", "{csv}"], 0,

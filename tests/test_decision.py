@@ -5,7 +5,7 @@ from opcurves import (Curve, Priors, ThresholdGrid, baseline_decision_curves, co
                       decision_curve, net_benefit, operating_points, standardized_net_benefit,
                       upper_envelope_decision_curve)
 from opcurves.decision import MAX_GRID_POINTS, regular_values
-from helpers import envelope_support, make_random
+from helpers import envelope_support, make_random, point_view
 
 THIRD = 1 / 3
 
@@ -235,7 +235,7 @@ def test_envelope_on_random_data_majorizes_every_point():
         grid = ThresholdGrid.regular(0.0, 0.95, 0.05)
         hull = convex_hull(operating_points(data))
         env = upper_envelope_decision_curve(hull, data.priors, grid)
-        for p in operating_points(data).points:
+        for p in point_view(operating_points(data)):
             nb = net_benefit(p.tpr, p.fpr, data.priors, grid.values)
             assert np.all(env.ys - nb >= -1e-12)
 

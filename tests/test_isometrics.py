@@ -102,3 +102,11 @@ class TestBrierLossLines:
 def test_unknown_metric():
     with pytest.raises(ValueError, match="metric"):
         _line("f1", 0.5, t=0.5)
+
+
+@pytest.mark.parametrize("levels", [np.array([]), np.array([[0.1, 0.2]])], ids=["empty", "2-d"])
+@pytest.mark.parametrize("metric, t", [("accuracy", None), ("net_benefit", 0.3),
+                                       ("brier_loss", 0.3)])
+def test_levels_must_be_a_non_empty_1d_array(metric, t, levels):
+    with pytest.raises(ValueError, match="levels must be a non-empty 1-d array, got shape"):
+        isometric_lines(metric, levels, PRIORS, t)

@@ -55,7 +55,7 @@ def test_import_runs_no_module_until_one_is_used():
                                   "CostLine", "cost_line", "baseline_cost_lines",
                                   "from_csv", "parse_dataset", "PALETTE", "to_csv",
                                   "PlotSpec", "PlotSeries", "SeriesStyle", "SimulationSpec",
-                                  "RocLine", "isometric_line"])
+                                  "RocLine", "isometric_line", "OperatingPoint"])
 def test_removed_names_are_not_in_the_package(name):
     assert not hasattr(opcurves, name)
     assert name not in opcurves.__all__

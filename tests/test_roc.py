@@ -7,12 +7,13 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from opcurves import (Dataset, OperatingPoint, RocCurve, convex_hull, dominance,
-                      operating_points, threshold_rates)
+from opcurves import (Dataset, RocCurve, convex_hull, dominance, operating_points,
+                      threshold_rates)
 from opcurves import roc
 from opcurves.cost import brier_score
-from helpers import (THOUSANDTHS, UNIT_FLOATS, check_rates_oracle, convex_hull_oracle, datasets,
-                     make_random, operating_points_oracle)
+from helpers import (THOUSANDTHS, UNIT_FLOATS, OperatingPoint, check_rates_oracle,
+                     convex_hull_oracle, datasets, make_random, operating_points_oracle,
+                     point_view)
 
 TOY_POINTS = [(0.0, 0.0), (0.0, 1 / 3), (1 / 6, 2 / 3), (1 / 2, 2 / 3),
               (1 / 2, 1.0), (2 / 3, 1.0), (5 / 6, 1.0), (1.0, 1.0)]
@@ -20,13 +21,13 @@ TOY_HULL_INTERIOR = [(0.0, 1 / 3), (1 / 6, 2 / 3), (1 / 2, 1.0)]
 
 
 def test_operating_points_toy(toy):
-    curve = operating_points(toy)
-    got = [(p.fpr, p.tpr) for p in curve.points]
+    points = point_view(operating_points(toy))
+    got = [(p.fpr, p.tpr) for p in points]
     assert got == pytest.approx([xy for xy in TOY_POINTS], abs=1e-12)
     # one point per distinct score plus the all-negative anchor
-    assert len(curve.points) == 8
-    assert curve.points[0].threshold is None
-    assert [p.threshold for p in curve.points[1:]] == [
+    assert len(points) == 8
+    assert points[0].threshold is None
+    assert [p.threshold for p in points[1:]] == [
         0.95, 0.90, 0.70, 0.20, 0.10, 0.05, 0.03]
 
 
@@ -48,7 +49,7 @@ def test_threshold_rates_half_open(toy):
 
 def test_hull_toy_interior_exact(toy):
     hull = convex_hull(operating_points(toy))
-    interior = [(p.fpr, p.tpr) for p in hull.points[1:-1]]
+    interior = [(p.fpr, p.tpr) for p in point_view(hull)[1:-1]]
     assert len(interior) == len(TOY_HULL_INTERIOR)
     for got, want in zip(interior, TOY_HULL_INTERIOR):
         assert got[0] == pytest.approx(want[0], abs=1e-12)
@@ -59,17 +60,17 @@ def test_hull_toy_interior_exact(toy):
 def test_hull_contains_all_points(toy):
     curve = operating_points(toy)
     hull = convex_hull(curve)
-    xs = np.array([p.fpr for p in hull.points])
-    ys = np.array([p.tpr for p in hull.points])
-    for p in curve.points:
+    xs = np.array([p.fpr for p in point_view(hull)])
+    ys = np.array([p.tpr for p in point_view(hull)])
+    for p in point_view(curve):
         assert p.tpr <= np.interp(p.fpr, xs, ys) + 1e-12
 
 
 def test_hull_idempotent(toy):
     hull = convex_hull(operating_points(toy))
     again = convex_hull(hull)
-    assert [(p.fpr, p.tpr) for p in again.points] == [
-        (p.fpr, p.tpr) for p in hull.points]
+    assert [(p.fpr, p.tpr) for p in point_view(again)] == [
+        (p.fpr, p.tpr) for p in point_view(hull)]
 
 
 def test_hull_random_matches_brute_force():
@@ -80,8 +81,8 @@ def test_hull_random_matches_brute_force():
         curve = operating_points(data)
         hull = convex_hull(curve)
         for m in np.linspace(0.0, 20.0, 200):
-            best = max(p.tpr - m * p.fpr for p in curve.points)
-            best_hull = max(p.tpr - m * p.fpr for p in hull.points)
+            best = max(p.tpr - m * p.fpr for p in point_view(curve))
+            best_hull = max(p.tpr - m * p.fpr for p in point_view(hull))
             assert best_hull == pytest.approx(best, abs=1e-12)
 
 
@@ -163,21 +164,36 @@ def test_the_count_checks_refuse_what_the_rate_checks_refuse(args):
     assert _refusal(RocCurve, *args) == _refusal(check_rates_oracle, *args)
 
 
-def test_rates_are_derived_on_first_read_and_kept(toy):
+def test_rates_are_derived_from_the_counts_on_each_read(toy, monkeypatch):
     curve = operating_points(toy)
-    # the Brier score reads only the counts
-    brier_score(toy, points=curve)
-    assert curve._fprs is None and curve._tprs is None
     fprs, tprs = curve.fprs, curve.tprs
-    assert curve.fprs is fprs and curve.tprs is tprs
-    assert fprs.tolist() == (curve.fp / curve.n_n).tolist()
-    assert tprs.tolist() == (curve.tp / curve.n_p).tolist()
+    assert fprs.view(np.int64).tolist() == (curve.fp / curve.n_n).view(np.int64).tolist()
+    assert tprs.view(np.int64).tolist() == (curve.tp / curve.n_p).view(np.int64).tolist()
     assert not fprs.flags.writeable and not tprs.flags.writeable
+
+    # the Brier score and the hull read only the counts
+    def refuse(self):
+        raise AssertionError("read a rate")
+
+    monkeypatch.setattr(RocCurve, "fprs", property(refuse))
+    monkeypatch.setattr(RocCurve, "tprs", property(refuse))
+    brier_score(toy, points=curve)
+    convex_hull(curve)
+
+
+def test_points_are_the_rate_rows(toy):
+    for curve in (operating_points(toy), convex_hull(operating_points(toy))):
+        points = curve.points
+        want = np.column_stack((curve.fprs, curve.tprs))
+        assert points.shape == want.shape and points.dtype == want.dtype
+        assert points.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert not points.flags.writeable
+        assert len(points) == curve.tp.size
 
 
 def test_a_curve_is_read_only(toy):
     curve = operating_points(toy)
-    for name in ("tp", "fp", "thresholds", "n_p", "is_hull", "fprs", "_fprs"):
+    for name in ("tp", "fp", "thresholds", "n_p", "is_hull", "fprs"):
         with pytest.raises(AttributeError):
             setattr(curve, name, None)
         with pytest.raises(AttributeError):
@@ -198,13 +214,6 @@ def test_a_curve_survives_pickle_and_copy(toy, copy_of):
         assert (got.n_p, got.n_n) == (curve.n_p, curve.n_n)
         with pytest.raises(AttributeError):
             got.tp = None
-
-
-def test_operating_point_validation():
-    with pytest.raises(ValueError):
-        OperatingPoint(fpr=-0.1, tpr=0.5)
-    with pytest.raises(ValueError):
-        OperatingPoint(fpr=0.1, tpr=1.5)
 
 
 def test_dominance_strict():
@@ -346,25 +355,10 @@ def test_hull_of_twenty_thousand_gaussian_scores_matches_oracle(seed, tied):
     assert_matches_oracle(Dataset(np.round(scores, 3) if tied else scores, labels))
 
 
-def test_point_count_builds_no_points(monkeypatch):
-    curve = operating_points(make_random(0, n=500))
-
-    def refuse(self, i):
-        raise AssertionError("built a point")
-
-    monkeypatch.setattr(RocCurve, "_point", refuse)
-    assert len(curve.points) == 501
-
-
 def test_points_view_indexes_like_a_tuple(toy):
-    curve = operating_points(toy)
     as_tuple = tuple(OperatingPoint(fpr=fp / toy.n_n, tpr=tp / toy.n_p, threshold=t)
                      for t, tp, fp in operating_points_oracle(toy))
-    assert tuple(curve.points) == as_tuple
-    assert curve.points[-1] == as_tuple[-1]
-    assert curve.points[2:5] == as_tuple[2:5]
-    with pytest.raises(IndexError):
-        curve.points[len(as_tuple)]
+    assert point_view(operating_points(toy)) == as_tuple
 
 
 def test_points_need_counts_on_all_or_none():
