@@ -415,8 +415,11 @@ def _run_score(args: argparse.Namespace) -> None:
 
 
 def _run_compare(args: argparse.Namespace) -> None:
-    report = relations.compare_models(dataset.read_csv(args.input),
-                                      dataset.read_csv(args.input_b), args.grid)
+    # the first file's dataset, and its count table, are gone before the
+    # second file is read: compare_models would hold both
+    first = relations._curves(dataset.read_csv(args.input), args.grid)
+    report = relations._report(args.grid, first,
+                               relations._curves(dataset.read_csv(args.input_b), args.grid))
     # per_t as columns: one JSON object a grid point, written without a dict a row
     per_t = output.Records({"t": args.grid.values, "nb_a": report.nb_a, "nb_b": report.nb_b,
                             "bc_a": report.bc_a, "bc_b": report.bc_b,

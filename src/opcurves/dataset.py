@@ -78,13 +78,13 @@ class Dataset:
     """Immutable, ordered collection of scored binary-labeled samples.
 
     Construction validates everything once: scores finite in [0, 1],
-    labels binary, at least one sample of each class. The backing arrays
-    are frozen, and per-class sorted score arrays are precomputed because
-    every curve in this package reduces to counting scores above a
-    threshold.
+    labels binary, at least one sample of each class. The scores and labels
+    are held in the order given, frozen. Every curve in this package reduces
+    to counting scores at or above a threshold, so the first curve read
+    builds the count table (_counts) and the dataset holds it from then on.
     """
 
-    __slots__ = ("_scores", "_labels", "_pos_sorted", "_neg_sorted")
+    __slots__ = ("_scores", "_labels", "_n_p", "_table")
 
     def __init__(self, scores: Sequence[float] | np.ndarray,
                  labels: Sequence[int] | np.ndarray, *, _owned: bool = False) -> None:
@@ -102,20 +102,21 @@ class Dataset:
         if not np.all((given == NEGATIVE) | (given == POSITIVE)):
             raise DatasetError("labels must be 0 or 1")
         labels = given.astype(np.int8, copy=not _owned)
-        positive = labels.view(np.bool_)  # the labels are 0 or 1
-        n_p = int(np.count_nonzero(positive))
+        n_p = int(np.count_nonzero(labels))
         if n_p == 0 or n_p == scores.size:
             raise DegenerateClassError("dataset must contain both classes")
-        # gathered copies of our own, sorted where they are; a boolean index
-        # gathers without the int64 index of the rows that np.compress makes
-        self._pos_sorted = scores[positive]
-        self._neg_sorted = scores[~positive]
-        self._pos_sorted.sort()
-        self._neg_sorted.sort()
-        self._scores = scores
-        self._labels = labels
-        for arr in (self._scores, self._labels, self._pos_sorted, self._neg_sorted):
-            arr.flags.writeable = False
+        self._scores, self._labels, self._n_p, self._table = scores, labels, n_p, None
+        scores.flags.writeable = labels.flags.writeable = False
+
+    def _counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The count table, read-only: the operating points' thresholds (NaN
+        for the (0, 0) anchor, then each distinct score descending, a zero
+        as +0.0) and their integer tp and fp counts, built on first use."""
+        if self._table is None:
+            self._table = _tally(self._scores, self._labels)
+            for arr in self._table:
+                arr.flags.writeable = False
+        return self._table
 
     @property
     def scores(self) -> np.ndarray:
@@ -126,26 +127,16 @@ class Dataset:
         return self._labels
 
     @property
-    def positive_scores(self) -> np.ndarray:
-        """Scores of the positive samples, sorted ascending."""
-        return self._pos_sorted
-
-    @property
-    def negative_scores(self) -> np.ndarray:
-        """Scores of the negative samples, sorted ascending."""
-        return self._neg_sorted
-
-    @property
     def n(self) -> int:
         return int(self._scores.size)
 
     @property
     def n_p(self) -> int:
-        return int(self._pos_sorted.size)
+        return self._n_p
 
     @property
     def n_n(self) -> int:
-        return int(self._neg_sorted.size)
+        return self.n - self._n_p
 
     @property
     def pi_p(self) -> float:
@@ -174,6 +165,46 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, n_p={self.n_p}, n_n={self.n_n})"
+
+
+def _tally(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dataset._counts's table, from one sort of one int64 key a row: the
+    score's bits, then its label bit. + 0.0 turns -0.0 into 0.0, a
+    non-negative double orders as its bits, and a score of at most 1.0 keeps
+    the key below 2**63, so the negated keys sort ascending as the keys
+    descending, and the walk down them runs through contiguous memory. In it
+    a run of equal key >> 1 is one score; the label bits summed down it
+    count the positives at or above each row, the other index + 1 - tp rows
+    are negatives, and the last row of a run carries its point's counts.
+    The key is freed before fp is made."""
+    key = np.add(scores, 0.0).view(np.int64)
+    key <<= 1
+    key |= labels
+    np.negative(key, out=key)
+    key.sort()
+    bits = np.empty(key.size, dtype=np.int8)
+    np.bitwise_and(key, 1, out=bits, casting="unsafe")  # -k and k have one parity
+    np.negative(key, out=key)
+    key >>= 1
+    last = np.empty(key.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(key[:-1], key[1:], out=last[:-1])
+    last = np.flatnonzero(last)
+    thresholds = np.empty(last.size + 1)
+    thresholds[0] = np.nan
+    # last is in range; any mode but "raise" lets take write out unbuffered
+    np.take(key, last, out=thresholds[1:].view(np.int64), mode="clip")
+    np.cumsum(bits, out=key)
+    del bits
+    tp = np.empty(last.size + 1, dtype=np.int64)
+    tp[0] = 0
+    np.take(key, last, out=tp[1:], mode="clip")
+    del key
+    fp = np.empty(last.size + 1, dtype=np.int64)
+    fp[0] = 0
+    np.add(last, 1, out=fp[1:])
+    fp[1:] -= tp[1:]
+    return thresholds, tp, fp
 
 
 def _plain_header(line: str) -> bool:

@@ -9,6 +9,8 @@ threshold selects the same operating points.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from . import METRICS
@@ -24,10 +26,10 @@ def isometric_gradient(t: float, priors: Priors) -> float:
     return priors.pi_n * t / (priors.pi_p * (1.0 - t))
 
 
-def isometric_lines(metric: str, levels: np.ndarray, priors: Priors,
+def isometric_lines(metric: str, levels: Sequence[float] | np.ndarray, priors: Priors,
                     t: float | None = None) -> tuple[float, np.ndarray]:
     """The gradient of the ROC-space lines along which `metric` equals each
-    of a 1-d float array of levels, the same for every level, and the
+    of a 1-d sequence or array of levels, the same for every level, and the
     intercept of each.
 
     accuracy takes no threshold (pass t=None); net_benefit and brier_loss
@@ -36,6 +38,7 @@ def isometric_lines(metric: str, levels: np.ndarray, priors: Priors,
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+    levels = np.asarray(levels, dtype=np.float64)
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError(f"levels must be a non-empty 1-d array, got shape {levels.shape}")
     # each metric takes an interval of levels, so its ends stand for all of

@@ -73,14 +73,21 @@ def compare_models(data_a: Dataset, data_b: Dataset,
     ill-posed); their sizes may differ. Grid values must stay below 1
     because the dca weighting is undefined there.
     """
-    if data_a.n_p * data_b.n != data_b.n_p * data_a.n:
-        raise PriorMismatchError(
-            f"class priors differ: {data_a.n_p}/{data_a.n} vs {data_b.n_p}/{data_b.n}")
-    priors = data_a.priors
-    nb_a = decision_curve(data_a, grid).ys
-    nb_b = decision_curve(data_b, grid).ys
-    bc_a = brier_curve(data_a, grid).ys
-    bc_b = brier_curve(data_b, grid).ys
+    return _report(grid, _curves(data_a, grid), _curves(data_b, grid))
+
+
+def _curves(data: Dataset, grid: ThresholdGrid) -> tuple:
+    """The model's class counts (n_p, n), priors, and net benefit and Brier
+    curve values on the grid: all _report reads of it."""
+    return ((data.n_p, data.n), data.priors, decision_curve(data, grid).ys,
+            brier_curve(data, grid).ys)
+
+
+def _report(grid: ThresholdGrid, a: tuple, b: tuple) -> ComparisonReport:
+    """The report on the _curves of models a and b, or PriorMismatchError."""
+    ((a_p, a_n), priors, nb_a, bc_a), ((b_p, b_n), _, nb_b, bc_b) = a, b
+    if a_p * b_n != b_p * a_n:
+        raise PriorMismatchError(f"class priors differ: {a_p}/{a_n} vs {b_p}/{b_n}")
     delta_nb = nb_a - nb_b
     delta_bc = bc_a - bc_b
     agree = _soft_sign(delta_nb) == -_soft_sign(delta_bc)

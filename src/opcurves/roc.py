@@ -55,8 +55,8 @@ class RocCurve:
     def _adopt(cls, thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray, n_p: int, n_n: int,
                is_hull: bool = False) -> RocCurve:
         """The curve over float64 thresholds and int64 counts that were built
-        for it and that nothing else references or views, taken without a
-        copy."""
+        for it, or a dataset's count table, which nothing writes, taken
+        without a copy."""
         curve = cls.__new__(cls)
         curve._hold(thresholds, tp, fp, n_p, n_n, is_hull)
         return curve
@@ -135,60 +135,12 @@ def _require_hull(hull: RocCurve) -> None:
 
 
 def threshold_rates(data: Dataset, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(tpr, fpr) arrays for the rule score >= threshold, vectorized."""
-    ts = np.asarray(thresholds, dtype=np.float64)
-    tp = data.n_p - np.searchsorted(data.positive_scores, ts, side="left")
-    fp = data.n_n - np.searchsorted(data.negative_scores, ts, side="left")
-    return tp / data.n_p, fp / data.n_n
-
-
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Where each run of equal values in a sorted array begins."""
-    new = np.empty(a.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(a[1:], a[:-1], out=new[1:])
-    return np.flatnonzero(new)
-
-
-def _anchored(anchor, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """anchor, then values[idx]."""
-    out = np.empty(idx.size + 1, dtype=values.dtype)
-    out[0] = anchor
-    # idx is in range; any mode but "raise" lets take write out unbuffered
-    np.take(values, idx, out=out[1:], mode="clip")
-    return out
-
-
-def _count_table(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The operating points' thresholds (NaN for the (0, 0) anchor, then
-    the distinct scores descending) and their integer tp and fp counts.
-
-    Each sorted class array is cut into runs of equal scores; one stable
-    sort merges the two run lists (each sorted already, so timsort merges
-    them in linear time), and the run lengths summed down the merged order
-    count the samples at or above each entry. The last entry of each score
-    carries its point's counts.
-    """
-    pos, neg = data.positive_scores, data.negative_scores
-    starts_p, starts_n = _run_starts(pos), _run_starts(neg)
-    values = np.concatenate((pos[starts_p], neg[starts_n]))
-    lengths = np.concatenate((np.diff(starts_p, append=pos.size),
-                              np.diff(starts_n, append=neg.size)))
-    pos_runs = starts_p.size
-    del starts_p, starts_n
-    # scores descending; a score of both classes has two adjacent entries
-    order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    last = np.append(_run_starts(values)[1:], values.size) - 1
-    thresholds = _anchored(np.nan, values, last)
-    del values
-    lengths = lengths[order]
-    below = np.cumsum(lengths)  # samples scored at or above each entry
-    np.multiply(lengths, order < pos_runs, out=lengths)
-    del order
-    tp = np.cumsum(lengths, out=lengths)
-    fp = np.subtract(below, tp, out=below)
-    return thresholds, _anchored(0, tp, last), _anchored(0, fp, last)
+    """(tpr, fpr) arrays for the rule score >= threshold, vectorized: each
+    threshold takes the counts of the lowest distinct score at or above it,
+    or the (0, 0) anchor's when no score reaches it."""
+    cuts, tp, fp = data._counts()
+    at = cuts.size - 1 - np.searchsorted(cuts[:0:-1], np.asarray(thresholds, dtype=np.float64))
+    return tp[at] / data.n_p, fp[at] / data.n_n
 
 
 def operating_points(data: Dataset) -> RocCurve:
@@ -197,9 +149,10 @@ def operating_points(data: Dataset) -> RocCurve:
     Points come out ordered by increasing (fpr, tpr), i.e. thresholds
     descending, starting from the synthetic (0, 0) anchor and ending at
     (1, 1) (the threshold at the minimum score classifies everything
-    positive). Tied scores collapse into a single point.
+    positive). Tied scores collapse into a single point. The curve holds
+    the data's count table itself.
     """
-    return RocCurve._adopt(*_count_table(data), data.n_p, data.n_n)
+    return RocCurve._adopt(*data._counts(), data.n_p, data.n_n)
 
 
 def convex_hull(curve: RocCurve) -> RocCurve:
@@ -307,7 +260,7 @@ def dominance(a: RocCurve, b: RocCurve) -> Dominance:
         raise ValueError("curves are over different class priors")
     ax, bx = a.fprs, b.fprs
     pooled = np.sort(np.concatenate([ax, bx]))
-    grid = pooled[_run_starts(pooled)]
+    grid = pooled[np.append(True, pooled[1:] != pooled[:-1])]  # np.unique would load numpy.ma
     diff = _upper_boundary(ax, a.tprs, grid) - _upper_boundary(bx, b.tprs, grid)
     a_ge = bool(np.all(diff >= -_TOL))
     b_ge = bool(np.all(diff <= _TOL))

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import strategies as st
 
-from opcurves import (Curve, Dataset, Priors, RocCurve, ThresholdGrid,
-                      loss_cp, lower_envelope, net_benefit, upper_envelope_decision_curve)
+from opcurves import (Curve, Dataset, Priors, RocCurve, ThresholdGrid, loss_cp, lower_envelope,
+                      net_benefit, threshold_rates, upper_envelope_decision_curve)
 from opcurves import render
 from opcurves._exact import DOUBT, POW10, near_power_of_two, times_pow10
 from opcurves.dataset import (_EXACT, _LABEL_BYTES, _LABEL_TOKENS, _M_LIMIT, _WIDEST, CSV_HEADER,
@@ -154,8 +154,9 @@ def operating_points_oracle(data: Dataset) -> tuple[tuple, ...]:
     """One (threshold, tp, fp) record per distinct score, with Python int
     counts, after the (0, 0) anchor's (None, 0, 0)."""
     distinct = np.unique(data.scores)[::-1]
-    tp = data.n_p - np.searchsorted(data.positive_scores, distinct, side="left")
-    fp = data.n_n - np.searchsorted(data.negative_scores, distinct, side="left")
+    pos, neg = sorted_classes_oracle(data.scores, data.labels)
+    tp = data.n_p - np.searchsorted(pos, distinct, side="left")
+    fp = data.n_n - np.searchsorted(neg, distinct, side="left")
     return ((None, 0, 0),) + tuple((float(t), int(tpk), int(fpk))
                                    for t, tpk, fpk in zip(distinct, tp, fp))
 
@@ -180,17 +181,73 @@ def point_view(curve: RocCurve) -> tuple[OperatingPoint, ...]:
 
 def sorted_classes_oracle(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     """The positive and the negative scores, each sorted by np.sort of a
-    boolean-mask gather: what Dataset's positive_scores and
-    negative_scores must equal bit for bit, signed zeros included."""
+    boolean-mask gather: the sorted class copies Dataset held before it
+    held the count table."""
     scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
     return np.sort(scores[labels == 1]), np.sort(scores[labels == 0])
 
 
-def assert_sorted_classes(data: Dataset) -> None:
-    """data's sorted class arrays are sorted_classes_oracle's, bit for bit."""
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in a sorted array begins."""
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return np.flatnonzero(new)
+
+
+def _anchored(anchor, values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """anchor, then values[idx]."""
+    return np.concatenate((np.array([anchor], dtype=values.dtype), values[idx]))
+
+
+def count_table_oracle(data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """roc._count_table as it was before the count table became one sort of
+    packed keys: the thresholds (NaN, then the distinct scores descending)
+    and tp and fp counts, from the sorted class copies. Each is cut into
+    runs of equal scores; one stable sort merges the two run lists, and the
+    run lengths summed down the merged order count the samples at or above
+    each entry. The last entry of each score carries its point's counts."""
     pos, neg = sorted_classes_oracle(data.scores, data.labels)
-    assert data.positive_scores.view(np.int64).tolist() == pos.view(np.int64).tolist()
-    assert data.negative_scores.view(np.int64).tolist() == neg.view(np.int64).tolist()
+    starts_p, starts_n = _run_starts(pos), _run_starts(neg)
+    values = np.concatenate((pos[starts_p], neg[starts_n]))
+    lengths = np.concatenate((np.diff(starts_p, append=pos.size),
+                              np.diff(starts_n, append=neg.size)))
+    # scores descending; a score of both classes has two adjacent entries
+    order = np.argsort(values, kind="stable")[::-1]
+    values = values[order]
+    last = np.append(_run_starts(values)[1:], values.size) - 1
+    lengths = lengths[order]
+    below = np.cumsum(lengths)  # samples scored at or above each entry
+    tp = np.cumsum(lengths * (order < starts_p.size))
+    return (_anchored(np.nan, values, last), _anchored(0, tp, last),
+            _anchored(0, below - tp, last))
+
+
+def threshold_rates_oracle(data: Dataset, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """threshold_rates as it was before it read the count table: one
+    searchsorted over each sorted class copy."""
+    pos, neg = sorted_classes_oracle(data.scores, data.labels)
+    ts = np.asarray(thresholds, dtype=np.float64)
+    tp = data.n_p - np.searchsorted(pos, ts, side="left")
+    fp = data.n_n - np.searchsorted(neg, ts, side="left")
+    return tp / data.n_p, fp / data.n_n
+
+
+def assert_count_table(data: Dataset) -> None:
+    """data's count table is count_table_oracle's: tp and fp exactly, the
+    thresholds by value (-0.0 == 0.0), every zero threshold +0.0; and
+    threshold_rates gives threshold_rates_oracle's rates bit for bit on a
+    grid of every score, its float neighbours, 0, 1 and values outside."""
+    got, want = data._counts(), count_table_oracle(data)
+    assert got[1].tolist() == want[1].tolist() and got[2].tolist() == want[2].tolist()
+    assert np.isnan(got[0][0]) and np.isnan(want[0][0])
+    assert got[0][1:].tolist() == want[0][1:].tolist()
+    assert not np.signbit(got[0][1:]).any()
+    distinct = np.unique(data.scores)
+    grid = np.concatenate((distinct, np.nextafter(distinct, -1.0), np.nextafter(distinct, 2.0),
+                           [0.0, -0.0, 1.0, -0.5, 1.5, np.nan]))
+    for a, b in zip(threshold_rates(data, grid), threshold_rates_oracle(data, grid)):
+        assert a.view(np.int64).tolist() == b.view(np.int64).tolist()
 
 
 def check_rates_oracle(thresholds, tp, fp, n_p: int, n_n: int, is_hull: bool) -> None:
@@ -223,8 +280,9 @@ def brier_score_oracle(data: Dataset) -> float:
     lo, hi = b[:-1], b[1:]
     # on the open segment (lo, hi) the rule s >= t classifies {s > lo}
     # positive, so the false-negative and false-positive counts are
-    fn = np.searchsorted(data.positive_scores, lo, side="right")
-    fp = data.n_n - np.searchsorted(data.negative_scores, lo, side="right")
+    pos, neg = sorted_classes_oracle(data.scores, data.labels)
+    fn = np.searchsorted(pos, lo, side="right")
+    fp = data.n_n - np.searchsorted(neg, lo, side="right")
     # trapezoid of (2/n)[(1-t) fn + t fp] over [lo, hi]
     mid_fn = ((1.0 - lo) + (1.0 - hi)) / 2.0
     mid_fp = (lo + hi) / 2.0

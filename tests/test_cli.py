@@ -17,9 +17,9 @@ import pytest
 from opcurves import (Dataset, DatasetError, ParseError, Priors, PriorMismatchError,
                       SimulationSpecError, ThresholdGrid, compare_models, isometric_lines,
                       operating_points)
-from opcurves import cli, output, render
+from opcurves import cli, dataset, output, render
 from opcurves.cli import UsageError, main
-from helpers import (assert_decimated, comparison_dict, make_random, make_toy,
+from helpers import (assert_decimated, comparison_dict, from_csv_bytes, make_random, make_toy,
                      path_data_oracle, to_csv)
 
 
@@ -317,6 +317,26 @@ class TestScore:
         assert capsys.readouterr().err == "error: line 3: not UTF-8 text (byte 0xff)\n"
 
 
+@pytest.mark.parametrize("argv", [["roc", "--csv", "out"], ["score", "--json", "out"]])
+def test_signed_zero_scores_write_the_bytes_of_their_quoted_copy(tmp_path, monkeypatch, argv):
+    # the byte decoder reads -0.0 by float() and the row parser reads the
+    # quoted copy; a zero threshold is +0.0 either way, so both write the
+    # bytes of the file with each -0.0 written as 0.0
+    rows = ["-0.0,0", "0.0,1", "1.0,1", "0.5,0", "-0.0,1", "1.0,0", "0.0,0"]
+    copies = {"plain": rows, "quoted": ['"{}",{}'.format(*row.split(",")) for row in rows],
+              "unsigned": [row.lstrip("-") for row in rows]}
+    written = []
+    for name, lines in copies.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        text = "score,label\n" + "\n".join(lines) + "\n"
+        Path("in.csv").write_text(text, encoding="utf-8")
+        assert (from_csv_bytes(text.encode()) is None) == (name == "quoted")
+        assert main([argv[0], "--input", "in.csv", *argv[1:]]) == 0
+        written.append(Path("out").read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
 class TestCompare:
     def test_same_model_agrees_everywhere(self, toy_csv, tmp_path):
         out = tmp_path / "cmp.json"
@@ -355,6 +375,26 @@ class TestCompare:
         report_kb = out.stat().st_size / 1024
         assert report_kb > 25_000
         assert peak["0:0.99999:0.00001"] - peak["0:0.99:0.01"] < report_kb
+
+    def test_the_first_dataset_is_freed_before_the_second_is_read(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        # so the first model's count table is gone before the second's is built
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(to_csv(make_random(1, n=200)), encoding="utf-8")
+        b.write_text(to_csv(make_random(2, n=200)), encoding="utf-8")
+        read, held = dataset.read_csv, []
+
+        def read_csv(path):
+            # held and getrefcount's argument are all that hold an earlier one
+            assert [sys.getrefcount(held[i]) for i in range(len(held))] == [2] * len(held)
+            held.append(read(path))
+            return held[-1]
+
+        monkeypatch.setattr(dataset, "read_csv", read_csv)
+        grid = ThresholdGrid.decision_default()
+        want = comparison_dict(compare_models(read(str(a)), read(str(b)), grid))
+        assert main(["compare", "--input-a", str(a), "--input-b", str(b)]) == 0
+        assert len(held) == 2 and json.loads(capsys.readouterr().out) == want
 
     def test_prior_mismatch_is_data_error(self, toy_csv, tmp_path, capsys):
         other = tmp_path / "other.csv"

@@ -11,7 +11,7 @@ from opcurves import (Dataset, DatasetError, DegenerateClassError, EmptyInputErr
                       Priors, SimulationSpecError, read_csv, simulate_gaussian, write_csv)
 from opcurves import dataset
 from opcurves.dataset import MAX_SIMULATED_ROWS, _from_csv_rows
-from helpers import (THOUSANDTHS, UNIT_FLOATS, assert_sorted_classes, datasets, from_csv,
+from helpers import (THOUSANDTHS, UNIT_FLOATS, assert_count_table, datasets, from_csv,
                      from_csv_bytes, make_random, text_lines, to_csv)
 
 
@@ -22,7 +22,7 @@ def test_basic_properties(toy):
     assert toy.pi_p == pytest.approx(1 / 3, abs=0)
     assert toy.pi_p + toy.pi_n == pytest.approx(1.0, abs=1e-15)
     assert len(toy) == 9
-    assert toy.positive_scores.tolist() == [0.20, 0.90, 0.95]
+    assert toy.scores[toy.labels == 1].tolist() == [0.20, 0.90, 0.95]
 
 
 def test_arrays_are_frozen(toy):
@@ -91,7 +91,7 @@ def test_labels_of_any_binary_kind_are_held_as_int8(labels):
     data = Dataset([0.2, 0.8], labels)
     assert data.labels.dtype == np.int8
     assert data.labels.tolist() == [0, 1]
-    assert data.positive_scores.tolist() == [0.8] and data.negative_scores.tolist() == [0.2]
+    assert (data.n_p, data.n_n) == (1, 1)
 
 
 def test_a_dataset_keeps_no_array_of_the_callers():
@@ -130,27 +130,29 @@ def test_negative_zero_zero_and_one_are_scores(scores, data):
     for got in (Dataset(scores, labels), from_csv(text), _from_csv_rows(text_lines(text))):
         assert got.scores.view(np.int64).tolist() == want
         assert got.labels.tolist() == labels
-        assert_sorted_classes(got)
+        assert_count_table(got)
 
 
+# the count table against the one built from np.sort of each class
 @given(datasets())
 def test_the_sorted_classes_are_np_sort_of_each_class(data):
-    assert_sorted_classes(data)
-    assert_sorted_classes(from_csv(to_csv(data)))
+    assert_count_table(data)
+    assert_count_table(from_csv(to_csv(data)))
 
 
 @given(st.one_of(THOUSANDTHS, UNIT_FLOATS, EDGE_SCORES), st.integers(1, 50), st.integers(1, 50))
 def test_one_distinct_score_sorts_as_np_sort(score, n_p, n_n):
     data = Dataset([score] * (n_p + n_n), [1] * n_p + [0] * n_n)
-    assert_sorted_classes(data)
-    assert data.positive_scores.size == n_p and data.negative_scores.size == n_n
+    assert_count_table(data)
+    assert data.n_p == n_p and data.n_n == n_n
+    assert data._counts()[0].size == 2
 
 
 @given(st.one_of(THOUSANDTHS, UNIT_FLOATS, EDGE_SCORES),
        st.one_of(THOUSANDTHS, UNIT_FLOATS, EDGE_SCORES))
 def test_two_samples_sort_as_np_sort(pos, neg):
     data = Dataset([neg, pos], [0, 1])
-    assert_sorted_classes(data)
+    assert_count_table(data)
     assert data.n == 2 and data.labels.tolist() == [0, 1]
 
 
@@ -166,17 +168,16 @@ def test_one_positive_in_a_hundred_thousand_sorts_as_np_sort(tied, tmp_path):
     write_csv(Dataset(scores, labels), str(path))
     for data in (Dataset(scores, labels), read_csv(str(path))):
         assert data.n_p == 1
-        assert_sorted_classes(data)
+        assert_count_table(data)
 
 
 @given(datasets(st.one_of(THOUSANDTHS, EDGE_SCORES)))
 def test_a_class_swap_swaps_the_sorted_classes(data):
     swapped = Dataset(data.scores, 1 - data.labels)
-    assert_sorted_classes(swapped)
-    assert swapped.positive_scores.view(np.int64).tolist() == \
-        data.negative_scores.view(np.int64).tolist()
-    assert swapped.negative_scores.view(np.int64).tolist() == \
-        data.positive_scores.view(np.int64).tolist()
+    assert_count_table(swapped)
+    (cuts, tp, fp), (swapped_cuts, swapped_tp, swapped_fp) = data._counts(), swapped._counts()
+    assert swapped_cuts.view(np.int64).tolist() == cuts.view(np.int64).tolist()
+    assert swapped_tp.tolist() == fp.tolist() and swapped_fp.tolist() == tp.tolist()
 
 
 def test_parse_accepts_letter_labels():
@@ -393,7 +394,7 @@ def test_simulation_is_deterministic():
     assert float(a.scores.min()) >= 0.0
     assert float(a.scores.max()) <= 1.0
     # positives score higher on average by construction
-    assert a.positive_scores.mean() > a.negative_scores.mean()
+    assert a.scores[a.labels == 1].mean() > a.scores[a.labels == 0].mean()
 
 
 def test_simulation_seed_changes_data():

@@ -110,3 +110,13 @@ def test_unknown_metric():
 def test_levels_must_be_a_non_empty_1d_array(metric, t, levels):
     with pytest.raises(ValueError, match="levels must be a non-empty 1-d array, got shape"):
         isometric_lines(metric, levels, PRIORS, t)
+
+
+@pytest.mark.parametrize("metric, t, levels", [("accuracy", None, [0.5, 0.6]),
+                                               ("net_benefit", 0.3, (0.0, 0.1)),
+                                               ("brier_loss", 0.3, [0, 0.25])])
+def test_levels_may_be_a_list_or_a_tuple(metric, t, levels):
+    gradient, intercepts = isometric_lines(metric, levels, PRIORS, t)
+    want = isometric_lines(metric, np.array(levels, dtype=np.float64), PRIORS, t)
+    assert gradient == want[0]
+    assert intercepts.tolist() == want[1].tolist()

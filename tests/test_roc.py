@@ -403,19 +403,14 @@ def test_curve_leaves_the_callers_arrays_alone():
 
 
 def test_points_and_hull_hold_the_arrays_they_build(monkeypatch):
-    # operating_points and convex_hull build their arrays for the curve and
-    # copy none of them: neither goes through the copying constructor
-    built = []
-
-    def count_table(data, count_table=roc._count_table):
-        built.append(count_table(data))
-        return built[-1]
-
+    # operating_points holds the data's count table and convex_hull builds
+    # its arrays for the hull: neither goes through the copying constructor
     def copy(self, *args, **kwargs):
         raise AssertionError("copied")
 
-    monkeypatch.setattr(roc, "_count_table", count_table)
     monkeypatch.setattr(RocCurve, "__init__", copy)
-    curve = operating_points(make_random(3, n=500))
-    assert all(a is b for a, b in zip((curve.thresholds, curve.tp, curve.fp), built[0]))
+    data = make_random(3, n=500)
+    table = data._counts()
+    for curve in (operating_points(data), operating_points(data)):
+        assert all(a is b for a, b in zip((curve.thresholds, curve.tp, curve.fp), table))
     assert convex_hull(curve).is_hull
