@@ -415,8 +415,7 @@ def _run_score(args: argparse.Namespace) -> None:
 
 
 def _run_compare(args: argparse.Namespace) -> None:
-    # the first file's dataset, and its count table, are gone before the
-    # second file is read: compare_models would hold both
+    # one file at a time, so one count table is held: compare_models would hold both
     first = relations._curves(dataset.read_csv(args.input), args.grid)
     report = relations._report(args.grid, first,
                                relations._curves(dataset.read_csv(args.input_b), args.grid))

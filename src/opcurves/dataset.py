@@ -168,15 +168,13 @@ class Dataset:
 
 
 def _tally(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dataset._counts's table, from one sort of one int64 key a row: the
-    score's bits, then its label bit. + 0.0 turns -0.0 into 0.0, a
+    """Dataset._counts's table, from one sort of an int64 key a row, the
+    score's bits then its label bit: + 0.0 turns -0.0 into 0.0, a
     non-negative double orders as its bits, and a score of at most 1.0 keeps
-    the key below 2**63, so the negated keys sort ascending as the keys
-    descending, and the walk down them runs through contiguous memory. In it
-    a run of equal key >> 1 is one score; the label bits summed down it
-    count the positives at or above each row, the other index + 1 - tp rows
-    are negatives, and the last row of a run carries its point's counts.
-    The key is freed before fp is made."""
+    the key below 2**63, so the keys negated sort ascending as the keys
+    descending. Down them a run of equal key >> 1 is one score; the label
+    bits summed count the positives at or above each row, index + 1 - tp
+    the negatives, and a run's last row has its point's counts."""
     key = np.add(scores, 0.0).view(np.int64)
     key <<= 1
     key |= labels

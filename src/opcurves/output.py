@@ -44,6 +44,7 @@ from ._exact import DOUBT, POW10, near_power_of_two, times_pow10
 
 _INDENT = "  "
 _CHUNK = 1 << 15  # rows times columns a chunk, so its frame stays near 1 MB
+_FRAME_ROWS = 1 << 12  # rows framed at a time: the heap keeps such a frame between chunks
 
 
 class Records:
@@ -308,16 +309,20 @@ def rows(columns: list[np.ndarray], pieces: list[str],
 
 
 def _frame_text(blocks: list[np.ndarray], piece_words: list[np.ndarray]) -> str:
-    """The text of rows of blocks' words between the pieces' words. The
-    frame is freed once its bytes are copied, before the NULs go."""
-    parts = [piece_words[0]]
-    for block, piece in zip(blocks, piece_words[1:]):
-        parts += [block, piece]
-    m = len(blocks[0])
-    frame = np.concatenate([np.broadcast_to(p, (m, p.shape[-1])) for p in parts], axis=1)
-    data = frame.tobytes()
-    del frame
-    return data.translate(None, b"\0").decode()
+    """The text of rows of blocks' words between the pieces' words, framed
+    _FRAME_ROWS rows at a time. Each frame is freed once its bytes are
+    copied, before the NULs go."""
+    texts = []
+    for lo in range(0, len(blocks[0]), _FRAME_ROWS):
+        parts = [piece_words[0]]
+        for block, piece in zip(blocks, piece_words[1:]):
+            parts += [block[lo:lo + _FRAME_ROWS], piece]
+        m = len(parts[1])
+        frame = np.concatenate([np.broadcast_to(p, (m, p.shape[-1])) for p in parts], axis=1)
+        data = frame.tobytes()
+        del frame
+        texts.append(data.translate(None, b"\0").decode())
+    return "".join(texts)
 
 
 def _key_text(key) -> str:
