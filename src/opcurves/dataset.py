@@ -192,8 +192,9 @@ def _tally(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     thresholds[0] = np.nan
     # last is in range; any mode but "raise" lets take write out unbuffered
     np.take(key, last, out=thresholds[1:].view(np.int64), mode="clip")
-    np.cumsum(bits, out=key)
+    np.copyto(key, bits)  # summed in place: cumsum casting int8 to int64 copies it all
     del bits
+    np.cumsum(key, out=key)
     tp = np.empty(last.size + 1, dtype=np.int64)
     tp[0] = 0
     np.take(key, last, out=tp[1:], mode="clip")
