@@ -1,21 +1,21 @@
 """Output writers: JSON and CSV text built from whole arrays, and files
 replaced atomically.
 
-Reports and curve exports carry up to a few hundred thousand numbers, and
-writing them one Python object at a time cost more than computing them.
-So rows() writes a whole table of array columns at once: each float
-becomes the text float.__repr__ gives it, found with numpy arithmetic on
-the whole column (see _float_words), each row's bytes go into a frame of
-uint32 words where NUL bytes mark unused places, and deleting the NULs
-leaves the text. _json_chunks writes a JSON array, or the rows of a
-Records, through rows() too, and each scalar as json.dumps writes it;
-both yield the text chunk by chunk for write_text to stream. While an
-Outputs block is open, a read-only float column that fits in one chunk is
-encoded once for the whole block and its words reused by every table that
-writes it (see _memo_words): the threshold grid of a curve run is one
-array, the x of every series and the grid of its report (and the t of
-compare's per_t rows); the x of every series, a JSON array at one
-indentation, is framed once too.
+Reports and curve exports carry up to a few hundred thousand numbers,
+and writing them one Python object at a time cost more than computing
+them. So rows() writes a whole table of array columns at once: each
+float becomes the text float.__repr__ gives it, found with numpy
+arithmetic on the whole column (see _float_words), each row's bytes go
+into a frame of uint32 words, one a table, where NUL bytes mark unused
+places, and deleting the NULs leaves the text. _json_chunks writes a
+JSON array, or the rows of a Records, through rows() too, and each
+scalar as json.dumps writes it; both yield the text chunk by chunk for
+write_text to stream. While an Outputs block is open, a read-only float
+column that fits in one chunk is encoded once for the whole block and
+its words reused by every table that writes it (see _memo_words): the
+threshold grid of a curve run is one array, the x of every series and
+the grid of its report (and the t of compare's per_t rows); the x of
+every series, a JSON array at one indentation, is framed once too.
 
 write_text puts a new or plain file under a temporary name in the target
 directory and moves it into place with os.replace, so a reader never sees
@@ -44,7 +44,7 @@ from ._exact import DOUBT, POW10, near_power_of_two, times_pow10
 
 _INDENT = "  "
 _CHUNK = 1 << 15  # rows times columns a chunk, so its frame stays near 1 MB
-_FRAME_ROWS = 1 << 12  # rows framed at a time: the heap keeps such a frame between chunks
+_FRAME_ROWS = 1 << 12  # rows framed at a time; rows() fills one such frame for a whole table
 
 
 class Records:
@@ -219,28 +219,30 @@ def _fallback_words(values: np.ndarray, fallback: Callable[[float], str],
     return np.frombuffer(text.encode(), dtype=np.uint32).reshape(values.size, width)
 
 
-def _column_words(column: np.ndarray, fallback: Callable[[float], str]) -> np.ndarray:
-    """The text of each element of a 1-d column as rows of uint32 words: a
-    float as _float_words writes it, a bool as false or true, an integer in
-    [0, 10**4) in decimal. A run of equal floats (equal bits) is encoded
-    once and its words repeated."""
+def _column_words(column: np.ndarray, fallback: Callable[[float], str]
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The text of each element of a 1-d column as rows of uint32 words,
+    (words, idx): row i is words[idx[i]], or words[i] where idx is None. A
+    float is as _float_words writes it, a bool false or true, an integer
+    in [0, 10**4) decimal. A run of equal floats (equal bits) is encoded
+    once, and its rows index its words."""
     kind = column.dtype.kind
     if kind == "b":
-        return _BOOL_WORDS[column.view(np.uint8)]
+        return _BOOL_WORDS, column.view(np.uint8)
     if kind in "iu":
         if column.size and (column.min() < 0 or column.max() >= 10**4):
             raise ValueError("integer columns must lie in [0, 10000)")
-        # a slice of the table, indexed by the column as it is: _LEAD1 + column
+        # the column as it is indexes a slice of the table: _LEAD1 + column
         # would not fit a narrow integer dtype
-        return _digit_words()[_LEAD1:_LEAD1 + 10**4][column][:, None]
+        return _digit_words()[_LEAD1:_LEAD1 + 10**4, None], column
     values = np.ascontiguousarray(column, dtype=np.float64)
     bits = values.view(np.int64)
     heads = np.empty(values.size, dtype=bool)
     heads[0] = True
     np.not_equal(bits[1:], bits[:-1], out=heads[1:])
     if heads.all():
-        return _float_words(values, fallback)
-    return _float_words(values[heads], fallback)[np.cumsum(heads) - 1]
+        return _float_words(values, fallback), None
+    return _float_words(values[heads], fallback), np.cumsum(heads) - 1
 
 
 # the words of the columns encoded in the open Outputs block, by (id(column),
@@ -260,7 +262,7 @@ def _frozen(a: np.ndarray) -> bool:
 
 
 def _memo_words(column: np.ndarray, fallback: Callable[[float], str],
-                lo: int, size: int) -> np.ndarray:
+                lo: int, size: int) -> tuple[np.ndarray, np.ndarray | None]:
     """_column_words(column[lo:lo + size], fallback). In an Outputs block a
     read-only float column of at most size rows is encoded whole once, and
     every later table that writes it, in one chunk or in several, takes
@@ -278,7 +280,8 @@ def _memo_words(column: np.ndarray, fallback: Callable[[float], str],
             return _column_words(column[lo:lo + size], fallback)
         key = (id(column), None if np.isfinite(column).all() else fallback)
         held = memo[key] = (column, _column_words(column, fallback))
-    return held[1][lo:lo + size]
+    words, idx = held[1]
+    return (words[lo:lo + size], None) if idx is None else (words, idx[lo:lo + size])
 
 
 def rows(columns: list[np.ndarray], pieces: list[str],
@@ -288,40 +291,60 @@ def rows(columns: list[np.ndarray], pieces: list[str],
     one length and one more piece than columns. A float is written as
     float.__repr__ writes it, or by fallback where that is not repr (its
     NaN and infinities; see _float_words). The pieces must hold no NUL."""
-    if len(pieces) != len(columns) + 1 or any("\0" in p for p in pieces):
-        raise ValueError("rows need one more piece than columns, and no NUL in a piece")
+    columns = [np.asarray(c) for c in columns]
+    if (not columns or len({c.shape for c in columns}) != 1 or columns[0].ndim != 1
+            or len(pieces) != len(columns) + 1 or any("\0" in p for p in pieces)):
+        raise ValueError("rows need 1-d columns of one length, one more piece than columns, "
+                         "and no NUL in a piece")
     piece_words = [np.frombuffer(p.encode() + b"\0" * (-len(p.encode()) % 4), dtype=np.uint32)
                    for p in pieces]
-    columns = [np.asarray(c) for c in columns]
     size = max(1, _CHUNK // len(columns))
-    memo, column = _memo.get(), columns[0]
-    if (memo is not None and len(columns) == 1 and 0 < len(column) <= size
+    memo, column, n = _memo.get(), columns[0], len(columns[0])
+    if (memo is not None and len(columns) == 1 and 0 < n <= size
             and column.dtype.kind == "f" and _frozen(column)):
         # a column _memo_words holds: the text, for a JSON array at one indentation
         key = (id(column), fallback, *pieces)
         if key not in memo:
-            memo[key] = (column, _frame_text([_memo_words(column, fallback, 0, size)],
-                                             piece_words))
+            block = _memo_words(column, fallback, 0, size)
+            memo[key] = (column, _frame_text([block], *_frame(piece_words, [block], n)))
         yield memo[key][1]
         return
-    for lo in range(0, len(column), size):
-        yield _frame_text([_memo_words(c, fallback, lo, size) for c in columns], piece_words)
+    frame, spans = None, []  # made again only for a chunk whose floats take another width
+    for lo in range(0, n, size):
+        blocks = [_memo_words(c, fallback, lo, size) for c in columns]
+        if [s.stop - s.start for s in spans] != [words.shape[1] for words, _ in blocks]:
+            frame, spans = _frame(piece_words, blocks, n)
+        yield _frame_text(blocks, frame, spans)
 
 
-def _frame_text(blocks: list[np.ndarray], piece_words: list[np.ndarray]) -> str:
-    """The text of rows of blocks' words between the pieces' words, framed
-    _FRAME_ROWS rows at a time. Each frame is freed once its bytes are
-    copied, before the NULs go."""
+def _frame(piece_words: list[np.ndarray], blocks: list[tuple], n: int
+           ) -> tuple[np.ndarray, list[slice]]:
+    """A frame for up to _FRAME_ROWS of a table's n rows, its pieces'
+    words written in, and the slice of each block's words in a row."""
+    widths = [words.shape[1] for words, _ in blocks]
+    frame = np.empty((min(_FRAME_ROWS, n), sum(widths) + sum(p.size for p in piece_words)),
+                     dtype=np.uint32)
+    spans, at = [], 0
+    for piece, width in itertools.zip_longest(piece_words, widths, fillvalue=0):
+        frame[:, at:at + piece.size] = piece
+        spans.append(slice(at + piece.size, at + piece.size + width))
+        at += piece.size + width
+    return frame, spans[:-1]
+
+
+def _frame_text(blocks: list[tuple], frame: np.ndarray, spans: list[slice]) -> str:
+    """The text of the rows of blocks, (words, idx) as _column_words gives
+    them, put in their spans of the frame, the frame's rows at a time; the
+    other words of the frame, the pieces', stay as they are."""
+    words, idx = blocks[0]
+    n = len(words if idx is None else idx)
     texts = []
-    for lo in range(0, len(blocks[0]), _FRAME_ROWS):
-        parts = [piece_words[0]]
-        for block, piece in zip(blocks, piece_words[1:]):
-            parts += [block[lo:lo + _FRAME_ROWS], piece]
-        m = len(parts[1])
-        frame = np.concatenate([np.broadcast_to(p, (m, p.shape[-1])) for p in parts], axis=1)
-        data = frame.tobytes()
-        del frame
-        texts.append(data.translate(None, b"\0").decode())
+    for lo in range(0, n, len(frame)):
+        m = min(len(frame), n - lo)
+        for (words, idx), span in zip(blocks, spans):
+            # a take straight into the span, which is not contiguous, would be buffered
+            frame[:m, span] = words[lo:lo + m] if idx is None else words.take(idx[lo:lo + m], 0)
+        texts.append(frame[:m].tobytes().translate(None, b"\0").decode())
     return "".join(texts)
 
 

@@ -87,14 +87,16 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
     one ended continues the subpath ("L"), any other kept segment opens a
     new one ("M"). All polylines go through one pass over their
     concatenated vertices, in chunks of up to _CHUNK segments; the segments
-    that join one polyline to the next are dropped. The clip does the float
+    that join one polyline to the next are dropped, and so are the inner
+    vertices of straight runs in the box (_unbent). The clip does the float
     operations of the one-segment-at-a-time version in the same order, so
-    every vertex drawn has the same text. Vertices that change
-    nothing at the 0.01 px resolution of that text are left out (_kept).
-    A vertex is carried as its centipixels from the clip on, and its text
-    is written from them (_path_texts).
+    every vertex drawn has the same text. Vertices that change nothing at
+    the 0.01 px resolution of that text are left out (_kept). A vertex is
+    carried as its centipixels from the clip on, and its text is written
+    from them (_path_texts).
     """
     xmin, xmax, ymin, ymax = box
+    polylines = [_unbent(x, y, box) for x, y in polylines]
     xs = np.concatenate([x for x, _ in polylines])
     ys = np.concatenate([y for _, y in polylines])
     ids = np.repeat(np.arange(len(polylines)), [x.size for x, _ in polylines])
@@ -144,6 +146,40 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
     keep = _kept(gx, gy, heads)
     bounds = np.searchsorted(owners[keep], np.arange(len(polylines) + 1)).tolist()
     return _path_texts(gx[keep], gy[keep], heads[keep], bounds)
+
+
+def _unbent(xs: np.ndarray, ys: np.ndarray,
+            box: tuple[float, float, float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices of a polyline that the clip needs. An inner vertex of a
+    straight run goes when it and its neighbours lie in the box, both its
+    edges point the same way (up, down, left or right; an empty edge points
+    no way) and the clip joins its two segments. A run whose merged segment
+    does not end, bit for bit, where its last segment ends keeps its
+    vertices. _kept would leave out each vertex that goes, so the path text
+    is the same."""
+    if xs.size < 3:
+        return xs, ys
+    xmin, xmax, ymin, ymax = box
+    keep = np.ones(xs.size, dtype=bool)
+    for lo in range(1, xs.size - 1, _CHUNK):  # in chunks, to bound the temporaries
+        hi = min(lo + _CHUNK, xs.size - 1)
+        x, y = xs[lo - 1:hi + 1], ys[lo - 1:hi + 1]
+        inside = (x >= xmin) & (x <= xmax) & (y >= ymin) & (y <= ymax)
+        ex, ey = np.diff(x), np.diff(y)
+        flat, up, right = ex == 0, ey > 0, ex > 0
+        # per edge: in the box, vertical or horizontal and not empty
+        edge = inside[:-1] & inside[1:] & (flat ^ (ey == 0))
+        joins = (x[:-1] + ex == x[1:]) & (y[:-1] + ey == y[1:])  # the clip ends it at its end
+        keep[lo:hi] = ~(edge[:-1] & edge[1:] & joins[:-1] & (flat[:-1] == flat[1:])
+                        & (up[:-1] == up[1:]) & (right[:-1] == right[1:]))
+    kept = np.flatnonzero(keep)
+    merged = np.flatnonzero(np.diff(kept) > 1)
+    a, b = kept[merged], kept[merged + 1]
+    off = ((xs[a] + (xs[b] - xs[a]) != xs[b - 1] + (xs[b] - xs[b - 1]))
+           | (ys[a] + (ys[b] - ys[a]) != ys[b - 1] + (ys[b] - ys[b - 1])))
+    if off.any():
+        keep |= np.isin(np.cumsum(keep) - 1, merged[off])
+    return xs[keep], ys[keep]
 
 
 def _path_texts(gx: np.ndarray, gy: np.ndarray, heads: np.ndarray,

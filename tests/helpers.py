@@ -15,6 +15,7 @@ from opcurves._exact import DOUBT, POW10, near_power_of_two, times_pow10
 from opcurves.dataset import (_EXACT, _LABEL_BYTES, _LABEL_TOKENS, _M_LIMIT, _WIDEST, CSV_HEADER,
                               EmptyInputError, ParseError, _csv_chunks, _from_csv_file,
                               _from_csv_rows, _reread)
+from opcurves import output
 from opcurves.output import _json_chunks
 from opcurves.roc import _line
 
@@ -64,6 +65,53 @@ def json_text(obj) -> str:
     json.dumps(obj, indent=2) for objects whose dict keys are all strings,
     numpy arrays and Records written as lists."""
     return "".join(_json_chunks(obj))
+
+
+def column_words_oracle(column: np.ndarray, fallback) -> np.ndarray:
+    """output._column_words as it was before it gave each run's words and
+    an index: the words of every row, a run's words repeated."""
+    kind = column.dtype.kind
+    if kind == "b":
+        return output._BOOL_WORDS[column.view(np.uint8)]
+    if kind in "iu":
+        if column.size and (column.min() < 0 or column.max() >= 10**4):
+            raise ValueError("integer columns must lie in [0, 10000)")
+        return output._digit_words()[output._LEAD1:output._LEAD1 + 10**4][column][:, None]
+    values = np.ascontiguousarray(column, dtype=np.float64)
+    bits = values.view(np.int64)
+    heads = np.empty(values.size, dtype=bool)
+    heads[0] = True
+    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
+    if heads.all():
+        return output._float_words(values, fallback)
+    return output._float_words(values[heads], fallback)[np.cumsum(heads) - 1]
+
+
+def frame_text_oracle(blocks: list[np.ndarray], piece_words: list[np.ndarray]) -> str:
+    """output._frame_text as it was before rows() held one frame: each
+    frame of output._FRAME_ROWS rows a new concatenation of the blocks'
+    rows and the pieces' words."""
+    texts = []
+    for lo in range(0, len(blocks[0]), output._FRAME_ROWS):
+        parts = [piece_words[0]]
+        for block, piece in zip(blocks, piece_words[1:]):
+            parts += [block[lo:lo + output._FRAME_ROWS], piece]
+        m = len(parts[1])
+        frame = np.concatenate([np.broadcast_to(p, (m, p.shape[-1])) for p in parts], axis=1)
+        texts.append(frame.tobytes().translate(None, b"\0").decode())
+    return "".join(texts)
+
+
+def rows_oracle(columns: list[np.ndarray], pieces: list[str], fallback=float.__repr__) -> str:
+    """The text output.rows writes, as it wrote it with the two oracles
+    above, a chunk of output._CHUNK cells at a time and no memo."""
+    piece_words = [np.frombuffer(p.encode() + b"\0" * (-len(p.encode()) % 4), dtype=np.uint32)
+                   for p in pieces]
+    columns = [np.asarray(c) for c in columns]
+    size = max(1, output._CHUNK // len(columns))
+    return "".join(frame_text_oracle([column_words_oracle(c[lo:lo + size], fallback)
+                                      for c in columns], piece_words)
+                   for lo in range(0, len(columns[0]), size))
 
 
 def from_csv_bytes(raw: bytes) -> Dataset | None:
@@ -618,11 +666,14 @@ def decode_lines_oracle(a: np.ndarray, widest: int,
     return scores, labels
 
 
-def path_data_clip_all_oracle(polylines: list[tuple[np.ndarray, np.ndarray]],
-                               box: tuple[float, float, float, float], px, py) -> list[str]:
-    """render._path_data as it was before it clipped only the segments with
-    an end outside the box: every segment goes through the Liang-Barsky
-    updates, in chunks of render._CHUNK segments as it is at the call."""
+def path_data_unthinned_oracle(polylines: list[tuple[np.ndarray, np.ndarray]],
+                               box: tuple[float, float, float, float], px, py,
+                               clip_all: bool = False) -> list[str]:
+    """render._path_data as it was before it thinned straight runs: every
+    vertex goes to the clip. With clip_all, as it was before it clipped
+    only the segments with an end outside the box: every segment goes
+    through the Liang-Barsky updates. Both work in chunks of render._CHUNK
+    segments as it is at the call."""
     xmin, xmax, ymin, ymax = box
     xs = np.concatenate([x for x, _ in polylines])
     ys = np.concatenate([y for _, y in polylines])
@@ -636,15 +687,23 @@ def path_data_clip_all_oracle(polylines: list[tuple[np.ndarray, np.ndarray]],
         dx, dy = x2 - x1, y2 - y1
         t0, t1 = np.zeros(hi - lo), np.ones(hi - lo)
         ok = drawn[lo:hi].copy()
+        if clip_all:
+            out = np.arange(hi - lo)
+        else:
+            # the segments with an end outside the box; the others keep t0 = 0, t1 = 1
+            vx, vy = xs[lo:hi + 1], ys[lo:hi + 1]
+            inside = (vx >= xmin) & (vx <= xmax) & (vy >= ymin) & (vy <= ymax)
+            out = np.flatnonzero(~(inside[:-1] & inside[1:]))
+        c0, c1, cok, cx, cy, cdx, cdy = (v[out] for v in (t0, t1, ok, x1, y1, dx, dy))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for p, q in ((-dx, x1 - xmin), (dx, xmax - x1), (-dy, y1 - ymin), (dy, ymax - y1)):
+            for p, q in ((-cdx, cx - xmin), (cdx, xmax - cx), (-cdy, cy - ymin), (cdy, ymax - cy)):
                 flat, enters = p == 0.0, p < 0.0
-                ok &= ~(flat & (q < 0.0))
+                cok &= ~(flat & (q < 0.0))
                 r = q / p
                 # max(t0, r) and min(t1, r) keep t0 and t1 unless r is strictly beyond
-                t0 = np.where(enters & (r > t0), r, t0)
-                t1 = np.where(~flat & ~enters & (r < t1), r, t1)
-        ok &= ~(t0 > t1)
+                c0 = np.where(enters & (r > c0), r, c0)
+                c1 = np.where(~flat & ~enters & (r < c1), r, c1)
+        t0[out], t1[out], ok[out] = c0, c1, cok & ~(c0 > c1)
         ax, ay, bx, by = x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy
         after_ok = np.concatenate(([prev_ok], ok[:-1]))
         joins = (after_ok & (ax == np.concatenate(([prev_bx], bx[:-1])))

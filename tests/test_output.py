@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from opcurves import output
 from opcurves.output import Outputs, Records, replaces, rows, write_text, xy_csv
-from helpers import json_text
+from helpers import json_text, rows_oracle
 
 FLOATS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, float("nan"),
                                                  float("inf"), float("-inf")]))
@@ -95,6 +95,58 @@ def test_rows_refuse_what_they_cannot_write():
         list(rows([np.array([0, 10**4])], ["", "\n"]))
     assert "".join(rows([np.array([0, 7, 9999]), np.array([True, False, True])],
                         ["", ",", "\n"])) == "0,true\n7,false\n9999,true\n"
+
+
+def test_rows_refuse_columns_they_cannot_pair():
+    for columns, pieces in (([], ["x"]), ([np.zeros(2), np.ones(1)], ["", ",", "\n"]),
+                            ([np.zeros((2, 2))], ["", "\n"]), ([np.float64(1.0)], ["", "\n"])):
+        with pytest.raises(ValueError, match="1-d columns of one length"):
+            list(rows(columns, pieces))
+
+
+# rows() against the writer it replaced (helpers.rows_oracle): every row's
+# words expanded and each frame a new concatenation. The lengths straddle
+# a frame (4,096 rows) and a chunk (32,768 cells: 32,768, 16,384 or 10,922
+# rows for one to three columns).
+LENGTHS = st.sampled_from([4095, 4096, 4097, 8192, 8193, 10922, 10923, 16383, 16384,
+                           16385, 32767, 32768, 32769]) | st.integers(1, 300)
+
+
+@st.composite
+def table_columns(draw, n):
+    """A float column of runs of equal values (NaN, the infinities and
+    -0.0 among them) over a fraction of distinct ones, a bool column or an
+    int column, of n rows."""
+    kind = draw(st.sampled_from(["f", "f", "b", "i"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "b":
+        return rng.random(n) < draw(st.floats(0.0, 1.0))
+    if kind == "i":
+        dtype, top = draw(st.sampled_from([(np.int8, 128), (np.int64, 10**4)]))
+        return rng.integers(0, top, n).astype(dtype)
+    values = draw(st.lists(FLOATS, min_size=1, max_size=6))
+    runs = rng.integers(1, draw(st.sampled_from([2, 50, 5000])), len(values))
+    column = np.resize(np.repeat(np.array(values, dtype=np.float64), runs), n)
+    distinct = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    column[distinct] = rng.random(np.count_nonzero(distinct)) * 10.0 ** rng.integers(-6, 18)
+    return column
+
+
+@given(st.data(), LENGTHS, st.integers(1, 3), st.booleans())
+def test_rows_are_the_oracles_text(data, n, k, json_floats):
+    columns = [data.draw(table_columns(n)) for _ in range(k)]
+    pieces = ["", *(data.draw(st.sampled_from([",", ", ", ",\n  \"é\": "])) for _ in columns[1:]),
+              data.draw(st.sampled_from(["\n", ",tag\n"]))]
+    fallback = output._json_float if json_floats else float.__repr__
+    want = rows_oracle(columns, pieces, fallback)
+    assert "".join(rows(columns, pieces, fallback)) == want
+    for column in columns:
+        column.flags.writeable = False
+    with Outputs():  # read-only float columns of a chunk or less are held
+        assert "".join(rows(columns, pieces, fallback)) == want
+        assert "".join(rows(columns, pieces, fallback)) == want
+        assert "".join(rows(columns[:1], ["[", "]"], fallback)) == rows_oracle(
+            columns[:1], ["[", "]"], fallback)
 
 
 def test_integer_columns_of_every_width_write_the_same_text():

@@ -9,9 +9,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from opcurves import (Curve, Priors, RenderError, RocCurve, cost_lines, isometric_lines,
-                      render_svg, write_svg)
+                      operating_points, render_svg, write_svg)
 from opcurves import render
-from helpers import assert_decimated, path_data_clip_all_oracle, path_data_oracle
+from helpers import assert_decimated, datasets, path_data_oracle, path_data_unthinned_oracle
 
 PRIORS = Priors(pi_p=0.25, pi_n=0.75)
 
@@ -221,9 +221,10 @@ def _same_paths(polylines, box=BOX):
                  for xs, ys in polylines]
     got = render._path_data(polylines, box, _px, _py)
     assert len(got) == len(polylines)
-    # clipping only the segments with an end outside the box leaves every
-    # text as clipping them all did
-    assert got == path_data_clip_all_oracle(polylines, box, _px, _py)
+    # thinning straight runs, and clipping only the segments with an end
+    # outside the box, leave every text as clipping every vertex did
+    assert got == path_data_unthinned_oracle(polylines, box, _px, _py)
+    assert got == path_data_unthinned_oracle(polylines, box, _px, _py, clip_all=True)
     for (xs, ys), path in zip(polylines, got):
         assert_decimated(path, path_data_oracle(xs, ys, box, _px, _py))
     return got
@@ -319,6 +320,73 @@ def test_dense_staircase_collapses_on_the_grid():
     path = _same_path(fpr, tpr)
     assert path.count(" L ") < fpr.size // 4
     assert path.startswith("M 67.50 420.58 ") and path.endswith(" L 542.50 49.42")
+
+
+def test_straight_runs_reach_the_clip_as_their_corners():
+    # the staircase above: each run of positives or of negatives is one
+    # segment, so only its ends and the two ends of the curve are clipped
+    rng = np.random.default_rng(11)
+    pos = rng.random(60_000) < 0.1
+    fpr = np.concatenate(([0.0], np.cumsum(~pos) / np.count_nonzero(~pos)))
+    tpr = np.concatenate(([0.0], np.cumsum(pos) / np.count_nonzero(pos)))
+    corners = [0, *(np.flatnonzero(pos[1:] != pos[:-1]) + 1).tolist(), pos.size]
+    xs, ys = render._unbent(fpr, tpr, BOX)
+    assert xs.tolist() == fpr[corners].tolist() and ys.tolist() == tpr[corners].tolist()
+
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 0.0, 0.0], [0.0, 1.0, 0.5]),  # the run turns back
+    ([0.5, 0.5, 0.5, 0.8], [0.1, 0.11, 0.41, 0.41]),  # 0.1 + (0.41 - 0.1) is not 0.41
+    ([0.5, 0.5, 0.5], [0.5, 0.9, 1.5]),  # the run leaves the box
+    ([0.2, 0.8, 0.5], [0.3, 0.3, 0.3]),  # and across
+    ([0.0, 0.0, 0.0, 0.0], [0.0, 0.3, 0.3, 0.04999999999999999]),  # past a repeated vertex
+])
+def test_runs_the_clip_could_draw_otherwise_keep_their_vertices(xs, ys):
+    xs, ys = np.array(xs), np.array(ys)
+    assert render._unbent(xs, ys, BOX)[0].size == xs.size
+    _same_path(xs, ys)
+
+
+# render_svg against its text with the unthinned path builder, on series
+# whose segments are mostly vertical or horizontal: runs that turn back,
+# cross the box edge, repeat a vertex or end inexactly, two-vertex series,
+# ROC staircases with ties, several series a plot
+STEP = st.sampled_from([0.0, -0.0, 0.01, -0.01, 0.1, 0.3, -0.5, 1e-17, 0.00101, 0.123]) \
+    | st.floats(-1.2, 1.2)
+START = st.sampled_from([0.0, 0.1, 0.5, -0.02, 1.02, 1.1, -0.3]) | st.floats(-0.3, 1.3)
+
+
+@st.composite
+def axis_runs(draw):
+    x, y = draw(START), draw(START)
+    xs, ys = [x], [y]
+    for across, steps in draw(st.lists(st.tuples(st.booleans(), st.lists(STEP, min_size=1,
+                                                                         max_size=6)),
+                                       min_size=1, max_size=8)):
+        for step in steps:
+            x, y = (x + step, y) if across else (x, y + step)
+            xs.append(x)
+            ys.append(y)
+    return xs, ys
+
+
+@st.composite
+def roc_staircases(draw):
+    curve = operating_points(draw(datasets()))
+    return curve.fprs, curve.tprs
+
+
+@given(st.lists(axis_runs() | roc_staircases(), min_size=1, max_size=4),
+       st.sampled_from([(-0.02, 1.02), (0.1, 0.9), (0.0, 1.0)]))
+@example([([0.5, 0.5, 0.5, 0.8], [0.1, 0.11, 0.41, 0.41])], (-0.02, 1.02))
+@example([([0.0, 0.0, 0.0], [0.0, 1.0, 0.5]), ([0.3, 0.3], [0.2, 0.2])], (0.0, 1.0))
+@example([([0.0, 0.0, 0.0, 0.0], [0.0, 0.3, 0.3, 0.04999999999999999])], (-0.02, 1.02))
+def test_render_svg_is_the_unthinned_text(polylines, box):
+    spec = _spec(series=[(Curve(xs=xs, ys=ys, series=f"s{k}"), {})
+                         for k, (xs, ys) in enumerate(polylines)], x_range=box, y_range=box)
+    got = render_svg(**spec)
+    with mock.patch.object(render, "_path_data", path_data_unthinned_oracle):
+        assert got == render_svg(**spec)
 
 
 def test_overflowing_segment_is_refused():
