@@ -5,9 +5,15 @@ resource.setrlimit(RLIMIT_AS), once numpy and every opcurves module are
 loaded, to what it then holds plus K[command] times the bytes of the input
 files it names. Each K is the need (VmPeak after the run minus VmSize
 after the imports) measured on these 10^5-row inputs, over the input
-bytes, with about a quarter to spare, rounded up to a half: the need
-moves by about 1 MiB with where the imports leave the heap. Lower a K only
+bytes, with about a quarter to spare, rounded up to a half. Lower a K only
 with a CHANGES.md entry that says why.
+
+The child allocates Python's small objects with malloc (PYTHONMALLOC),
+so what it holds after the imports is the same from run to run. With
+pymalloc's 1 MiB arenas it read 1 MiB lower in about one run in four:
+whether an emptied arena was still kept at the reading turned on the
+hash seed and the address layout, and a fixed PYTHONHASHSEED or an
+allocation before the reading moved the flip but did not remove it.
 
 Under its budget a command reads the byte decoder's file and the row
 parser's (the same rows, every score quoted) to the same output bytes as
@@ -81,7 +87,8 @@ def inputs(tmp_path_factory):
 def _run_under_budget(argv, k, source, cwd):
     shutil.copyfile(source, cwd / "in.csv")
     budget = round(k * os.path.getsize(source) * argv.count("in.csv"))
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__)),
+           "PYTHONMALLOC": "malloc"}
     return subprocess.run([sys.executable, "-c", CHILD, str(budget), *argv], env=env, cwd=cwd,
                           capture_output=True, timeout=120)
 
