@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import Dataset, Priors
 from .decision import ArrayLike, Curve, ThresholdGrid, _unwrap
-from .roc import (_TOL, RocCurve, _envelope_vertices, _line, _require_hull,
+from .roc import (_TOL, RocCurve, _envelope_vertices, _line, _points, _require_hull,
                   _switch_points, convex_hull, operating_points, threshold_rates)
 
 
@@ -96,7 +96,7 @@ def per_class_components(data: Dataset, grid: ThresholdGrid) -> tuple[Curve, Cur
 _BLOCK = 1 << 14
 
 
-def brier_score(data: Dataset, *, points: RocCurve | None = None) -> float:
+def brier_score(data: Dataset) -> float:
     """Area under the Brier curve over c in [0, 1], integrated exactly.
 
     The curve is piecewise linear in t between breakpoints at 0, each
@@ -108,14 +108,9 @@ def brier_score(data: Dataset, *, points: RocCurve | None = None) -> float:
     The segments' counts are those of the operating points: on the open
     segment (lo, hi) the rule s >= t classifies {s >= hi} positive, so
     the false negatives and false positives are n_p - tp and fp of hi's
-    point, or of the (0, 0) anchor for hi = 1 when no score is 1. points,
-    when given, must be operating_points(data), which then is not built
-    again.
+    point, or of the (0, 0) anchor for hi = 1 when no score is 1.
     """
-    if points is None:
-        points = operating_points(data)
-    elif (points.n_p, points.n_n) != (data.n_p, data.n_n) or points.is_hull:
-        raise ValueError("points must be operating_points(data)")
+    points = _points(data)
     scores = points.thresholds[:0:-1]
     lead, tail = int(scores[0] > 0.0), int(scores[-1] < 1.0)
     bounds = np.empty(scores.size + lead + tail)
@@ -176,10 +171,9 @@ def loss_decomposition(data: Dataset, grid: ThresholdGrid) -> LossDecomposition:
     to float rounding; negatives within 1e-12 of zero are clamped to 0.
     A perfectly calibrated scorer has calibration 0.
     """
-    points = operating_points(data)
-    hull = convex_hull(points)
+    hull = convex_hull(operating_points(data))
     priors = data.priors
-    bs = brier_score(data, points=points)
+    bs = brier_score(data)
     refinement = refinement_loss(hull, priors)
     calibration = bs - refinement
     if -_TOL < calibration < 0.0:

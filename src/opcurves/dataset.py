@@ -81,10 +81,11 @@ class Dataset:
     labels binary, at least one sample of each class. The scores and labels
     are held in the order given, frozen. Every curve in this package reduces
     to counting scores at or above a threshold, so the first curve read
-    builds the count table (_counts) and the dataset holds it from then on.
+    builds the operating points (roc._points) and the dataset holds their
+    RocCurve from then on.
     """
 
-    __slots__ = ("_scores", "_labels", "_n_p", "_table")
+    __slots__ = ("_scores", "_labels", "_n_p", "_points")
 
     def __init__(self, scores: Sequence[float] | np.ndarray,
                  labels: Sequence[int] | np.ndarray, *, _owned: bool = False) -> None:
@@ -105,18 +106,8 @@ class Dataset:
         n_p = int(np.count_nonzero(labels))
         if n_p == 0 or n_p == scores.size:
             raise DegenerateClassError("dataset must contain both classes")
-        self._scores, self._labels, self._n_p, self._table = scores, labels, n_p, None
+        self._scores, self._labels, self._n_p, self._points = scores, labels, n_p, None
         scores.flags.writeable = labels.flags.writeable = False
-
-    def _counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The count table, read-only: the operating points' thresholds (NaN
-        for the (0, 0) anchor, then each distinct score descending, a zero
-        as +0.0) and their integer tp and fp counts, built on first use."""
-        if self._table is None:
-            self._table = _tally(self._scores, self._labels)
-            for arr in self._table:
-                arr.flags.writeable = False
-        return self._table
 
     @property
     def scores(self) -> np.ndarray:
@@ -165,45 +156,6 @@ class Dataset:
 
     def __repr__(self) -> str:
         return f"Dataset(n={self.n}, n_p={self.n_p}, n_n={self.n_n})"
-
-
-def _tally(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dataset._counts's table, from one sort of an int64 key a row, the
-    score's bits then its label bit: + 0.0 turns -0.0 into 0.0, a
-    non-negative double orders as its bits, and a score of at most 1.0 keeps
-    the key below 2**63, so the keys negated sort ascending as the keys
-    descending. Down them a run of equal key >> 1 is one score; the label
-    bits summed count the positives at or above each row, index + 1 - tp
-    the negatives, and a run's last row has its point's counts."""
-    key = np.add(scores, 0.0).view(np.int64)
-    key <<= 1
-    key |= labels
-    np.negative(key, out=key)
-    key.sort()
-    bits = np.empty(key.size, dtype=np.int8)
-    np.bitwise_and(key, 1, out=bits, casting="unsafe")  # -k and k have one parity
-    np.negative(key, out=key)
-    key >>= 1
-    last = np.empty(key.size, dtype=bool)
-    last[-1] = True
-    np.not_equal(key[:-1], key[1:], out=last[:-1])
-    last = np.flatnonzero(last)
-    thresholds = np.empty(last.size + 1)
-    thresholds[0] = np.nan
-    # last is in range; any mode but "raise" lets take write out unbuffered
-    np.take(key, last, out=thresholds[1:].view(np.int64), mode="clip")
-    np.copyto(key, bits)  # summed in place: cumsum casting int8 to int64 copies it all
-    del bits
-    np.cumsum(key, out=key)
-    tp = np.empty(last.size + 1, dtype=np.int64)
-    tp[0] = 0
-    np.take(key, last, out=tp[1:], mode="clip")
-    del key
-    fp = np.empty(last.size + 1, dtype=np.int64)
-    fp[0] = 0
-    np.add(last, 1, out=fp[1:])
-    fp[1:] -= tp[1:]
-    return thresholds, tp, fp
 
 
 def _plain_header(line: str) -> bool:

@@ -43,7 +43,7 @@ import numpy as np
 from ._exact import DOUBT, POW10, near_power_of_two, times_pow10
 
 _INDENT = "  "
-_CHUNK = 1 << 15  # rows times columns a chunk, so its frame stays near 1 MB
+_CHUNK = 1 << 15  # rows times columns a chunk, and about the words of a frame at most
 _FRAME_ROWS = 1 << 12  # rows framed at a time; rows() fills one such frame for a whole table
 
 
@@ -319,10 +319,12 @@ def rows(columns: list[np.ndarray], pieces: list[str],
 
 def _frame(piece_words: list[np.ndarray], blocks: list[tuple], n: int
            ) -> tuple[np.ndarray, list[slice]]:
-    """A frame for up to _FRAME_ROWS of a table's n rows, its pieces'
+    """A frame for up to _FRAME_ROWS of a table's n rows, fewer where a row
+    is so wide that they would hold more than _CHUNK words, its pieces'
     words written in, and the slice of each block's words in a row."""
     widths = [words.shape[1] for words, _ in blocks]
-    frame = np.empty((min(_FRAME_ROWS, n), sum(widths) + sum(p.size for p in piece_words)),
+    row_words = sum(widths) + sum(p.size for p in piece_words)
+    frame = np.empty((max(1, min(_FRAME_ROWS, n, _CHUNK // row_words)), row_words),
                      dtype=np.uint32)
     spans, at = [], 0
     for piece, width in itertools.zip_longest(piece_words, widths, fillvalue=0):

@@ -122,8 +122,9 @@ def _path_data(polylines: list[tuple[np.ndarray, np.ndarray]],
                 # max(t0, r) and min(t1, r) keep t0 and t1 unless r is strictly beyond
                 c0 = np.where(enters & (r > c0), r, c0)
                 c1 = np.where(~flat & ~enters & (r < c1), r, c1)
-        t0[out], t1[out], ok[out] = c0, c1, cok & ~(c0 > c1)
-        ax, ay, bx, by = x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy
+            t0[out], t1[out], ok[out] = c0, c1, cok & ~(c0 > c1)
+            # a dropped segment's t0 or t1 may be infinite, and inf * 0 is NaN
+            ax, ay, bx, by = x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy
         after_ok = np.concatenate(([prev_ok], ok[:-1]))
         joins = (after_ok & (ax == np.concatenate(([prev_bx], bx[:-1])))
                  & (ay == np.concatenate(([prev_by], by[:-1]))))

@@ -55,8 +55,7 @@ class RocCurve:
     def _adopt(cls, thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray, n_p: int, n_n: int,
                is_hull: bool = False) -> RocCurve:
         """The curve over float64 thresholds and int64 counts that were built
-        for it, or a dataset's count table, which nothing writes, taken
-        without a copy."""
+        for it, taken without a copy."""
         curve = cls.__new__(cls)
         curve._hold(thresholds, tp, fp, n_p, n_n, is_hull)
         return curve
@@ -109,8 +108,8 @@ class RocCurve:
             raise ValueError("curve must start at (0, 0)")
         if x[-1] != self.n_n or y[-1] != self.n_p:
             raise ValueError("curve must end at (1, 1)")
-        dx, dy = np.diff(x), np.diff(y)
-        if not np.all((dx > 0) | ((dx == 0) & (dy > 0))):
+        # compared, not differenced: no int64 temporaries, and nothing to wrap
+        if not np.all((x[1:] > x[:-1]) | ((x[1:] == x[:-1]) & (y[1:] > y[:-1]))):
             raise ValueError("points must strictly increase in (fpr, tpr) order")
         if self.is_hull:
             ox, oy, ax, ay, bx, by = x[:-2], y[:-2], x[1:-1], y[1:-1], x[2:], y[2:]
@@ -134,13 +133,64 @@ def _require_hull(hull: RocCurve) -> None:
         raise ValueError("expected a convex hull; pass convex_hull(operating_points(data))")
 
 
+def _points(data: Dataset) -> RocCurve:
+    """The data's operating points: built from _tally's table and checked on
+    the first read, then held by the dataset, so every later read of the
+    data's curves takes the same RocCurve."""
+    if data._points is None:
+        data._points = RocCurve._adopt(*_tally(data.scores, data.labels), data.n_p, data.n_n)
+    return data._points
+
+
+def _tally(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The count table: the operating points' thresholds (NaN for the (0, 0)
+    anchor, then each distinct score descending, a zero as +0.0) and their
+    integer tp and fp counts, from one sort of an int64 key a row, the
+    score's bits then its label bit: + 0.0 turns -0.0 into 0.0, a
+    non-negative double orders as its bits, and a score of at most 1.0 keeps
+    the key below 2**63, so the keys negated sort ascending as the keys
+    descending. Down them a run of equal key >> 1 is one score; the label
+    bits summed count the positives at or above each row, index + 1 - tp
+    the negatives, and a run's last row has its point's counts."""
+    key = np.add(scores, 0.0).view(np.int64)
+    key <<= 1
+    key |= labels
+    np.negative(key, out=key)
+    key.sort()
+    bits = np.empty(key.size, dtype=np.int8)
+    np.bitwise_and(key, 1, out=bits, casting="unsafe")  # -k and k have one parity
+    np.negative(key, out=key)
+    key >>= 1
+    last = np.empty(key.size, dtype=bool)
+    last[-1] = True
+    np.not_equal(key[:-1], key[1:], out=last[:-1])
+    last = np.flatnonzero(last)
+    thresholds = np.empty(last.size + 1)
+    thresholds[0] = np.nan
+    # last is in range; any mode but "raise" lets take write out unbuffered
+    np.take(key, last, out=thresholds[1:].view(np.int64), mode="clip")
+    np.copyto(key, bits)  # summed in place: cumsum casting int8 to int64 copies it all
+    del bits
+    np.cumsum(key, out=key)
+    tp = np.empty(last.size + 1, dtype=np.int64)
+    tp[0] = 0
+    np.take(key, last, out=tp[1:], mode="clip")
+    del key
+    fp = np.empty(last.size + 1, dtype=np.int64)
+    fp[0] = 0
+    np.add(last, 1, out=fp[1:])
+    fp[1:] -= tp[1:]
+    return thresholds, tp, fp
+
+
 def threshold_rates(data: Dataset, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(tpr, fpr) arrays for the rule score >= threshold, vectorized: each
     threshold takes the counts of the lowest distinct score at or above it,
     or the (0, 0) anchor's when no score reaches it."""
-    cuts, tp, fp = data._counts()
+    points = _points(data)
+    cuts = points.thresholds
     at = cuts.size - 1 - np.searchsorted(cuts[:0:-1], np.asarray(thresholds, dtype=np.float64))
-    return tp[at] / data.n_p, fp[at] / data.n_n
+    return points.tp[at] / data.n_p, points.fp[at] / data.n_n
 
 
 def operating_points(data: Dataset) -> RocCurve:
@@ -149,10 +199,10 @@ def operating_points(data: Dataset) -> RocCurve:
     Points come out ordered by increasing (fpr, tpr), i.e. thresholds
     descending, starting from the synthetic (0, 0) anchor and ending at
     (1, 1) (the threshold at the minimum score classifies everything
-    positive). Tied scores collapse into a single point. The curve holds
-    the data's count table itself.
+    positive). Tied scores collapse into a single point. The dataset holds
+    the curve, so every call on it returns the same one.
     """
-    return RocCurve._adopt(*data._counts(), data.n_p, data.n_n)
+    return _points(data)
 
 
 def convex_hull(curve: RocCurve) -> RocCurve:

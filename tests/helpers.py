@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import strategies as st
 
 from opcurves import (Curve, Dataset, Priors, RocCurve, ThresholdGrid, loss_cp, lower_envelope,
-                      net_benefit, threshold_rates, upper_envelope_decision_curve)
+                      net_benefit, operating_points, threshold_rates,
+                      upper_envelope_decision_curve)
 from opcurves import render
 from opcurves._exact import DOUBT, POW10, near_power_of_two, times_pow10
 from opcurves.dataset import (_EXACT, _LABEL_BYTES, _LABEL_TOKENS, _M_LIMIT, _WIDEST, CSV_HEADER,
@@ -282,15 +283,15 @@ def threshold_rates_oracle(data: Dataset, thresholds) -> tuple[np.ndarray, np.nd
 
 
 def assert_count_table(data: Dataset) -> None:
-    """data's count table is count_table_oracle's: tp and fp exactly, the
-    thresholds by value (-0.0 == 0.0), every zero threshold +0.0; and
+    """data's operating points are count_table_oracle's: tp and fp exactly,
+    the thresholds by value (-0.0 == 0.0), every zero threshold +0.0; and
     threshold_rates gives threshold_rates_oracle's rates bit for bit on a
     grid of every score, its float neighbours, 0, 1 and values outside."""
-    got, want = data._counts(), count_table_oracle(data)
-    assert got[1].tolist() == want[1].tolist() and got[2].tolist() == want[2].tolist()
-    assert np.isnan(got[0][0]) and np.isnan(want[0][0])
-    assert got[0][1:].tolist() == want[0][1:].tolist()
-    assert not np.signbit(got[0][1:]).any()
+    got, (cuts, tp, fp) = operating_points(data), count_table_oracle(data)
+    assert got.tp.tolist() == tp.tolist() and got.fp.tolist() == fp.tolist()
+    assert np.isnan(got.thresholds[0]) and np.isnan(cuts[0])
+    assert got.thresholds[1:].tolist() == cuts[1:].tolist()
+    assert not np.signbit(got.thresholds[1:]).any()
     distinct = np.unique(data.scores)
     grid = np.concatenate((distinct, np.nextafter(distinct, -1.0), np.nextafter(distinct, 2.0),
                            [0.0, -0.0, 1.0, -0.5, 1.5, np.nan]))
@@ -703,8 +704,9 @@ def path_data_unthinned_oracle(polylines: list[tuple[np.ndarray, np.ndarray]],
                 # max(t0, r) and min(t1, r) keep t0 and t1 unless r is strictly beyond
                 c0 = np.where(enters & (r > c0), r, c0)
                 c1 = np.where(~flat & ~enters & (r < c1), r, c1)
-        t0[out], t1[out], ok[out] = c0, c1, cok & ~(c0 > c1)
-        ax, ay, bx, by = x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy
+            t0[out], t1[out], ok[out] = c0, c1, cok & ~(c0 > c1)
+            # a dropped segment's t0 or t1 may be infinite, and inf * 0 is NaN
+            ax, ay, bx, by = x1 + t0 * dx, y1 + t0 * dy, x1 + t1 * dx, y1 + t1 * dy
         after_ok = np.concatenate(([prev_ok], ok[:-1]))
         joins = (after_ok & (ax == np.concatenate(([prev_bx], bx[:-1])))
                  & (ay == np.concatenate(([prev_by], by[:-1]))))

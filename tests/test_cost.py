@@ -169,13 +169,10 @@ def test_brier_score_matches_oracle(data):
     assert_brier_matches_oracle(data)
 
 
-def test_brier_score_takes_the_points_it_is_given(toy):
-    points = operating_points(toy)
-    assert brier_score(toy, points=points) == brier_score(toy)
-    with pytest.raises(ValueError, match="operating_points"):
-        brier_score(toy, points=convex_hull(points))
-    with pytest.raises(ValueError, match="operating_points"):
-        brier_score(toy, points=operating_points(make_random(0, n=50)))
+def test_brier_score_reads_only_the_data(toy):
+    # the dataset holds its operating points, so there is none to pass in
+    with pytest.raises(TypeError):
+        brier_score(toy, points=operating_points(toy))
 
 
 @given(datasets(st.sampled_from([0.2, 0.4, 0.6])))

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from opcurves import (Dataset, DatasetError, DegenerateClassError, EmptyInputError, ParseError,
-                      Priors, SimulationSpecError, read_csv, simulate_gaussian, write_csv)
+                      Priors, SimulationSpecError, operating_points, read_csv,
+                      simulate_gaussian, write_csv)
 from opcurves import dataset
 from opcurves.dataset import MAX_SIMULATED_ROWS, _from_csv_rows
 from helpers import (THOUSANDTHS, UNIT_FLOATS, assert_count_table, datasets, from_csv,
@@ -145,7 +146,7 @@ def test_one_distinct_score_sorts_as_np_sort(score, n_p, n_n):
     data = Dataset([score] * (n_p + n_n), [1] * n_p + [0] * n_n)
     assert_count_table(data)
     assert data.n_p == n_p and data.n_n == n_n
-    assert data._counts()[0].size == 2
+    assert operating_points(data).tp.size == 2
 
 
 @given(st.one_of(THOUSANDTHS, UNIT_FLOATS, EDGE_SCORES),
@@ -175,9 +176,11 @@ def test_one_positive_in_a_hundred_thousand_sorts_as_np_sort(tied, tmp_path):
 def test_a_class_swap_swaps_the_sorted_classes(data):
     swapped = Dataset(data.scores, 1 - data.labels)
     assert_count_table(swapped)
-    (cuts, tp, fp), (swapped_cuts, swapped_tp, swapped_fp) = data._counts(), swapped._counts()
-    assert swapped_cuts.view(np.int64).tolist() == cuts.view(np.int64).tolist()
-    assert swapped_tp.tolist() == fp.tolist() and swapped_fp.tolist() == tp.tolist()
+    points, swapped_points = operating_points(data), operating_points(swapped)
+    assert (swapped_points.thresholds.view(np.int64).tolist()
+            == points.thresholds.view(np.int64).tolist())
+    assert swapped_points.tp.tolist() == points.fp.tolist()
+    assert swapped_points.fp.tolist() == points.tp.tolist()
 
 
 def test_parse_accepts_letter_labels():

@@ -389,6 +389,16 @@ def test_render_svg_is_the_unthinned_text(polylines, box):
         assert got == render_svg(**spec)
 
 
+def test_a_segment_off_the_box_by_a_subnormal_rise_is_dropped_without_a_warning():
+    # below the box, dy = 1e-310 makes q / p overflow to t0 = inf, and the
+    # end point x1 + t0 * dx is inf * 0; the segment is dropped, and under
+    # the tests' warning filter the NaN it leaves is no error
+    xs, ys = [0.5, 0.5], [0.0, 1e-310]
+    svg = render_svg("t", "x", "y", [(Curve(xs, ys, "s"), {})], (0.1, 0.9), (0.1, 0.9))
+    assert "<path" not in svg
+    assert _same_path(xs, ys, (0.1, 0.9, 0.1, 0.9)) == ""
+
+
 def test_overflowing_segment_is_refused():
     # finite values whose difference overflows would clip to NaN coordinates
     for xs, ys in (([-1e308, 1e308, 0.5], [0.5, 0.5, 0.2]), ([0.5, 0.5], [1e308, -1e308])):

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from opcurves import (Dataset, RocCurve, convex_hull, dominance, operating_points,
-                      threshold_rates)
+from opcurves import (Dataset, RocCurve, ThresholdGrid, convex_hull, decision_curve, dominance,
+                      operating_points, threshold_rates)
 from opcurves import roc
-from opcurves.cost import brier_score
+from opcurves.cost import brier_score, loss_decomposition
 from helpers import (THOUSANDTHS, UNIT_FLOATS, OperatingPoint, check_rates_oracle,
                      convex_hull_oracle, datasets, make_random, operating_points_oracle,
                      point_view)
@@ -177,7 +177,7 @@ def test_rates_are_derived_from_the_counts_on_each_read(toy, monkeypatch):
 
     monkeypatch.setattr(RocCurve, "fprs", property(refuse))
     monkeypatch.setattr(RocCurve, "tprs", property(refuse))
-    brier_score(toy, points=curve)
+    brier_score(toy)
     convex_hull(curve)
 
 
@@ -403,14 +403,36 @@ def test_curve_leaves_the_callers_arrays_alone():
 
 
 def test_points_and_hull_hold_the_arrays_they_build(monkeypatch):
-    # operating_points holds the data's count table and convex_hull builds
-    # its arrays for the hull: neither goes through the copying constructor
+    # the dataset holds its operating points and convex_hull builds its
+    # arrays for the hull: neither goes through the copying constructor
     def copy(self, *args, **kwargs):
         raise AssertionError("copied")
 
     monkeypatch.setattr(RocCurve, "__init__", copy)
     data = make_random(3, n=500)
-    table = data._counts()
-    for curve in (operating_points(data), operating_points(data)):
-        assert all(a is b for a, b in zip((curve.thresholds, curve.tp, curve.fp), table))
+    curve = operating_points(data)
+    assert operating_points(data) is curve
+    assert not curve.tp.flags.writeable and not curve.thresholds.flags.writeable
     assert convex_hull(curve).is_hull
+
+
+def test_a_datasets_points_are_checked_once(monkeypatch):
+    # every reader of the points takes the curve the dataset holds; only a
+    # hull is checked again, as the new curve it is
+    checked = []
+    validate = RocCurve._validate
+
+    def counted(self):
+        checked.append(self.is_hull)
+        validate(self)
+
+    monkeypatch.setattr(RocCurve, "_validate", counted)
+    data = make_random(4, n=500)
+    grid = ThresholdGrid.cost_default()
+    threshold_rates(data, grid.values)
+    operating_points(data)
+    operating_points(data)
+    brier_score(data)
+    decision_curve(data, ThresholdGrid.decision_default())
+    loss_decomposition(data, grid)
+    assert checked == [False, True]
