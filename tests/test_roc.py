@@ -164,6 +164,14 @@ def test_the_count_checks_refuse_what_the_rate_checks_refuse(args):
     assert _refusal(RocCurve, *args) == _refusal(check_rates_oracle, *args)
 
 
+def test_counts_that_step_back_by_more_than_an_int64_holds_are_refused():
+    # fp goes 0, 1.5 * 2**62, -1.5 * 2**62, 5: the step back is below
+    # -2**63, where a difference would wrap to a positive step
+    big = 3 << 61
+    with pytest.raises(ValueError, match="strictly increase"):
+        RocCurve([np.nan, 0.9, 0.5, 0.1], [0, 0, 0, 1], [0, big, -big, 5], 1, 5)
+
+
 def test_rates_are_derived_from_the_counts_on_each_read(toy, monkeypatch):
     curve = operating_points(toy)
     fprs, tprs = curve.fprs, curve.tprs
